@@ -7,7 +7,7 @@
 // produced when the zero-allocation queue landed.
 //
 // Usage: bench_perf_suite [--quick] [--out PATH] [--trace off|null|ring]
-//                         [--repeat N] [--shards N]
+//                         [--repeat N]
 //   --quick   ~10x smaller budgets, for CI smoke runs
 //   --out     JSON output path (default: perf_suite.json in the cwd)
 //   --trace   attach the flight recorder to the engine benches; CI runs
@@ -208,8 +208,7 @@ Result run_flood_fanout(std::uint64_t floods) {
 /// mode) through the full engine stack.  Items are total wire messages.
 /// `sink` (optional) attaches the flight recorder — the engine-tier
 /// overhead measurement.
-Result run_gnutella_day(bool quick, dsf::obs::TraceSink* sink,
-                        std::uint32_t shards) {
+Result run_gnutella_day(bool quick, dsf::obs::TraceSink* sink) {
   dsf::gnutella::Config config;
   config.sim_hours = quick ? 2.0 : 24.0;
   config.warmup_hours = quick ? 0.5 : 6.0;
@@ -218,20 +217,17 @@ Result run_gnutella_day(bool quick, dsf::obs::TraceSink* sink,
   config.seed = 42;
   const auto t0 = Clock::now();
   dsf::gnutella::Simulation sim(config);
-  if (shards > 1) sim.set_shards(shards);
   if (sink != nullptr) sim.set_trace_sink(sink);
   const auto result = sim.run();
   const double wall = seconds_since(t0);
   Result r;
-  r.name = shards > 1 ? "gnutella_day_s" + std::to_string(shards)
-                      : "gnutella_day";
+  r.name = "gnutella_day";
   r.items = result.traffic.total();
   r.wall_s = wall;
   r.items_per_s = static_cast<double>(r.items) / wall;
   r.detail = std::to_string(config.num_users) + " users, " +
              std::to_string(config.sim_hours) +
              " sim-hours; items are wire messages";
-  if (shards > 1) r.detail += "; " + std::to_string(shards) + " shards";
   if (sink != nullptr) r.detail += "; flight recorder attached";
   return r;
 }
@@ -246,11 +242,7 @@ int main(int argc, char** argv) {
       .add_string("out", "perf_suite.json", "JSON output path")
       .add_string("trace", "off",
                   "flight recorder on the engine benches: off | null | ring")
-      .add_int("repeat", 1, "best-of-N per benchmark, damps runner noise")
-      .add_int("shards", 1,
-               "worker shards for the engine bench (1 = serial; N > 1 adds "
-               "a sharded gnutella_day_sN measurement)");
-  reg.alias("j", "shards");
+      .add_int("repeat", 1, "best-of-N per benchmark, damps runner noise");
   try {
     reg.parse(argc, argv);
   } catch (const std::exception& e) {
@@ -274,16 +266,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --repeat: must be >= 1\n");
     return 2;
   }
-  const std::int64_t shards_arg = reg.get_int("shards");
-  if (shards_arg < 1 ||
-      shards_arg > (quick ? 500 : 2000)) {  // the bench population
-    std::fprintf(stderr,
-                 "error: --shards: must be >= 1 and <= the bench's peer "
-                 "count (%d)\n",
-                 quick ? 500 : 2000);
-    return 2;
-  }
-  const auto shards = static_cast<std::uint32_t>(shards_arg);
 
   // The ring outlives every repetition; the point is steady-state
   // recording cost, not allocation.
@@ -305,10 +287,7 @@ int main(int argc, char** argv) {
   results.push_back(
       best_of(repeat, [&] { return run_flood_fanout(quick ? 2'000 : 20'000); }));
   results.push_back(
-      best_of(repeat, [&] { return run_gnutella_day(quick, sink, 1); }));
-  if (shards > 1)
-    results.push_back(best_of(
-        repeat, [&] { return run_gnutella_day(quick, sink, shards); }));
+      best_of(repeat, [&] { return run_gnutella_day(quick, sink); }));
 
   for (const Result& r : results)
     std::printf("%-18s %12llu items  %8.3f s  %14.0f items/s\n",
@@ -326,7 +305,6 @@ int main(int argc, char** argv) {
   j.field("quick", quick);
   j.field("trace", trace_mode);
   j.field("repeat", repeat);
-  j.field("shards", static_cast<std::uint64_t>(shards));
   j.field("peak_rss_bytes", dsf::obs::peak_rss_bytes());
   if (trace_mode == "ring") j.field("trace_records", ring.total());
   j.begin_array("results");

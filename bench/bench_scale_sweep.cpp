@@ -10,16 +10,14 @@
 // the numbers this tree produced when the compact scale path landed.
 //
 // Usage: bench_scale_sweep --peers N [--hours H] [--replications R]
-//                          [--seed S] [--threads T] [--shards N] [--out PATH]
+//                          [--seed S] [--threads T] [--out PATH]
 //                          [--save-snapshot PATH@T] [--load-snapshot PATH]
 //
-// --threads parallelizes ACROSS replications (independent seeds);
-// --shards/-j parallelizes WITHIN one run via the sharded engine.  The
-// two compose, but the useful configurations are threads>1 shards=1
-// (many small runs) or threads=1 shards>1 (one huge run).
+// --threads parallelizes across replications (independent seeds); each
+// run itself is one serial event loop.
 //
-// The snapshot flags checkpoint/resume a single serial run (they require
-// --replications 1 and --shards 1): bootstrap a large population once with
+// The snapshot flags checkpoint/resume a single run (they require
+// --replications 1): bootstrap a large population once with
 // --save-snapshot, then fork as many what-if continuations as needed from
 // the file with --load-snapshot — each resumed run is byte-identical to
 // the uninterrupted one.
@@ -83,7 +81,6 @@ struct Options {
   unsigned replications = 1;
   std::uint64_t seed = 42;
   unsigned threads = dsf::des::kAutoThreads;  // one per replication, capped
-  std::uint32_t shards = 1;                   // per-run engine sharding
   std::string out_path = "scale_run.json";
   std::string snapshot_save_path;  // empty: no checkpoint
   double snapshot_save_at_s = 0.0;
@@ -102,7 +99,6 @@ Shard run_one(const Options& opt, std::uint64_t seed) {
     sim.load_snapshot(opt.snapshot_load_path);
   if (!opt.snapshot_save_path.empty())
     sim.request_snapshot_save(opt.snapshot_save_path, opt.snapshot_save_at_s);
-  if (opt.shards > 1) sim.set_shards(opt.shards);
   const auto result = sim.run();
   Shard s;
   s.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
@@ -132,16 +128,13 @@ int main(int argc, char** argv) {
       .add_int("replications", 1, "independent seeds to merge")
       .add_int("seed", 42, "base seed; replication i uses seed+i")
       .add_int("threads", 0, "worker threads (0 = one per replication)")
-      .add_int("shards", 1,
-               "engine shards within each run (1 = serial reference path)")
       .add_string("out", "scale_run.json", "JSON output path")
       .add_string("save-snapshot", "",
                   "checkpoint the run at sim-second T: PATH@T "
-                  "(requires --replications 1 and --shards 1)")
+                  "(requires --replications 1)")
       .add_string("load-snapshot", "",
                   "resume from a checkpoint written by --save-snapshot "
                   "(same --peers/--hours/--seed required)");
-  reg.alias("j", "shards");
   try {
     reg.parse(argc, argv);
   } catch (const std::exception& e) {
@@ -167,14 +160,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--peers is required; hours and replications > 0\n");
     return 2;
   }
-  const std::int64_t shards_arg = reg.get_int("shards");
-  if (shards_arg < 1 || static_cast<std::uint64_t>(shards_arg) > opt.peers) {
-    std::fprintf(stderr,
-                 "error: --shards must be >= 1 and <= --peers (%zu)\n",
-                 opt.peers);
-    return 2;
-  }
-  opt.shards = static_cast<std::uint32_t>(shards_arg);
 
   opt.snapshot_load_path = reg.get_string("load-snapshot");
   const std::string save = reg.get_string("save-snapshot");
@@ -199,10 +184,10 @@ int main(int argc, char** argv) {
     opt.snapshot_save_path = save.substr(0, at);
   }
   if ((!opt.snapshot_save_path.empty() || !opt.snapshot_load_path.empty()) &&
-      (opt.replications != 1 || opt.shards != 1)) {
+      opt.replications != 1) {
     std::fprintf(stderr,
-                 "error: snapshot flags require --replications 1 and "
-                 "--shards 1 (one serial run per checkpoint)\n");
+                 "error: snapshot flags require --replications 1 (one run "
+                 "per checkpoint)\n");
     return 2;
   }
 
@@ -252,7 +237,6 @@ int main(int argc, char** argv) {
   j.field("peers", static_cast<std::uint64_t>(opt.peers));
   j.field("hours", opt.hours, 3);
   j.field("replications", static_cast<std::uint64_t>(opt.replications));
-  j.field("shards", static_cast<std::uint64_t>(opt.shards));
   j.field("seed", opt.seed);
   j.field("wall_s", wall, 3);
   j.field("events", total.events);

@@ -20,24 +20,6 @@ std::uint64_t Simulator::run_until(SimTime end_time) {
   return count;
 }
 
-std::uint64_t Simulator::run_window(SimTime end_time, bool inclusive) {
-  std::uint64_t count = 0;
-  stop_requested_ = false;
-  while (!queue_.empty() && !stop_requested_) {
-    const SimTime next = queue_.next_time();
-    if (inclusive ? next > end_time : next >= end_time) break;
-    auto [t, cb] = queue_.pop();
-    now_ = t;
-    cb();
-    ++executed_;
-    ++count;
-  }
-  // Every shard leaves the barrier at exactly the window end, so the next
-  // window's minimum is computed over aligned clocks.
-  if (now_ < end_time) now_ = end_time;
-  return count;
-}
-
 bool Simulator::step() {
   if (queue_.empty()) return false;
   auto [t, cb] = queue_.pop();

@@ -75,14 +75,6 @@ class Simulator {
   /// number of events executed by this call.
   std::uint64_t run_until(SimTime end_time);
 
-  /// Windowed variant for conservative parallel execution: runs events
-  /// with time strictly below `end_time` (or `<= end_time` when
-  /// `inclusive`, matching run_until's closed-horizon semantics for the
-  /// final window), then advances the clock to exactly `end_time` so
-  /// every shard leaves a window barrier with the same clock.  Returns
-  /// the number of events executed by this call.
-  std::uint64_t run_window(SimTime end_time, bool inclusive);
-
   /// Runs until the queue drains.
   std::uint64_t run() {
     return run_until(std::numeric_limits<SimTime>::infinity());

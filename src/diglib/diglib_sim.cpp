@@ -123,8 +123,8 @@ core::SearchOutcome DigLibSim::search_doc(net::NodeId from, DocId doc) {
   const std::uint32_t span = obs_search_begin(from, params.max_hops, doc);
   auto ctx = core::make_ranked_context(from, neighbors, has_content, rank,
                                        core::NoCandidate{}, delay,
-                                       search_transmit(), visit_stamps(),
-                                       hit_stamps_, search_scratch());
+                                       search_transmit(), stamps_,
+                                       hit_stamps_, scratch_);
   ctx.stats = &repos_[from].stats;
   const core::QuerySpec spec = sim::query_spec_for(
       config_.search_strategy, params, config_.top_k, /*sim_threshold=*/0.0);
@@ -159,41 +159,29 @@ core::SearchOutcome DigLibSim::search_doc(net::NodeId from, DocId doc) {
 
 void DigLibSim::issue_query(net::NodeId r) {
   if (node_dead(r)) return;  // a crashed repository stops querying for good
-  {
-    // Holdings and copy counts are immutable after construction and the
-    // search only reads the overlay, so shards search concurrently under
-    // the shared section (a no-op serially); reorganizations run
-    // exclusively via schedule_every.
-    const Section lock = shared_section();
-    const DocId doc = draw_doc(repos_[r].topic);
-    capture_query_arrival(r, doc);
-    const auto outcome = search_doc(r, doc);
-    if (reporting()) {
-      DigLibResult& out = res();
-      ++out.queries;
-      if (outcome.satisfied()) ++out.satisfied;
-      out.messages_per_query.add(
-          static_cast<double>(outcome.query_messages));
-      out.copies_found += outcome.hits.size();
-      // Copies available elsewhere (the initiator's own copy, if any, does
-      // not count: it would not be searched for).
-      std::uint32_t available = copy_count_[doc];
-      if (holds(r, doc) && available > 0) --available;
-      out.copies_available += available;
-      if (outcome.satisfied())
-        out.first_result_delay_s.add(outcome.first_result_delay_s());
-    }
+  const DocId doc = draw_doc(repos_[r].topic);
+  capture_query_arrival(r, doc);
+  const auto outcome = search_doc(r, doc);
+  if (reporting()) {
+    ++result_.queries;
+    if (outcome.satisfied()) ++result_.satisfied;
+    result_.messages_per_query.add(
+        static_cast<double>(outcome.query_messages));
+    result_.copies_found += outcome.hits.size();
+    // Copies available elsewhere (the initiator's own copy, if any, does
+    // not count: it would not be searched for).
+    std::uint32_t available = copy_count_[doc];
+    if (holds(r, doc) && available > 0) --available;
+    result_.copies_available += available;
+    if (outcome.satisfied())
+      result_.first_result_delay_s.add(outcome.first_result_delay_s());
   }
-
-  schedule_keyed_self(r, interquery_.sample(rng()), kLibQuery, r, 0,
-                      [this, r] { issue_query(r); });
+  schedule_keyed(interquery_.sample(rng()), kLibQuery, r, 0,
+                 [this, r] { issue_query(r); });
 }
 
 load::Served DigLibSim::serve_injected_query(net::NodeId r,
                                              std::uint64_t item) {
-  // Open-loop runs are serial, so the section is a no-op; taking it anyway
-  // keeps the path identical to closed-loop service.
-  const Section lock = shared_section();
   const DocId doc = item == load::kAnyItem
                         ? draw_doc(repos_[r].topic, load_lane())
                         : static_cast<DocId>(item % config_.num_docs);
@@ -293,21 +281,13 @@ void DigLibSim::update_neighbors(net::NodeId r) {
 }
 
 DigLibResult DigLibSim::run() {
-  if (parallel()) {
-    // The holder-dedup stamps are a single table; concurrent shards would
-    // race on its generations.
-    sim::validate_or_throw(
-        config_.search_strategy != sim::SearchStrategyKind::kLocalIndices,
-        "diglib", "search_strategy local-indices requires a serial run");
-    shard_results_.assign(shards(), DigLibResult{});
-  }
   // A resumed run takes its pending query events from the snapshot and must
   // not draw the initial delays, but it still registers the per-repository
   // update periodics in the same order so indices line up with the file.
   for (net::NodeId r = 0; r < config_.num_repositories; ++r) {
     if (!resumed())
-      schedule_keyed_self(r, interquery_.sample(rng()), kLibQuery, r, 0,
-                          [this, r] { issue_query(r); });
+      schedule_keyed(interquery_.sample(rng()), kLibQuery, r, 0,
+                     [this, r] { issue_query(r); });
     if (config_.mode == ListMode::kAdaptive) {
       if (resumed()) {
         register_periodic(config_.update_period_s,
@@ -320,19 +300,8 @@ DigLibResult DigLibSim::run() {
     }
   }
   run_until_horizon();
-  for (const DigLibResult& r : shard_results_) merge_results(result_, r);
-  shard_results_.clear();
   result_.traffic = traffic();
   return result_;
-}
-
-void merge_results(DigLibResult& into, const DigLibResult& shard) {
-  into.queries += shard.queries;
-  into.satisfied += shard.satisfied;
-  into.copies_found += shard.copies_found;
-  into.copies_available += shard.copies_available;
-  into.first_result_delay_s += shard.first_result_delay_s;
-  into.messages_per_query += shard.messages_per_query;
 }
 
 void DigLibSim::save_domain(snap::Writer::Out& out) const {

@@ -154,28 +154,15 @@ class DigLibSim : public sim::OverlayEngine {
   DocId draw_doc(std::uint32_t home_topic, des::Rng& r);
   bool holds(net::NodeId r, DocId doc) const;
 
-  /// Shard-local accumulator during parallel windows, `result_` otherwise.
-  DigLibResult& res() noexcept {
-    const std::uint32_t s = des::ShardedSimulator::current_shard();
-    return (!shard_results_.empty() && s != des::kNoShard)
-               ? shard_results_[s]
-               : result_;
-  }
-
   DigLibConfig config_;
   std::vector<Repository> repos_;
-  /// Holder-dedup stamps for the local-indices strategy (serial runs
-  /// only — run() rejects the strategy under shards).
+  /// Holder-dedup stamps for the local-indices strategy.
   core::VisitStamp hit_stamps_;
   std::vector<std::uint32_t> copy_count_;  ///< per-document replica count
   des::Zipf doc_zipf_;
   des::Exponential interquery_;
   core::ItemsOverLatency benefit_;
   DigLibResult result_;
-  std::vector<DigLibResult> shard_results_;  ///< parallel runs only
 };
-
-/// Folds shard-local metrics into `into` (canonical shard-order merge).
-void merge_results(DigLibResult& into, const DigLibResult& shard);
 
 }  // namespace dsf::diglib

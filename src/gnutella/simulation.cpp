@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "core/graph_stats.h"
 #include "core/unreachable.h"
@@ -115,20 +114,14 @@ void Simulation::prime() {
   for (net::NodeId u = 0; u < hot_.size(); ++u) {
     UserHot& st = hot_[u];
     if (st.online) {
-      st.session_event = schedule_keyed_self(
-          u, session_.draw_online_duration(session_rng()), kGnuSession, u, 0,
-          [this, u] {
-            const Section lock = exclusive_section();
-            log_off(u);
-          });
+      st.session_event = schedule_keyed(
+          session_.draw_online_duration(session_rng()), kGnuSession, u, 0,
+          [this, u] { log_off(u); });
       schedule_next_query(u);
     } else {
-      st.session_event = schedule_keyed_self(
-          u, session_.draw_offline_duration(session_rng()), kGnuSession, u, 0,
-          [this, u] {
-            const Section lock = exclusive_section();
-            log_in(u);
-          });
+      st.session_event = schedule_keyed(
+          session_.draw_offline_duration(session_rng()), kGnuSession, u, 0,
+          [this, u] { log_in(u); });
     }
   }
 }
@@ -136,7 +129,7 @@ void Simulation::prime() {
 void Simulation::probe_overlay() {
   const auto online = [this](net::NodeId n) { return hot_[n].online; };
   ProbeSample sample;
-  sample.time_s = now_s();
+  sample.time_s = sim_.now();
   sample.online = online_nodes_.size();
   sample.mean_degree = core::mean_degree(overlay_, online);
   sample.degree_gini = core::degree_gini(overlay_, online);
@@ -148,18 +141,6 @@ void Simulation::probe_overlay() {
 }
 
 RunResult Simulation::run() {
-  if (parallel()) {
-    // Downloads append to the shared library spill lists mid-search, which
-    // concurrent readers on other shards would observe torn.
-    if (config_.library_growth)
-      throw std::invalid_argument(
-          "gnutella: library_growth is unsupported with --shards > 1");
-    shard_results_.assign(shards(), RunResult{});
-    shard_hit_stamps_.clear();
-    shard_hit_stamps_.reserve(shards());
-    for (std::uint32_t s = 0; s < shards(); ++s)
-      shard_hit_stamps_.emplace_back(config_.num_users);
-  }
   // A resumed run skips priming (hot/cold state, roster and pending events
   // come from the snapshot) but must still register its periodics in the
   // same order as a fresh run so periodic indices line up with the file.
@@ -172,35 +153,10 @@ RunResult Simulation::run() {
                      [this] { probe_overlay(); });
   }
   result_.events_executed = run_until_horizon();
-  for (const RunResult& r : shard_results_) merge_results(result_, r);
-  shard_results_.clear();
-  shard_hit_stamps_.clear();
   result_.warmup_bucket = static_cast<std::size_t>(config_.warmup_hours);
   result_.last_bucket = static_cast<std::size_t>(config_.sim_hours) - 1;
   result_.traffic = traffic();
   return result_;
-}
-
-void merge_results(RunResult& into, const RunResult& shard) {
-  into.hits += shard.hits;
-  into.messages += shard.messages;
-  into.results += shard.results;
-  into.first_result_delay_s += shard.first_result_delay_s;
-  into.first_result_delay_hist += shard.first_result_delay_hist;
-  into.queries_issued += shard.queries_issued;
-  into.local_hits += shard.local_hits;
-  into.nodes_reached += shard.nodes_reached;
-  into.queries_favorite += shard.queries_favorite;
-  into.hits_favorite += shard.hits_favorite;
-  into.queries_side += shard.queries_side;
-  into.hits_side += shard.hits_side;
-  into.reconfigurations += shard.reconfigurations;
-  into.invitations_accepted += shard.invitations_accepted;
-  into.evictions += shard.evictions;
-  into.trials_kept += shard.trials_kept;
-  into.trials_rejected += shard.trials_rejected;
-  into.probes.insert(into.probes.end(), shard.probes.begin(),
-                     shard.probes.end());
 }
 
 void Simulation::fill_with_random_neighbors(net::NodeId u,
@@ -238,12 +194,9 @@ void Simulation::log_in(net::NodeId u) {
   // addresses; the neighborhood starts random in both schemes.
   fill_with_random_neighbors(u);
 
-  st.session_event = schedule_keyed_self(
-      u, session_.draw_online_duration(session_rng()), kGnuSession, u, 0,
-      [this, u] {
-        const Section lock = exclusive_section();
-        log_off(u);
-      });
+  st.session_event =
+      schedule_keyed(session_.draw_online_duration(session_rng()), kGnuSession,
+                     u, 0, [this, u] { log_off(u); });
   schedule_next_query(u);
 }
 
@@ -252,7 +205,7 @@ void Simulation::log_off(net::NodeId u) {
   assert(st.online);
   st.online = false;
   if (st.has_query_event) {
-    cancel_self(u, st.query_event);
+    sim_.cancel(st.query_event);
     st.has_query_event = false;
   }
 
@@ -277,19 +230,16 @@ void Simulation::log_off(net::NodeId u) {
     }
   }
 
-  st.session_event = schedule_keyed_self(
-      u, session_.draw_offline_duration(session_rng()), kGnuSession, u, 0,
-      [this, u] {
-        const Section lock = exclusive_section();
-        log_in(u);
-      });
+  st.session_event =
+      schedule_keyed(session_.draw_offline_duration(session_rng()),
+                     kGnuSession, u, 0, [this, u] { log_in(u); });
 }
 
 void Simulation::schedule_next_query(net::NodeId u) {
   UserHot& st = hot_[u];
-  st.query_event = schedule_keyed_self(
-      u, session_.draw_interquery_gap(session_rng()), kGnuQuery, u, 0,
-      [this, u] { issue_query(u); });
+  st.query_event =
+      schedule_keyed(session_.draw_interquery_gap(session_rng()), kGnuQuery,
+                     u, 0, [this, u] { issue_query(u); });
   st.has_query_event = true;
 }
 
@@ -297,167 +247,130 @@ void Simulation::issue_query(net::NodeId u) {
   hot_[u].has_query_event = false;
   UserCold& st = cold_[u];
 
-  // The search itself only reads shared overlay/library state, so
-  // concurrent shards may search together; reconfiguration mutates the
-  // overlay and is deferred past the shared scope.  Serially both
-  // sections are no-ops.
-  bool do_reconfig = false;
-  {
-    const Section lock = shared_section();
-
-    // By default users search for songs they do not already own (the
-    // preference distribution conditioned on non-ownership by rejection);
-    // with exclude_owned_songs=false, Send Query floods the raw draw, as
-    // in Algo 5's pseudo-code.
-    workload::SongId song = query_gen_.draw(st.profile, query_rng());
-    if (config_.exclude_owned_songs) {
-      bool found = !libraries_.contains(u, song);
-      for (int tries = 0; tries < 64 && !found; ++tries) {
-        song = query_gen_.draw(st.profile, query_rng());
-        found = !libraries_.contains(u, song);
-      }
-      if (!found) {
-        ++res().local_hits;
-        schedule_next_query(u);
-        return;
-      }
+  // By default users search for songs they do not already own (the
+  // preference distribution conditioned on non-ownership by rejection);
+  // with exclude_owned_songs=false, Send Query floods the raw draw, as in
+  // Algo 5's pseudo-code.
+  workload::SongId song = query_gen_.draw(st.profile, query_rng());
+  if (config_.exclude_owned_songs) {
+    bool found = !libraries_.contains(u, song);
+    for (int tries = 0; tries < 64 && !found; ++tries) {
+      song = query_gen_.draw(st.profile, query_rng());
+      found = !libraries_.contains(u, song);
     }
-
-    if (config_.invitation_policy == core::InvitationPolicy::kSummaryGated) {
-      if (st.recent_queries.size() < kRecentQueryWindow) {
-        st.recent_queries.push_back(song);
-      } else {
-        st.recent_queries[st.recent_pos] = song;
-        st.recent_pos = (st.recent_pos + 1) % kRecentQueryWindow;
-      }
+    if (!found) {
+      ++result_.local_hits;
+      schedule_next_query(u);
+      return;
     }
+  }
 
-    capture_query_arrival(u, song);
+  if (config_.invitation_policy == core::InvitationPolicy::kSummaryGated) {
+    if (st.recent_queries.size() < kRecentQueryWindow) {
+      st.recent_queries.push_back(song);
+    } else {
+      st.recent_queries[st.recent_pos] = song;
+      st.recent_pos = (st.recent_pos + 1) % kRecentQueryWindow;
+    }
+  }
 
-    core::SearchParams params;
-    params.max_hops = config_.max_hops;
-    params.forward_when_hit = false;  // §4.1: repliers do not propagate
-    params.timeout_s = config_.query_timeout_s;
+  capture_query_arrival(u, song);
 
-    const std::uint32_t span = obs_search_begin(u, params.max_hops, song);
-    const auto outcome = run_search(u, song, params);
-    finish_search(span, u, params, outcome);
+  core::SearchParams params;
+  params.max_hops = config_.max_hops;
+  params.forward_when_hit = false;  // §4.1: repliers do not propagate
+  params.timeout_s = config_.query_timeout_s;
 
-    const des::SimTime now = now_s();
-    RunResult& out = res();
-    out.messages.add(now, outcome.query_messages);
-    count(net::MessageType::kQuery, outcome.query_messages);
-    count(net::MessageType::kQueryReply, outcome.reply_messages);
+  const std::uint32_t span = obs_search_begin(u, params.max_hops, song);
+  const auto outcome = run_search(u, song, params);
+  finish_search(span, u, params, outcome);
+
+  const des::SimTime now = sim_.now();
+  result_.messages.add(now, outcome.query_messages);
+  count(net::MessageType::kQuery, outcome.query_messages);
+  count(net::MessageType::kQueryReply, outcome.reply_messages);
+  if (reporting()) {
+    ++result_.queries_issued;
+    result_.nodes_reached.add(outcome.nodes_reached);
+    const bool favorite = catalog_.category_of(song) == st.profile.favorite;
+    ++(favorite ? result_.queries_favorite : result_.queries_side);
+    if (outcome.satisfied())
+      ++(favorite ? result_.hits_favorite : result_.hits_side);
+  }
+  if (outcome.satisfied()) {
+    result_.hits.add(now, 1);
+    result_.results.add(now, outcome.hits.size());
     if (reporting()) {
-      ++out.queries_issued;
-      out.nodes_reached.add(outcome.nodes_reached);
-      const bool favorite = catalog_.category_of(song) == st.profile.favorite;
-      ++(favorite ? out.queries_favorite : out.queries_side);
-      if (outcome.satisfied())
-        ++(favorite ? out.hits_favorite : out.hits_side);
+      const double delay = outcome.first_result_delay_s();
+      result_.first_result_delay_s.add(delay);
+      result_.first_result_delay_hist.add(delay);
     }
-    if (outcome.satisfied()) {
-      out.hits.add(now, 1);
-      out.results.add(now, outcome.hits.size());
-      if (reporting()) {
-        const double delay = outcome.first_result_delay_s();
-        out.first_result_delay_s.add(delay);
-        out.first_result_delay_hist.add(delay);
-      }
-      // Extension: the user downloads the song and becomes a holder.  (The
-      // summary-gated digests deliberately stay as built at start-up —
-      // digests in deployed systems are periodically rebuilt, not updated
-      // per download.)
-      if (config_.library_growth) libraries_.add(u, song);
-    }
-
-    if (config_.dynamic) {
-      // Combined search & exploration (§4.1): every result feeds statistics.
-      const auto total = static_cast<std::uint32_t>(outcome.hits.size());
-      for (const auto& hit : outcome.hits) {
-        core::ResultInfo info;
-        info.responder = hit.node;
-        info.bandwidth_kbps = config_.benefit_bandwidth_weights[static_cast<int>(
-            delay_.node_class(hit.node))];
-        info.latency_s = hit.reply_at_s;
-        info.total_results = total;
-        st.stats.add(hit.node,
-                     benefit_of(info) * adversary_benefit_weight(hit.node));
-      }
-      if (config_.reconfig_threshold > 0 &&
-          ++hot_[u].reconfig_count >= config_.reconfig_threshold)
-        do_reconfig = true;
-    }
+    // Extension: the user downloads the song and becomes a holder.  (The
+    // summary-gated digests deliberately stay as built at start-up —
+    // digests in deployed systems are periodically rebuilt, not updated
+    // per download.)
+    if (config_.library_growth) libraries_.add(u, song);
   }
 
-  if (do_reconfig) {
-    const Section lock = exclusive_section();
-    reconfigure(u);
-    hot_[u].reconfig_count = 0;
-  }
-
+  if (config_.dynamic) feed_statistics(u, outcome);
   schedule_next_query(u);
 }
 
 load::Served Simulation::serve_injected_query(net::NodeId u,
                                               std::uint64_t item) {
-  UserCold& st = cold_[u];
-  bool do_reconfig = false;
+  const workload::SongId song =
+      item == load::kAnyItem
+          ? query_gen_.draw(cold_[u].profile, load_lane())
+          : static_cast<workload::SongId>(item % catalog_.num_songs());
+
+  core::SearchParams params;
+  params.max_hops = config_.max_hops;
+  params.forward_when_hit = false;
+  params.timeout_s = config_.query_timeout_s;
+
+  const std::uint32_t span = obs_search_begin(u, params.max_hops, song);
+  const auto outcome = run_search(u, song, params);
+  finish_search(span, u, params, outcome);
+
+  // Injected traffic is real traffic to the network (ledger, checker,
+  // flight recorder) but is reported through LoadStats, not the
+  // closed-loop RunResult series.
+  count(net::MessageType::kQuery, outcome.query_messages);
+  count(net::MessageType::kQueryReply, outcome.reply_messages);
   load::Served served;
   served.latency_s = config_.query_timeout_s;  // a miss serves the timeout
-  {
-    const Section lock = shared_section();
-    const workload::SongId song =
-        item == load::kAnyItem
-            ? query_gen_.draw(st.profile, load_lane())
-            : static_cast<workload::SongId>(item % catalog_.num_songs());
-
-    core::SearchParams params;
-    params.max_hops = config_.max_hops;
-    params.forward_when_hit = false;
-    params.timeout_s = config_.query_timeout_s;
-
-    const std::uint32_t span = obs_search_begin(u, params.max_hops, song);
-    const auto outcome = run_search(u, song, params);
-    finish_search(span, u, params, outcome);
-
-    // Injected traffic is real traffic to the network (ledger, checker,
-    // flight recorder) but is reported through LoadStats, not the
-    // closed-loop RunResult series.
-    count(net::MessageType::kQuery, outcome.query_messages);
-    count(net::MessageType::kQueryReply, outcome.reply_messages);
-    if (outcome.satisfied()) {
-      served.hit = true;
-      served.latency_s = outcome.first_result_delay_s();
-    }
-
-    if (config_.dynamic) {
-      // Injected results feed Algo 5's statistics exactly like the user's
-      // own: the saturation experiments compare reconfiguration's effect
-      // under overload, so the control loop must see the load.
-      const auto total = static_cast<std::uint32_t>(outcome.hits.size());
-      for (const auto& hit : outcome.hits) {
-        core::ResultInfo info;
-        info.responder = hit.node;
-        info.bandwidth_kbps = config_.benefit_bandwidth_weights[static_cast<int>(
-            delay_.node_class(hit.node))];
-        info.latency_s = hit.reply_at_s;
-        info.total_results = total;
-        st.stats.add(hit.node,
-                     benefit_of(info) * adversary_benefit_weight(hit.node));
-      }
-      if (config_.reconfig_threshold > 0 &&
-          ++hot_[u].reconfig_count >= config_.reconfig_threshold)
-        do_reconfig = true;
-    }
+  if (outcome.satisfied()) {
+    served.hit = true;
+    served.latency_s = outcome.first_result_delay_s();
   }
 
-  if (do_reconfig) {
-    const Section lock = exclusive_section();
+  // Injected results feed Algo 5's statistics exactly like the user's
+  // own: the saturation experiments compare reconfiguration's effect
+  // under overload, so the control loop must see the load.
+  if (config_.dynamic) feed_statistics(u, outcome);
+  return served;
+}
+
+void Simulation::feed_statistics(net::NodeId u,
+                                 const core::SearchOutcome& outcome) {
+  // Combined search & exploration (§4.1): every result feeds statistics.
+  UserCold& st = cold_[u];
+  const auto total = static_cast<std::uint32_t>(outcome.hits.size());
+  for (const auto& hit : outcome.hits) {
+    core::ResultInfo info;
+    info.responder = hit.node;
+    info.bandwidth_kbps = config_.benefit_bandwidth_weights[static_cast<int>(
+        delay_.node_class(hit.node))];
+    info.latency_s = hit.reply_at_s;
+    info.total_results = total;
+    st.stats.add(hit.node,
+                 benefit_of(info) * adversary_benefit_weight(hit.node));
+  }
+  if (config_.reconfig_threshold > 0 &&
+      ++hot_[u].reconfig_count >= config_.reconfig_threshold) {
     reconfigure(u);
     hot_[u].reconfig_count = 0;
   }
-  return served;
 }
 
 double Simulation::ranked_score(net::NodeId n,
@@ -515,8 +428,7 @@ core::SearchOutcome Simulation::run_search(net::NodeId u,
   };
   auto ctx = core::make_ranked_context(u, neighbors, has_content, rank,
                                        candidate, delay, search_transmit(),
-                                       visit_stamps(), hit_stamps(),
-                                       search_scratch());
+                                       stamps_, hit_stamps_, scratch_);
   ctx.stats = &cold_[u].stats;
   return sim::dispatch_search(
       config_.search_strategy,
@@ -528,10 +440,10 @@ core::SearchOutcome Simulation::run_search(net::NodeId u,
 void Simulation::on_peer_crashed(net::NodeId u) {
   UserHot& st = hot_[u];
   if (st.has_query_event) {
-    cancel_self(u, st.query_event);
+    sim_.cancel(st.query_event);
     st.has_query_event = false;
   }
-  cancel_self(u, st.session_event);
+  sim_.cancel(st.session_event);
   if (!st.online) return;
   st.online = false;
   // Swap-pop from the on-line roster so the bootstrap server stops
@@ -546,7 +458,6 @@ void Simulation::on_peer_crashed(net::NodeId u) {
 
 bool Simulation::adversary_churn_kick(des::Rng& lane, double offline_mean_s,
                                       double shape) {
-  const Section lock = exclusive_section();
   if (online_nodes_.empty()) return false;
   const net::NodeId u = online_nodes_[lane.uniform_int(online_nodes_.size())];
   // Cancel the pending scheduled log-off, force the log-off now, then
@@ -554,15 +465,12 @@ bool Simulation::adversary_churn_kick(des::Rng& lane, double offline_mean_s,
   // storm's Pareto-tailed offline time.  (The session-lane draw inside
   // log_off is consumed either way; the layer is enabled here, so the
   // zero-draws contract is not in play.)
-  cancel_self(u, hot_[u].session_event);
+  sim_.cancel(hot_[u].session_event);
   log_off(u);
-  cancel_self(u, hot_[u].session_event);
-  hot_[u].session_event = schedule_keyed_self(
-      u, des::Pareto::from_mean(offline_mean_s, shape).sample(lane),
-      kGnuSession, u, 0, [this, u] {
-        const Section lock = exclusive_section();
-        log_in(u);
-      });
+  sim_.cancel(hot_[u].session_event);
+  hot_[u].session_event = schedule_keyed(
+      des::Pareto::from_mean(offline_mean_s, shape).sample(lane), kGnuSession,
+      u, 0, [this, u] { log_in(u); });
   return true;
 }
 
@@ -632,7 +540,7 @@ bool Simulation::invite(net::NodeId u, net::NodeId v) {
     return false;
   if (!overlay_.link(u, v)) return false;  // u saturated meanwhile
   on_link_formed();
-  ++res().invitations_accepted;
+  ++result_.invitations_accepted;
   // Accepting resets the invited node's own counter to damp cascades
   // (§4.1); the ablation knob leaves the counter running.
   if (config_.damp_cascades) target.reconfig_count = 0;
@@ -640,16 +548,9 @@ bool Simulation::invite(net::NodeId u, net::NodeId v) {
   // §3.4 option (a): the acceptance is provisional — after the trial
   // period, v keeps u only if the statistics gathered meanwhile rank u
   // above at least one other neighbor.
-  if (config_.invitation_policy == core::InvitationPolicy::kTrialPeriod) {
-    // The evaluation reads v's statistics and may evict, so it runs as an
-    // exclusive event on v's shard (mailbox-routed: the inviter's shard
-    // may differ).
-    schedule_keyed_for(v, config_.trial_period_s, kGnuTrial, u, v,
-                       [this, u, v] {
-                         const Section lock = exclusive_section();
-                         evaluate_trial(u, v);
-                       });
-  }
+  if (config_.invitation_policy == core::InvitationPolicy::kTrialPeriod)
+    schedule_keyed(config_.trial_period_s, kGnuTrial, u, v,
+                   [this, u, v] { evaluate_trial(u, v); });
   return true;
 }
 
@@ -673,10 +574,10 @@ void Simulation::evaluate_trial(net::NodeId inviter, net::NodeId invitee) {
   // disconnect the node for nothing.
   if (neighbors.size() <= 1) beats_someone = true;
   if (!beats_someone) {
-    ++res().trials_rejected;
+    ++result_.trials_rejected;
     evict(invitee, inviter);
   } else {
-    ++res().trials_kept;
+    ++result_.trials_kept;
   }
 }
 
@@ -692,7 +593,7 @@ void Simulation::evict(net::NodeId evictor, net::NodeId evictee) {
     evictee_reacts = t.deliver;
   }
   overlay_.unlink(evictor, evictee);
-  ++res().evictions;
+  ++result_.evictions;
   if (!evictee_reacts) return;
   // Process Eviction (§4.1): the evicted node resets the evictor's
   // statistics so it does not try to reconnect in the near future; it
@@ -704,7 +605,7 @@ void Simulation::evict(net::NodeId evictor, net::NodeId evictee) {
 }
 
 void Simulation::reconfigure(net::NodeId u) {
-  ++res().reconfigurations;
+  ++result_.reconfigurations;
   UserCold& st = cold_[u];
   const auto plan = core::plan_update(
       st.stats, overlay_.out_neighbors(u),
@@ -875,17 +776,11 @@ void Simulation::restore_keyed_event(double t, std::uint32_t kind,
         throw snap::SnapshotError("gnutella: session event user out of range");
       const auto u = static_cast<net::NodeId>(a);
       if (hot_[u].online) {
-        hot_[u].session_event =
-            schedule_keyed_at(t, kGnuSession, a, 0, [this, u] {
-              const Section lock = exclusive_section();
-              log_off(u);
-            });
+        hot_[u].session_event = schedule_keyed_at(
+            t, kGnuSession, a, 0, [this, u] { log_off(u); });
       } else {
-        hot_[u].session_event =
-            schedule_keyed_at(t, kGnuSession, a, 0, [this, u] {
-              const Section lock = exclusive_section();
-              log_in(u);
-            });
+        hot_[u].session_event = schedule_keyed_at(
+            t, kGnuSession, a, 0, [this, u] { log_in(u); });
       }
       return;
     }
@@ -903,10 +798,8 @@ void Simulation::restore_keyed_event(double t, std::uint32_t kind,
         throw snap::SnapshotError("gnutella: trial event node out of range");
       const auto u = static_cast<net::NodeId>(a);
       const auto v = static_cast<net::NodeId>(b);
-      schedule_keyed_at(t, kGnuTrial, a, b, [this, u, v] {
-        const Section lock = exclusive_section();
-        evaluate_trial(u, v);
-      });
+      schedule_keyed_at(t, kGnuTrial, a, b,
+                        [this, u, v] { evaluate_trial(u, v); });
       return;
     }
     default:

@@ -231,6 +231,10 @@ class Simulation : public sim::OverlayEngine {
   void finish_search(std::uint32_t span, net::NodeId u,
                      const core::SearchParams& params,
                      const core::SearchOutcome& outcome);
+  /// Algo 5's combined search & exploration (dynamic scheme): feeds every
+  /// result of `outcome` into u's benefit statistics, then reconfigures u
+  /// once its reconfiguration threshold is reached.
+  void feed_statistics(net::NodeId u, const core::SearchOutcome& outcome);
   void schedule_next_query(net::NodeId u);
   void reconfigure(net::NodeId u);
   /// Sends an invitation u → v; returns true if v accepted and the link is
@@ -258,25 +262,6 @@ class Simulation : public sim::OverlayEngine {
     return benefit_fn_->benefit(info);
   }
 
-  /// The result accumulator for the calling thread: the shard-local
-  /// accumulator while a parallel window executes, `result_` otherwise.
-  /// Shard accumulators are folded into `result_` in canonical shard
-  /// order at the end of run().
-  RunResult& res() noexcept {
-    const std::uint32_t s = des::ShardedSimulator::current_shard();
-    return (!shard_results_.empty() && s != des::kNoShard)
-               ? shard_results_[s]
-               : result_;
-  }
-  /// Per-shard holder-dedup stamps (generation counters cannot be shared
-  /// across concurrent searches).
-  core::VisitStamp& hit_stamps() noexcept {
-    const std::uint32_t s = des::ShardedSimulator::current_shard();
-    return (!shard_hit_stamps_.empty() && s != des::kNoShard)
-               ? shard_hit_stamps_[s]
-               : hit_stamps_;
-  }
-
   Config config_;
   workload::Catalog catalog_;
   workload::LibraryGenerator library_gen_;
@@ -297,13 +282,7 @@ class Simulation : public sim::OverlayEngine {
   core::VisitStamp hit_stamps_;  ///< per-search holder dedup (local indices)
   std::unique_ptr<core::BenefitFunction> benefit_fn_;
   RunResult result_;
-  std::vector<RunResult> shard_results_;        ///< parallel runs only
-  std::vector<core::VisitStamp> shard_hit_stamps_;
 };
-
-/// Folds shard-local metrics into `into` (canonical merge used by the
-/// sharded run path; exposed for the differential tests).
-void merge_results(RunResult& into, const RunResult& shard);
 
 /// Builds the benefit function for a config (exposed for tests/ablations).
 std::unique_ptr<core::BenefitFunction> make_benefit(BenefitKind kind);

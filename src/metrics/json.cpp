@@ -26,8 +26,8 @@ JsonValue JsonValue::number(std::int64_t value) {
 }
 
 JsonValue JsonValue::number(std::uint64_t value) {
-  JsonValue v(Kind::kInteger);
-  v.int_ = static_cast<std::int64_t>(value);
+  JsonValue v(Kind::kUnsigned);
+  v.uint_ = value;
   return v;
 }
 
@@ -134,6 +134,9 @@ void JsonValue::write(std::ostream& os, int indent) const {
     }
     case Kind::kInteger:
       os << int_;
+      return;
+    case Kind::kUnsigned:
+      os << uint_;
       return;
     case Kind::kBool:
       os << (bool_ ? "true" : "false");

@@ -29,7 +29,9 @@ class JsonValue {
   std::string to_string() const;
 
  private:
-  enum class Kind { kObject, kArray, kString, kNumber, kInteger, kBool };
+  enum class Kind {
+    kObject, kArray, kString, kNumber, kInteger, kUnsigned, kBool
+  };
   explicit JsonValue(Kind kind) : kind_(kind) {}
 
   static void write_escaped(std::ostream& os, const std::string& s);
@@ -38,6 +40,7 @@ class JsonValue {
   std::string str_;
   double num_ = 0.0;
   std::int64_t int_ = 0;
+  std::uint64_t uint_ = 0;
   bool bool_ = false;
   std::vector<std::pair<std::string, JsonValue>> members_;
   std::vector<JsonValue> elements_;

@@ -50,13 +50,6 @@ class EventWriter {
 
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
-/// Trace lane for a record: sharded parallel runs lay records out per
-/// shard (shard field is shard + 1); serial records keep the historical
-/// per-node lanes.
-std::string tid(const Record& r) {
-  return r.shard != 0 ? u64(r.shard) : u64(r.from);
-}
-
 }  // namespace
 
 void write_chrome_trace(std::ostream& os, std::span<const Record> records,
@@ -73,7 +66,7 @@ void write_chrome_trace(std::ostream& os, std::span<const Record> records,
       case RecordKind::kSearchBegin:
         w.open(r, "search", "b", "search");
         w.field("id", u64(r.span));
-        w.field("tid", tid(r));
+        w.field("tid", u64(r.from));
         w.field("args", "{\"initiator\": " + u64(r.from) +
                             ", \"item\": " + u64(r.a) +
                             ", \"max_hops\": " + std::to_string(r.ttl) + "}");
@@ -82,7 +75,7 @@ void write_chrome_trace(std::ostream& os, std::span<const Record> records,
       case RecordKind::kSearchEnd: {
         w.open(r, "search", "e", "search");
         w.field("id", u64(r.span));
-        w.field("tid", tid(r));
+        w.field("tid", u64(r.from));
         // The score arg appears only on ranked spans, so exact-match
         // traces stay byte-identical to pre-ranked-plane captures.
         std::string args = "{\"results\": " + u64(r.unpack_results()) +
@@ -103,7 +96,7 @@ void write_chrome_trace(std::ostream& os, std::span<const Record> records,
       case RecordKind::kDrop: {
         w.open(r, to_string(r.kind), "i", "wire");
         w.field("s", "\"t\"");
-        w.field("tid", tid(r));
+        w.field("tid", u64(r.from));
         w.field("args", std::string("{\"type\": \"") + type_name(r.type) +
                             "\", \"from\": " + u64(r.from) +
                             ", \"to\": " + u64(r.to) +
@@ -115,7 +108,7 @@ void write_chrome_trace(std::ostream& os, std::span<const Record> records,
       case RecordKind::kPeerCrash:
         w.open(r, "peer-crash", "i", "fault");
         w.field("s", "\"p\"");
-        w.field("tid", tid(r));
+        w.field("tid", u64(r.from));
         w.field("args", "{\"victim\": " + u64(r.from) + "}");
         w.close();
         break;

@@ -4,10 +4,9 @@
 // observable event.  Records are designed to be cheap to stamp (a struct
 // copy into a preallocated ring, no allocation, no formatting) and rich
 // enough to reconstruct a search's full hop tree afterwards: every record
-// carries the simulation time, the id of the search span it belongs to,
-// and (for sharded parallel runs) the executing shard, so an exporter can
-// group a query's begin → per-hop sends/receives → terminal into one
-// causal trace and lay shards out as separate lanes.
+// carries the simulation time and the id of the search span it belongs
+// to, so an exporter can group a query's begin → per-hop sends/receives →
+// terminal into one causal trace.
 //
 // The payload fields `a`/`b` (and the reused `ttl` slot) are
 // kind-specific; the table below is the authoritative encoding and the
@@ -66,7 +65,7 @@ constexpr const char* to_string(RecordKind k) noexcept {
   return "?";
 }
 
-/// One flight-recorder record: 48 bytes, trivially copyable, no pointers.
+/// One flight-recorder record: 40 bytes, trivially copyable, no pointers.
 struct Record {
   double time_s = 0.0;      ///< simulation time of the event
   std::uint64_t a = 0;      ///< kind-specific payload (see table above)
@@ -77,11 +76,6 @@ struct Record {
   std::int16_t ttl = -1;    ///< remaining hop budget / first-hit hop / -1
   RecordKind kind = RecordKind::kSend;
   std::uint8_t type = 0;    ///< net::MessageType for wire records
-  /// Executing shard + 1 for records from a sharded parallel run, 0 for
-  /// serial runs (and barrier-emitted records).  Exporters use it to lay
-  /// wire traffic out in per-shard lanes.
-  std::uint16_t shard = 0;
-  std::uint16_t reserved_[3] = {0, 0, 0};  ///< padding, keep zeroed
 
   /// kSearchEnd helper: the first-result delay travels as raw double bits.
   static std::uint64_t pack_delay(double delay_s) noexcept {
@@ -109,6 +103,6 @@ struct Record {
 
 static_assert(std::is_trivially_copyable_v<Record>,
               "records are raw-copied into the ring");
-static_assert(sizeof(Record) == 48, "keep the flight-recorder record compact");
+static_assert(sizeof(Record) == 40, "keep the flight-recorder record compact");
 
 }  // namespace dsf::obs

@@ -65,7 +65,6 @@ ChunkId OlapSim::draw_query_base(net::NodeId p, des::Rng& r) {
 double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
                              bool* peer_served) {
   Peer& peer = peers_[p];
-  core::VisitStamp& stamps = visit_stamps();
   // Inactive fault layer => default verdicts, zero draws: one transmit
   // binding serves both regimes byte-identically.
   const auto tx = search_transmit();
@@ -74,14 +73,9 @@ double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
   double response = 0.0;
   for (std::uint32_t i = 0; i < config_.query_span; ++i) {
     const ChunkId chunk = base + i;
-    if (report) ++res().chunks_requested;
-    bool local;
-    {
-      const auto guard = peer_section(p);
-      local = peer.cache.touch(chunk);
-    }
-    if (local) {
-      if (report) ++res().chunks_local;
+    if (report) ++result_.chunks_requested;
+    if (peer.cache.touch(chunk)) {
+      if (report) ++result_.chunks_local;
       continue;
     }
 
@@ -89,8 +83,8 @@ double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
     // the hop limit; the closest holder (in hops, then delay) serves it.
     const std::uint32_t span = obs_search_begin(p, config_.max_hops, chunk);
     tx.begin(config_.max_hops);
-    stamps.begin_search();
-    stamps.mark(p);
+    stamps_.begin_search();
+    stamps_.mark(p);
     struct Frontier {
       net::NodeId node;
       net::NodeId sender;
@@ -109,15 +103,12 @@ double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
                            config_.max_hops - cur.hop);
         if (tq.duplicate) count(net::MessageType::kQuery);
         if (!tq.deliver) continue;  // lost: q stays reachable via others
-        if (!stamps.mark(q)) continue;
+        if (!stamps_.mark(q)) continue;
         const int hop = cur.hop + 1;
-        bool has_chunk = false;
         // Free-riders (adversary layer) never serve from their cache; the
         // role test is a single always-false branch when the layer is off.
-        if (!is_free_rider(q)) {
-          const auto guard = peer_section(q);
-          has_chunk = peers_[q].cache.contains(chunk);
-        }
+        const bool has_chunk =
+            !is_free_rider(q) && peers_[q].cache.contains(chunk);
         if (has_chunk && holder == net::kInvalidNode) {
           count(net::MessageType::kQueryReply);
           const auto tr = tx(net::MessageType::kQueryReply, q, p, -1);
@@ -138,7 +129,7 @@ double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
       obs_search_end(span, p, 1, holder_hop, cost);
       response += cost;
       if (peer_served) *peer_served = true;
-      if (report) ++res().chunks_from_peers;
+      if (report) ++result_.chunks_from_peers;
       if (config_.dynamic) {
         core::ResultInfo info;
         info.responder = holder;
@@ -149,39 +140,25 @@ double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
     } else {
       obs_search_end(span, p, 0, -1, -1.0);
       response += config_.warehouse_s_per_chunk;
-      if (report) ++res().chunks_from_warehouse;
+      if (report) ++result_.chunks_from_warehouse;
     }
-    {
-      const auto guard = peer_section(p);
-      peer.cache.insert(chunk);
-    }
+    peer.cache.insert(chunk);
   }
-  if (report) res().response_time_s.add(response);
+  if (report) result_.response_time_s.add(response);
   return response;
 }
 
 void OlapSim::issue_query(net::NodeId p) {
   if (node_dead(p)) return;  // a crashed peer stops querying for good
-  {
-    // Searches only read the overlay, so shards may search concurrently;
-    // per-peer caches get stripe guards inside serve_chunks because
-    // holders mutate their own LRU recency while remote searches probe
-    // it.  Serially every guard is a no-op.
-    const Section lock = shared_section();
-    const ChunkId base = draw_query_base(p, rng());
-    capture_query_arrival(p, base);
-    if (reporting()) ++res().queries;
-    serve_chunks(p, base, reporting(), nullptr);
-  }
-
-  schedule_keyed_self(p, interquery_.sample(rng()), kOlapQuery, p, 0,
-                      [this, p] { issue_query(p); });
+  const ChunkId base = draw_query_base(p, rng());
+  capture_query_arrival(p, base);
+  if (reporting()) ++result_.queries;
+  serve_chunks(p, base, reporting(), nullptr);
+  schedule_keyed(interquery_.sample(rng()), kOlapQuery, p, 0,
+                 [this, p] { issue_query(p); });
 }
 
 load::Served OlapSim::serve_injected_query(net::NodeId p, std::uint64_t item) {
-  // Open-loop runs are serial, so the sections are no-ops; taking them
-  // anyway keeps the path identical to closed-loop service.
-  const Section lock = shared_section();
   ChunkId base;
   if (item == load::kAnyItem) {
     base = draw_query_base(p, load_lane());
@@ -218,21 +195,18 @@ void OlapSim::update_neighbors(net::NodeId p) {
 }
 
 OlapResult OlapSim::run() {
-  if (parallel()) shard_results_.assign(shards(), OlapResult{});
   // A resumed run takes its pending query events from the snapshot and must
   // not draw the initial delays, but it still registers the per-peer update
   // periodics in the same order so indices line up with the file.
   for (net::NodeId p = 0; p < config_.num_peers; ++p) {
     if (!resumed())
-      schedule_keyed_self(p, interquery_.sample(rng()), kOlapQuery, p, 0,
-                          [this, p] { issue_query(p); });
+      schedule_keyed(interquery_.sample(rng()), kOlapQuery, p, 0,
+                     [this, p] { issue_query(p); });
     if (config_.dynamic) {
       if (resumed()) {
         register_periodic(config_.update_period_s,
                           [this, p] { update_neighbors(p); });
       } else {
-        // Reorganizations mutate the overlay, so schedule_every keeps them
-        // exclusive (and on the coordinator shard) in parallel runs.
         schedule_every(rng().uniform(0.0, config_.update_period_s),
                        config_.update_period_s,
                        [this, p] { update_neighbors(p); });
@@ -240,19 +214,8 @@ OlapResult OlapSim::run() {
     }
   }
   run_until_horizon();
-  for (const OlapResult& r : shard_results_) merge_results(result_, r);
-  shard_results_.clear();
   result_.traffic = traffic();
   return result_;
-}
-
-void merge_results(OlapResult& into, const OlapResult& shard) {
-  into.queries += shard.queries;
-  into.chunks_requested += shard.chunks_requested;
-  into.chunks_local += shard.chunks_local;
-  into.chunks_from_peers += shard.chunks_from_peers;
-  into.chunks_from_warehouse += shard.chunks_from_warehouse;
-  into.response_time_s += shard.response_time_s;
 }
 
 void OlapSim::save_domain(snap::Writer::Out& out) const {

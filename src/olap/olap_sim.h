@@ -116,24 +116,12 @@ class OlapSim : public sim::OverlayEngine {
                       bool* peer_served);
   void update_neighbors(net::NodeId p);
 
-  /// Shard-local accumulator during parallel windows, `result_` otherwise.
-  OlapResult& res() noexcept {
-    const std::uint32_t s = des::ShardedSimulator::current_shard();
-    return (!shard_results_.empty() && s != des::kNoShard)
-               ? shard_results_[s]
-               : result_;
-  }
-
   OlapConfig config_;
   std::vector<Peer> peers_;
   des::Zipf chunk_zipf_;
   des::Exponential interquery_;
   core::ProcessingTimeSaved benefit_;
   OlapResult result_;
-  std::vector<OlapResult> shard_results_;  ///< parallel runs only
 };
-
-/// Folds shard-local metrics into `into` (canonical shard-order merge).
-void merge_results(OlapResult& into, const OlapResult& shard);
 
 }  // namespace dsf::olap

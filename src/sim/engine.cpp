@@ -90,114 +90,19 @@ OverlayEngine::OverlayEngine(EngineConfig cfg)
 }
 
 namespace {
-/// Fixed stream salts for the per-shard RNG derivations.  Like the fault
-/// lane, shard lanes are hashed from the scenario seed — never split off
-/// the master stream — so configuring shards cannot perturb the serial
-/// trajectory's draws.
-constexpr std::uint64_t kShardMasterStream = 0x736872'6400000000ULL;
-constexpr std::uint64_t kShardFaultStream = 0x736872'6446000000ULL;
-
-const char* kAdversaryShardError =
-    ": the adversary layer is unsupported with --shards > 1 (roles, the"
-    " abuse ledger and the adversary lane are serial state); run with"
-    " --shards 1";
 const char* kAdversarySnapshotError =
     ": the adversary layer and snapshots are mutually exclusive (the"
     " adversary lane and abuse attribution are not checkpointed)";
-const char* kCaptureShardError =
-    ": --capture-trace is unsupported with --shards > 1 (arrival capture"
-    " is serial state); run with --shards 1";
 const char* kCaptureSnapshotError =
     ": --capture-trace and snapshots are mutually exclusive (captured"
     " arrivals are not checkpointed, so a resumed capture would be"
     " incomplete)";
 }  // namespace
 
-void OverlayEngine::set_shards(std::uint32_t n, double window_s) {
-  if (n == 0)
-    throw std::invalid_argument(cfg_.name + ": --shards must be >= 1");
-  if (n > num_nodes())
-    throw std::invalid_argument(
-        cfg_.name + ": --shards (" + std::to_string(n) +
-        ") exceeds the peer count (" + std::to_string(num_nodes()) + ")");
-  if (n == 1) return;  // the serial path stays untouched (byte-identity)
-  if (save_requested_ || resumed_)
-    throw std::invalid_argument(
-        cfg_.name +
-        ": snapshots are unsupported with --shards > 1 (per-shard clocks and "
-        "RNG lanes cannot be reconciled with the serial checkpoint); run "
-        "with --shards 1");
-  if (load_opts_.enabled)
-    throw std::invalid_argument(
-        cfg_.name +
-        ": open-loop injection is unsupported with --shards > 1 (admission "
-        "queues and the load lane are serial state); run with --shards 1");
-  if (adversary_plan_.enabled())
-    throw std::invalid_argument(cfg_.name + kAdversaryShardError);
-  if (capture_armed_)
-    throw std::invalid_argument(cfg_.name + kCaptureShardError);
-  if (sim_.pending() > 0 || sim_.now() > 0.0 || sharded_)
-    throw std::logic_error(
-        cfg_.name + ": set_shards must run before anything is scheduled");
-
-  if (window_s <= 0.0) window_s = cfg_.delay_params.floor_s;
-  sharded_ = std::make_unique<des::ShardedSimulator>(n, window_s);
-  shard_block_ =
-      static_cast<net::NodeId>((num_nodes() + n - 1) / n);
-  shard_ctx_.reserve(n);
-  for (std::uint32_t s = 0; s < n; ++s)
-    shard_ctx_.emplace_back(
-        des::Rng(des::hash_seed(cfg_.seed, kShardMasterStream + s)),
-        cfg_.rng_layout,
-        make_fault_lane(des::hash_seed(cfg_.seed, kShardFaultStream + s)),
-        num_nodes());
-}
-
-void OverlayEngine::merge_shard_ledgers() {
-  for (ShardContext& c : shard_ctx_) {
-    ledger_ += c.ledger;
-    c.ledger = MessageLedger();  // fold exactly once per run
-  }
-}
-
-std::pair<std::uint64_t, std::uint64_t> OverlayEngine::ledger_totals()
-    const noexcept {
-  std::uint64_t messages = ledger_.stats().total();
-  std::uint64_t bytes = ledger_.total_bytes();
-  for (const ShardContext& c : shard_ctx_) {
-    messages += c.ledger.stats().total();
-    bytes += c.ledger.total_bytes();
-  }
-  return {messages, bytes};
-}
-
 void OverlayEngine::schedule_every(double first_delay_s, double period_s,
                                    std::function<void()> fn) {
-  if (sharded_) {
-    // Global periodic in a parallel run: shard 0 hosts the tick and the
-    // body runs under the exclusive section, since by definition it looks
-    // at state owned by every shard.
-    auto guarded = std::make_shared<std::function<void()>>(
-        [this, body = std::move(fn)] {
-          const Section lock = exclusive_section();
-          body();
-        });
-    schedule_periodic_for(0, first_delay_s, period_s, std::move(guarded));
-    return;
-  }
   const std::size_t idx = register_periodic(period_s, std::move(fn));
   start_periodic(idx, first_delay_s);
-}
-
-void OverlayEngine::schedule_every_for(net::NodeId owner,
-                                       double first_delay_s, double period_s,
-                                       std::function<void()> fn) {
-  if (!sharded_) {
-    schedule_every(first_delay_s, period_s, std::move(fn));
-    return;
-  }
-  schedule_periodic_for(owner, first_delay_s, period_s,
-                        std::make_shared<std::function<void()>>(std::move(fn)));
 }
 
 std::size_t OverlayEngine::register_periodic(double period_s,
@@ -219,23 +124,11 @@ void OverlayEngine::run_periodic_tick(std::size_t idx) {
   start_periodic(idx, periodics_[idx].period_s);
 }
 
-void OverlayEngine::schedule_periodic_for(
-    net::NodeId owner, double delay_s, double period_s,
-    std::shared_ptr<std::function<void()>> fn) {
-  // The reschedule runs from the owner's own handler, so the direct
-  // same-shard insertion of schedule_self is always legal here.
-  schedule_self(owner, delay_s, [this, owner, period_s, fn] {
-    (*fn)();
-    schedule_periodic_for(owner, period_s, period_s, fn);
-  });
-}
-
 void OverlayEngine::sample_traffic() {
   TrafficSample s;
-  s.time_s = sharded_ ? next_traffic_sample_s_ : sim_.now();
-  const auto [messages, bytes] = ledger_totals();
-  s.messages = messages;
-  s.bytes = bytes;
+  s.time_s = sim_.now();
+  s.messages = ledger_.stats().total();
+  s.bytes = ledger_.total_bytes();
   traffic_samples_.push_back(s);
   if (traffic_series_) {
     // Per-bucket increments: the series holds new messages per period.
@@ -246,55 +139,7 @@ void OverlayEngine::sample_traffic() {
   }
 }
 
-void OverlayEngine::on_barrier(double wend) {
-  // Every worker is parked: per-shard ledgers and simulator counters are
-  // safe to read.  Samples fire at their nominal period marks, which the
-  // window grid may overshoot — the sample carries the nominal time so
-  // the series bucketing matches the serial run's.
-  if (traffic_sample_period_s_ > 0.0) {
-    while (next_traffic_sample_s_ <= wend) {
-      sample_traffic();
-      next_traffic_sample_s_ += traffic_sample_period_s_;
-    }
-  }
-  if (heartbeat_period_s_ > 0.0 && obs_ != nullptr) {
-    while (next_heartbeat_s_ <= wend) {
-      emit_heartbeat();
-      next_heartbeat_s_ += heartbeat_period_s_;
-    }
-  }
-}
-
 std::uint64_t OverlayEngine::run_until_horizon() {
-  if (sharded_) {
-    if (crash_model_.enabled())
-      throw std::invalid_argument(
-          cfg_.name +
-          ": CrashModel is unsupported with --shards > 1 (crash-time event"
-          " cancellation cannot cross shard queues safely); run crashes "
-          "with --shards 1");
-    if (traffic_sample_period_s_ > 0.0) {
-      traffic_series_.emplace(traffic_sample_period_s_);
-      next_traffic_sample_s_ = traffic_sample_period_s_;
-    }
-    if (heartbeat_period_s_ > 0.0 && obs_ != nullptr) {
-      heartbeat_wall_start_s_ =
-          std::chrono::duration<double>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count();
-      next_heartbeat_s_ = heartbeat_period_s_;
-    }
-    sharded_->set_barrier_hook([this](double wend) { on_barrier(wend); });
-    const std::uint64_t executed = sharded_->run_until(horizon_s());
-    merge_shard_ledgers();
-    if (bootstrap_underfills_ > 0 && !underfill_reported_) {
-      underfill_reported_ = true;
-      warn(cfg_.name + ": " + std::to_string(bootstrap_underfills_) +
-           " bootstrap fill(s) exhausted the attempt budget before "
-           "reaching the target degree");
-    }
-    return executed;
-  }
   // Engine periodics register on fresh and resumed runs alike (identical
   // indices); only fresh runs draw start offsets and schedule first ticks.
   if (traffic_sample_period_s_ > 0.0) {
@@ -362,10 +207,7 @@ void OverlayEngine::warn(const std::string& message) {
 // --- fault layer ----------------------------------------------------------
 
 void OverlayEngine::begin_faulty_search(int max_ttl) {
-  if (!checker_) return;
-  std::unique_lock<std::mutex> lock(obs_mu_, std::defer_lock);
-  if (sharded_) lock.lock();
-  checker_->on_search_begin(max_ttl);
+  if (checker_) checker_->on_search_begin(max_ttl);
 }
 
 void OverlayEngine::trace_event(TraceKind kind, net::NodeId from,
@@ -373,13 +215,8 @@ void OverlayEngine::trace_event(TraceKind kind, net::NodeId from,
                                 std::uint64_t bytes, int ttl,
                                 std::uint64_t copies) {
   if (checker_ || trace_) {
-    // Checker and hook are engine-global consumers; parallel shards feed
-    // them under obs_mu_ (acquired, per the lock order, only while no
-    // stripe is held).
-    std::unique_lock<std::mutex> lock(obs_mu_, std::defer_lock);
-    if (sharded_) lock.lock();
     for (std::uint64_t i = 0; i < copies; ++i) {
-      const TraceEvent ev{kind,  now_s(), from, to, type, bytes, ttl,
+      const TraceEvent ev{kind,  sim_.now(), from, to, type, bytes, ttl,
                           abuse_ambient_};
       if (checker_) checker_->on_trace(ev);
       if (trace_) trace_(ev);
@@ -402,13 +239,9 @@ void OverlayEngine::obs_record(obs::RecordKind kind, net::NodeId from,
                                net::NodeId to, net::MessageType type,
                                std::uint64_t bytes, int ttl,
                                std::uint64_t copies) {
-  ShardContext* c = active_ctx();
   obs::Record r;
-  r.time_s = now_s();
-  r.span = c ? c->current_span : current_span_;
-  r.shard = c ? static_cast<std::uint16_t>(
-                    des::ShardedSimulator::current_shard() + 1)
-              : 0;
+  r.time_s = sim_.now();
+  r.span = current_span_;
   r.from = from;
   r.to = to;
   r.ttl = static_cast<std::int16_t>(std::clamp(ttl, -1, 32767));
@@ -420,8 +253,6 @@ void OverlayEngine::obs_record(obs::RecordKind kind, net::NodeId from,
     r.a = bytes;
     r.b = copies;
   }
-  std::unique_lock<std::mutex> lock(obs_mu_, std::defer_lock);
-  if (sharded_) lock.lock();
   obs_->record(r);
 }
 
@@ -429,23 +260,16 @@ std::uint32_t OverlayEngine::obs_search_begin(net::NodeId initiator,
                                               int max_ttl,
                                               std::uint64_t item) {
   if (!obs_) return 0;
-  ShardContext* c = active_ctx();
-  const std::uint32_t span =
-      next_span_.fetch_add(1, std::memory_order_relaxed) + 1;
-  (c ? c->current_span : current_span_) = span;
+  const std::uint32_t span = ++next_span_;
+  current_span_ = span;
   obs::Record r;
-  r.time_s = now_s();
+  r.time_s = sim_.now();
   r.span = span;
-  r.shard = c ? static_cast<std::uint16_t>(
-                    des::ShardedSimulator::current_shard() + 1)
-              : 0;
   r.from = initiator;
   r.to = net::kInvalidNode;
   r.ttl = static_cast<std::int16_t>(std::clamp(max_ttl, 0, 32767));
   r.kind = obs::RecordKind::kSearchBegin;
   r.a = item;
-  std::unique_lock<std::mutex> lock(obs_mu_, std::defer_lock);
-  if (sharded_) lock.lock();
   obs_->record(r);
   return span;
 }
@@ -455,26 +279,17 @@ void OverlayEngine::obs_search_end(std::uint32_t span, net::NodeId initiator,
                                    double first_result_delay_s,
                                    double best_score) {
   if (span == 0 || !obs_) return;
-  ShardContext* c = active_ctx();
   obs::Record r;
-  r.time_s = now_s();
+  r.time_s = sim_.now();
   r.span = span;
-  r.shard = c ? static_cast<std::uint16_t>(
-                    des::ShardedSimulator::current_shard() + 1)
-              : 0;
   r.from = initiator;
   r.to = net::kInvalidNode;
   r.ttl = static_cast<std::int16_t>(std::clamp(first_hit_hop, -1, 32767));
   r.kind = obs::RecordKind::kSearchEnd;
   r.a = obs::Record::pack_results_score(results, best_score);
   r.b = obs::Record::pack_delay(first_result_delay_s);
-  {
-    std::unique_lock<std::mutex> lock(obs_mu_, std::defer_lock);
-    if (sharded_) lock.lock();
-    obs_->record(r);
-  }
-  std::uint32_t& ambient = c ? c->current_span : current_span_;
-  if (ambient == span) ambient = 0;
+  obs_->record(r);
+  if (current_span_ == span) current_span_ = 0;
 }
 
 void OverlayEngine::emit_heartbeat() {
@@ -485,15 +300,13 @@ void OverlayEngine::emit_heartbeat() {
           .count();
   const double wall_ms = (wall_now_s - heartbeat_wall_start_s_) * 1e3;
   obs::Record r;
-  // Parallel heartbeats fire from the window barrier at their nominal
-  // period mark, aggregating over all shard queues.
-  r.time_s = sharded_ ? next_heartbeat_s_ : sim_.now();
+  r.time_s = sim_.now();
   r.kind = obs::RecordKind::kHeartbeat;
-  r.from = static_cast<std::uint32_t>(std::min<std::size_t>(
-      sharded_ ? sharded_->pending() : sim_.pending(), UINT32_MAX));
+  r.from = static_cast<std::uint32_t>(
+      std::min<std::size_t>(sim_.pending(), UINT32_MAX));
   r.to = static_cast<std::uint32_t>(
       std::min(wall_ms, static_cast<double>(UINT32_MAX)));
-  r.a = sharded_ ? sharded_->executed() : sim_.executed();
+  r.a = sim_.executed();
   r.b = obs::peak_rss_bytes();
   obs_->record(r);
 }
@@ -502,7 +315,7 @@ core::TransmitResult OverlayEngine::transmit(net::MessageType type,
                                              net::NodeId from, net::NodeId to,
                                              int ttl) {
   FaultDecision d;
-  if (!fault_plan_.empty()) d = fault_plan_.decide(type, now_s(), fault_lane());
+  if (!fault_plan_.empty()) d = fault_plan_.decide(type, sim_.now(), fault_rng_);
   core::TransmitResult res;
   res.duplicate = d.duplicate;
   res.extra_delay_s = d.extra_delay_s;
@@ -511,11 +324,11 @@ core::TransmitResult OverlayEngine::transmit(net::MessageType type,
   const std::uint64_t b = default_message_bytes(type);
   trace_event(TraceKind::kSend, from, to, type, b, ttl, copies);
   if (res.deliver) {
-    ledger_ref().count_delivered(type, copies);
+    ledger_.count_delivered(type, copies);
     if (abuse_ambient_) abuse_ledger_.count_delivered(type, copies);
     trace_event(TraceKind::kDeliver, from, to, type, b, ttl, copies);
   } else {
-    ledger_ref().count_dropped(type, copies);
+    ledger_.count_dropped(type, copies);
     if (abuse_ambient_) abuse_ledger_.count_dropped(type, copies);
     trace_event(TraceKind::kDrop, from, to, type, b, ttl, copies);
   }
@@ -530,12 +343,12 @@ void OverlayEngine::send_faulty(net::NodeId from, net::NodeId to,
   // fast path would, so checker-only runs replay byte-identically.
   const double base_delay = sample_delay_s(from, to);
   FaultDecision d;
-  if (!fault_plan_.empty()) d = fault_plan_.decide(type, now_s(), fault_lane());
+  if (!fault_plan_.empty()) d = fault_plan_.decide(type, sim_.now(), fault_rng_);
   if (d.duplicate) count(type, 1, bytes);  // extra copy's send
   const std::uint64_t copies = d.duplicate ? 2 : 1;
   trace_event(TraceKind::kSend, from, to, type, bytes, -1, copies);
   if (d.drop) {
-    ledger_ref().count_dropped(type, copies);
+    ledger_.count_dropped(type, copies);
     if (abuse_ambient_) abuse_ledger_.count_dropped(type, copies);
     trace_event(TraceKind::kDrop, from, to, type, bytes, -1, copies);
     return;
@@ -556,17 +369,17 @@ void OverlayEngine::deliver_copy(double delay_s, net::NodeId from,
                                  net::NodeId to, net::MessageType type,
                                  std::uint64_t bytes, bool abuse,
                                  std::function<void()> on_deliver) {
-  schedule_for(
-      to, delay_s,
+  sim_.schedule_in(
+      delay_s,
       [this, from, to, type, bytes, abuse, fn = std::move(on_deliver)] {
         const ScopedAbuse scope(this, abuse);
         if (node_dead(to)) {
-          ledger_ref().count_dropped(type, 1);
+          ledger_.count_dropped(type, 1);
           if (abuse_ambient_) abuse_ledger_.count_dropped(type, 1);
           trace_event(TraceKind::kDrop, from, to, type, bytes, -1, 1);
           return;
         }
-        ledger_ref().count_delivered(type, 1);
+        ledger_.count_delivered(type, 1);
         if (abuse_ambient_) abuse_ledger_.count_delivered(type, 1);
         trace_event(TraceKind::kDeliver, from, to, type, bytes, -1, 1);
         fn();
@@ -619,10 +432,6 @@ void OverlayEngine::run_crash_tick() {
 // --- snapshot/restore -----------------------------------------------------
 
 namespace {
-const char* kShardSnapshotError =
-    ": snapshots are unsupported with --shards > 1 (per-shard clocks and RNG"
-    " lanes cannot be reconciled with the serial checkpoint); run with"
-    " --shards 1";
 const char* kLoadSnapshotError =
     ": open-loop injection and snapshots are mutually exclusive (injected"
     " arrivals and admission queues are not keyed for checkpoint replay)";
@@ -649,7 +458,6 @@ void OverlayEngine::sweep_keyed_notes() {
 }
 
 void OverlayEngine::request_snapshot_save(std::string path, double at_s) {
-  if (parallel()) throw std::invalid_argument(cfg_.name + kShardSnapshotError);
   if (load_opts_.enabled)
     throw std::invalid_argument(cfg_.name + kLoadSnapshotError);
   if (adversary_plan_.enabled())
@@ -666,7 +474,6 @@ void OverlayEngine::request_snapshot_save(std::string path, double at_s) {
 }
 
 void OverlayEngine::save_snapshot(const std::string& path) {
-  if (parallel()) throw std::invalid_argument(cfg_.name + kShardSnapshotError);
   snap::Writer w;
   auto& id = w.section(snap::SectionId::kIdentity);
   id.str(cfg_.name);
@@ -680,7 +487,6 @@ void OverlayEngine::save_snapshot(const std::string& path) {
 }
 
 void OverlayEngine::load_snapshot(const std::string& path) {
-  if (parallel()) throw std::invalid_argument(cfg_.name + kShardSnapshotError);
   if (load_opts_.enabled)
     throw std::invalid_argument(cfg_.name + kLoadSnapshotError);
   if (adversary_plan_.enabled())
@@ -754,7 +560,7 @@ void OverlayEngine::write_engine_core(snap::Writer::Out& out) {
     out.u64(traffic_series_->buckets().size());
     for (std::uint64_t b : traffic_series_->buckets()) out.u64(b);
   }
-  out.u32(next_span_.load(std::memory_order_relaxed));
+  out.u32(next_span_);
   // Period per registered periodic: the resumed run re-registers the
   // bodies and replay validates its table against this one.
   out.u64(periodics_.size());
@@ -815,7 +621,7 @@ void OverlayEngine::read_engine_core(snap::Reader::In& in) {
     traffic_series_.emplace(width);
     traffic_series_->restore(std::move(buckets));
   }
-  next_span_.store(in.u32(), std::memory_order_relaxed);
+  next_span_ = in.u32();
   restored_periods_.clear();
   const std::uint64_t num_periodics = in.u64();
   restored_periods_.reserve(static_cast<std::size_t>(num_periodics));
@@ -961,8 +767,6 @@ void OverlayEngine::load_domain(snap::Reader::In&) {
 void OverlayEngine::set_adversary(AdversaryPlan plan) {
   plan.validate();
   if (plan.enabled()) {
-    if (parallel())
-      throw std::invalid_argument(cfg_.name + kAdversaryShardError);
     if (save_requested_ || resumed_)
       throw std::invalid_argument(cfg_.name + kAdversarySnapshotError);
     if (sim_.now() > 0.0)
@@ -980,7 +784,6 @@ void OverlayEngine::set_capture_trace(std::string path) {
   if (path.empty())
     throw std::invalid_argument(cfg_.name +
                                 ": --capture-trace path must be non-empty");
-  if (parallel()) throw std::invalid_argument(cfg_.name + kCaptureShardError);
   if (save_requested_ || resumed_)
     throw std::invalid_argument(cfg_.name + kCaptureSnapshotError);
   capture_path_ = std::move(path);
@@ -1128,11 +931,6 @@ void OverlayEngine::set_open_loop(load::OpenLoopOptions opts) {
     load_opts_ = load::OpenLoopOptions{};
     return;
   }
-  if (parallel())
-    throw std::invalid_argument(
-        cfg_.name +
-        ": open-loop injection is unsupported with --shards > 1 (admission "
-        "queues and the load lane are serial state); run with --shards 1");
   if (save_requested_ || resumed_)
     throw std::invalid_argument(cfg_.name + kLoadSnapshotError);
   if (sim_.now() > 0.0)

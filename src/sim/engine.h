@@ -15,15 +15,13 @@
 // documented with the equivalence argument they rely on.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
+#include <limits>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/compact_relations.h"
@@ -31,7 +29,6 @@
 #include "core/flood_search.h"
 #include "core/visit_stamp.h"
 #include "des/rng.h"
-#include "des/sharded.h"
 #include "des/simulator.h"
 #include "load/open_loop.h"
 #include "metrics/time_series.h"
@@ -150,18 +147,6 @@ class MessageLedger {
     return sum;
   }
 
-  /// Merges another ledger in (sharded runs fold per-shard ledgers into
-  /// the engine's in canonical shard order at the end of the run).
-  MessageLedger& operator+=(const MessageLedger& other) noexcept {
-    stats_ += other.stats_;
-    for (std::size_t i = 0; i < bytes_.size(); ++i) {
-      bytes_[i] += other.bytes_[i];
-      delivered_[i] += other.delivered_[i];
-      dropped_[i] += other.dropped_[i];
-    }
-    return *this;
-  }
-
   /// Checkpoint restore: replaces every counter with the saved totals.
   void restore(
       const net::MessageStats& stats,
@@ -232,42 +217,6 @@ class OverlayEngine {
   const net::DelayModel& delay_model() const noexcept { return delay_; }
   des::Simulator& simulator() noexcept { return sim_; }
   std::size_t num_nodes() const noexcept { return overlay_.size(); }
-
-  /// --- sharded parallel execution (off by default) ----------------------
-  /// Partitions peers into `n` contiguous shards, each with its own event
-  /// queue, clock and RNG lanes, advanced in conservative lookahead
-  /// windows on `n` threads (des::ShardedSimulator).  Must be called
-  /// before anything is scheduled; `n` must be in [1, num_nodes()].
-  /// `window_s` <= 0 picks the delay model's floor (the true minimum
-  /// cross-peer delay, hence a safe lookahead).
-  ///
-  /// Determinism contract (DESIGN.md §1.8): `set_shards(1)` is a no-op —
-  /// the serial path is untouched and stays byte-identical to a build
-  /// without this call.  For n > 1 the DES layer is deterministic per
-  /// shard count, while cross-shard interleaving makes engine-level
-  /// metrics statistically — not bitwise — pinned; certify runs with an
-  /// attached InvariantChecker.
-  void set_shards(std::uint32_t n, double window_s = 0.0);
-
-  /// Number of shards (1 when serial).
-  std::uint32_t shards() const noexcept {
-    return sharded_ ? sharded_->shards() : 1u;
-  }
-  /// True when running the sharded parallel path.
-  bool parallel() const noexcept { return sharded_ != nullptr; }
-  /// Owning shard of peer `u` (contiguous blocks; 0 when serial).
-  std::uint32_t shard_of(net::NodeId u) const noexcept {
-    return sharded_ ? static_cast<std::uint32_t>(u / shard_block_) : 0u;
-  }
-  /// Cross-shard posts clamped forward at a window barrier (0 when the
-  /// window never exceeded the true minimum delay).
-  std::uint64_t lookahead_clamps() const noexcept {
-    return sharded_ ? sharded_->lookahead_clamps() : 0u;
-  }
-  /// Synchronization windows executed (0 when serial).
-  std::uint64_t sync_windows() const noexcept {
-    return sharded_ ? sharded_->windows() : 0u;
-  }
 
   /// Per-type counts of every message the scenario accounted for.
   const net::MessageStats& traffic() const noexcept { return ledger_.stats(); }
@@ -368,12 +317,12 @@ class OverlayEngine {
   }
 
   /// --- snapshot/restore (DESIGN.md §1.9) --------------------------------
-  /// Arms a mid-run snapshot: the serial horizon loop runs to `at_s`,
-  /// writes the full simulation state to `path`, then continues to the
-  /// horizon.  The segmented run executes the exact event sequence an
-  /// uninterrupted run does (run_until(T) leaves every pending event
-  /// strictly later than T), so arming a save never perturbs the
-  /// trajectory.  Must be called before run; rejected under --shards > 1.
+  /// Arms a mid-run snapshot: the horizon loop runs to `at_s`, writes the
+  /// full simulation state to `path`, then continues to the horizon.  The
+  /// segmented run executes the exact event sequence an uninterrupted run
+  /// does (run_until(T) leaves every pending event strictly later than T),
+  /// so arming a save never perturbs the trajectory.  Must be called
+  /// before run.
   void request_snapshot_save(std::string path, double at_s);
 
   /// Restores a snapshot written by request_snapshot_save into this
@@ -384,7 +333,6 @@ class OverlayEngine {
   /// mutable state on top.  The whole file is validated (magic, version,
   /// framing, per-section CRCs) before any state is touched: a corrupt
   /// file throws snap::SnapshotError and leaves the simulation unmodified.
-  /// Rejected under --shards > 1.
   void load_snapshot(const std::string& path);
 
   /// Writes the current state to `path` immediately.  Normally invoked by
@@ -407,8 +355,8 @@ class OverlayEngine {
   /// per-peer admission queue.  Every arrival/targeting decision draws
   /// from a dedicated load lane (derived via des::hash_seed from the
   /// scenario seed, like the fault lane), never from the master stream.
-  /// Must be called before run.  Serial only: rejected with --shards > 1
-  /// and mutually exclusive with snapshots (both std::invalid_argument).
+  /// Must be called before run; mutually exclusive with snapshots
+  /// (std::invalid_argument).
   void set_open_loop(load::OpenLoopOptions opts);
 
   /// True when the open-loop front-end is armed.
@@ -425,9 +373,9 @@ class OverlayEngine {
   /// dedicated adversary lane when the run starts, the abuse spray /
   /// regional outage / churn storm processes are scheduled, and the
   /// capacity knobs (per-class degree bounds, benefit weights) take
-  /// effect.  Must be called before run.  Serial only: rejected with
-  /// --shards > 1 and mutually exclusive with snapshots (both
-  /// std::invalid_argument; the adversary lane is not serialized).
+  /// effect.  Must be called before run; mutually exclusive with
+  /// snapshots (std::invalid_argument; the adversary lane is not
+  /// serialized).
   void set_adversary(AdversaryPlan plan);
 
   const AdversaryPlan& adversary_plan() const noexcept {
@@ -481,7 +429,7 @@ class OverlayEngine {
   /// Records every closed-loop query arrival (time, issuing peer, item)
   /// and writes them to `path` at end of run in the open-loop trace
   /// grammar (`time_s peer item` per line), so a captured run can be
-  /// replayed through `--open-loop --load-trace`.  Serial only.
+  /// replayed through `--open-loop --load-trace`.
   void set_capture_trace(std::string path);
   /// Closed-loop arrivals captured so far (empty when capture is off).
   std::uint64_t captured_arrivals() const noexcept {
@@ -492,155 +440,39 @@ class OverlayEngine {
   explicit OverlayEngine(EngineConfig cfg);
   ~OverlayEngine() = default;
 
-  /// --- per-shard execution context -------------------------------------
-  /// Everything a worker thread may touch without synchronization while
-  /// executing its shard's events: RNG lanes (the master stream and every
-  /// lane are split per shard, so lane *ownership* — not locking — keeps
-  /// draws race-free), the visited-set stamps and flood scratch, the
-  /// message ledger (merged canonically at end of run) and the ambient
-  /// flight-recorder span.
-  struct ShardContext {
-    des::Rng master;
-    RngLanes lanes;
-    des::Rng fault;
-    core::VisitStamp stamps;
-    core::SearchScratch scratch;
-    MessageLedger ledger;
-    std::uint32_t current_span = 0;
-    ShardContext(des::Rng m, RngLayout layout, des::Rng f, std::size_t n)
-        : master(m), lanes(make_lanes(master, layout)), fault(f), stamps(n) {}
-  };
-
-  /// The calling thread's shard context, or nullptr on every serial path
-  /// (no shards configured, or outside a window — bootstrap, merge).  The
-  /// nullptr branch is what keeps `set_shards(1)`-free runs byte-identical:
-  /// every routed accessor reduces to the exact pre-sharding member.
-  ShardContext* active_ctx() noexcept {
-    if (!sharded_) return nullptr;
-    const std::uint32_t s = des::ShardedSimulator::current_shard();
-    return s == des::kNoShard ? nullptr : &shard_ctx_[s];
-  }
-
-  /// --- RNG lanes (routed to the active shard's splits when parallel) ----
-  des::Rng& rng() noexcept {
-    ShardContext* c = active_ctx();
-    return c ? c->master : master_rng_;
-  }
-  des::Rng& topo_rng() noexcept {
-    ShardContext* c = active_ctx();
-    if (!c) return *topo_;
-    return cfg_.rng_layout == RngLayout::kFourLane ? c->lanes.topo
-                                                   : c->master;
-  }
-  des::Rng& session_rng() noexcept {
-    ShardContext* c = active_ctx();
-    if (!c) return *session_;
-    return cfg_.rng_layout == RngLayout::kFourLane ? c->lanes.session
-                                                   : c->master;
-  }
-  des::Rng& query_rng() noexcept {
-    ShardContext* c = active_ctx();
-    if (!c) return *query_;
-    return cfg_.rng_layout == RngLayout::kFourLane ? c->lanes.query
-                                                   : c->master;
-  }
-  des::Rng& delay_rng() noexcept {
-    ShardContext* c = active_ctx();
-    return c ? c->lanes.delay : lanes_.delay;
-  }
-  des::Rng& fault_lane() noexcept {
-    ShardContext* c = active_ctx();
-    return c ? c->fault : fault_rng_;
-  }
+  /// --- RNG lanes -------------------------------------------------------
+  des::Rng& rng() noexcept { return master_rng_; }
+  des::Rng& topo_rng() noexcept { return *topo_; }
+  des::Rng& session_rng() noexcept { return *session_; }
+  des::Rng& query_rng() noexcept { return *query_; }
+  des::Rng& delay_rng() noexcept { return lanes_.delay; }
   /// The injection lane consulted by serve_injected_query overrides when
   /// they draw a kAnyItem target.  Normally the open-loop layer's
   /// dedicated lane; while the adversary layer serves a sprayed abuse
   /// query it is swapped to the adversary lane, so abuse draws never
-  /// perturb the open-loop stream.  Serial only — both layers reject
-  /// sharded runs.
+  /// perturb the open-loop stream.
   des::Rng& load_lane() noexcept { return *inject_lane_; }
 
   /// The adversary layer's dedicated decision lane.
   des::Rng& adversary_lane() noexcept { return adversary_rng_; }
 
-  /// Per-search visited stamps / flood scratch (per-shard when parallel:
-  /// two concurrent searches on different shards must not share
-  /// generations or frontier storage).
-  core::VisitStamp& visit_stamps() noexcept {
-    ShardContext* c = active_ctx();
-    return c ? c->stamps : stamps_;
-  }
-  core::SearchScratch& search_scratch() noexcept {
-    ShardContext* c = active_ctx();
-    return c ? c->scratch : scratch_;
-  }
-  /// The ledger accounting writes go to (per-shard when parallel).
-  MessageLedger& ledger_ref() noexcept {
-    ShardContext* c = active_ctx();
-    return c ? c->ledger : ledger_;
-  }
-
   /// One-way delay sample for a (from, to) transmission, drawn from the
   /// delay lane.
   double sample_delay_s(net::NodeId from, net::NodeId to) {
-    return delay_.sample_delay_s(from, to, delay_rng());
+    return delay_.sample_delay_s(from, to, lanes_.delay);
   }
 
   /// --- horizon ---------------------------------------------------------
   double horizon_s() const noexcept { return cfg_.sim_hours * 3600.0; }
   double warmup_s() const noexcept { return cfg_.warmup_hours * 3600.0; }
-  /// Simulation time as seen by the calling thread (the active shard's
-  /// clock when parallel, the global clock otherwise).
-  double now_s() noexcept {
-    ShardContext* c = active_ctx();
-    return c ? sharded_
-                   ->shard(des::ShardedSimulator::current_shard())
-                   .now()
-             : sim_.now();
-  }
   /// True once the warm-up period has elapsed (metrics become reportable).
-  bool reporting() noexcept { return now_s() >= warmup_s(); }
+  bool reporting() const noexcept { return sim_.now() >= warmup_s(); }
 
   /// Runs the simulator to the configured horizon (scheduling the crash
   /// process first when a CrashModel is enabled); afterwards reports one
   /// warning-sink line if any bootstrap fill was under budget (the
   /// silent-shortfall fix).  Returns events executed.
-  ///
-  /// With shards configured this drives the windowed parallel protocol
-  /// instead: traffic sampling and heartbeats move to the window barriers
-  /// (where every worker is parked, so global reads are safe), per-shard
-  /// ledgers are folded into ledger_ in canonical shard order afterwards,
-  /// and an enabled CrashModel is rejected (cross-shard event cancellation
-  /// is not safe under the conservative protocol).
   std::uint64_t run_until_horizon();
-
-  /// --- sharded scheduling ----------------------------------------------
-  /// Schedules `cb` on `owner`'s shard after `delay_s` (possibly crossing
-  /// shards through the window mailbox).  Serial: plain schedule_in.
-  void schedule_for(net::NodeId owner, double delay_s, des::Callback cb) {
-    if (!sharded_) {
-      sim_.schedule_in(delay_s, std::move(cb));
-      return;
-    }
-    sharded_->post(shard_of(owner), now_s() + (delay_s > 0 ? delay_s : 0),
-                   std::move(cb));
-  }
-
-  /// Cancellable self-event: `owner`'s own timer (session wake, next
-  /// query), scheduled from `owner`'s shard — or from the serial bootstrap
-  /// phase — directly into the owning queue.  MUST NOT be called for a
-  /// peer on another shard while a window is executing; that is what
-  /// schedule_for (non-cancellable, mailbox-routed) is for.
-  des::EventId schedule_self(net::NodeId owner, double delay_s,
-                             des::Callback cb) {
-    if (!sharded_) return sim_.schedule_in(delay_s, std::move(cb));
-    return sharded_->shard(shard_of(owner))
-        .schedule_in(delay_s, std::move(cb));
-  }
-  bool cancel_self(net::NodeId owner, des::EventId id) {
-    if (!sharded_) return sim_.cancel(id);
-    return sharded_->shard(shard_of(owner)).cancel(id);
-  }
 
   /// --- snapshot-keyed scheduling ---------------------------------------
   /// Closures cannot be serialized, so every event that may be pending at
@@ -654,24 +486,14 @@ class OverlayEngine {
   static constexpr std::uint32_t kKeyedCrashTick = 2;  ///< crash-process tick
   static constexpr std::uint32_t kKeyedUserBase = 16;  ///< scenario kinds
 
-  des::EventId schedule_keyed_self(net::NodeId owner, double delay_s,
-                                   std::uint32_t kind, std::uint64_t a,
-                                   std::uint64_t b, des::Callback cb) {
-    const des::EventId id = schedule_self(owner, delay_s, std::move(cb));
-    if (!sharded_ && snap_track_) note_keyed(id.seq, kind, a, b);
-    return id;
-  }
-  void schedule_keyed_for(net::NodeId owner, double delay_s,
-                          std::uint32_t kind, std::uint64_t a, std::uint64_t b,
-                          des::Callback cb) {
-    if (sharded_) {
-      schedule_for(owner, delay_s, std::move(cb));
-      return;
-    }
+  des::EventId schedule_keyed(double delay_s, std::uint32_t kind,
+                              std::uint64_t a, std::uint64_t b,
+                              des::Callback cb) {
     const des::EventId id = sim_.schedule_in(delay_s, std::move(cb));
     if (snap_track_) note_keyed(id.seq, kind, a, b);
+    return id;
   }
-  /// Absolute-time variant (crash process, restore replay); serial only.
+  /// Absolute-time variant (crash process, restore replay).
   des::EventId schedule_keyed_at(double at_s, std::uint32_t kind,
                                  std::uint64_t a, std::uint64_t b,
                                  des::Callback cb) {
@@ -688,61 +510,13 @@ class OverlayEngine {
   std::size_t register_periodic(double period_s, std::function<void()> body);
   void start_periodic(std::size_t idx, double first_delay_s);
 
-  /// --- cross-shard critical sections (all no-ops when serial) -----------
-  /// RAII guard over the engine-wide reader/writer lock plus the 64
-  /// per-peer stripe mutexes.  Lock order (deadlock discipline): the
-  /// rwlock is never acquired while holding a stripe; at most one stripe
-  /// is held at a time.
-  class [[nodiscard]] Section {
-   public:
-    Section() = default;
-    Section(std::shared_mutex* mu, bool exclusive)
-        : mu_(mu), exclusive_(exclusive) {
-      if (mu_) exclusive_ ? mu_->lock() : mu_->lock_shared();
-    }
-    Section(Section&& o) noexcept : mu_(o.mu_), exclusive_(o.exclusive_) {
-      o.mu_ = nullptr;
-    }
-    Section(const Section&) = delete;
-    Section& operator=(const Section&) = delete;
-    Section& operator=(Section&&) = delete;
-    ~Section() {
-      if (mu_) exclusive_ ? mu_->unlock() : mu_->unlock_shared();
-    }
-
-   private:
-    std::shared_mutex* mu_ = nullptr;
-    bool exclusive_ = false;
-  };
-
-  /// Search-side guard: concurrent searches share the lock (they read the
-  /// overlay and peer content, write only shard-local state).  With an
-  /// InvariantChecker attached it upgrades to exclusive — the checker
-  /// keeps one ambient per-search TTL context, so certified parallel runs
-  /// serialize their searches to keep it coherent.
-  Section shared_section() noexcept {
-    if (!sharded_) return Section();
-    return Section(&state_mu_, checker_ != nullptr);
-  }
-  /// Mutator-side guard: overlay rewires, roster changes, global probes.
-  Section exclusive_section() noexcept {
-    if (!sharded_) return Section();
-    return Section(&state_mu_, true);
-  }
-  /// Stripe guard for one peer's cross-shard-visible mutable state (LRU
-  /// caches, digests): serializes owner writes against remote reads.
-  std::unique_lock<std::mutex> peer_section(net::NodeId u) noexcept {
-    if (!sharded_) return std::unique_lock<std::mutex>();
-    return std::unique_lock<std::mutex>(peer_mu_[u % kPeerStripes]);
-  }
-
   /// --- accounting ------------------------------------------------------
   /// Counts a send; while an abuse scope is ambient the count is mirrored
   /// into the abuse ledger so blast-radius traffic stays attributed (one
   /// always-false predicted branch on every baseline path).
   void count(net::MessageType t, std::uint64_t n = 1,
              std::uint64_t bytes_each = 0) noexcept {
-    ledger_ref().count(t, n, bytes_each);
+    ledger_.count(t, n, bytes_each);
     if (abuse_ambient_) abuse_ledger_.count(t, n, bytes_each);
   }
 
@@ -763,16 +537,9 @@ class OverlayEngine {
       send_faulty(from, to, type, std::function<void()>(on_deliver), b);
       return;
     }
-    if (trace_) {
-      std::unique_lock<std::mutex> lock(obs_mu_, std::defer_lock);
-      if (sharded_) lock.lock();
-      trace_(TraceEvent{TraceKind::kSend, now_s(), from, to, type, b, -1,
+    if (trace_)
+      trace_(TraceEvent{TraceKind::kSend, sim_.now(), from, to, type, b, -1,
                         abuse_ambient_});
-    }
-    if (sharded_) {
-      schedule_for(to, sample_delay_s(from, to), std::forward<Fn>(on_deliver));
-      return;
-    }
     sim_.schedule_in(sample_delay_s(from, to), std::forward<Fn>(on_deliver));
   }
 
@@ -801,21 +568,11 @@ class OverlayEngine {
                     std::function<void()>(make_on_deliver(i)), b);
       return;
     }
-    const double now = now_s();
+    const double now = sim_.now();
     if (trace_) {
-      std::unique_lock<std::mutex> lock(obs_mu_, std::defer_lock);
-      if (sharded_) lock.lock();
       for (std::size_t i = 0; i < n; ++i)
         trace_(TraceEvent{TraceKind::kSend, now, from, targets[i], type, b,
                           -1, abuse_ambient_});
-    }
-    if (sharded_) {
-      // Per-target routing: each copy goes to its receiver's shard (the
-      // bulk single-queue insert below assumes one destination queue).
-      for (std::size_t i = 0; i < n; ++i)
-        schedule_for(targets[i], sample_delay_s(from, targets[i]),
-                     make_on_deliver(i));
-      return;
     }
     sim_.queue().schedule_batch(n, [&](std::size_t i) {
       const double d = sample_delay_s(from, targets[i]);
@@ -930,7 +687,7 @@ class OverlayEngine {
   /// per issued search, before the search runs).  One predicted branch
   /// when capture is off.
   void capture_query_arrival(net::NodeId peer, std::uint64_t item) {
-    if (capture_armed_) captured_.push_back({now_s(), peer, item});
+    if (capture_armed_) captured_.push_back({sim_.now(), peer, item});
   }
 
   /// --- scenario snapshot hooks -----------------------------------------
@@ -962,19 +719,8 @@ class OverlayEngine {
   /// the queue's insertion-order tie-breaking — is unchanged as long as
   /// `fn` itself schedules nothing after its own old reschedule point
   /// (true of every ported periodic body).
-  ///
-  /// Sharded: the tick lands on shard 0's queue and the body runs under
-  /// the exclusive section — a global periodic (an overlay probe, a decay
-  /// pass) reads state owned by every shard.  Per-peer periodics should
-  /// use schedule_every_for instead and stay lock-free on their own shard.
   void schedule_every(double first_delay_s, double period_s,
                       std::function<void()> fn);
-
-  /// Per-peer periodic: like schedule_every but owned by `owner`'s shard
-  /// (cache refresh, digest rebuild, exploration).  The body runs on the
-  /// owning shard with no engine lock; guard any cross-peer touches.
-  void schedule_every_for(net::NodeId owner, double first_delay_s,
-                          double period_s, std::function<void()> fn);
 
   /// --- bootstrap -------------------------------------------------------
   /// The shared attempt budget of the random bootstrap: four probes per
@@ -1047,9 +793,6 @@ class OverlayEngine {
   MessageLedger ledger_;
 
  private:
-  void schedule_periodic_for(net::NodeId owner, double delay_s,
-                             double period_s,
-                             std::shared_ptr<std::function<void()>> fn);
   void sample_traffic();
 
   /// --- snapshot plumbing ------------------------------------------------
@@ -1087,15 +830,6 @@ class OverlayEngine {
   void read_overlay(snap::Reader::In& in);
   void read_events(snap::Reader::In& in);
 
-  /// Window-barrier work for parallel runs: due traffic samples and
-  /// heartbeats (every worker is parked, so global reads are safe).
-  void on_barrier(double wend);
-  /// Folds per-shard ledgers into ledger_ in canonical shard order.
-  void merge_shard_ledgers();
-  /// Cumulative message/byte totals across the engine ledger and every
-  /// shard ledger (only meaningful at a barrier or after the run).
-  std::pair<std::uint64_t, std::uint64_t> ledger_totals() const noexcept;
-
   /// Async-path fate resolution behind send(): plan decision, per-copy
   /// delivery events, dead-receiver drops, fate traces.  The ambient abuse
   /// flag is captured at send time and re-established around the delayed
@@ -1129,7 +863,7 @@ class OverlayEngine {
   void schedule_crash_process();
   void schedule_next_crash(double at_s);
 
-  /// --- adversary machinery (serial only) --------------------------------
+  /// --- adversary machinery ----------------------------------------------
   /// RAII abuse scope: flips abuse_ambient_ on for the duration (when
   /// `engage`), restoring the previous value on exit.  Everything counted,
   /// traced or fate-resolved inside the scope is attributed to the abuser.
@@ -1154,8 +888,7 @@ class OverlayEngine {
 
   /// Draws the abuser/free-rider roles and schedules the abuse spray, the
   /// regional outage and the churn storm.  Called once at the top of the
-  /// serial horizon loop; zero draws and zero events when the plan is
-  /// disabled.
+  /// horizon loop; zero draws and zero events when the plan is disabled.
   void arm_adversary();
   void schedule_next_abuse(double from_s);
   void run_abuse_event();
@@ -1164,7 +897,7 @@ class OverlayEngine {
   void run_storm_kick();
   void write_capture_file();
 
-  /// --- open-loop machinery (serial only) --------------------------------
+  /// --- open-loop machinery ----------------------------------------------
   void arm_open_loop();
   void schedule_next_generated_arrival(double from_s);
   void schedule_next_trace_arrival();
@@ -1236,26 +969,11 @@ class OverlayEngine {
 
   /// Flight-recorder state.  `obs_` is non-null only while an *enabled*
   /// sink is attached; span ids are issued 1-based so 0 means "no span".
-  /// The span counter is atomic because parallel shards open spans
-  /// concurrently; serial runs see the identical sequence of ids.
   obs::TraceSink* obs_ = nullptr;
-  std::atomic<std::uint32_t> next_span_{0};
+  std::uint32_t next_span_ = 0;
   std::uint32_t current_span_ = 0;
   double heartbeat_period_s_ = 0.0;
   double heartbeat_wall_start_s_ = 0.0;
-
-  /// Sharded-execution state.  Null/empty on the serial path: every
-  /// routed accessor then collapses to the original member, which is the
-  /// byte-identity half of the determinism contract.
-  static constexpr std::size_t kPeerStripes = 64;
-  std::unique_ptr<des::ShardedSimulator> sharded_;
-  std::vector<ShardContext> shard_ctx_;
-  net::NodeId shard_block_ = 0;  ///< peers per shard (contiguous blocks)
-  std::shared_mutex state_mu_;   ///< searches shared / mutators exclusive
-  std::array<std::mutex, kPeerStripes> peer_mu_;
-  std::mutex obs_mu_;  ///< trace hook + checker + sink, parallel only
-  double next_traffic_sample_s_ = 0.0;
-  double next_heartbeat_s_ = 0.0;
 
   /// Snapshot state.  All empty/false on runs that never arm a snapshot,
   /// so the keyed scheduling variants reduce to the plain ones.

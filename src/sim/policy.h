@@ -152,46 +152,6 @@ core::SearchOutcome dispatch_search(SearchStrategyKind kind,
   core::unreachable_enum("sim::SearchStrategyKind");
 }
 
-/// DEPRECATED positional form (one-release shim): the 10-argument spread
-/// this PR's SearchContext replaced.  Kept so out-of-tree call sites get
-/// one release to migrate; forwards to the typed dispatch above and will
-/// be removed next release.
-template <typename NeighborsFn, typename HasContentFn, typename DelayFn,
-          typename TransmitFn>
-core::SearchOutcome dispatch_search(
-    SearchStrategyKind kind, net::NodeId initiator,
-    const core::SearchParams& params, const core::StatsStore& stats,
-    std::uint32_t directed_fanout, NeighborsFn&& neighbors,
-    HasContentFn&& has_content, DelayFn&& delay, TransmitFn&& transmit,
-    core::VisitStamp& stamps, core::VisitStamp& hit_stamps,
-    core::SearchScratch& scratch) {
-  auto ctx = core::make_search_context(
-      initiator, std::forward<NeighborsFn>(neighbors),
-      std::forward<HasContentFn>(has_content), std::forward<DelayFn>(delay),
-      std::forward<TransmitFn>(transmit), stamps, hit_stamps, scratch);
-  ctx.stats = &stats;
-  return dispatch_search(kind, core::QuerySpec::exact(params), directed_fanout,
-                         ctx);
-}
-
-/// DEPRECATED positional form, reliable-transmit default (one-release
-/// shim): subsumed by make_search_context, which owns the transport
-/// default now.
-template <typename NeighborsFn, typename HasContentFn, typename DelayFn>
-core::SearchOutcome dispatch_search(
-    SearchStrategyKind kind, net::NodeId initiator,
-    const core::SearchParams& params, const core::StatsStore& stats,
-    std::uint32_t directed_fanout, NeighborsFn&& neighbors,
-    HasContentFn&& has_content, DelayFn&& delay, core::VisitStamp& stamps,
-    core::VisitStamp& hit_stamps, core::SearchScratch& scratch) {
-  core::ReliableTransmit reliable;
-  return dispatch_search(kind, initiator, params, stats, directed_fanout,
-                         std::forward<NeighborsFn>(neighbors),
-                         std::forward<HasContentFn>(has_content),
-                         std::forward<DelayFn>(delay), reliable, stamps,
-                         hit_stamps, scratch);
-}
-
 /// The benefit functions of §3.4, one per scenario family plus the ablation
 /// baselines, behind a single factory (the exhaustive-switch pattern every
 /// policy switch in the tree follows: all cases return, no fallback).

@@ -126,12 +126,6 @@ Reader::Reader(const std::string& path) {
   }
 }
 
-bool Reader::has_section(SectionId id) const noexcept {
-  for (const Section& s : sections_)
-    if (s.id == id) return true;
-  return false;
-}
-
 Reader::In Reader::section(SectionId id) const {
   for (const Section& s : sections_)
     if (s.id == id) return In(file_.data() + s.offset, s.length);

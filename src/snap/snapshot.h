@@ -156,8 +156,6 @@ class Reader {
     std::size_t pos_ = 0;
   };
 
-  bool has_section(SectionId id) const noexcept;
-
   /// Cursor over section `id`'s payload; throws SnapshotError if absent.
   In section(SectionId id) const;
 

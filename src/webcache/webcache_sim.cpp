@@ -81,15 +81,10 @@ double WebCacheSim::serve_page(net::NodeId p, PageId page, bool record,
   // Inactive fault layer => default verdicts, zero draws: one transmit
   // binding serves both regimes byte-identically.
   const auto tx = search_transmit();
-  bool local;
-  {
-    const auto guard = peer_section(p);
-    local = proxy.cache.touch(page);
-  }
-  if (local) {
+  if (proxy.cache.touch(page)) {
     if (record) {
-      ++res().local_hits;
-      res().latency_s.add(0.001);  // local service time
+      ++result_.local_hits;
+      result_.latency_s.add(0.001);  // local service time
     }
     if (hit) *hit = true;
     return 0.001;
@@ -111,15 +106,14 @@ double WebCacheSim::serve_page(net::NodeId p, PageId page, bool record,
     if (!tr.deliver) continue;  // reply lost: the probe goes unanswered
     // Free-riders (adversary layer) never serve from their cache; the role
     // test is a single always-false branch when the layer is off.
-    if (holder == net::kInvalidNode && !is_free_rider(q)) {
-      const auto guard = peer_section(q);
-      if (proxies_[q].cache.contains(page)) holder = q;
-    }
+    if (holder == net::kInvalidNode && !is_free_rider(q) &&
+        proxies_[q].cache.contains(page))
+      holder = q;
   }
   if (holder != net::kInvalidNode) {
     // Request + page transfer from the neighbor.
     latency = 2.0 * sample_delay_s(p, holder);
-    if (record) ++res().neighbor_hits;
+    if (record) ++result_.neighbor_hits;
     if (config_.dynamic) {
       core::ResultInfo info;
       info.responder = holder;
@@ -135,52 +129,34 @@ double WebCacheSim::serve_page(net::NodeId p, PageId page, bool record,
     // makes top-level proxies worth having.
     const net::NodeId parent = overlay_.out_neighbors(p).front();
     latency = config_.origin_latency_s + 2.0 * sample_delay_s(p, parent);
-    {
-      const auto guard = peer_section(parent);
-      proxies_[parent].cache.insert(page);
-    }
-    if (record) ++res().origin_fetches;
+    proxies_[parent].cache.insert(page);
+    if (record) ++result_.origin_fetches;
   } else {
     latency = config_.origin_latency_s;
-    if (record) ++res().origin_fetches;
+    if (record) ++result_.origin_fetches;
   }
   if (holder != net::kInvalidNode)
     obs_search_end(span, p, 1, 1, latency);
   else
     obs_search_end(span, p, 0, -1, -1.0);
-  if (record) res().latency_s.add(latency);
-  {
-    const auto guard = peer_section(p);
-    proxy.cache.insert(page);
-  }
+  if (record) result_.latency_s.add(latency);
+  proxy.cache.insert(page);
   if (hit) *hit = holder != net::kInvalidNode;
   return latency;
 }
 
 void WebCacheSim::request(net::NodeId p) {
   if (node_dead(p)) return;  // a crashed proxy stops serving its clients
-  {
-    // Requests only read the overlay, so shards serve concurrently under
-    // the shared section; per-proxy caches get stripe guards inside
-    // serve_page because the probe reads remote caches (and a hierarchy
-    // miss warms the parent's) while owners mutate their own LRU state.
-    // Serially every guard is a no-op.
-    const Section lock = shared_section();
-    const PageId page = draw_page(p);
-    capture_query_arrival(p, page);
-    if (reporting()) ++res().requests;
-    serve_page(p, page, reporting(), nullptr);
-  }
-
-  schedule_keyed_self(p, interrequest_.sample(rng()), kWebRequest, p, 0,
-                      [this, p] { request(p); });
+  const PageId page = draw_page(p);
+  capture_query_arrival(p, page);
+  if (reporting()) ++result_.requests;
+  serve_page(p, page, reporting(), nullptr);
+  schedule_keyed(interrequest_.sample(rng()), kWebRequest, p, 0,
+                 [this, p] { request(p); });
 }
 
 load::Served WebCacheSim::serve_injected_query(net::NodeId p,
                                                std::uint64_t item) {
-  // Open-loop runs are serial, so the sections are no-ops; taking them
-  // anyway keeps the path identical to closed-loop service.
-  const Section lock = shared_section();
   const PageId page = item == load::kAnyItem
                           ? draw_page(p, load_lane())
                           : static_cast<PageId>(item % config_.num_pages);
@@ -266,7 +242,6 @@ void WebCacheSim::rebuild_digest(net::NodeId p) {
 }
 
 WebCacheResult WebCacheSim::run() {
-  if (parallel()) shard_results_.assign(shards(), WebCacheResult{});
   // A resumed run takes its pending request events from the snapshot and
   // must not draw the initial delays, but it still registers every periodic
   // in the same order so indices line up with the file.
@@ -275,8 +250,8 @@ WebCacheResult WebCacheSim::run() {
     // Parents have no client population of their own; they serve (and are
     // warmed by) leaf misses only.
     if (!is_parent(p) && fresh)
-      schedule_keyed_self(p, interrequest_.sample(rng()), kWebRequest, p, 0,
-                          [this, p] { request(p); });
+      schedule_keyed(interrequest_.sample(rng()), kWebRequest, p, 0,
+                     [this, p] { request(p); });
     if (is_parent(p)) {
       if (config_.digest_rebuild_period_s > 0.0) {
         if (fresh)
@@ -314,18 +289,8 @@ WebCacheResult WebCacheSim::run() {
     }
   }
   run_until_horizon();
-  for (const WebCacheResult& r : shard_results_) merge_results(result_, r);
-  shard_results_.clear();
   result_.traffic = traffic();
   return result_;
-}
-
-void merge_results(WebCacheResult& into, const WebCacheResult& shard) {
-  into.requests += shard.requests;
-  into.local_hits += shard.local_hits;
-  into.neighbor_hits += shard.neighbor_hits;
-  into.origin_fetches += shard.origin_fetches;
-  into.latency_s += shard.latency_s;
 }
 
 void WebCacheSim::save_domain(snap::Writer::Out& out) const {

@@ -145,24 +145,12 @@ class WebCacheSim : public sim::OverlayEngine {
     return p < config_.num_parents;
   }
 
-  /// Shard-local accumulator during parallel windows, `result_` otherwise.
-  WebCacheResult& res() noexcept {
-    const std::uint32_t s = des::ShardedSimulator::current_shard();
-    return (!shard_results_.empty() && s != des::kNoShard)
-               ? shard_results_[s]
-               : result_;
-  }
-
   WebCacheConfig config_;
   std::vector<Proxy> proxies_;
   des::Zipf page_zipf_;
   des::Exponential interrequest_;
   core::ItemsOverLatency benefit_;
   WebCacheResult result_;
-  std::vector<WebCacheResult> shard_results_;  ///< parallel runs only
 };
-
-/// Folds shard-local metrics into `into` (canonical shard-order merge).
-void merge_results(WebCacheResult& into, const WebCacheResult& shard);
 
 }  // namespace dsf::webcache

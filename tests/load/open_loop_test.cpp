@@ -208,19 +208,5 @@ TEST(OpenLoop, TracePeerBeyondPopulationIsRejected) {
   EXPECT_THROW(sim.set_open_loop(std::move(o)), std::invalid_argument);
 }
 
-TEST(OpenLoop, ShardedRunsRejectOpenLoop) {
-  gnutella::Simulation sim(small_gnutella());
-  sim.set_shards(2);
-  EXPECT_THROW(
-      sim.set_open_loop(constant_load(1.0, 4, 1800.0)),
-      std::invalid_argument);
-}
-
-TEST(OpenLoop, OpenLoopRunsRejectSharding) {
-  gnutella::Simulation sim(small_gnutella());
-  sim.set_open_loop(constant_load(1.0, 4, 1800.0));
-  EXPECT_THROW(sim.set_shards(2), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace dsf::load

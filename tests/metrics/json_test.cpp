@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace dsf::metrics {
 namespace {
@@ -16,6 +18,12 @@ TEST(Json, Scalars) {
   EXPECT_EQ(JsonValue::string("hi").to_string(), "\"hi\"");
   EXPECT_EQ(JsonValue::number(std::int64_t{42}).to_string(), "42");
   EXPECT_EQ(JsonValue::number(std::int64_t{-3}).to_string(), "-3");
+  // Unsigned values above INT64_MAX keep their magnitude.
+  EXPECT_EQ(JsonValue::number(std::uint64_t{1} << 63).to_string(),
+            "9223372036854775808");
+  EXPECT_EQ(
+      JsonValue::number(std::numeric_limits<std::uint64_t>::max()).to_string(),
+      "18446744073709551615");
   EXPECT_EQ(JsonValue::boolean(true).to_string(), "true");
   EXPECT_EQ(JsonValue::boolean(false).to_string(), "false");
   EXPECT_EQ(JsonValue::number(1.5).to_string(), "1.5");

@@ -21,7 +21,7 @@ Record stamped(double t, std::uint32_t from) {
 }
 
 TEST(Record, StaysCompactAndTriviallyCopyable) {
-  EXPECT_EQ(sizeof(Record), 48u);
+  EXPECT_EQ(sizeof(Record), 40u);
   EXPECT_TRUE(std::is_trivially_copyable_v<Record>);
 }
 

@@ -288,11 +288,13 @@ TEST(CaptureTrace, RoundTripReproducesOfferedAndAdmitted) {
   config.sim_hours = 0.5;
   config.warmup_hours = 0.1;
 
-  // Unique path per process: parallel ctest shards must not share it.
+  // Unique path per process: parallel ctest runs must not share it.
   const std::string path = testing::TempDir() + "dsf_capture_roundtrip_" +
                            std::to_string(::getpid()) + ".trace";
 
   gnutella::Simulation captured(config);
+  // An empty path is rejected before anything is armed.
+  EXPECT_THROW(captured.set_capture_trace(""), std::invalid_argument);
   captured.set_capture_trace(path);
   captured.run();
   const std::uint64_t arrivals = captured.captured_arrivals();
@@ -326,24 +328,6 @@ TEST(CaptureTrace, RoundTripReproducesOfferedAndAdmitted) {
   EXPECT_EQ(s.rejected, 0u);
 
   std::remove(path.c_str());
-}
-
-TEST(CaptureTrace, MutuallyExclusiveWithShards) {
-  gnutella::Simulation sharded(simtest::golden_gnutella_config());
-  sharded.set_shards(2);
-  EXPECT_THROW(sharded.set_capture_trace("/tmp/never-written.trace"),
-               std::invalid_argument);
-
-  gnutella::Simulation serial(simtest::golden_gnutella_config());
-  EXPECT_THROW(serial.set_capture_trace(""), std::invalid_argument);
-}
-
-TEST(AdversaryPlan, MutuallyExclusiveWithShards) {
-  gnutella::Simulation sharded(simtest::golden_gnutella_config());
-  sharded.set_shards(2);
-  sim::AdversaryPlan plan;
-  plan.free_rider_fraction = 0.5;
-  EXPECT_THROW(sharded.set_adversary(plan), std::invalid_argument);
 }
 
 }  // namespace

@@ -385,15 +385,17 @@ TEST(DispatchSearch, EveryStrategyFindsReachableContent) {
   core::VisitStamp stamps(4);
   core::VisitStamp hit_stamps(4);
   core::SearchScratch scratch;
+  auto ctx = core::make_search_context(0, neighbors, has_content, delay,
+                                       core::ReliableTransmit{}, stamps,
+                                       hit_stamps, scratch);
+  ctx.stats = &stats;
 
   for (auto kind :
        {SearchStrategyKind::kFlood, SearchStrategyKind::kIterativeDeepening,
         SearchStrategyKind::kDirectedBft, SearchStrategyKind::kLocalIndices}) {
-    const auto out =
-        dispatch_search(kind, 0, params, stats, /*directed_fanout=*/2,
-                        neighbors, has_content, delay, stamps, hit_stamps,
-                        scratch);
-    EXPECT_TRUE(out.satisfied()) << "strategy " << static_cast<int>(kind);
+    const auto out = dispatch_search(kind, core::QuerySpec::exact(params),
+                                     /*directed_fanout=*/2, ctx);
+    EXPECT_TRUE(out.satisfied()) << "strategy " << to_string(kind);
     EXPECT_GT(out.query_messages, 0u);
   }
 }
@@ -412,56 +414,20 @@ TEST(DispatchSearch, IterativeDeepeningAccumulatesCycleCost) {
   core::VisitStamp stamps(4);
   core::VisitStamp hit_stamps(4);
   core::SearchScratch scratch;
+  auto ctx = core::make_search_context(0, neighbors, has_content, delay,
+                                       core::ReliableTransmit{}, stamps,
+                                       hit_stamps, scratch);
+  ctx.stats = &stats;
+  const core::QuerySpec spec = core::QuerySpec::exact(params);
 
-  const auto flood = dispatch_search(
-      SearchStrategyKind::kFlood, 0, params, stats, 2, neighbors, has_content,
-      delay, stamps, hit_stamps, scratch);
-  const auto iter = dispatch_search(
-      SearchStrategyKind::kIterativeDeepening, 0, params, stats, 2, neighbors,
-      has_content, delay, stamps, hit_stamps, scratch);
+  const auto flood =
+      dispatch_search(SearchStrategyKind::kFlood, spec, 2, ctx);
+  const auto iter =
+      dispatch_search(SearchStrategyKind::kIterativeDeepening, spec, 2, ctx);
   // Deepening repeats shallow cycles before the hit at depth 3, so its
   // accumulated message cost exceeds one full flood.
   EXPECT_GT(iter.query_messages, flood.query_messages);
   EXPECT_TRUE(iter.satisfied());
-}
-
-TEST(DispatchSearch, ContextFormMatchesDeprecatedPositionalForm) {
-  // The one-release positional shim must route through the same machinery
-  // as the QuerySpec/SearchContext form: identical outcomes, per strategy.
-  const std::vector<std::vector<net::NodeId>> adj = {{1}, {2}, {3}, {}};
-  auto neighbors = [&](net::NodeId n) -> const std::vector<net::NodeId>& {
-    return adj[n];
-  };
-  auto has_content = [](net::NodeId n) { return n == 2; };
-  auto delay = [](net::NodeId, net::NodeId) { return 0.1; };
-
-  core::SearchParams params;
-  params.max_hops = 3;
-  core::StatsStore stats;
-  core::VisitStamp stamps(4);
-  core::VisitStamp hit_stamps(4);
-  core::SearchScratch scratch;
-
-  for (auto kind :
-       {SearchStrategyKind::kFlood, SearchStrategyKind::kIterativeDeepening,
-        SearchStrategyKind::kDirectedBft, SearchStrategyKind::kLocalIndices}) {
-    const auto old_form =
-        dispatch_search(kind, 0, params, stats, /*directed_fanout=*/2,
-                        neighbors, has_content, delay, stamps, hit_stamps,
-                        scratch);
-    auto ctx = core::make_search_context(0, neighbors, has_content, delay,
-                                         core::ReliableTransmit{}, stamps,
-                                         hit_stamps, scratch);
-    ctx.stats = &stats;
-    const auto new_form = dispatch_search(kind, core::QuerySpec::exact(params),
-                                          /*directed_fanout=*/2, ctx);
-    EXPECT_EQ(old_form.satisfied(), new_form.satisfied())
-        << "strategy " << to_string(kind);
-    EXPECT_EQ(old_form.query_messages, new_form.query_messages);
-    EXPECT_EQ(old_form.reply_messages, new_form.reply_messages);
-    EXPECT_EQ(old_form.nodes_reached, new_form.nodes_reached);
-    EXPECT_EQ(old_form.hits.size(), new_form.hits.size());
-  }
 }
 
 TEST(DispatchSearch, RankedSchemesRouteThroughTheContextBindings) {

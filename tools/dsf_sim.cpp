@@ -4,10 +4,15 @@
 //                    [--threshold 2] [--hours 96] [--warmup 12]
 //                    [--strategy flood|iterative|directed|local-indices]
 //                    [--seed 42] [--json]
-//   dsf_sim webcache [--proxies 64] [--dynamic true] [--hours 4] [--json]
-//   dsf_sim olap     [--peers 48] [--dynamic true] [--hours 6] [--json]
+//   dsf_sim webcache [--proxies 64] [--dynamic true] [--hours 4]
+//                    [--warmup 0.5] [--json]
+//   dsf_sim olap     [--peers 48] [--dynamic true] [--hours 6]
+//                    [--warmup 1] [--json]
 //   dsf_sim diglib   [--repos 64] [--mode all|static|adaptive]
-//                    [--hours 2] [--json]
+//                    [--hours 2] [--warmup 0.25] [--json]
+//
+// Metrics are reported only after the warm-up, so a --warmup that is not
+// below --hours (given or defaulted) is a usage error (exit 2).
 //
 // Run `dsf_sim --help` for the full generated flag reference.  The whole
 // surface is declared once through cli::FlagRegistry: every scenario also
@@ -25,16 +30,8 @@
 //   --heartbeat S            emit a progress heartbeat every S sim-seconds
 //                            (changes event ordering; off by default)
 //
-// Every scenario also accepts the parallel-execution group:
-//
-//   --shards N (-j N)        run the simulation sharded over N worker
-//                            threads (1 = serial reference path; invalid
-//                            partitions exit 2)
-//   --shard-window S         conservative sync window in sim-seconds
-//                            (default: the delay-model floor)
-//
-// and the snapshot group (serial runs only; snapshots compose with every
-// other flag except --shards > 1):
+// Every scenario also accepts the snapshot group (mutually exclusive with
+// the open-loop and adversary groups and --capture-trace):
 //
 //   --save-snapshot PATH@T   run to sim-second T, write a checkpoint of the
 //                            full simulation state to PATH, continue to the
@@ -44,8 +41,7 @@
 //                            byte-identical to the uninterrupted one.  The
 //                            scenario flags must match the saving run.
 //
-// and the open-loop load group (serial runs only; mutually exclusive with
-// snapshots):
+// and the open-loop load group (mutually exclusive with snapshots):
 //
 //   --open-loop              inject an external query stream on top of the
 //                            closed-loop workload, with per-peer admission
@@ -58,8 +54,8 @@
 //                            ("time_s peer item" per line) instead of the
 //                            generator
 //
-// and the adversary group (serial runs only; mutually exclusive with
-// snapshots; see cli/adversary_flags.h for the full knob list):
+// and the adversary group (mutually exclusive with snapshots; see
+// cli/adversary_flags.h for the full knob list):
 //
 //   --adversary-abusers F --adversary-abuse-rate R
 //                            query-flood abusers spraying TTL-max searches
@@ -132,7 +128,9 @@ cli::FlagRegistry make_registry() {
                                   "(default: scenario config)")
       .add_int("threshold", -1, "gnutella reconfiguration threshold")
       .add_double("hours", -1.0, "simulated hours")
-      .add_double("warmup", -1.0, "gnutella warm-up hours")
+      .add_double("warmup", -1.0,
+                  "warm-up hours before metrics are reported (must be "
+                  "below --hours)")
       .add_int("seed", -1, "master seed (default 42/7/11/17 by scenario)")
       .add_bool("library-growth", false, "gnutella: downloads grow libraries")
       .add_bool("exclude-owned", false, "gnutella: re-draw owned songs")
@@ -149,19 +147,9 @@ cli::FlagRegistry make_registry() {
                   "lsh: minimum estimated Jaccard similarity in [0, 1]");
   reg.alias("strategy", "search-scheme");
 
-  reg.group("parallel execution");
-  reg.add_int("shards", 1,
-              "worker shards for one run (1 = the serial reference path, "
-              "byte-identical to no flag at all)")
-      .add_double("shard-window", 0.0,
-                  "conservative sync window in sim-seconds "
-                  "(0: the delay-model floor)");
-  reg.alias("j", "shards");
-
   reg.group("snapshot");
   reg.add_string("save-snapshot", "",
-                 "write a checkpoint at sim-second T: PATH@T "
-                 "(serial runs only)")
+                 "write a checkpoint at sim-second T: PATH@T")
       .add_string("load-snapshot", "",
                   "resume from a checkpoint written by --save-snapshot "
                   "(same scenario flags required)");
@@ -169,7 +157,7 @@ cli::FlagRegistry make_registry() {
   reg.group("open-loop load");
   reg.add_bool("open-loop", false,
                "inject an external query stream with per-peer admission "
-               "control (serial runs only)")
+               "control")
       .add_double("arrival-rate", 0.0,
                   "aggregate offered load in queries/second")
       .add_string("arrival-schedule", "constant",
@@ -221,29 +209,26 @@ std::uint32_t population(const cli::FlagRegistry& reg, const char* specific,
   return static_cast<std::uint32_t>(int_or(reg, specific, peers));
 }
 
-/// Applies --shards / --shard-window before anything is scheduled.
-/// Returns 0 on success, 2 when the partition is invalid (shards < 1 or
-/// more shards than peers).
-int apply_shards(const cli::FlagRegistry& reg, sim::OverlayEngine& engine) {
-  const std::int64_t n = reg.get_int("shards");
-  if (n < 1) {
-    std::fprintf(stderr, "error: --shards must be >= 1\n");
-    return 2;
+/// Resolves --hours / --warmup over the scenario's config defaults.
+/// Metrics are reported only once the warm-up has elapsed, so a warm-up
+/// that reaches the horizon would measure nothing: a typed usage error.
+void apply_horizon(const cli::FlagRegistry& reg, double& sim_hours,
+                   double& warmup_hours) {
+  sim_hours = double_or(reg, "hours", sim_hours);
+  warmup_hours = double_or(reg, "warmup", warmup_hours);
+  if (warmup_hours >= sim_hours) {
+    char msg[160];
+    std::snprintf(msg, sizeof msg,
+                  "--warmup (%g h) must be below --hours (%g h): metrics are "
+                  "reported only after the warm-up",
+                  warmup_hours, sim_hours);
+    throw cli::FlagError(msg);
   }
-  try {
-    engine.set_shards(static_cast<std::uint32_t>(n),
-                      reg.get_double("shard-window"));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  return 0;
 }
 
 /// Parses the snapshot group once and arms a freshly constructed scenario
 /// engine: a load must precede everything else (the engine rejects resuming
-/// into a used simulation), and both requests must precede set_shards so an
-/// incompatible --shards value is rejected before any thread is spawned.
+/// into a used simulation).
 struct SnapshotContext {
   std::string save_path;
   double save_at_s = 0.0;
@@ -420,9 +405,8 @@ struct TraceContext {
 };
 
 /// Parses the open-loop load group once, arms a scenario engine before
-/// run() (the engine itself rejects the incompatible combinations:
-/// --shards > 1 and either snapshot direction), and reports the
-/// admission/latency figures after.
+/// run() (the engine itself rejects either snapshot direction), and reports
+/// the admission/latency figures after.
 struct LoadContext {
   bool enabled = false;
   double rate_qps = 0.0;
@@ -565,8 +549,7 @@ int run_gnutella(const cli::FlagRegistry& reg, bool json) {
   c.dynamic = bool_or(reg, "dynamic", c.dynamic);
   c.reconfig_threshold = static_cast<std::uint32_t>(
       int_or(reg, "threshold", c.reconfig_threshold));
-  c.sim_hours = double_or(reg, "hours", c.sim_hours);
-  c.warmup_hours = double_or(reg, "warmup", c.warmup_hours);
+  apply_horizon(reg, c.sim_hours, c.warmup_hours);
   c.seed = static_cast<std::uint64_t>(int_or(reg, "seed", 42));
   c.search_strategy = ranked_scheme(reg);
   c.top_k = static_cast<std::uint32_t>(reg.get_int("top-k"));
@@ -585,7 +568,6 @@ int run_gnutella(const cli::FlagRegistry& reg, bool json) {
   snap.arm(sim);
   loadgen.arm(sim, c.sim_hours);
   adv.arm(sim, fault);
-  if (const int rc = apply_shards(reg, sim)) return rc;
   fault.arm(sim);
   trace.arm(sim);
   const auto r = sim.run();
@@ -630,7 +612,7 @@ int run_webcache(const cli::FlagRegistry& reg, bool json) {
   webcache::WebCacheConfig c;
   c.num_proxies = population(reg, "proxies", c.num_proxies);
   c.dynamic = bool_or(reg, "dynamic", c.dynamic);
-  c.sim_hours = double_or(reg, "hours", c.sim_hours);
+  apply_horizon(reg, c.sim_hours, c.warmup_hours);
   c.seed = static_cast<std::uint64_t>(int_or(reg, "seed", 7));
 
   FaultContext fault(reg);
@@ -642,7 +624,6 @@ int run_webcache(const cli::FlagRegistry& reg, bool json) {
   snap.arm(sim);
   loadgen.arm(sim, c.sim_hours);
   adv.arm(sim, fault);
-  if (const int rc = apply_shards(reg, sim)) return rc;
   fault.arm(sim);
   trace.arm(sim);
   const auto r = sim.run();
@@ -679,7 +660,7 @@ int run_olap(const cli::FlagRegistry& reg, bool json) {
   olap::OlapConfig c;
   c.num_peers = population(reg, "peers", c.num_peers);
   c.dynamic = bool_or(reg, "dynamic", c.dynamic);
-  c.sim_hours = double_or(reg, "hours", c.sim_hours);
+  apply_horizon(reg, c.sim_hours, c.warmup_hours);
   c.seed = static_cast<std::uint64_t>(int_or(reg, "seed", 11));
 
   FaultContext fault(reg);
@@ -691,7 +672,6 @@ int run_olap(const cli::FlagRegistry& reg, bool json) {
   snap.arm(sim);
   loadgen.arm(sim, c.sim_hours);
   adv.arm(sim, fault);
-  if (const int rc = apply_shards(reg, sim)) return rc;
   fault.arm(sim);
   trace.arm(sim);
   const auto r = sim.run();
@@ -734,7 +714,7 @@ int run_diglib(const cli::FlagRegistry& reg, bool json) {
   } else {
     throw std::invalid_argument("--mode: unknown value: " + mode);
   }
-  c.sim_hours = double_or(reg, "hours", c.sim_hours);
+  apply_horizon(reg, c.sim_hours, c.warmup_hours);
   c.seed = static_cast<std::uint64_t>(int_or(reg, "seed", 17));
   const auto scheme = ranked_scheme(reg);
   if (scheme == sim::SearchStrategyKind::kLsh)
@@ -753,7 +733,6 @@ int run_diglib(const cli::FlagRegistry& reg, bool json) {
   snap.arm(sim);
   loadgen.arm(sim, c.sim_hours);
   adv.arm(sim, fault);
-  if (const int rc = apply_shards(reg, sim)) return rc;
   fault.arm(sim);
   trace.arm(sim);
   const auto r = sim.run();
