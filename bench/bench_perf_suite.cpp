@@ -6,13 +6,13 @@
 // check; BENCH_PR3.json at the repo root pins the numbers this tree
 // produced when the zero-allocation queue landed.
 //
-// Usage: bench_perf_suite [--quick] [--out PATH] [--trace off|null|ring]
+// Usage: bench_perf_suite [--quick] [--out PATH] [--trace off|ring]
 //                         [--repeat N]
 //   --quick   ~10x smaller budgets, for CI smoke runs
 //   --out     JSON output path (default: perf_suite.json in the cwd)
-//   --trace   attach the flight recorder to the engine benches; CI runs
-//             the suite under ring and null and asserts the ring run's
-//             queue-ops stay within 5%
+//   --trace   attach the flight recorder (a RingSink) to gnutella_day; CI
+//             runs the suite under off and ring and asserts the queue-ops
+//             rows, which never reach the engine, stay within 5%
 //   --repeat  best-of-N per benchmark, to damp runner noise
 
 #include <chrono>
@@ -236,12 +236,12 @@ Result run_gnutella_day(bool quick, dsf::obs::TraceSink* sink) {
 
 int main(int argc, char** argv) {
   dsf::cli::FlagRegistry reg(
-      "bench_perf_suite [--quick] [--out PATH] [--trace off|null|ring]",
+      "bench_perf_suite [--quick] [--out PATH] [--trace off|ring]",
       "Hot-path perf suite; emits dsf-perf-suite-v1 JSON.");
   reg.add_bool("quick", false, "~10x smaller budgets, for CI smoke runs")
       .add_string("out", "perf_suite.json", "JSON output path")
       .add_string("trace", "off",
-                  "flight recorder on the engine benches: off | null | ring")
+                  "flight recorder on gnutella_day: off | ring")
       .add_int("repeat", 1, "best-of-N per benchmark, damps runner noise");
   try {
     reg.parse(argc, argv);
@@ -258,8 +258,8 @@ int main(int argc, char** argv) {
   const std::string out_path = reg.get_string("out");
   const std::string trace_mode = reg.get_string("trace");
   const int repeat = static_cast<int>(reg.get_int("repeat"));
-  if (trace_mode != "off" && trace_mode != "null" && trace_mode != "ring") {
-    std::fprintf(stderr, "error: --trace: expected off, null or ring\n");
+  if (trace_mode != "off" && trace_mode != "ring") {
+    std::fprintf(stderr, "error: --trace: expected off or ring\n");
     return 2;
   }
   if (repeat < 1) {
@@ -272,7 +272,6 @@ int main(int argc, char** argv) {
   dsf::obs::RingSink ring;
   dsf::obs::TraceSink* sink = nullptr;
   if (trace_mode == "ring") sink = &ring;
-  if (trace_mode == "null") sink = &dsf::obs::NullSink::instance();
 
   const std::uint64_t ops = quick ? 200'000 : 2'000'000;
   std::vector<Result> results;

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Flight-recorder overhead gate: runs the perf suite twice — once with the
-# NullSink (tracing compiled in but disabled) and once with a live RingSink
-# — and compares the hot-path benchmarks.  The contract this enforces:
+# Flight-recorder absence gate: runs the perf suite twice — once with
+# --trace off and once with a live RingSink on gnutella_day — and compares
+# the rows.  The contract this enforces:
 #
-#   * queue-ops (the engine's innermost loop, no sink in the path) must
-#     stay within --threshold (default 5%) of the NullSink run, proving
-#     the recorder costs nothing when it isn't recording;
+#   * the queue_ops_* rows drive the bare event queue and never reach the
+#     engine, so no sink is in their path; they must stay within
+#     --threshold (default 5%) of the untraced run.  This shows the
+#     recorder is absent from the queue; it does not measure what
+#     recording costs (perfbench's trace.overhead metric does);
 #   * gnutella_day (full engine with the ring attached) is reported
-#     informationally — a traced end-to-end run should also stay within a
-#     few percent, but CI machines are too noisy to gate on it.
+#     informationally — CI machines are too noisy to gate on it.
 #
 # Both runs use --repeat best-of-N so one noisy neighbor can't fail the
 # gate.
@@ -37,15 +38,15 @@ if [[ ! -x "${build_dir}/bench/bench_perf_suite" ]]; then
   cmake --build "${build_dir}" --target bench_perf_suite -j
 fi
 
-null_json="$(mktemp)" ring_json="$(mktemp)"
-trap 'rm -f "${null_json}" "${ring_json}"' EXIT
+off_json="$(mktemp)" ring_json="$(mktemp)"
+trap 'rm -f "${off_json}" "${ring_json}"' EXIT
 
 "${build_dir}/bench/bench_perf_suite" --quick --repeat "${repeat}" \
-  --trace null --out "${null_json}"
+  --trace off --out "${off_json}"
 "${build_dir}/bench/bench_perf_suite" --quick --repeat "${repeat}" \
   --trace ring --out "${ring_json}"
 
-python3 - "${null_json}" "${ring_json}" "${threshold}" <<'EOF'
+python3 - "${off_json}" "${ring_json}" "${threshold}" <<'EOF'
 import json, sys
 
 def load(path):
@@ -54,12 +55,12 @@ def load(path):
     assert doc.get("schema") == "dsf-perf-suite-v1", "unexpected schema"
     return {r["name"]: r["items_per_s"] for r in doc["results"]}
 
-null_run, ring_run = load(sys.argv[1]), load(sys.argv[2])
+off_run, ring_run = load(sys.argv[1]), load(sys.argv[2])
 threshold = float(sys.argv[3])
 
 failed = False
-for name in sorted(null_run):
-    base, traced = null_run[name], ring_run[name]
+for name in sorted(off_run):
+    base, traced = off_run[name], ring_run[name]
     overhead = 100.0 * (base - traced) / base
     gated = name.startswith("queue_ops")
     verdict = "ok"
@@ -68,7 +69,7 @@ for name in sorted(null_run):
         failed = True
     elif not gated:
         verdict = "info"
-    print(f"{name:<20} null {base:>14.0f}/s  ring {traced:>14.0f}/s  "
+    print(f"{name:<20} off {base:>14.0f}/s  ring {traced:>14.0f}/s  "
           f"overhead {overhead:+6.2f}%  [{verdict}]")
 
 if failed:

@@ -216,61 +216,45 @@ void DigLibSim::update_neighbors(net::NodeId r) {
   const auto plan = core::plan_update(
       repo.stats, overlay_.out_neighbors(r), learned_cap,
       [r](net::NodeId n) { return n != r; });
+  const auto tx = search_transmit();
   if (!plan.additions.empty() &&
       !overlay_.lists(r).has_out(plan.additions.front())) {
     const net::NodeId cand = plan.additions.front();
-    bool cand_reachable = true;
-    if (fault_layer_active()) {
-      // The invitation must actually reach the candidate (it may be
-      // crashed, or the message may be lost) before any slot is freed.
-      count(net::MessageType::kInvitation);
-      const auto t = transmit(net::MessageType::kInvitation, r, cand, -1);
-      if (t.duplicate) count(net::MessageType::kInvitation);
-      cand_reachable = t.deliver;
-    }
-    if (cand_reachable) {
+    // The invitation must actually reach the candidate (it may be
+    // crashed, or the message may be lost) before any slot is freed.
+    count(net::MessageType::kInvitation);
+    const auto t = tx(net::MessageType::kInvitation, r, cand, -1);
+    if (t.duplicate) count(net::MessageType::kInvitation);
+    if (t.deliver) {
       if (overlay_.lists(r).out().size() >= learned_cap) {
         const net::NodeId worst =
             core::least_beneficial(repo.stats, overlay_.out_neighbors(r));
         if (worst != net::kInvalidNode) {
           overlay_.unlink(r, worst);
           count(net::MessageType::kEviction);
-          if (fault_layer_active()) {
-            // Notification only: the unlink stands even if it is lost.
-            const auto te =
-                transmit(net::MessageType::kEviction, r, worst, -1);
-            if (te.duplicate) count(net::MessageType::kEviction);
-          }
+          // Notification only: the unlink stands even if it is lost.
+          const auto te = tx(net::MessageType::kEviction, r, worst, -1);
+          if (te.duplicate) count(net::MessageType::kEviction);
         }
       }
       overlay_.link(r, cand);
-      if (!fault_layer_active()) count(net::MessageType::kInvitation);
     }
   }
 
-  // Install the new exploration link.
+  // Install the new exploration link.  The probe's fate is resolved
+  // first; the ping is accounted only for the attempt that installs the
+  // link.
   int attempts = 8;
   while (attempts-- > 0) {
     const auto q =
         static_cast<net::NodeId>(rng().uniform_int(config_.num_repositories));
     if (q == r || overlay_.lists(r).has_out(q)) continue;
-    if (fault_layer_active()) {
-      // The probe's fate is resolved first; the ping is accounted — as in
-      // the baseline — only for the attempt that installs the link, so an
-      // idle fault layer leaves the ledger untouched.
-      const auto t = transmit(net::MessageType::kPing, r, q, -1);
-      if (!t.deliver) continue;  // unanswered probe: try another target
-      if (overlay_.link(r, q)) {
-        repo.exploration_link = q;
-        count(net::MessageType::kPing);
-        if (t.duplicate) count(net::MessageType::kPing);
-        break;
-      }
-      continue;
-    }
+    const auto t = tx(net::MessageType::kPing, r, q, -1);
+    if (!t.deliver) continue;  // unanswered probe: try another target
     if (overlay_.link(r, q)) {
       repo.exploration_link = q;
       count(net::MessageType::kPing);
+      if (t.duplicate) count(net::MessageType::kPing);
       break;
     }
   }

@@ -476,24 +476,19 @@ bool Simulation::adversary_churn_kick(des::Rng& lane, double offline_mean_s,
 
 bool Simulation::invite(net::NodeId u, net::NodeId v) {
   UserHot& target = hot_[v];
-  if (fault_layer_active()) {
-    count(net::MessageType::kInvitation);
-    const auto ti = transmit(net::MessageType::kInvitation, u, v, -1);
-    if (ti.duplicate) count(net::MessageType::kInvitation);
-    // A lost invitation (or a crashed target) elicits no reply at all.
-    if (!ti.deliver) return false;
-    count(net::MessageType::kInvitationReply);
-    const auto tr = transmit(net::MessageType::kInvitationReply, v, u, -1);
-    if (tr.duplicate) count(net::MessageType::kInvitationReply);
-    if (!target.online) return false;
-    // A lost reply means u never learns of the acceptance: the exchange
-    // fails (retry/timeout recovery is ROADMAP work, not modeled here).
-    if (!tr.deliver) return false;
-  } else {
-    count(net::MessageType::kInvitation);
-    count(net::MessageType::kInvitationReply);
-    if (!target.online) return false;
-  }
+  const auto tx = search_transmit();
+  count(net::MessageType::kInvitation);
+  const auto ti = tx(net::MessageType::kInvitation, u, v, -1);
+  if (ti.duplicate) count(net::MessageType::kInvitation);
+  // A lost invitation (or a crashed target) elicits no reply at all.
+  if (!ti.deliver) return false;
+  count(net::MessageType::kInvitationReply);
+  const auto tr = tx(net::MessageType::kInvitationReply, v, u, -1);
+  if (tr.duplicate) count(net::MessageType::kInvitationReply);
+  if (!target.online) return false;
+  // A lost reply means u never learns of the acceptance: the exchange
+  // fails (retry/timeout recovery is ROADMAP work, not modeled here).
+  if (!tr.deliver) return false;
 
   core::InvitationDecision decision;
   if (config_.invitation_policy == core::InvitationPolicy::kSummaryGated) {
@@ -583,18 +578,15 @@ void Simulation::evaluate_trial(net::NodeId inviter, net::NodeId invitee) {
 
 void Simulation::evict(net::NodeId evictor, net::NodeId evictee) {
   count(net::MessageType::kEviction);
-  bool evictee_reacts = true;
-  if (fault_layer_active()) {
-    const auto t = transmit(net::MessageType::kEviction, evictor, evictee, -1);
-    if (t.duplicate) count(net::MessageType::kEviction);
-    // The evictor severs the link either way (the symmetric table is the
-    // ground truth), but a lost eviction — or a crashed evictee — means
-    // the other side never runs its Process Eviction reaction.
-    evictee_reacts = t.deliver;
-  }
+  const auto t =
+      search_transmit()(net::MessageType::kEviction, evictor, evictee, -1);
+  if (t.duplicate) count(net::MessageType::kEviction);
+  // The evictor severs the link either way (the symmetric table is the
+  // ground truth), but a lost eviction — or a crashed evictee — means the
+  // other side never runs its Process Eviction reaction.
   overlay_.unlink(evictor, evictee);
   ++result_.evictions;
-  if (!evictee_reacts) return;
+  if (!t.deliver) return;
   // Process Eviction (§4.1): the evicted node resets the evictor's
   // statistics so it does not try to reconnect in the near future; it
   // restores basic connectivity up to the configured floor and leaves the

@@ -9,14 +9,17 @@
 // terminal into one causal trace.
 //
 // The payload fields `a`/`b` (and the reused `ttl` slot) are
-// kind-specific; the table below is the authoritative encoding and the
-// exporters in chrome_trace.cpp / span_table.cpp are its only consumers:
+// kind-specific; the table below is the authoritative encoding for its
+// consumers (the exporters in chrome_trace.cpp / span_table.cpp, and
+// sim::InvariantChecker for wire and crash records):
 //
 //   kind          from        to        ttl            a              b
 //   ------------  ----------  --------  -------------  -------------  ----------------
-//   kSend         sender      receiver  hop budget     bytes          copies (dup = 2)
-//   kRecv         sender      receiver  hop budget     bytes          copies
-//   kDrop         sender      receiver  hop budget     bytes          copies
+//   kSend         sender      receiver  hop budget     bytes (low     copies (dup = 2)
+//                                                      63) + abuse
+//                                                      flag (bit 63)
+//   kRecv         sender      receiver  hop budget     as kSend       copies
+//   kDrop         sender      receiver  hop budget     as kSend       copies
 //   kSearchBegin  initiator   invalid   max hops       target item    0
 //   kSearchEnd    initiator   invalid   first-hit hop  results (low   first-result
 //                                       (-1: miss)     32) + best-    delay bits
@@ -25,7 +28,10 @@
 //   kPeerCrash    victim      invalid   -1             0              0
 //   kHeartbeat    queue pop.  wall ms   -1             events so far  RSS bytes
 //
-// (kSearchEnd.b is a double stored via std::bit_cast so the record stays
+// (Wire records flag a copy sent or resolved inside an abuser's blast
+// radius in bit 63 of `a`, which the invariant checker reconciles against
+// the abuse ledger; the exporters never read `a` on wire records.
+// kSearchEnd.b is a double stored via std::bit_cast so the record stays
 // trivially copyable.  kSearchEnd.a packs the result count into the low
 // 32 bits and the best ranked score — float bits — into the high 32;
 // exact-match searches have score 0, so their `a` equals the bare result
@@ -76,6 +82,16 @@ struct Record {
   std::int16_t ttl = -1;    ///< remaining hop budget / first-hit hop / -1
   RecordKind kind = RecordKind::kSend;
   std::uint8_t type = 0;    ///< net::MessageType for wire records
+
+  /// Wire-record helper: the byte count in the low 63 bits of `a`, the
+  /// abuse attribution in bit 63.  A copy outside any abuse scope leaves
+  /// `a` equal to the bare byte count.
+  static constexpr std::uint64_t kAbuseBit = std::uint64_t{1} << 63;
+  static std::uint64_t pack_wire(std::uint64_t bytes, bool abuse) noexcept {
+    return (bytes & ~kAbuseBit) | (abuse ? kAbuseBit : 0);
+  }
+  std::uint64_t unpack_bytes() const noexcept { return a & ~kAbuseBit; }
+  bool unpack_abuse() const noexcept { return (a & kAbuseBit) != 0; }
 
   /// kSearchEnd helper: the first-result delay travels as raw double bits.
   static std::uint64_t pack_delay(double delay_s) noexcept {

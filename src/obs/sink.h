@@ -2,12 +2,9 @@
 
 // TraceSink: where the overlay engine's flight-recorder records go.  The
 // contract is built for a hot path that must cost nothing when tracing is
-// off: the engine stores a plain pointer that is null unless an *enabled*
-// sink is attached, so the disabled path is one perfectly predicted
-// branch and zero virtual calls.  NullSink exists so callers can express
-// "tracing explicitly off" through the same API surface (a FlagRegistry
-// value, a config default) without the engine paying for it: attaching a
-// sink whose enabled() is false is identical to attaching nothing.
+// off: the engine stores a plain pointer that is null unless a sink is
+// attached, so the untraced path is one perfectly predicted branch and
+// zero virtual calls.
 
 #include "obs/record.h"
 
@@ -20,26 +17,6 @@ class TraceSink {
   /// Consumes one record.  Must be cheap and must not throw: it runs at
   /// every traced transmission.
   virtual void record(const Record& r) noexcept = 0;
-
-  /// False means "discard everything": the engine treats the sink as
-  /// detached and never calls record().
-  virtual bool enabled() const noexcept { return true; }
-};
-
-/// The do-nothing default.  Never actually consulted by the engine (its
-/// enabled() == false collapses the attachment to a null pointer), which
-/// is what keeps golden-seed fingerprints byte-identical and the disabled
-/// path branch-predictable.
-class NullSink final : public TraceSink {
- public:
-  void record(const Record&) noexcept override {}
-  bool enabled() const noexcept override { return false; }
-
-  /// Shared instance for call sites that need a sink by reference.
-  static NullSink& instance() noexcept {
-    static NullSink sink;
-    return sink;
-  }
 };
 
 }  // namespace dsf::obs

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -63,6 +64,12 @@ std::uint64_t default_message_bytes(net::MessageType t) {
 }
 
 namespace {
+double wall_clock_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 /// Fixed stream salt for the open-loop load lane ("load" in ASCII).  Like
 /// the fault lane, it is hashed from the scenario seed — never split off
 /// the master stream — so arming the layer cannot perturb the baseline
@@ -90,6 +97,10 @@ OverlayEngine::OverlayEngine(EngineConfig cfg)
 }
 
 namespace {
+// The three layers whose state the snapshot format does not carry.
+const char* kLoadSnapshotError =
+    ": open-loop injection and snapshots are mutually exclusive (injected"
+    " arrivals and admission queues are not keyed for checkpoint replay)";
 const char* kAdversarySnapshotError =
     ": the adversary layer and snapshots are mutually exclusive (the"
     " adversary lane and abuse attribution are not checkpointed)";
@@ -148,15 +159,6 @@ std::uint64_t OverlayEngine::run_until_horizon() {
                                               [this] { sample_traffic(); });
     if (!resumed_) start_periodic(idx, traffic_sample_period_s_);
   }
-  if (heartbeat_period_s_ > 0.0 && obs_ != nullptr) {
-    heartbeat_wall_start_s_ =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-    const std::size_t idx =
-        register_periodic(heartbeat_period_s_, [this] { emit_heartbeat(); });
-    if (!resumed_) start_periodic(idx, heartbeat_period_s_);
-  }
   if (!resumed_ || (crash_model_.enabled() && !saved_crash_armed_)) {
     // Fresh runs start the crash process as configured.  A resumed run
     // normally inherits the saved run's crash tick through event replay —
@@ -168,16 +170,34 @@ std::uint64_t OverlayEngine::run_until_horizon() {
   arm_adversary();  // zero draws, zero events when the plan is disabled
   if (load_opts_.enabled) arm_open_loop();
   replay_restored_events();
-  if (save_requested_) {
-    // Segmented horizon: run to the boundary, checkpoint, continue.  After
-    // run_until(T) every pending event is strictly later than T and no
-    // callback is mid-flight, so T is a clean cut; the second segment then
-    // executes the exact events the unsegmented run would.
-    save_requested_ = false;
-    sim_.run_until(std::min(save_at_s_, horizon_s()));
-    save_snapshot(save_path_);
+  // Segmented horizon: run to the next cut, act on it, continue.  After
+  // run_until(T) every pending event is strictly later than T and no
+  // callback is mid-flight, so T is a clean cut and the segments together
+  // execute the exact events the unsegmented run would.  The cuts are the
+  // snapshot save point and the heartbeat pulses (multiples of the period
+  // after the start clock); neither schedules an event.
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  const double end = horizon_s();
+  const double wall_start_s = wall_clock_s();
+  double pulse = kNever;
+  if (heartbeat_period_s_ > 0.0 && obs_ != nullptr)
+    pulse = (std::floor(sim_.now() / heartbeat_period_s_) + 1.0) *
+            heartbeat_period_s_;
+  for (;;) {
+    const double save_at =
+        save_requested_ ? std::min(save_at_s_, end) : kNever;
+    const double cut = std::min({end, save_at, pulse});
+    sim_.run_until(cut);
+    if (cut == pulse) {
+      emit_heartbeat(wall_start_s);
+      pulse += heartbeat_period_s_;
+    }
+    if (cut == save_at) {
+      save_requested_ = false;
+      save_snapshot(save_path_);
+    }
+    if (cut == end) break;
   }
-  sim_.run_until(horizon_s());
   if (load_opts_.enabled) {
     std::uint64_t pending = 0;
     for (const load::PeerQueue& q : load_queues_) pending += q.depth();
@@ -210,35 +230,10 @@ void OverlayEngine::begin_faulty_search(int max_ttl) {
   if (checker_) checker_->on_search_begin(max_ttl);
 }
 
-void OverlayEngine::trace_event(TraceKind kind, net::NodeId from,
-                                net::NodeId to, net::MessageType type,
-                                std::uint64_t bytes, int ttl,
-                                std::uint64_t copies) {
-  if (checker_ || trace_) {
-    for (std::uint64_t i = 0; i < copies; ++i) {
-      const TraceEvent ev{kind,  sim_.now(), from, to, type, bytes, ttl,
-                          abuse_ambient_};
-      if (checker_) checker_->on_trace(ev);
-      if (trace_) trace_(ev);
-    }
-  }
-  if (obs_) {
-    // One compact record covers all copies (Record.b carries the count).
-    obs::RecordKind rk = obs::RecordKind::kSend;
-    switch (kind) {
-      case TraceKind::kSend: rk = obs::RecordKind::kSend; break;
-      case TraceKind::kDeliver: rk = obs::RecordKind::kRecv; break;
-      case TraceKind::kDrop: rk = obs::RecordKind::kDrop; break;
-      case TraceKind::kCrash: rk = obs::RecordKind::kPeerCrash; break;
-    }
-    obs_record(rk, from, to, type, bytes, ttl, copies);
-  }
-}
-
-void OverlayEngine::obs_record(obs::RecordKind kind, net::NodeId from,
-                               net::NodeId to, net::MessageType type,
-                               std::uint64_t bytes, int ttl,
-                               std::uint64_t copies) {
+void OverlayEngine::trace(obs::RecordKind kind, net::NodeId from,
+                          net::NodeId to, net::MessageType type,
+                          std::uint64_t bytes, int ttl,
+                          std::uint64_t copies) {
   obs::Record r;
   r.time_s = sim_.now();
   r.span = current_span_;
@@ -249,11 +244,13 @@ void OverlayEngine::obs_record(obs::RecordKind kind, net::NodeId from,
   if (kind == obs::RecordKind::kPeerCrash) {
     r.span = 0;  // crashes belong to the run, not the ambient search
   } else {
+    // One record covers all copies (Record.b carries the count).
     r.type = static_cast<std::uint8_t>(type);
-    r.a = bytes;
+    r.a = obs::Record::pack_wire(bytes, abuse_ambient_);
     r.b = copies;
   }
-  obs_->record(r);
+  if (checker_) checker_->record(r);
+  if (obs_) obs_->record(r);
 }
 
 std::uint32_t OverlayEngine::obs_search_begin(net::NodeId initiator,
@@ -292,13 +289,8 @@ void OverlayEngine::obs_search_end(std::uint32_t span, net::NodeId initiator,
   if (current_span_ == span) current_span_ = 0;
 }
 
-void OverlayEngine::emit_heartbeat() {
-  if (!obs_) return;
-  const double wall_now_s =
-      std::chrono::duration<double>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count();
-  const double wall_ms = (wall_now_s - heartbeat_wall_start_s_) * 1e3;
+void OverlayEngine::emit_heartbeat(double wall_start_s) {
+  const double wall_ms = (wall_clock_s() - wall_start_s) * 1e3;
   obs::Record r;
   r.time_s = sim_.now();
   r.kind = obs::RecordKind::kHeartbeat;
@@ -322,15 +314,15 @@ core::TransmitResult OverlayEngine::transmit(net::MessageType type,
   res.deliver = !d.drop && !node_dead(to);
   const std::uint64_t copies = d.duplicate ? 2 : 1;
   const std::uint64_t b = default_message_bytes(type);
-  trace_event(TraceKind::kSend, from, to, type, b, ttl, copies);
+  trace(obs::RecordKind::kSend, from, to, type, b, ttl, copies);
   if (res.deliver) {
     ledger_.count_delivered(type, copies);
     if (abuse_ambient_) abuse_ledger_.count_delivered(type, copies);
-    trace_event(TraceKind::kDeliver, from, to, type, b, ttl, copies);
+    trace(obs::RecordKind::kRecv, from, to, type, b, ttl, copies);
   } else {
     ledger_.count_dropped(type, copies);
     if (abuse_ambient_) abuse_ledger_.count_dropped(type, copies);
-    trace_event(TraceKind::kDrop, from, to, type, b, ttl, copies);
+    trace(obs::RecordKind::kDrop, from, to, type, b, ttl, copies);
   }
   return res;
 }
@@ -346,11 +338,11 @@ void OverlayEngine::send_faulty(net::NodeId from, net::NodeId to,
   if (!fault_plan_.empty()) d = fault_plan_.decide(type, sim_.now(), fault_rng_);
   if (d.duplicate) count(type, 1, bytes);  // extra copy's send
   const std::uint64_t copies = d.duplicate ? 2 : 1;
-  trace_event(TraceKind::kSend, from, to, type, bytes, -1, copies);
+  trace(obs::RecordKind::kSend, from, to, type, bytes, -1, copies);
   if (d.drop) {
     ledger_.count_dropped(type, copies);
     if (abuse_ambient_) abuse_ledger_.count_dropped(type, copies);
-    trace_event(TraceKind::kDrop, from, to, type, bytes, -1, copies);
+    trace(obs::RecordKind::kDrop, from, to, type, bytes, -1, copies);
     return;
   }
   // The abuse scope is ambient only for the duration of the synchronous
@@ -376,12 +368,12 @@ void OverlayEngine::deliver_copy(double delay_s, net::NodeId from,
         if (node_dead(to)) {
           ledger_.count_dropped(type, 1);
           if (abuse_ambient_) abuse_ledger_.count_dropped(type, 1);
-          trace_event(TraceKind::kDrop, from, to, type, bytes, -1, 1);
+          trace(obs::RecordKind::kDrop, from, to, type, bytes, -1, 1);
           return;
         }
         ledger_.count_delivered(type, 1);
         if (abuse_ambient_) abuse_ledger_.count_delivered(type, 1);
-        trace_event(TraceKind::kDeliver, from, to, type, bytes, -1, 1);
+        trace(obs::RecordKind::kRecv, from, to, type, bytes, -1, 1);
         fn();
       });
 }
@@ -390,8 +382,8 @@ void OverlayEngine::crash_node(net::NodeId u) {
   if (u >= dead_.size() || dead_[u]) return;
   dead_[u] = 1;
   ++crash_count_;
-  trace_event(TraceKind::kCrash, u, net::kInvalidNode,
-              net::MessageType::kQuery, 0, -1, 1);
+  trace(obs::RecordKind::kPeerCrash, u, net::kInvalidNode,
+        net::MessageType::kQuery, 0, -1, 1);
   on_peer_crashed(u);
 }
 
@@ -431,12 +423,6 @@ void OverlayEngine::run_crash_tick() {
 
 // --- snapshot/restore -----------------------------------------------------
 
-namespace {
-const char* kLoadSnapshotError =
-    ": open-loop injection and snapshots are mutually exclusive (injected"
-    " arrivals and admission queues are not keyed for checkpoint replay)";
-}  // namespace
-
 void OverlayEngine::note_keyed(std::uint64_t seq, std::uint32_t kind,
                                std::uint64_t a, std::uint64_t b) {
   keyed_notes_[seq] = KeyedNote{kind, a, b};
@@ -457,13 +443,17 @@ void OverlayEngine::sweep_keyed_notes() {
   keyed_notes_ = std::move(live);
 }
 
-void OverlayEngine::request_snapshot_save(std::string path, double at_s) {
+void OverlayEngine::reject_snapshot_conflicts() const {
   if (load_opts_.enabled)
     throw std::invalid_argument(cfg_.name + kLoadSnapshotError);
   if (adversary_plan_.enabled())
     throw std::invalid_argument(cfg_.name + kAdversarySnapshotError);
   if (capture_armed_)
     throw std::invalid_argument(cfg_.name + kCaptureSnapshotError);
+}
+
+void OverlayEngine::request_snapshot_save(std::string path, double at_s) {
+  reject_snapshot_conflicts();
   if (!(at_s > 0.0))
     throw std::invalid_argument(cfg_.name +
                                 ": snapshot time must be positive");
@@ -487,12 +477,7 @@ void OverlayEngine::save_snapshot(const std::string& path) {
 }
 
 void OverlayEngine::load_snapshot(const std::string& path) {
-  if (load_opts_.enabled)
-    throw std::invalid_argument(cfg_.name + kLoadSnapshotError);
-  if (adversary_plan_.enabled())
-    throw std::invalid_argument(cfg_.name + kAdversarySnapshotError);
-  if (capture_armed_)
-    throw std::invalid_argument(cfg_.name + kCaptureSnapshotError);
+  reject_snapshot_conflicts();
   if (resumed_ || sim_.pending() != 0 || sim_.now() != 0.0)
     throw std::logic_error(
         cfg_.name +

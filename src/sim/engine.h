@@ -166,35 +166,6 @@ class MessageLedger {
   std::array<std::uint64_t, net::kNumMessageTypes> dropped_{};
 };
 
-/// What a trace record describes.  The fault-free fast paths emit one
-/// kSend per transmission; the fault layer resolves every copy's fate
-/// with a matching kDeliver or kDrop, and reports crashes.
-enum class TraceKind : std::uint8_t {
-  kSend,     ///< a copy was put on the wire
-  kDeliver,  ///< the copy reached its receiver
-  kDrop,     ///< the copy was lost (fault rule, or receiver dead)
-  kCrash,    ///< `from` crashed ungracefully (`to` is kInvalidNode)
-};
-
-/// One structured trace record, emitted at the engine's trace points when
-/// a hook or an InvariantChecker is attached.
-struct TraceEvent {
-  TraceKind kind = TraceKind::kSend;
-  double time_s = 0.0;
-  net::NodeId from = net::kInvalidNode;
-  net::NodeId to = net::kInvalidNode;
-  net::MessageType type = net::MessageType::kQuery;
-  std::uint64_t bytes = 0;
-  /// Remaining hop budget carried by a query transmission; -1 when the
-  /// message type carries no TTL (replies, control traffic, crashes).
-  int ttl = -1;
-  /// True when this record belongs to an abuser's blast radius: the copy
-  /// was sent (or its fate resolved) inside an adversary-layer abuse scope.
-  /// Always false with the layer off, so existing consumers are untouched.
-  bool abuse = false;
-};
-using TraceHook = std::function<void(const TraceEvent&)>;
-
 /// One periodic traffic sample (enable via set_traffic_sample_period).
 struct TrafficSample {
   double time_s = 0.0;
@@ -235,9 +206,6 @@ class OverlayEngine {
   using WarningSink = std::function<void(const std::string&)>;
   void set_warning_sink(WarningSink sink) { warning_sink_ = std::move(sink); }
 
-  /// Installs a structured trace hook; every send() reports through it.
-  void set_trace_hook(TraceHook hook) { trace_ = std::move(hook); }
-
   /// --- fault injection (all off by default: zero draws, zero events) ----
   /// Installs the fault schedule consulted by every transmission.  An
   /// empty plan leaves the run byte-identical to a baseline run.
@@ -250,7 +218,7 @@ class OverlayEngine {
     crash_model_ = model;
     refresh_fault_active();
   }
-  /// Attaches a continuous invariant checker fed from the trace points.
+  /// Attaches a continuous invariant checker fed from the trace point.
   /// Routes transmissions through the (draw-free when the plan is empty)
   /// traced paths; pass nullptr to detach.
   void attach_checker(InvariantChecker* checker) {
@@ -267,23 +235,23 @@ class OverlayEngine {
   InvariantChecker* checker() const noexcept { return checker_; }
 
   /// --- flight recorder (off by default: null pointer, zero records) -----
-  /// Attaches a flight-recorder sink.  Like attaching a checker, this
-  /// routes transmissions through the traced paths — draw-free when the
-  /// fault plan is empty, so a traced run replays the baseline trajectory
-  /// byte-identically.  Passing nullptr, or a sink whose enabled() is
-  /// false (obs::NullSink), detaches: the hot path sees one predicted
-  /// branch and zero virtual calls.
+  /// Attaches a flight-recorder sink, replacing any attached before.  Like
+  /// attaching a checker, this routes transmissions through the traced
+  /// paths — draw-free when the fault plan is empty, so a traced run
+  /// replays the baseline trajectory byte-identically.  Passing nullptr
+  /// detaches: the hot path sees one predicted branch and zero virtual
+  /// calls.
   void set_trace_sink(obs::TraceSink* sink) {
-    obs_ = (sink != nullptr && sink->enabled()) ? sink : nullptr;
+    obs_ = sink;
     refresh_fault_active();
   }
   obs::TraceSink* trace_sink() const noexcept { return obs_; }
 
-  /// Enables periodic heartbeat records (events executed, queue
-  /// population, wall clock, RSS) every `period_s` simulated seconds.
-  /// Off by default — and deliberately opt-in even when tracing is on:
-  /// the heartbeat schedules real events, which shifts the queue's
-  /// insertion-order tie-breaking and therefore the fingerprint.
+  /// Enables heartbeat records (events executed, queue population, wall
+  /// clock, RSS) every `period_s` simulated seconds while a sink is
+  /// attached.  The horizon loop emits each pulse between two run
+  /// segments, so pulses schedule nothing, count no events and never
+  /// reach a snapshot: a heartbeat leaves the trajectory untouched.
   void set_heartbeat_period(double period_s) {
     heartbeat_period_s_ = period_s;
   }
@@ -521,13 +489,14 @@ class OverlayEngine {
   }
 
   /// Unified message dispatch: accounts for the transmission (count +
-  /// bytes + optional trace record), samples the propagation delay from
-  /// the delay lane and schedules `on_deliver` at the arrival time.
-  /// New scenarios build their protocols on this; the ported hot paths
-  /// keep their historical inline accounting so the replayed RNG stream
-  /// is untouched.  When the fault layer is active the transmission is
-  /// routed through it: the plan may drop/duplicate/delay the copy, a
-  /// dead receiver drops it on arrival, and every copy's fate is traced.
+  /// bytes), samples the propagation delay from the delay lane and
+  /// schedules `on_deliver` at the arrival time.  New scenarios build
+  /// their protocols on this; the ported hot paths keep their historical
+  /// inline accounting so the replayed RNG stream is untouched.  When the
+  /// fault layer is active (a fault plan, crash model, checker or sink is
+  /// attached) the transmission is routed through it: the plan may
+  /// drop/duplicate/delay the copy, a dead receiver drops it on arrival,
+  /// and every copy's fate is traced.
   template <typename Fn>
   void send(net::NodeId from, net::NodeId to, net::MessageType type,
             Fn&& on_deliver, std::uint64_t bytes = 0) {
@@ -537,9 +506,6 @@ class OverlayEngine {
       send_faulty(from, to, type, std::function<void()>(on_deliver), b);
       return;
     }
-    if (trace_)
-      trace_(TraceEvent{TraceKind::kSend, sim_.now(), from, to, type, b, -1,
-                        abuse_ambient_});
     sim_.schedule_in(sample_delay_s(from, to), std::forward<Fn>(on_deliver));
   }
 
@@ -569,11 +535,6 @@ class OverlayEngine {
       return;
     }
     const double now = sim_.now();
-    if (trace_) {
-      for (std::size_t i = 0; i < n; ++i)
-        trace_(TraceEvent{TraceKind::kSend, now, from, targets[i], type, b,
-                          -1, abuse_ambient_});
-    }
     sim_.queue().schedule_batch(n, [&](std::size_t i) {
       const double d = sample_delay_s(from, targets[i]);
       return std::pair<des::SimTime, des::Callback>(d > 0 ? now + d : now,
@@ -582,11 +543,6 @@ class OverlayEngine {
   }
 
   /// --- fault layer ------------------------------------------------------
-  /// True when any fault machinery is engaged (non-empty plan, enabled
-  /// crash model, or attached checker).  The ported hot paths branch on
-  /// this once per search so baseline runs never pay for the layer.
-  bool fault_layer_active() const noexcept { return fault_active_; }
-
   /// Resets the invariant checker's TTL context for one search (or one
   /// iterative-deepening cycle) with hop budget `max_ttl`.
   void begin_faulty_search(int max_ttl);
@@ -599,24 +555,12 @@ class OverlayEngine {
   core::TransmitResult transmit(net::MessageType type, net::NodeId from,
                                 net::NodeId to, int ttl);
 
-  /// TransmitFn adapter binding the engine's fault layer to the
-  /// transmit-aware core searches (core::flood_search and friends).
-  struct Transmit {
-    OverlayEngine* engine;
-    void begin(int max_ttl) const { engine->begin_faulty_search(max_ttl); }
-    core::TransmitResult operator()(net::MessageType type, net::NodeId from,
-                                    net::NodeId to, int ttl) const {
-      return engine->transmit(type, from, to, ttl);
-    }
-  };
-  Transmit transmit_fn() noexcept { return Transmit{this}; }
-
-  /// TransmitFn adapter that collapses the fault/no-fault branch every
-  /// search call site used to duplicate: when `active` is false it is
-  /// byte-identical to core::ReliableTransmit (default verdict, zero
-  /// draws, no checker TTL context); when true it is Transmit.  Call
-  /// sites bind search_transmit() once and stop forking whole dispatch
-  /// expressions on fault_layer_active().
+  /// The one TransmitFn every synchronous exchange binds — searches,
+  /// probes, invitations, evictions.  When the fault layer is inactive it
+  /// is byte-identical to core::ReliableTransmit (default verdict, zero
+  /// draws, no checker TTL context); when active it resolves each copy's
+  /// fate through transmit() and opens the checker's TTL context per
+  /// search cycle.
   struct MaybeFaultyTransmit {
     OverlayEngine* engine;
     bool active;
@@ -630,7 +574,7 @@ class OverlayEngine {
     }
   };
   MaybeFaultyTransmit search_transmit() noexcept {
-    return MaybeFaultyTransmit{this, fault_layer_active()};
+    return MaybeFaultyTransmit{this, fault_active_};
   }
 
   /// --- search spans (flight recorder) ----------------------------------
@@ -812,6 +756,10 @@ class OverlayEngine {
     std::function<void()> body;
   };
 
+  /// Throws std::invalid_argument naming the armed layer when open-loop
+  /// injection, the adversary layer or arrival capture is armed: their
+  /// state is not checkpointed, so a snapshot cannot be saved or loaded.
+  void reject_snapshot_conflicts() const;
   void note_keyed(std::uint64_t seq, std::uint32_t kind, std::uint64_t a,
                   std::uint64_t b);
   /// Drops notes whose events already fired (amortized: rebuilds from the
@@ -841,16 +789,14 @@ class OverlayEngine {
                     net::MessageType type, std::uint64_t bytes, bool abuse,
                     std::function<void()> on_deliver);
 
-  /// Emits `copies` identical trace records to the checker and the hook.
-  void trace_event(TraceKind kind, net::NodeId from, net::NodeId to,
-                   net::MessageType type, std::uint64_t bytes, int ttl,
-                   std::uint64_t copies);
-
-  /// Emits one flight-recorder record for `copies` identical copies.
-  void obs_record(obs::RecordKind kind, net::NodeId from, net::NodeId to,
-                  net::MessageType type, std::uint64_t bytes, int ttl,
-                  std::uint64_t copies);
-  void emit_heartbeat();
+  /// The engine's one trace point: builds one record for `copies`
+  /// identical copies of a transmission fate (or for a crash) and hands
+  /// it to the attached checker and sink.
+  void trace(obs::RecordKind kind, net::NodeId from, net::NodeId to,
+             net::MessageType type, std::uint64_t bytes, int ttl,
+             std::uint64_t copies);
+  /// Records one heartbeat; the wall clock counts from `wall_start_s`.
+  void emit_heartbeat(double wall_start_s);
 
   /// The traced paths serve three consumers: the fault plan, the
   /// invariant checker and the flight recorder.  All three ride the same
@@ -910,7 +856,6 @@ class OverlayEngine {
   des::Rng* topo_ = nullptr;
   des::Rng* session_ = nullptr;
   des::Rng* query_ = nullptr;
-  TraceHook trace_;
   WarningSink warning_sink_;
   double traffic_sample_period_s_ = 0.0;
   std::vector<TrafficSample> traffic_samples_;
@@ -967,13 +912,12 @@ class OverlayEngine {
   bool capture_armed_ = false;
   std::vector<CapturedArrival> captured_;
 
-  /// Flight-recorder state.  `obs_` is non-null only while an *enabled*
-  /// sink is attached; span ids are issued 1-based so 0 means "no span".
+  /// Flight-recorder state.  `obs_` is non-null only while a sink is
+  /// attached; span ids are issued 1-based so 0 means "no span".
   obs::TraceSink* obs_ = nullptr;
   std::uint32_t next_span_ = 0;
   std::uint32_t current_span_ = 0;
   double heartbeat_period_s_ = 0.0;
-  double heartbeat_wall_start_s_ = 0.0;
 
   /// Snapshot state.  All empty/false on runs that never arm a snapshot,
   /// so the keyed scheduling variants reduce to the plain ones.

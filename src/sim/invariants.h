@@ -4,7 +4,9 @@
 // stream, plus end-of-run structural and accounting audits.  Attach one
 // via OverlayEngine::attach_checker BEFORE run(); the engine then routes
 // every transmission through its traced paths (still zero RNG draws when
-// the fault plan is empty) and the checker asserts, as events happen:
+// the fault plan is empty) and hands the checker the same obs::Record
+// stream the flight recorder sees.  The checker asserts, as records
+// arrive:
 //
 //   * message conservation — per type, delivered + dropped never exceeds
 //     sent; sent - delivered - dropped is the (non-negative) in-flight
@@ -19,7 +21,7 @@
 //
 // Violations are recorded (capped at kMaxRecorded, counted exactly) and
 // summarized by report().  The seeded-violation tests in
-// tests/sim/invariant_test.cpp feed the checker hand-crafted bad traces
+// tests/sim/invariant_test.cpp feed the checker hand-crafted bad records
 // and tampered ledgers to prove each class is actually detected.
 
 #include <cstdint>
@@ -34,6 +36,7 @@
 #include "core/relations.h"
 #include "net/message.h"
 #include "net/node_id.h"
+#include "obs/record.h"
 #include "sim/adversary.h"
 #include "sim/engine.h"
 
@@ -60,37 +63,48 @@ class InvariantChecker {
     last_query_ttl_ = max_ttl;
   }
 
-  /// Consumes one engine trace record.
-  void on_trace(const TraceEvent& ev) {
-    ++events_;
-    last_time_s_ = ev.time_s;
-    const auto t = static_cast<std::size_t>(ev.type);
-    switch (ev.kind) {
-      case TraceKind::kSend:
-        ++sent_[t];
-        if (ev.abuse) ++abuse_sent_[t];
-        if (ev.type == net::MessageType::kQuery && ev.ttl >= 0 &&
-            search_max_ttl_ >= 0)
-          check_query_ttl(ev);
+  /// Consumes one engine trace record.  A wire record (send, receive,
+  /// drop) stands for `r.b` identical copies and counts as that many
+  /// events; a crash counts as one.  Span and heartbeat records carry
+  /// nothing the checker audits.
+  void record(const obs::Record& r) {
+    const std::size_t t = r.type;
+    const std::uint64_t n = r.b;
+    last_time_s_ = r.time_s;
+    switch (r.kind) {
+      case obs::RecordKind::kSend:
+        events_ += n;
+        sent_[t] += n;
+        if (r.unpack_abuse()) abuse_sent_[t] += n;
+        if (t == static_cast<std::size_t>(net::MessageType::kQuery) &&
+            r.ttl >= 0 && search_max_ttl_ >= 0)
+          check_query_ttl(r);
         break;
-      case TraceKind::kDeliver:
-        ++delivered_[t];
-        if (ev.abuse) ++abuse_delivered_[t];
-        check_conservation(ev);
-        if (is_dead(ev.to))
+      case obs::RecordKind::kRecv:
+        events_ += n;
+        delivered_[t] += n;
+        if (r.unpack_abuse()) abuse_delivered_[t] += n;
+        check_conservation(r);
+        if (is_dead(r.to))
           violate("dead-delivery",
-                  std::string(net::to_string(ev.type)) +
-                      " delivered to crashed peer " + std::to_string(ev.to),
-                  ev.time_s);
+                  type_name(r) + " delivered to crashed peer " +
+                      std::to_string(r.to),
+                  r.time_s);
         break;
-      case TraceKind::kDrop:
-        ++dropped_[t];
-        if (ev.abuse) ++abuse_dropped_[t];
-        check_conservation(ev);
+      case obs::RecordKind::kDrop:
+        events_ += n;
+        dropped_[t] += n;
+        if (r.unpack_abuse()) abuse_dropped_[t] += n;
+        check_conservation(r);
         break;
-      case TraceKind::kCrash:
+      case obs::RecordKind::kPeerCrash:
+        ++events_;
         ++crashes_;
-        mark_dead(ev.from);
+        mark_dead(r.from);
+        break;
+      case obs::RecordKind::kSearchBegin:
+      case obs::RecordKind::kSearchEnd:
+      case obs::RecordKind::kHeartbeat:
         break;
     }
   }
@@ -198,9 +212,9 @@ class InvariantChecker {
   /// no scores and no pruning (nothing prunes a flood); ranked outcomes
   /// must respect the k bound with scores positive and sorted
   /// best-first; similarity outcomes must clear the threshold on every
-  /// hit.  Scenarios call this per search when a checker is attached —
-  /// it is cheap (one pass over the hit list) but per-query, so the
-  /// engine gates it behind fault_layer_active().
+  /// hit.  Scenarios call this per search when a checker is attached
+  /// (OverlayEngine::checker() is non-null): it is cheap, one pass over
+  /// the hit list, but per-query.
   void check_search_outcome(const core::QuerySpec& spec,
                             const core::SearchOutcome& out) {
     switch (spec.query_class) {
@@ -428,34 +442,37 @@ class InvariantChecker {
       violations_.push_back({invariant, std::move(detail), time_s});
   }
 
-  void check_conservation(const TraceEvent& ev) {
-    const auto t = static_cast<std::size_t>(ev.type);
+  static std::string type_name(const obs::Record& r) {
+    return std::string(net::to_string(static_cast<net::MessageType>(r.type)));
+  }
+
+  void check_conservation(const obs::Record& r) {
+    const std::size_t t = r.type;
     if (delivered_[t] + dropped_[t] > sent_[t])
       violate("conservation",
-              std::string(net::to_string(ev.type)) +
-                  ": delivered + dropped exceeds sent (" +
+              type_name(r) + ": delivered + dropped exceeds sent (" +
                   std::to_string(delivered_[t]) + " + " +
                   std::to_string(dropped_[t]) + " > " +
                   std::to_string(sent_[t]) + ")",
-              ev.time_s);
+              r.time_s);
   }
 
-  void check_query_ttl(const TraceEvent& ev) {
-    if (ev.ttl < 1 || ev.ttl > search_max_ttl_) {
+  void check_query_ttl(const obs::Record& r) {
+    if (r.ttl < 1 || r.ttl > search_max_ttl_) {
       violate("ttl",
-              "query sent with ttl " + std::to_string(ev.ttl) +
+              "query sent with ttl " + std::to_string(r.ttl) +
                   " outside [1, " + std::to_string(search_max_ttl_) + "]",
-              ev.time_s);
+              r.time_s);
       return;
     }
-    if (ev.ttl > last_query_ttl_) {
+    if (r.ttl > last_query_ttl_) {
       violate("ttl",
               "query ttl increased from " + std::to_string(last_query_ttl_) +
-                  " to " + std::to_string(ev.ttl) + " within one search",
-              ev.time_s);
+                  " to " + std::to_string(r.ttl) + " within one search",
+              r.time_s);
       return;
     }
-    last_query_ttl_ = ev.ttl;
+    last_query_ttl_ = r.ttl;
   }
 
   void check_list(net::NodeId node, std::span<const net::NodeId> list,

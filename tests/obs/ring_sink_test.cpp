@@ -7,7 +7,6 @@
 
 #include "obs/record.h"
 #include "obs/ring_sink.h"
-#include "obs/sink.h"
 
 namespace dsf::obs {
 namespace {
@@ -33,6 +32,21 @@ TEST(Record, DelayRoundTripsThroughBits) {
   EXPECT_DOUBLE_EQ(r.unpack_delay(), -1.0);
 }
 
+TEST(Record, WirePackingRoundTripsBytesAndAbuseBit) {
+  Record r;
+  r.a = Record::pack_wire(512, false);
+  EXPECT_EQ(r.a, 512u) << "an untagged copy carries the bare byte count";
+  EXPECT_EQ(r.unpack_bytes(), 512u);
+  EXPECT_FALSE(r.unpack_abuse());
+  r.a = Record::pack_wire(512, true);
+  EXPECT_EQ(r.unpack_bytes(), 512u);
+  EXPECT_TRUE(r.unpack_abuse());
+  const std::uint64_t widest = Record::kAbuseBit - 1;
+  r.a = Record::pack_wire(widest, true);
+  EXPECT_EQ(r.unpack_bytes(), widest);
+  EXPECT_TRUE(r.unpack_abuse());
+}
+
 TEST(RingSink, EmptyByDefault) {
   RingSink ring(8);
   EXPECT_EQ(ring.capacity(), 8u);
@@ -40,7 +54,6 @@ TEST(RingSink, EmptyByDefault) {
   EXPECT_EQ(ring.total(), 0u);
   EXPECT_EQ(ring.overwritten(), 0u);
   EXPECT_TRUE(ring.snapshot().empty());
-  EXPECT_TRUE(ring.enabled());
 }
 
 TEST(RingSink, HoldsRecordsInOrderBeforeWrap) {
@@ -88,12 +101,6 @@ TEST(RingSink, ClearForgetsRecordsButKeepsCapacity) {
   const auto snap = ring.snapshot();
   ASSERT_EQ(snap.size(), 1u);
   EXPECT_DOUBLE_EQ(snap[0].time_s, 42.0);
-}
-
-TEST(NullSink, IsDisabledSingleton) {
-  EXPECT_FALSE(NullSink::instance().enabled());
-  // record() must be callable and a no-op.
-  NullSink::instance().record(stamped(0.0, 0));
 }
 
 }  // namespace

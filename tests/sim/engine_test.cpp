@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/benefit.h"
@@ -11,6 +14,8 @@
 #include "core/stats_store.h"
 #include "core/visit_stamp.h"
 #include "des/rng.h"
+#include "load/schedule.h"
+#include "obs/ring_sink.h"
 #include "sim/policy.h"
 #include "sim/validate.h"
 
@@ -128,8 +133,8 @@ TEST(DefaultMessageBytes, EveryTypeHasAPositiveWireSize) {
 
 TEST(OverlayEngine, SendAccountsTracesAndDelivers) {
   TestEngine e(small_config());
-  std::vector<TraceEvent> trace;
-  e.set_trace_hook([&](const TraceEvent& ev) { trace.push_back(ev); });
+  obs::RingSink ring;
+  e.set_trace_sink(&ring);
 
   bool delivered = false;
   e.send(0, 1, net::MessageType::kQuery, [&] { delivered = true; });
@@ -137,30 +142,37 @@ TEST(OverlayEngine, SendAccountsTracesAndDelivers) {
   EXPECT_EQ(e.traffic().total(net::MessageType::kQuery), 1u);
   EXPECT_EQ(e.ledger().bytes(net::MessageType::kQuery),
             default_message_bytes(net::MessageType::kQuery));
+  auto trace = ring.snapshot();
   ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace[0].kind, TraceKind::kSend);
+  EXPECT_EQ(trace[0].kind, obs::RecordKind::kSend);
   EXPECT_EQ(trace[0].from, 0u);
   EXPECT_EQ(trace[0].to, 1u);
-  EXPECT_EQ(trace[0].type, net::MessageType::kQuery);
-  EXPECT_EQ(trace[0].bytes, default_message_bytes(net::MessageType::kQuery));
+  EXPECT_EQ(trace[0].type, static_cast<std::uint8_t>(net::MessageType::kQuery));
+  EXPECT_EQ(trace[0].unpack_bytes(),
+            default_message_bytes(net::MessageType::kQuery));
+  EXPECT_FALSE(trace[0].unpack_abuse());
+  EXPECT_EQ(trace[0].b, 1u);     // one copy
   EXPECT_EQ(trace[0].ttl, -1);  // send() traffic carries no hop budget
 
   EXPECT_FALSE(delivered);
   e.simulator().run();
   EXPECT_TRUE(delivered);
   EXPECT_GT(e.simulator().now(), 0.0);  // the delay sample was positive
+  trace = ring.snapshot();
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[1].kind, obs::RecordKind::kRecv);  // the copy's fate
+  EXPECT_EQ(trace[1].time_s, e.simulator().now());
+  EXPECT_EQ(e.ledger().delivered(net::MessageType::kQuery), 1u);
 }
 
 TEST(OverlayEngine, SendBatchMatchesPerTargetSendExactly) {
   // The batched fan-out is an accounting + scheduling shortcut, not a
   // semantic change: with the same seed it must produce byte-identical
-  // ledger counts, trace streams, and delivery times as a per-target
-  // send() loop, because delays are sampled in target order either way.
+  // ledger counts and delivery times as a per-target send() loop, because
+  // delays are sampled in target order either way.
   const std::vector<net::NodeId> targets{1, 3, 5, 2, 7};
 
   TestEngine a(small_config());
-  std::vector<TraceEvent> trace_a;
-  a.set_trace_hook([&](const TraceEvent& ev) { trace_a.push_back(ev); });
   std::vector<std::pair<net::NodeId, double>> deliveries_a;
   for (const auto to : targets)
     a.send(0, to, net::MessageType::kQuery,
@@ -168,8 +180,6 @@ TEST(OverlayEngine, SendBatchMatchesPerTargetSendExactly) {
   a.simulator().run();
 
   TestEngine b(small_config());
-  std::vector<TraceEvent> trace_b;
-  b.set_trace_hook([&](const TraceEvent& ev) { trace_b.push_back(ev); });
   std::vector<std::pair<net::NodeId, double>> deliveries_b;
   b.send_batch(0, targets, net::MessageType::kQuery, [&](std::size_t i) {
     const auto to = targets[i];
@@ -182,19 +192,50 @@ TEST(OverlayEngine, SendBatchMatchesPerTargetSendExactly) {
   EXPECT_EQ(a.ledger().bytes(net::MessageType::kQuery),
             b.ledger().bytes(net::MessageType::kQuery));
 
-  ASSERT_EQ(trace_a.size(), targets.size());
-  ASSERT_EQ(trace_b.size(), targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    EXPECT_EQ(trace_a[i].to, trace_b[i].to);
-    EXPECT_EQ(trace_a[i].type, trace_b[i].type);
-    EXPECT_EQ(trace_a[i].bytes, trace_b[i].bytes);
-  }
-
   ASSERT_EQ(deliveries_a.size(), targets.size());
   ASSERT_EQ(deliveries_b.size(), targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
     EXPECT_EQ(deliveries_a[i].first, deliveries_b[i].first);
     EXPECT_EQ(deliveries_a[i].second, deliveries_b[i].second);  // exact
+  }
+}
+
+TEST(OverlayEngine, TracedSendBatchMatchesPerTargetSendExactly) {
+  // With a sink attached both forms take the traced per-copy path: the
+  // record streams (every send, then each copy's delivery in arrival
+  // order) and the fate counters must agree exactly.
+  const std::vector<net::NodeId> targets{1, 3, 5, 2, 7};
+
+  TestEngine a(small_config());
+  obs::RingSink ring_a;
+  a.set_trace_sink(&ring_a);
+  for (const auto to : targets) a.send(0, to, net::MessageType::kQuery, [] {});
+  a.simulator().run();
+
+  TestEngine b(small_config());
+  obs::RingSink ring_b;
+  b.set_trace_sink(&ring_b);
+  b.send_batch(0, targets, net::MessageType::kQuery,
+               [](std::size_t) { return [] {}; });
+  b.simulator().run();
+
+  EXPECT_EQ(a.ledger().delivered(net::MessageType::kQuery), targets.size());
+  EXPECT_EQ(b.ledger().delivered(net::MessageType::kQuery), targets.size());
+  const auto trace_a = ring_a.snapshot();
+  const auto trace_b = ring_b.snapshot();
+  ASSERT_EQ(trace_a.size(), 2 * targets.size());
+  ASSERT_EQ(trace_b.size(), trace_a.size());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(trace_a[i].kind, obs::RecordKind::kSend);
+    EXPECT_EQ(trace_a[i].to, targets[i]);
+  }
+  for (std::size_t i = 0; i < trace_a.size(); ++i) {
+    EXPECT_EQ(trace_a[i].kind, trace_b[i].kind);
+    EXPECT_EQ(trace_a[i].to, trace_b[i].to);
+    EXPECT_EQ(trace_a[i].type, trace_b[i].type);
+    EXPECT_EQ(trace_a[i].a, trace_b[i].a);
+    EXPECT_EQ(trace_a[i].b, trace_b[i].b);
+    EXPECT_EQ(trace_a[i].time_s, trace_b[i].time_s);  // exact
   }
 }
 
@@ -287,6 +328,80 @@ TEST(OverlayEngine, TooDenseConfigReportsUnderfillFromRealRun) {
   sim.run();
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_NE(warnings[0].find("bootstrap"), std::string::npos) << warnings[0];
+}
+
+TEST(OverlayEngine, SnapshotExclusionsNameBothLayers) {
+  // Open-loop injection, the adversary layer and arrival capture keep
+  // state the snapshot format does not carry.  Each is rejected against a
+  // snapshot in every order — armed before a save or a load, or armed
+  // after either — with an error naming both layers.
+  diglib::DigLibConfig c;
+  c.num_repositories = 8;
+  c.num_docs = 200;
+  c.num_topics = 2;
+  c.holdings = 20;
+  c.sim_hours = 0.05;
+  c.warmup_hours = 0.0;
+  c.seed = 3;
+  const std::string path = ::testing::TempDir() + "dsf_exclusions.snap";
+  {
+    diglib::DigLibSim saver(c);
+    saver.request_snapshot_save(path, 60.0);
+    saver.run();
+  }
+
+  load::OpenLoopOptions open_loop;
+  open_loop.enabled = true;
+  open_loop.schedule = load::make_schedule(load::ScheduleKind::kConstant, 1.0,
+                                           1.0, c.sim_hours * 3600.0);
+  AdversaryPlan adversary;
+  adversary.abuser_fraction = 0.25;
+  adversary.abuse_rate_per_s = 0.1;
+  using Arm = std::function<void(diglib::DigLibSim&)>;
+  const std::vector<std::pair<std::string, Arm>> layers{
+      {"open-loop", [&](diglib::DigLibSim& s) { s.set_open_loop(open_loop); }},
+      {"adversary", [&](diglib::DigLibSim& s) { s.set_adversary(adversary); }},
+      {"capture-trace",
+       [&](diglib::DigLibSim& s) { s.set_capture_trace(path + ".cap"); }},
+  };
+  const auto expect_conflict = [](const std::string& layer,
+                                  const std::string& order,
+                                  const std::function<void()>& fn) {
+    try {
+      fn();
+      ADD_FAILURE() << layer << ", " << order << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(layer), std::string::npos) << order << ": " << what;
+      EXPECT_NE(what.find("snapshot"), std::string::npos)
+          << order << ": " << what;
+    }
+  };
+  for (const auto& [layer, arm] : layers) {
+    {
+      diglib::DigLibSim s(c);
+      arm(s);
+      expect_conflict(layer, "armed, then save",
+                      [&] { s.request_snapshot_save(path, 60.0); });
+    }
+    {
+      diglib::DigLibSim s(c);
+      arm(s);
+      expect_conflict(layer, "armed, then load",
+                      [&] { s.load_snapshot(path); });
+    }
+    {
+      diglib::DigLibSim s(c);
+      s.request_snapshot_save(path + ".again", 60.0);
+      expect_conflict(layer, "save, then armed", [&] { arm(s); });
+    }
+    {
+      diglib::DigLibSim s(c);
+      s.load_snapshot(path);
+      expect_conflict(layer, "load, then armed", [&] { arm(s); });
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(OverlayEngine, DefaultBootstrapAttemptsIsFourPerSlot) {

@@ -13,6 +13,7 @@
 
 #include "diglib/diglib_sim.h"
 #include "gnutella/simulation.h"
+#include "obs/ring_sink.h"
 #include "olap/olap_sim.h"
 #include "sim/engine.h"
 #include "sim/invariants.h"
@@ -26,7 +27,6 @@ class TestEngine : public OverlayEngine {
   explicit TestEngine(EngineConfig cfg) : OverlayEngine(std::move(cfg)) {}
 
   using OverlayEngine::begin_faulty_search;
-  using OverlayEngine::fault_layer_active;
   using OverlayEngine::run_until_horizon;
   using OverlayEngine::send;
   using OverlayEngine::transmit;
@@ -175,7 +175,6 @@ TEST(FaultLayer, DropsEveryTargetedTypeThroughSend) {
     r.drop_prob = 1.0;
     plan.set_rule(type, r);
     e.set_fault_plan(plan);
-    ASSERT_TRUE(e.fault_layer_active());
 
     bool delivered = false;
     e.send(0, 1, type, [&] { delivered = true; });
@@ -291,10 +290,8 @@ TEST(FaultLayer, CrashModelSchedulesPoissonCrashes) {
 TEST(FaultLayer, CrashWindowConfinesCrashes) {
   auto cfg = small_config();
   TestEngine e(cfg);
-  std::vector<double> crash_times;
-  e.set_trace_hook([&](const TraceEvent& ev) {
-    if (ev.kind == TraceKind::kCrash) crash_times.push_back(ev.time_s);
-  });
+  obs::RingSink ring;
+  e.set_trace_sink(&ring);
   CrashModel crashes;
   crashes.rate_per_hour = 60.0;
   crashes.start_s = 1000.0;
@@ -302,6 +299,9 @@ TEST(FaultLayer, CrashWindowConfinesCrashes) {
   e.set_crash_model(crashes);
   e.run_until_horizon();
 
+  std::vector<double> crash_times;
+  for (const obs::Record& r : ring.snapshot())
+    if (r.kind == obs::RecordKind::kPeerCrash) crash_times.push_back(r.time_s);
   ASSERT_FALSE(crash_times.empty());
   for (double t : crash_times) {
     EXPECT_GE(t, 1000.0);

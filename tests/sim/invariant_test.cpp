@@ -1,5 +1,5 @@
 // Seeded-violation tests: every invariant class the checker claims to
-// enforce is broken on purpose — hand-crafted bad traces, corrupted
+// enforce is broken on purpose — hand-crafted bad records, corrupted
 // overlays, tampered ledgers — and the checker must catch each one.  A
 // checker that silently misses a violation class is worse than none.
 #include "sim/invariants.h"
@@ -9,22 +9,25 @@
 #include <string>
 
 #include "core/relations.h"
+#include "obs/record.h"
 #include "sim/engine.h"
 
 namespace dsf::sim {
 namespace {
 
-TraceEvent event(TraceKind kind, net::NodeId from, net::NodeId to,
-                 net::MessageType type, int ttl = -1, double t = 1.0) {
-  TraceEvent ev;
-  ev.kind = kind;
-  ev.time_s = t;
-  ev.from = from;
-  ev.to = to;
-  ev.type = type;
-  ev.bytes = 10;
-  ev.ttl = ttl;
-  return ev;
+/// One engine-shaped record: a single copy of a 10-byte transmission.
+obs::Record event(obs::RecordKind kind, net::NodeId from, net::NodeId to,
+                  net::MessageType type, int ttl = -1, double t = 1.0) {
+  obs::Record r;
+  r.kind = kind;
+  r.time_s = t;
+  r.from = from;
+  r.to = to;
+  r.type = static_cast<std::uint8_t>(type);
+  r.a = obs::Record::pack_wire(10, false);
+  r.b = 1;
+  r.ttl = static_cast<std::int16_t>(ttl);
+  return r;
 }
 
 bool has_violation(const InvariantChecker& c, const std::string& invariant) {
@@ -37,8 +40,8 @@ bool has_violation(const InvariantChecker& c, const std::string& invariant) {
 
 TEST(InvariantChecker, CleanSendDeliverCycleIsOk) {
   InvariantChecker c;
-  c.on_trace(event(TraceKind::kSend, 0, 1, net::MessageType::kPing));
-  c.on_trace(event(TraceKind::kDeliver, 0, 1, net::MessageType::kPing));
+  c.record(event(obs::RecordKind::kSend, 0, 1, net::MessageType::kPing));
+  c.record(event(obs::RecordKind::kRecv, 0, 1, net::MessageType::kPing));
   EXPECT_TRUE(c.ok()) << c.report();
   EXPECT_EQ(c.sent(net::MessageType::kPing), 1u);
   EXPECT_EQ(c.delivered(net::MessageType::kPing), 1u);
@@ -47,7 +50,7 @@ TEST(InvariantChecker, CleanSendDeliverCycleIsOk) {
 
 TEST(InvariantChecker, DeliverWithoutSendViolatesConservation) {
   InvariantChecker c;
-  c.on_trace(event(TraceKind::kDeliver, 0, 1, net::MessageType::kQuery));
+  c.record(event(obs::RecordKind::kRecv, 0, 1, net::MessageType::kQuery));
   EXPECT_FALSE(c.ok());
   EXPECT_TRUE(has_violation(c, "conservation"));
   EXPECT_EQ(c.in_flight(net::MessageType::kQuery), -1);
@@ -55,22 +58,74 @@ TEST(InvariantChecker, DeliverWithoutSendViolatesConservation) {
 
 TEST(InvariantChecker, DoubleDeliveryOfOneSendViolatesConservation) {
   InvariantChecker c;
-  c.on_trace(event(TraceKind::kSend, 0, 1, net::MessageType::kQuery));
-  c.on_trace(event(TraceKind::kDeliver, 0, 1, net::MessageType::kQuery));
+  c.record(event(obs::RecordKind::kSend, 0, 1, net::MessageType::kQuery));
+  c.record(event(obs::RecordKind::kRecv, 0, 1, net::MessageType::kQuery));
   EXPECT_TRUE(c.ok());
-  c.on_trace(event(TraceKind::kDeliver, 0, 1, net::MessageType::kQuery));
+  c.record(event(obs::RecordKind::kRecv, 0, 1, net::MessageType::kQuery));
   EXPECT_FALSE(c.ok());
   EXPECT_TRUE(has_violation(c, "conservation"));
 }
 
 TEST(InvariantChecker, DropPastSentCountViolatesConservation) {
   InvariantChecker c;
-  c.on_trace(event(TraceKind::kSend, 0, 1, net::MessageType::kEviction));
-  c.on_trace(event(TraceKind::kDrop, 0, 1, net::MessageType::kEviction));
+  c.record(event(obs::RecordKind::kSend, 0, 1, net::MessageType::kEviction));
+  c.record(event(obs::RecordKind::kDrop, 0, 1, net::MessageType::kEviction));
   EXPECT_TRUE(c.ok());
-  c.on_trace(event(TraceKind::kDrop, 0, 1, net::MessageType::kEviction));
+  c.record(event(obs::RecordKind::kDrop, 0, 1, net::MessageType::kEviction));
   EXPECT_FALSE(c.ok());
   EXPECT_TRUE(has_violation(c, "conservation"));
+}
+
+// --- copies and abuse attribution ---------------------------------------
+
+TEST(InvariantChecker, DuplicatedRecordCountsTwoCopiesAndTwoEvents) {
+  InvariantChecker c;
+  obs::Record send = event(obs::RecordKind::kSend, 0, 1,
+                           net::MessageType::kPing);
+  send.b = 2;  // a duplicated transmission: one record, two copies
+  c.record(send);
+  EXPECT_EQ(c.sent(net::MessageType::kPing), 2u);
+  EXPECT_EQ(c.events_seen(), 2u);
+  obs::Record recv = event(obs::RecordKind::kRecv, 0, 1,
+                           net::MessageType::kPing);
+  recv.b = 2;
+  c.record(recv);
+  EXPECT_EQ(c.delivered(net::MessageType::kPing), 2u);
+  EXPECT_EQ(c.in_flight(net::MessageType::kPing), 0);
+  EXPECT_EQ(c.events_seen(), 4u);
+  EXPECT_TRUE(c.ok()) << c.report();
+}
+
+TEST(InvariantChecker, AbuseTaggedRecordsLandInTheAbuseCounters) {
+  const auto abusive = [](obs::RecordKind kind) {
+    obs::Record r = event(kind, 0, 1, net::MessageType::kQuery);
+    r.a = obs::Record::pack_wire(82, true);
+    return r;
+  };
+  InvariantChecker c;
+  c.record(abusive(obs::RecordKind::kSend));
+  c.record(abusive(obs::RecordKind::kSend));
+  c.record(abusive(obs::RecordKind::kRecv));
+  c.record(abusive(obs::RecordKind::kDrop));
+  c.record(event(obs::RecordKind::kSend, 2, 3, net::MessageType::kQuery));
+  EXPECT_EQ(c.abuse_sent(net::MessageType::kQuery), 2u);
+  EXPECT_EQ(c.abuse_delivered(net::MessageType::kQuery), 1u);
+  EXPECT_EQ(c.abuse_dropped(net::MessageType::kQuery), 1u);
+  EXPECT_EQ(c.sent(net::MessageType::kQuery), 3u);
+
+  // The tagged fates reconcile against an abuse ledger holding the same.
+  MessageLedger abuse, total;
+  abuse.count(net::MessageType::kQuery, 2);
+  abuse.count_delivered(net::MessageType::kQuery);
+  abuse.count_dropped(net::MessageType::kQuery);
+  total.count(net::MessageType::kQuery, 3);
+  total.count_delivered(net::MessageType::kQuery);
+  total.count_dropped(net::MessageType::kQuery);
+  AdversaryStats stats;
+  stats.abusers = 1;
+  stats.abuse_queries = 1;
+  c.check_abuse(stats, abuse, total);
+  EXPECT_TRUE(c.ok()) << c.report();
 }
 
 // --- TTL monotonicity ----------------------------------------------------
@@ -78,7 +133,7 @@ TEST(InvariantChecker, DropPastSentCountViolatesConservation) {
 TEST(InvariantChecker, TtlAboveSearchBudgetIsCaught) {
   InvariantChecker c;
   c.on_search_begin(3);
-  c.on_trace(event(TraceKind::kSend, 0, 1, net::MessageType::kQuery, 4));
+  c.record(event(obs::RecordKind::kSend, 0, 1, net::MessageType::kQuery, 4));
   EXPECT_FALSE(c.ok());
   EXPECT_TRUE(has_violation(c, "ttl"));
 }
@@ -86,7 +141,7 @@ TEST(InvariantChecker, TtlAboveSearchBudgetIsCaught) {
 TEST(InvariantChecker, TtlBelowOneIsCaught) {
   InvariantChecker c;
   c.on_search_begin(3);
-  c.on_trace(event(TraceKind::kSend, 0, 1, net::MessageType::kQuery, 0));
+  c.record(event(obs::RecordKind::kSend, 0, 1, net::MessageType::kQuery, 0));
   EXPECT_FALSE(c.ok());
   EXPECT_TRUE(has_violation(c, "ttl"));
 }
@@ -94,10 +149,10 @@ TEST(InvariantChecker, TtlBelowOneIsCaught) {
 TEST(InvariantChecker, TtlIncreaseWithinOneSearchIsCaught) {
   InvariantChecker c;
   c.on_search_begin(3);
-  c.on_trace(event(TraceKind::kSend, 0, 1, net::MessageType::kQuery, 3));
-  c.on_trace(event(TraceKind::kSend, 1, 2, net::MessageType::kQuery, 2));
+  c.record(event(obs::RecordKind::kSend, 0, 1, net::MessageType::kQuery, 3));
+  c.record(event(obs::RecordKind::kSend, 1, 2, net::MessageType::kQuery, 2));
   EXPECT_TRUE(c.ok());
-  c.on_trace(event(TraceKind::kSend, 2, 3, net::MessageType::kQuery, 3));
+  c.record(event(obs::RecordKind::kSend, 2, 3, net::MessageType::kQuery, 3));
   EXPECT_FALSE(c.ok());
   EXPECT_TRUE(has_violation(c, "ttl"));
 }
@@ -105,10 +160,10 @@ TEST(InvariantChecker, TtlIncreaseWithinOneSearchIsCaught) {
 TEST(InvariantChecker, NewSearchResetsTheTtlContext) {
   InvariantChecker c;
   c.on_search_begin(2);
-  c.on_trace(event(TraceKind::kSend, 0, 1, net::MessageType::kQuery, 2));
-  c.on_trace(event(TraceKind::kSend, 1, 2, net::MessageType::kQuery, 1));
+  c.record(event(obs::RecordKind::kSend, 0, 1, net::MessageType::kQuery, 2));
+  c.record(event(obs::RecordKind::kSend, 1, 2, net::MessageType::kQuery, 1));
   c.on_search_begin(2);  // next search may start at the full budget again
-  c.on_trace(event(TraceKind::kSend, 3, 4, net::MessageType::kQuery, 2));
+  c.record(event(obs::RecordKind::kSend, 3, 4, net::MessageType::kQuery, 2));
   EXPECT_TRUE(c.ok()) << c.report();
 }
 
@@ -116,8 +171,8 @@ TEST(InvariantChecker, NonQueryTypesCarryNoTtlObligation) {
   InvariantChecker c;
   c.on_search_begin(2);
   // Replies and control traffic are sent with ttl = -1; never checked.
-  c.on_trace(event(TraceKind::kSend, 0, 1, net::MessageType::kQueryReply));
-  c.on_trace(event(TraceKind::kSend, 0, 1, net::MessageType::kPing));
+  c.record(event(obs::RecordKind::kSend, 0, 1, net::MessageType::kQueryReply));
+  c.record(event(obs::RecordKind::kSend, 0, 1, net::MessageType::kPing));
   EXPECT_TRUE(c.ok()) << c.report();
 }
 
@@ -125,22 +180,22 @@ TEST(InvariantChecker, NonQueryTypesCarryNoTtlObligation) {
 
 TEST(InvariantChecker, DeliveryToCrashedPeerIsCaught) {
   InvariantChecker c;
-  c.on_trace(event(TraceKind::kCrash, 5, net::kInvalidNode,
-                   net::MessageType::kQuery));
+  c.record(event(obs::RecordKind::kPeerCrash, 5, net::kInvalidNode,
+                 net::MessageType::kQuery));
   EXPECT_EQ(c.crashes_seen(), 1u);
-  c.on_trace(event(TraceKind::kSend, 0, 5, net::MessageType::kQuery, 1));
+  c.record(event(obs::RecordKind::kSend, 0, 5, net::MessageType::kQuery, 1));
   EXPECT_TRUE(c.ok()) << "sending toward a dead peer is legal";
-  c.on_trace(event(TraceKind::kDeliver, 0, 5, net::MessageType::kQuery));
+  c.record(event(obs::RecordKind::kRecv, 0, 5, net::MessageType::kQuery));
   EXPECT_FALSE(c.ok());
   EXPECT_TRUE(has_violation(c, "dead-delivery"));
 }
 
 TEST(InvariantChecker, DropAtCrashedPeerIsTheLegalFate) {
   InvariantChecker c;
-  c.on_trace(event(TraceKind::kCrash, 5, net::kInvalidNode,
-                   net::MessageType::kQuery));
-  c.on_trace(event(TraceKind::kSend, 0, 5, net::MessageType::kQuery, 1));
-  c.on_trace(event(TraceKind::kDrop, 0, 5, net::MessageType::kQuery));
+  c.record(event(obs::RecordKind::kPeerCrash, 5, net::kInvalidNode,
+                 net::MessageType::kQuery));
+  c.record(event(obs::RecordKind::kSend, 0, 5, net::MessageType::kQuery, 1));
+  c.record(event(obs::RecordKind::kDrop, 0, 5, net::MessageType::kQuery));
   EXPECT_TRUE(c.ok()) << c.report();
 }
 
@@ -204,8 +259,8 @@ TEST(InvariantChecker, OneSidedLinkViolatesConsistency) {
 
 TEST(InvariantChecker, MatchingLedgerReconciles) {
   InvariantChecker c;
-  c.on_trace(event(TraceKind::kSend, 0, 1, net::MessageType::kQuery, 1));
-  c.on_trace(event(TraceKind::kDeliver, 0, 1, net::MessageType::kQuery));
+  c.record(event(obs::RecordKind::kSend, 0, 1, net::MessageType::kQuery, 1));
+  c.record(event(obs::RecordKind::kRecv, 0, 1, net::MessageType::kQuery));
   MessageLedger ledger;
   ledger.count(net::MessageType::kQuery);
   ledger.count_delivered(net::MessageType::kQuery);
@@ -215,8 +270,8 @@ TEST(InvariantChecker, MatchingLedgerReconciles) {
 
 TEST(InvariantChecker, TamperedDeliveredCounterIsCaught) {
   InvariantChecker c;
-  c.on_trace(event(TraceKind::kSend, 0, 1, net::MessageType::kQuery, 1));
-  c.on_trace(event(TraceKind::kDeliver, 0, 1, net::MessageType::kQuery));
+  c.record(event(obs::RecordKind::kSend, 0, 1, net::MessageType::kQuery, 1));
+  c.record(event(obs::RecordKind::kRecv, 0, 1, net::MessageType::kQuery));
   MessageLedger ledger;
   ledger.count(net::MessageType::kQuery);
   ledger.count_delivered(net::MessageType::kQuery);
@@ -228,8 +283,8 @@ TEST(InvariantChecker, TamperedDeliveredCounterIsCaught) {
 
 TEST(InvariantChecker, TamperedDroppedCounterIsCaught) {
   InvariantChecker c;
-  c.on_trace(event(TraceKind::kSend, 0, 1, net::MessageType::kPing, -1));
-  c.on_trace(event(TraceKind::kDrop, 0, 1, net::MessageType::kPing));
+  c.record(event(obs::RecordKind::kSend, 0, 1, net::MessageType::kPing, -1));
+  c.record(event(obs::RecordKind::kDrop, 0, 1, net::MessageType::kPing));
   MessageLedger ledger;
   ledger.count(net::MessageType::kPing);
   // The tamper: the ledger claims no drop happened.
@@ -240,8 +295,8 @@ TEST(InvariantChecker, TamperedDroppedCounterIsCaught) {
 
 TEST(InvariantChecker, SentMismatchCaughtOnlyForExactTypes) {
   InvariantChecker c;
-  c.on_trace(event(TraceKind::kSend, 0, 1, net::MessageType::kQuery, 1));
-  c.on_trace(event(TraceKind::kDeliver, 0, 1, net::MessageType::kQuery));
+  c.record(event(obs::RecordKind::kSend, 0, 1, net::MessageType::kQuery, 1));
+  c.record(event(obs::RecordKind::kRecv, 0, 1, net::MessageType::kQuery));
   MessageLedger ledger;
   ledger.count(net::MessageType::kQuery, 5);  // bulk count: 4 untraced
   ledger.count_delivered(net::MessageType::kQuery);
@@ -418,7 +473,7 @@ TEST(InvariantChecker, ViolationCapCountsExactly) {
   InvariantChecker c;
   const int n = 100;  // > kMaxRecorded
   for (int i = 0; i < n; ++i)
-    c.on_trace(event(TraceKind::kDeliver, 0, 1, net::MessageType::kQuery));
+    c.record(event(obs::RecordKind::kRecv, 0, 1, net::MessageType::kQuery));
   EXPECT_EQ(c.total_violations(), static_cast<std::uint64_t>(n));
   EXPECT_EQ(c.violations().size(), InvariantChecker::kMaxRecorded);
   const auto report = c.report();
@@ -429,7 +484,7 @@ TEST(InvariantChecker, ViolationCapCountsExactly) {
 TEST(InvariantChecker, ReportNamesTheInvariantAndDetail) {
   InvariantChecker c;
   c.on_search_begin(2);
-  c.on_trace(event(TraceKind::kSend, 0, 1, net::MessageType::kQuery, 7));
+  c.record(event(obs::RecordKind::kSend, 0, 1, net::MessageType::kQuery, 7));
   const auto report = c.report();
   EXPECT_NE(report.find("[ttl]"), std::string::npos) << report;
   EXPECT_NE(report.find("outside [1, 2]"), std::string::npos) << report;

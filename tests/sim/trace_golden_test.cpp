@@ -3,15 +3,15 @@
 // baseline.  This is stronger than "tracing off is free": the recorder
 // rides the same traced transmit path as the fault layer but never draws
 // from any RNG lane, so even a fully armed RingSink cannot move a single
-// counter.  The NullSink variant additionally proves the disabled sink
-// collapses to the plain path (set_trace_sink drops it to nullptr).
+// counter.  The heartbeat arm additionally proves that pulses come from
+// the horizon loop, not the event queue: the run executes exactly the
+// baseline's events.
 //
 // Full golden configurations (same as determinism_test.cpp), so this file
 // lives in the slow suite.
 #include <gtest/gtest.h>
 
 #include "obs/ring_sink.h"
-#include "obs/sink.h"
 #include "sim_fingerprints.h"
 
 namespace dsf {
@@ -21,15 +21,8 @@ using simtest::fingerprint;
 
 template <typename Sim, typename Config>
 void expect_tracing_is_noop(const Config& config) {
-  const auto baseline = fingerprint(Sim(config).run());
-
-  // A disabled sink must collapse to no sink at all.
-  Sim null_sim(config);
-  null_sim.set_trace_sink(&obs::NullSink::instance());
-  EXPECT_EQ(null_sim.trace_sink(), nullptr);
-  const auto with_null = fingerprint(null_sim.run());
-  EXPECT_EQ(baseline.value(), with_null.value())
-      << "NullSink perturbed the run";
+  Sim baseline_sim(config);
+  const auto baseline = fingerprint(baseline_sim.run());
 
   // A live ring records the run without moving any metric.
   obs::RingSink ring;
@@ -39,6 +32,20 @@ void expect_tracing_is_noop(const Config& config) {
   const auto traced = fingerprint(traced_sim.run());
   EXPECT_EQ(baseline.value(), traced.value()) << "RingSink perturbed the run";
   EXPECT_GT(ring.total(), 0u) << "sink attached but nothing was recorded";
+
+  // Heartbeat pulses schedule nothing and count no events.
+  obs::RingSink beat_ring;
+  Sim beat_sim(config);
+  beat_sim.set_trace_sink(&beat_ring);
+  beat_sim.set_heartbeat_period(300.0);
+  const auto beat = fingerprint(beat_sim.run());
+  EXPECT_EQ(baseline.value(), beat.value()) << "heartbeat perturbed the run";
+  EXPECT_EQ(baseline_sim.simulator().executed(),
+            beat_sim.simulator().executed());
+  std::size_t pulses = 0;
+  for (const obs::Record& r : beat_ring.snapshot())
+    if (r.kind == obs::RecordKind::kHeartbeat) ++pulses;
+  EXPECT_GT(pulses, 0u) << "heartbeat armed but no pulse was recorded";
 }
 
 TEST(TraceGolden, GnutellaTracedRunMatchesBaseline) {

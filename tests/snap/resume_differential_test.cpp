@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "../sim/sim_fingerprints.h"
+#include "obs/ring_sink.h"
 #include "sim/fault.h"
 
 namespace dsf {
@@ -198,6 +199,57 @@ TEST(ResumeDifferential, EventsExecutedContinuesAcrossResume) {
   resumer.load_snapshot(path);
   EXPECT_EQ(straight.events_executed, resumer.run().events_executed);
   std::remove(path.c_str());
+}
+
+/// Keeps the heartbeat pulse times and drops every other record.
+class PulseSink final : public obs::TraceSink {
+ public:
+  void record(const obs::Record& r) noexcept override {
+    if (r.kind == obs::RecordKind::kHeartbeat) times.push_back(r.time_s);
+  }
+  std::vector<double> times;
+};
+
+TEST(ResumeDifferential, HeartbeatNeverEntersTheSnapshot) {
+  // Heartbeat pulses come from the horizon loop, not the event queue: a
+  // save made with a ring and a heartbeat writes the bytes a ring-only
+  // save writes, and resumes with or without either to the straight run.
+  const gnutella::Config cfg = small_gnutella();
+  const std::string path = ::testing::TempDir() + "dsf_heartbeat.snap";
+  const std::string ring_path = path + ".ring";
+  const auto straight = gnutella::Simulation(cfg).run();
+  const std::uint64_t straight_fp = fingerprint(straight).value();
+  for (const double period_s : {600.0, 0.0}) {
+    obs::RingSink ring;
+    gnutella::Simulation saver(cfg);
+    saver.set_trace_sink(&ring);
+    saver.set_heartbeat_period(period_s);
+    saver.request_snapshot_save(period_s > 0.0 ? path : ring_path, 3600.0);
+    EXPECT_EQ(straight_fp, fingerprint(saver.run()).value());
+  }
+  EXPECT_EQ(slurp(path), slurp(ring_path));
+  {
+    gnutella::Simulation resumer(cfg);
+    resumer.load_snapshot(path);
+    const auto resumed = resumer.run();
+    EXPECT_EQ(straight_fp, fingerprint(resumed).value());
+    EXPECT_EQ(straight.events_executed, resumed.events_executed);
+  }
+  PulseSink pulses;
+  gnutella::Simulation resumer(cfg);
+  resumer.set_trace_sink(&pulses);
+  resumer.set_heartbeat_period(600.0);
+  resumer.load_snapshot(path);
+  const auto resumed = resumer.run();
+  EXPECT_EQ(straight_fp, fingerprint(resumed).value());
+  EXPECT_EQ(straight.events_executed, resumed.events_executed);
+  // The resumed run pulses on the multiples of the period after its
+  // restored clock, up to and including the horizon.
+  EXPECT_EQ(pulses.times,
+            (std::vector<double>{4200.0, 4800.0, 5400.0, 6000.0, 6600.0,
+                                 7200.0}));
+  std::remove(path.c_str());
+  std::remove(ring_path.c_str());
 }
 
 TEST(ResumeDifferential, MisuseIsRejected) {

@@ -22,13 +22,14 @@
 // group:
 //
 //   --trace ring             record every search/transmission into the
-//                            in-memory ring (off | null | ring)
+//                            in-memory ring (off | ring)
 //   --trace-buffer N         ring capacity in records (default 65536)
 //   --trace-out FILE         export the ring as Chrome trace JSON
 //                            (chrome://tracing, Perfetto)
 //   --trace-spans            print the per-search span summary table
-//   --heartbeat S            emit a progress heartbeat every S sim-seconds
-//                            (changes event ordering; off by default)
+//   --heartbeat S            record a progress heartbeat every S
+//                            sim-seconds into the ring (needs --trace
+//                            ring; never changes the run)
 //
 // Every scenario also accepts the snapshot group (mutually exclusive with
 // the open-loop and adversary groups and --capture-trace):
@@ -71,12 +72,17 @@
 //                            "time_s peer item" grammar for later
 //                            --open-loop --load-trace replay
 //
-// Command-line errors — unknown options (rejected with a nearest-match
-// suggestion) and values that do not parse as, or overflow, the declared
-// type — exit 2.  Corrupt, truncated or mismatched snapshot files exit 5
-// without partial state mutation.  Text output is human-readable; --json
-// emits a machine-readable record for scripting sweeps.
+// Exit codes: 0 success; 1 a runtime failure (an unreadable load trace,
+// an unwritable capture file); 2 a command-line error — an unknown
+// option (rejected with a nearest-match suggestion), a value that does
+// not parse as, overflows or falls outside its declared type or range, or
+// flags and layers that cannot run together; 3 the trace export could
+// not be written; 4 the invariant checker found violations; 5 a corrupt,
+// truncated or mismatched snapshot file (rejected without partial state
+// mutation).  Text output is human-readable; --json emits a
+// machine-readable record for scripting sweeps.
 
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -171,15 +177,15 @@ cli::FlagRegistry make_registry() {
                   "per line) instead of the generator");
 
   reg.group("flight recorder");
-  reg.add_string("trace", "off", "off | null | ring (the flight recorder)")
+  reg.add_string("trace", "off", "off | ring (the flight recorder)")
       .add_int("trace-buffer",
                static_cast<std::int64_t>(obs::RingSink::kDefaultCapacity),
                "ring capacity in records")
       .add_string("trace-out", "", "export the ring as Chrome trace JSON")
       .add_bool("trace-spans", false, "print the per-search span table")
       .add_double("heartbeat", 0.0,
-                  "heartbeat period in sim-seconds (0: off; note: "
-                  "scheduling heartbeats changes event ordering)");
+                  "heartbeat period in sim-seconds (0: off; needs "
+                  "--trace ring)");
 
   register_fault_flags(reg);
   register_adversary_flags(reg);
@@ -346,34 +352,33 @@ struct AdversaryContext {
 /// Parses the flight-recorder group, attaches the configured sink before
 /// run(), and exports/prints after.
 struct TraceContext {
-  std::string mode;
   std::unique_ptr<obs::RingSink> ring;
   std::string out_path;
   bool spans = false;
   double heartbeat_s = 0.0;
 
   explicit TraceContext(const cli::FlagRegistry& reg)
-      : mode(reg.get_string("trace")),
-        out_path(reg.get_string("trace-out")),
+      : out_path(reg.get_string("trace-out")),
         spans(reg.get_bool("trace-spans")),
         heartbeat_s(reg.get_double("heartbeat")) {
-    if (mode != "off" && mode != "null" && mode != "ring")
-      throw std::invalid_argument("--trace: expected off, null or ring");
+    const std::string mode = reg.get_string("trace");
+    if (mode != "off" && mode != "ring")
+      throw std::invalid_argument("--trace: expected off or ring");
     const std::int64_t cap = reg.get_int("trace-buffer");
     if (cap <= 0) throw std::invalid_argument("--trace-buffer: must be > 0");
+    if (!(heartbeat_s >= 0.0 && std::isfinite(heartbeat_s)))
+      throw std::invalid_argument(
+          "--heartbeat: must be a finite period >= 0 sim-seconds");
     if (mode == "ring")
       ring = std::make_unique<obs::RingSink>(static_cast<std::size_t>(cap));
     if ((spans || !out_path.empty()) && !ring)
       throw std::invalid_argument(
           "--trace-out/--trace-spans need --trace ring");
+    if (heartbeat_s > 0.0 && !ring)
+      throw std::invalid_argument("--heartbeat needs --trace ring");
   }
 
   void arm(sim::OverlayEngine& engine) {
-    if (mode == "null") {
-      // Explicitly off through the same API: collapses to no attachment.
-      engine.set_trace_sink(&obs::NullSink::instance());
-      return;
-    }
     if (!ring) return;
     engine.set_trace_sink(ring.get());
     if (heartbeat_s > 0.0) engine.set_heartbeat_period(heartbeat_s);
@@ -510,6 +515,39 @@ struct LoadContext {
   }
 };
 
+/// Every optional layer of one run, parsed once from the flags.  arm()
+/// readies a freshly constructed scenario engine in the one order all
+/// four scenarios share (a snapshot load must precede everything else);
+/// finish() exports the trace, runs the requested audits and folds their
+/// results into one exit code.
+struct Layers {
+  FaultContext fault;
+  AdversaryContext adv;
+  TraceContext trace;
+  SnapshotContext snap;
+  LoadContext load;
+
+  explicit Layers(const cli::FlagRegistry& reg)
+      : fault(reg), adv(reg), trace(reg), snap(reg), load(reg) {}
+
+  void arm(sim::OverlayEngine& engine, double sim_hours) {
+    snap.arm(engine);
+    load.arm(engine, sim_hours);
+    adv.arm(engine, fault);
+    fault.arm(engine);
+    trace.arm(engine);
+  }
+
+  /// Exit code: an audit failure (4, adversary before fault) outranks a
+  /// failed trace export (3).
+  int finish(const sim::OverlayEngine& engine) {
+    const int trc = trace.finish();
+    const int arc = adv.finish(engine, fault.checker);
+    const int frc = fault.finish(engine);
+    return arc ? arc : (frc ? frc : trc);
+  }
+};
+
 /// Parses and cross-validates the ranked-query flag group: scheme-specific
 /// flags are rejected unless their scheme is selected, and each value is
 /// range-checked.  Every violation is a typed FlagError (usage exit 2).
@@ -559,17 +597,9 @@ int run_gnutella(const cli::FlagRegistry& reg, bool json) {
   c.library_growth = reg.get_bool("library-growth");
   c.exclude_owned_songs = reg.get_bool("exclude-owned");
 
-  FaultContext fault(reg);
-  AdversaryContext adv(reg);
-  TraceContext trace(reg);
-  SnapshotContext snap(reg);
-  LoadContext loadgen(reg);
+  Layers layers(reg);
   gnutella::Simulation sim(c);
-  snap.arm(sim);
-  loadgen.arm(sim, c.sim_hours);
-  adv.arm(sim, fault);
-  fault.arm(sim);
-  trace.arm(sim);
+  layers.arm(sim, c.sim_hours);
   const auto r = sim.run();
   const double measure_s = (c.sim_hours - c.warmup_hours) * 3600.0;
   if (json) {
@@ -589,7 +619,7 @@ int run_gnutella(const cli::FlagRegistry& reg, bool json) {
              metrics::JsonValue::number(r.first_result_delay_s.mean() * 1e3))
         .set("reconfigurations", metrics::JsonValue::number(r.reconfigurations))
         .set("evictions", metrics::JsonValue::number(r.evictions));
-    if (loadgen.enabled) out.set("load", loadgen.json(sim, measure_s));
+    if (layers.load.enabled) out.set("load", layers.load.json(sim, measure_s));
     out.write(std::cout);
     std::cout << '\n';
   } else {
@@ -600,12 +630,9 @@ int run_gnutella(const cli::FlagRegistry& reg, bool json) {
                 static_cast<unsigned long long>(r.total_hits()),
                 static_cast<unsigned long long>(r.total_messages()),
                 r.first_result_delay_s.mean() * 1e3);
-    if (loadgen.enabled) loadgen.print(sim, measure_s);
+    if (layers.load.enabled) layers.load.print(sim, measure_s);
   }
-  const int trc = trace.finish();
-  const int arc = adv.finish(sim, fault.checker);
-  const int frc = fault.finish(sim);
-  return arc ? arc : (frc ? frc : trc);
+  return layers.finish(sim);
 }
 
 int run_webcache(const cli::FlagRegistry& reg, bool json) {
@@ -615,17 +642,9 @@ int run_webcache(const cli::FlagRegistry& reg, bool json) {
   apply_horizon(reg, c.sim_hours, c.warmup_hours);
   c.seed = static_cast<std::uint64_t>(int_or(reg, "seed", 7));
 
-  FaultContext fault(reg);
-  AdversaryContext adv(reg);
-  TraceContext trace(reg);
-  SnapshotContext snap(reg);
-  LoadContext loadgen(reg);
+  Layers layers(reg);
   webcache::WebCacheSim sim(c);
-  snap.arm(sim);
-  loadgen.arm(sim, c.sim_hours);
-  adv.arm(sim, fault);
-  fault.arm(sim);
-  trace.arm(sim);
+  layers.arm(sim, c.sim_hours);
   const auto r = sim.run();
   const double measure_s = (c.sim_hours - c.warmup_hours) * 3600.0;
   if (json) {
@@ -638,7 +657,7 @@ int run_webcache(const cli::FlagRegistry& reg, bool json) {
              metrics::JsonValue::number(r.neighbor_hit_rate()))
         .set("mean_latency_ms",
              metrics::JsonValue::number(r.latency_s.mean() * 1e3));
-    if (loadgen.enabled) out.set("load", loadgen.json(sim, measure_s));
+    if (layers.load.enabled) out.set("load", layers.load.json(sim, measure_s));
     out.write(std::cout);
     std::cout << '\n';
   } else {
@@ -648,12 +667,9 @@ int run_webcache(const cli::FlagRegistry& reg, bool json) {
                 static_cast<unsigned long long>(r.requests),
                 r.local_hit_rate() * 100, r.neighbor_hit_rate() * 100,
                 r.latency_s.mean() * 1e3);
-    if (loadgen.enabled) loadgen.print(sim, measure_s);
+    if (layers.load.enabled) layers.load.print(sim, measure_s);
   }
-  const int trc = trace.finish();
-  const int arc = adv.finish(sim, fault.checker);
-  const int frc = fault.finish(sim);
-  return arc ? arc : (frc ? frc : trc);
+  return layers.finish(sim);
 }
 
 int run_olap(const cli::FlagRegistry& reg, bool json) {
@@ -663,17 +679,9 @@ int run_olap(const cli::FlagRegistry& reg, bool json) {
   apply_horizon(reg, c.sim_hours, c.warmup_hours);
   c.seed = static_cast<std::uint64_t>(int_or(reg, "seed", 11));
 
-  FaultContext fault(reg);
-  AdversaryContext adv(reg);
-  TraceContext trace(reg);
-  SnapshotContext snap(reg);
-  LoadContext loadgen(reg);
+  Layers layers(reg);
   olap::OlapSim sim(c);
-  snap.arm(sim);
-  loadgen.arm(sim, c.sim_hours);
-  adv.arm(sim, fault);
-  fault.arm(sim);
-  trace.arm(sim);
+  layers.arm(sim, c.sim_hours);
   const auto r = sim.run();
   const double measure_s = (c.sim_hours - c.warmup_hours) * 3600.0;
   if (json) {
@@ -684,7 +692,7 @@ int run_olap(const cli::FlagRegistry& reg, bool json) {
         .set("peer_hit_rate", metrics::JsonValue::number(r.peer_hit_rate()))
         .set("mean_response_s",
              metrics::JsonValue::number(r.response_time_s.mean()));
-    if (loadgen.enabled) out.set("load", loadgen.json(sim, measure_s));
+    if (layers.load.enabled) out.set("load", layers.load.json(sim, measure_s));
     out.write(std::cout);
     std::cout << '\n';
   } else {
@@ -693,12 +701,9 @@ int run_olap(const cli::FlagRegistry& reg, bool json) {
                 c.dynamic ? "dynamic" : "static",
                 static_cast<unsigned long long>(r.queries),
                 r.peer_hit_rate() * 100, r.response_time_s.mean());
-    if (loadgen.enabled) loadgen.print(sim, measure_s);
+    if (layers.load.enabled) layers.load.print(sim, measure_s);
   }
-  const int trc = trace.finish();
-  const int arc = adv.finish(sim, fault.checker);
-  const int frc = fault.finish(sim);
-  return arc ? arc : (frc ? frc : trc);
+  return layers.finish(sim);
 }
 
 int run_diglib(const cli::FlagRegistry& reg, bool json) {
@@ -724,17 +729,9 @@ int run_diglib(const cli::FlagRegistry& reg, bool json) {
   c.search_strategy = scheme;
   c.top_k = static_cast<std::uint32_t>(reg.get_int("top-k"));
 
-  FaultContext fault(reg);
-  AdversaryContext adv(reg);
-  TraceContext trace(reg);
-  SnapshotContext snap(reg);
-  LoadContext loadgen(reg);
+  Layers layers(reg);
   diglib::DigLibSim sim(c);
-  snap.arm(sim);
-  loadgen.arm(sim, c.sim_hours);
-  adv.arm(sim, fault);
-  fault.arm(sim);
-  trace.arm(sim);
+  layers.arm(sim, c.sim_hours);
   const auto r = sim.run();
   const double measure_s = (c.sim_hours - c.warmup_hours) * 3600.0;
   if (json) {
@@ -748,7 +745,7 @@ int run_diglib(const cli::FlagRegistry& reg, bool json) {
         .set("recall", metrics::JsonValue::number(r.recall()))
         .set("messages_per_query",
              metrics::JsonValue::number(r.messages_per_query.mean()));
-    if (loadgen.enabled) out.set("load", loadgen.json(sim, measure_s));
+    if (layers.load.enabled) out.set("load", layers.load.json(sim, measure_s));
     out.write(std::cout);
     std::cout << '\n';
   } else {
@@ -757,12 +754,9 @@ int run_diglib(const cli::FlagRegistry& reg, bool json) {
                 mode.c_str(), static_cast<unsigned long long>(r.queries),
                 r.hit_rate() * 100, r.recall(),
                 r.messages_per_query.mean());
-    if (loadgen.enabled) loadgen.print(sim, measure_s);
+    if (layers.load.enabled) layers.load.print(sim, measure_s);
   }
-  const int trc = trace.finish();
-  const int arc = adv.finish(sim, fault.checker);
-  const int frc = fault.finish(sim);
-  return arc ? arc : (frc ? frc : trc);
+  return layers.finish(sim);
 }
 
 }  // namespace
@@ -784,9 +778,10 @@ int main(int argc, char** argv) {
     if (scenario == "olap") return run_olap(reg, json);
     if (scenario == "diglib") return run_diglib(reg, json);
     return usage();
-  } catch (const dsf::cli::FlagError& e) {
-    // The typed flag-error family: unknown options, type mismatches, and
-    // values that overflow the declared type all exit with usage status.
+  } catch (const std::invalid_argument& e) {
+    // Usage errors: the typed flag-error family (unknown options, type
+    // mismatches, overflows) and every value or layer combination the
+    // scenarios reject while validating their input.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   } catch (const dsf::snap::SnapshotError& e) {
