@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -31,40 +30,26 @@ struct EventId {
 /// equal timestamps and O(1) lazy cancellation.  Event times must be
 /// finite.
 ///
-/// The queue is the hot core of the simulator.  It is a two-level
-/// structure tuned for the hold model the scenario simulators run in
-/// (pop the minimum, schedule a replacement a bounded delay ahead):
+/// The queue is the hot core of the simulator: one 4-ary implicit
+/// min-heap, O(log n) per schedule and pop whatever the spread of event
+/// delays (the simulators mix second-scale message hops with hour-scale
+/// session and query timers in one queue).
 ///
-///  - a *timing wheel* of uniform-width buckets covers the near future
-///    [base, horizon).  Each bucket is a sorted run consumed through a
-///    head cursor, so in steady state both schedule and pop are O(1) —
-///    no per-operation log-factor and no pointer-chased cache misses;
-///  - a 4-ary implicit min-heap holds the far future (t >= horizon) and
-///    doubles as the whole queue below kWheelEnable events, where heap
-///    ops are L1-resident anyway.  When the wheel laps, the heap prefix
-///    below the new horizon is *filtered* into the wheel and the
-///    remainder re-heapified in one O(heap) pass — events never pay a
-///    per-element sift to migrate;
-///  - the wheel geometry (bucket count, width) is retuned from the live
-///    population and its time span whenever the population drifts out of
-///    range, so skewed or shifting delay distributions degrade to a
-///    rebuild, not to quadratic bucket scans;
 ///  - callbacks are des::Callback (48-byte small-buffer, move-only), so
 ///    typical closures are stored without touching the heap allocator;
-///  - event records live in a recycled slab; wheel and heap nodes carry
-///    the full ordering key (an order-preserving integer image of the
-///    time, plus the sequence number) so comparisons never dereference
-///    the slab;
+///  - event records live in a recycled slab; heap nodes carry the full
+///    ordering key (an order-preserving integer image of the time, plus
+///    the sequence number) so comparisons never dereference the slab;
 ///  - cancellation is lazy: a dense 1-bit-per-slot tombstone set checked
 ///    when a node surfaces.  Cancelling costs O(1); when tombstones
-///    outnumber live events the structure is compacted, so cancel-heavy
-///    workloads (every satisfied Gnutella query cancels its timeout)
-///    stay amortized O(1) with bounded memory.
+///    outnumber live events one filter-and-heapify pass compacts the
+///    heap, so cancel-heavy workloads (every satisfied Gnutella query
+///    cancels its timeout) stay amortized O(1) with bounded memory.
 ///
-/// Pop order is the strict total order (time, seq); the split between
-/// wheel and heap and all internal shapes are not observable, which is
-/// what lets schedule_batch() insert a fan-out — and the wheel lap
-/// migrate events in bulk — without changing any replayed trajectory.
+/// Pop order is the strict total order (time, seq); the heap's shape is
+/// not observable, which is what lets schedule_batch() insert a fan-out
+/// and compaction rebuild the heap without changing any replayed
+/// trajectory.
 class EventQueue {
  public:
   using Callback = des::Callback;
@@ -75,40 +60,32 @@ class EventQueue {
   /// `t` fire in insertion order.
   EventId schedule(SimTime t, Callback cb) {
     assert(std::isfinite(t) && "event time must be finite");
-    const std::uint64_t key = time_key(t);
     // Start the cold lines this insert will touch — the recycled slab
-    // entry, its tombstone word, the target bucket — toward L1 now, so
-    // at large populations their misses overlap instead of serializing.
+    // entry and its tombstone word — toward L1 now, so at large
+    // populations their misses overlap instead of serializing.
     if (!free_.empty()) {
       const std::uint32_t s = free_.back();
       prefetch(&entries_[s]);
       prefetch(&dead_bits_[s >> 6]);
     }
-    if (bucket_mask_ != 0 && key >= base_key_ && key < horizon_key_)
-      prefetch(&buckets_[bucket_index(t)]);
-    const std::uint32_t slot = acquire_slot(t, std::move(cb));
+    const std::uint32_t slot = acquire_slot(std::move(cb));
     const std::uint64_t seq = entries_[slot].seq;
-    insert_node(HeapNode{key, seq, slot});
-    ++live_;
+    push_node(HeapNode{time_key(t), seq, slot});
     return EventId{slot, seq};
   }
 
   /// Bulk insertion for neighbor fan-out: schedules `n` events produced
-  /// by `gen(i) -> std::pair<SimTime, Callback>` in index order, with one
-  /// slab reservation for the whole batch.  Equivalent to n calls to
-  /// schedule() — same sequence numbers, same pop order — minus the
-  /// per-call growth checks; no handles are returned because fan-out
-  /// deliveries are never cancelled individually.
+  /// by `gen(i) -> std::pair<SimTime, Callback>` in index order.
+  /// Equivalent to n calls to schedule() — same sequence numbers, same
+  /// pop order; no handles are returned because fan-out deliveries are
+  /// never cancelled individually.
   template <typename Gen>
   void schedule_batch(std::size_t n, Gen&& gen) {
-    if (bucket_mask_ == 0) heap_.reserve(heap_.size() + n);
-    if (free_.size() < n) entries_.reserve(entries_.size() + n - free_.size());
     for (std::size_t i = 0; i < n; ++i) {
       auto [t, cb] = gen(i);
       assert(std::isfinite(t) && "event time must be finite");
-      const std::uint32_t slot = acquire_slot(t, std::move(cb));
-      insert_node(HeapNode{time_key(t), entries_[slot].seq, slot});
-      ++live_;
+      const std::uint32_t slot = acquire_slot(std::move(cb));
+      push_node(HeapNode{time_key(t), entries_[slot].seq, slot});
     }
   }
 
@@ -123,11 +100,11 @@ class EventQueue {
     --live_;
     // Lazy deletion alone lets tombstones pile up until their timestamp
     // surfaces — a workload that cancels most of what it schedules would
-    // grow the structure without bound.  Sweep when dead nodes outnumber
-    // live ones: each sweep at least halves the structure, so cancels
-    // stay amortized O(1).
-    const std::size_t dead = wheel_count_ + heap_.size() - live_;
-    if (dead > live_ && dead > 32) rebuild(nullptr);
+    // grow the heap without bound.  Compact when dead nodes outnumber
+    // live ones: each pass at least halves the heap, so cancels stay
+    // amortized O(1).
+    const std::size_t dead = heap_.size() - live_;
+    if (dead > live_ && dead > 32) compact();
     return true;
   }
 
@@ -136,39 +113,21 @@ class EventQueue {
 
   /// Timestamp of the next live event.  Precondition: !empty().
   SimTime next_time() {
-    Bucket* b = settle_min();
-    if (b != nullptr) return time_from_key(b->v[b->head].time_key);
+    drop_dead_top();
     assert(!heap_.empty() && "next_time() on empty queue");
     return time_from_key(heap_.front().time_key);
   }
 
   /// Pops and returns the next live event.  Precondition: !empty().
   std::pair<SimTime, Callback> pop() {
-    Bucket* b = settle_min();
-    std::uint64_t key;
-    std::uint32_t slot;
-    if (b != nullptr) {
-      key = b->v[b->head].time_key;
-      slot = b->v[b->head].slot;
-      ++b->head;
-      --wheel_count_;
-      if (b->head == b->v.size()) {
-        b->v.clear();
-        b->head = 0;
-      } else {
-        // Lookahead: the next event's slab entry is needed one pop from
-        // now; fetching it during this event's dispatch hides the miss.
-        prefetch(&entries_[b->v[b->head].slot]);
-      }
-    } else {
-      assert(!heap_.empty() && "pop() on empty queue");
-      key = heap_.front().time_key;
-      slot = heap_.front().slot;
-      // The slab entry is cold at large populations; start the line
-      // toward L1 so the fetch overlaps the sift-down's own misses.
-      prefetch(&entries_[slot]);
-      pop_heap_root();
-    }
+    drop_dead_top();
+    assert(!heap_.empty() && "pop() on empty queue");
+    const std::uint64_t key = heap_.front().time_key;
+    const std::uint32_t slot = heap_.front().slot;
+    // The slab entry is cold at large populations; start the line
+    // toward L1 so the fetch overlaps the sift-down's own misses.
+    prefetch(&entries_[slot]);
+    pop_heap_root();
     Entry& e = entries_[slot];
     std::pair<SimTime, Callback> result{time_from_key(key), std::move(e.cb)};
     mark_dead(slot);  // a stale handle must not cancel this fired event
@@ -187,16 +146,6 @@ class EventQueue {
   /// never serialized).
   template <typename Fn>
   void for_each_live(Fn&& fn) const {
-    if (bucket_mask_ != 0) {
-      for (std::size_t i = 0; i <= bucket_mask_; ++i) {
-        const Bucket& b = buckets_[i];
-        for (std::size_t j = b.head; j < b.v.size(); ++j) {
-          if (!is_dead(b.v[j].slot))
-            fn(time_from_key(b.v[j].time_key), b.v[j].seq,
-               EventId{b.v[j].slot, b.v[j].seq});
-        }
-      }
-    }
     for (const HeapNode& node : heap_) {
       if (!is_dead(node.slot))
         fn(time_from_key(node.time_key), node.seq,
@@ -206,43 +155,6 @@ class EventQueue {
 
   /// Total events scheduled over the queue's lifetime.
   std::uint64_t total_scheduled() const noexcept { return next_seq_; }
-
-  /// --- capacity policy ---------------------------------------------------
-  /// Pre-sizes the slab for an expected standing population of `events` —
-  /// the scenario primes call this with (nodes × pending events per node)
-  /// so the warm-up ramp never pays vector growth.
-  void reserve(std::size_t events) {
-    entries_.reserve(events);
-    if (bucket_mask_ == 0) heap_.reserve(events);
-    free_.reserve(events);
-    dead_bits_.reserve((events + 63) / 64);
-  }
-
-  /// Releases slack capacity after a population collapse (end of a sweep
-  /// point, a drained horizon).  With no live events every structure is
-  /// emptied outright — outstanding stale handles remain safely
-  /// un-cancellable — otherwise capacity shrinks around the current
-  /// contents.  Never called implicitly: steady-state scheduling must
-  /// not oscillate between grow and shrink.
-  void shrink_to_fit() {
-    if (live_ == 0) {
-      heap_.clear();
-      entries_.clear();
-      free_.clear();
-      dead_bits_.clear();
-      buckets_.clear();
-      bucket_mask_ = 0;
-      wheel_count_ = 0;
-      cur_ = 0;
-    }
-    heap_.shrink_to_fit();
-    entries_.shrink_to_fit();
-    free_.shrink_to_fit();
-    dead_bits_.shrink_to_fit();
-    buckets_.shrink_to_fit();
-    scratch_.clear();
-    scratch_.shrink_to_fit();
-  }
 
  private:
   /// One slab record: callback plus the generation that validates
@@ -256,8 +168,8 @@ class EventQueue {
   };
   static_assert(sizeof(Entry) <= 64, "slab entry must fit one cache line");
 
-  /// Wheel/heap node carrying the complete ordering key; comparisons
-  /// never dereference the slab.  Time is stored as its order-preserving
+  /// Heap node carrying the complete ordering key; comparisons never
+  /// dereference the slab.  Time is stored as its order-preserving
   /// integer bit pattern (see time_key) so node_less compiles to flag
   /// arithmetic and conditional moves instead of data-dependent branches
   /// — with random keys those branches are coin flips, and their
@@ -266,15 +178,6 @@ class EventQueue {
     std::uint64_t time_key;
     std::uint64_t seq;
     std::uint32_t slot;
-  };
-
-  /// One wheel bucket: a run kept sorted ascending by (key, seq) and
-  /// consumed through `head`.  Ascending order + a cursor (rather than
-  /// descending + pop_back) makes the common insertions — monotone
-  /// times, FIFO ties — plain appends.
-  struct Bucket {
-    std::vector<HeapNode> v;
-    std::size_t head = 0;
   };
 
   /// Monotone map from double to uint64: for any two non-NaN times
@@ -307,8 +210,8 @@ class EventQueue {
 
   /// Liveness sits in a dense side bitset rather than a flag in Entry:
   /// drop-dead checks touch one L1-resident word instead of faulting in
-  /// a cold 80-byte slab entry just to read one bool.  A set bit covers
-  /// both "cancelled" and "already fired" (freed slots stay marked until
+  /// a cold slab entry just to read one bool.  A set bit covers both
+  /// "cancelled" and "already fired" (freed slots stay marked until
   /// reuse), which is exactly the set a handle may not cancel.
   bool is_dead(std::uint32_t slot) const noexcept {
     return ((dead_bits_[slot >> 6] >> (slot & 63)) & 1u) != 0;
@@ -325,8 +228,7 @@ class EventQueue {
 #endif
   }
 
-  std::uint32_t acquire_slot(SimTime t, Callback cb) {
-    (void)t;
+  std::uint32_t acquire_slot(Callback cb) {
     std::uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -343,210 +245,16 @@ class EventQueue {
     return slot;
   }
 
-  /// --- two-level routing -------------------------------------------------
-
-  /// Wheel sizing: enabled once the heap holds kWheelEnable nodes,
-  /// dropped again below kWheelMinLive (hysteresis so a population
-  /// hovering at the boundary does not thrash rebuilds).
-  static constexpr std::size_t kWheelEnable = 256;
-  static constexpr std::size_t kWheelMinLive = 128;
-  static constexpr std::size_t kMaxWheelBuckets = std::size_t{1} << 22;
-
-  void insert_node(const HeapNode& node) {
-    if (bucket_mask_ != 0) {
-      if (node.time_key < horizon_key_) {
-        if (node.time_key >= base_key_) {
-          place_in_wheel(node);
-          return;
-        }
-        // Before the wheel's base: only possible for times earlier than
-        // anything live.  Rebase around it (rare — simulators never
-        // schedule into the past).
-        const SimTime t = time_from_key(node.time_key);
-        rebuild(&t);
-        if (bucket_mask_ != 0 && node.time_key < horizon_key_) {
-          place_in_wheel(node);
-          return;
-        }
-      }
-      heap_.push_back(node);
-      sift_up(heap_.size() - 1);
-      return;
-    }
+  void push_node(const HeapNode& node) {
     heap_.push_back(node);
     sift_up(heap_.size() - 1);
-    if (heap_.size() >= kWheelEnable) rebuild(nullptr);
+    ++live_;
   }
-
-  std::size_t bucket_index(SimTime t) const noexcept {
-    const auto idx = static_cast<std::size_t>((t - base_) * inv_width_);
-    return idx > bucket_mask_ ? bucket_mask_ : idx;  // FP rounding at edge
-  }
-
-  /// Precondition: base_key_ <= node.time_key < horizon_key_.
-  void place_in_wheel(const HeapNode& node) {
-    const std::size_t idx = bucket_index(time_from_key(node.time_key));
-    Bucket& b = buckets_[idx];
-    std::size_t pos = b.v.size();
-    b.v.push_back(node);
-    while (pos > b.head && node_less(node, b.v[pos - 1])) {
-      b.v[pos] = b.v[pos - 1];
-      --pos;
-    }
-    b.v[pos] = node;
-    ++wheel_count_;
-    if (idx < cur_) cur_ = idx;
-  }
-
-  /// Advances the scan to the bucket holding the global minimum and
-  /// returns it, or nullptr when the minimum lives in the overflow heap
-  /// (or the wheel is disabled).  Drops tombstones along the way.
-  Bucket* settle_min() {
-    // Loop condition re-read every lap: wrap() may retune through
-    // rebuild(), and a rebuild that finds the population below
-    // kWheelMinLive *disables* the wheel — the scan must then fall
-    // through to heap mode instead of lapping empty buckets forever.
-    while (bucket_mask_ != 0) {
-      while (cur_ <= bucket_mask_) {
-        Bucket& b = buckets_[cur_];
-        while (b.head < b.v.size()) {
-          if (!is_dead(b.v[b.head].slot)) return &b;
-          free_.push_back(b.v[b.head].slot);
-          ++b.head;
-          --wheel_count_;
-        }
-        b.v.clear();
-        b.head = 0;
-        ++cur_;
-      }
-      drop_dead_top();
-      if (heap_.empty()) return nullptr;  // nothing anywhere
-      wrap();
-    }
-    drop_dead_top();
-    return nullptr;
-  }
-
-  /// The wheel is exhausted and the heap is not: advance the window so
-  /// the heap minimum becomes the first bucket, then migrate the heap
-  /// prefix below the new horizon in one filter + heapify pass (no
-  /// per-element sift).  Retunes the geometry first when the live
-  /// population has drifted out of the wheel's sizing band.
-  void wrap() {
-    const std::size_t nb = bucket_mask_ + 1;
-    if (live_ < kWheelMinLive || live_ > 2 * nb || nb > 8 * live_) {
-      rebuild(nullptr);
-      return;
-    }
-    base_ = time_from_key(heap_.front().time_key);
-    base_key_ = time_key(base_);
-    const double horizon = base_ + width_ * static_cast<double>(nb);
-    horizon_key_ = time_key(horizon);
-    cur_ = 0;
-    std::size_t w = 0;
-    for (const HeapNode& node : heap_) {
-      if (is_dead(node.slot)) {
-        free_.push_back(node.slot);
-      } else if (node.time_key < horizon_key_) {
-        place_in_wheel(node);
-      } else {
-        heap_[w++] = node;
-      }
-    }
-    heap_.resize(w);
-    heapify();
-    // Almost everything still beyond the horizon means the width is
-    // badly mistuned for the current span (the delay distribution
-    // shifted); recompute it from scratch rather than lap in vain.
-    if (wheel_count_ * 4 < live_) rebuild(nullptr);
-  }
-
-  /// Gathers every live node, drops tombstones, resizes the wheel from
-  /// the live population and its span, and redistributes.  Also the
-  /// tombstone compactor and the wheel on/off switch.  O(n log n) and
-  /// rare: triggered by population drift, cancel pressure, or a
-  /// past-of-base insert.
-  void rebuild(const SimTime* include_t) {
-    scratch_.clear();
-    if (bucket_mask_ != 0) {
-      for (std::size_t i = 0; i <= bucket_mask_; ++i) {
-        Bucket& b = buckets_[i];
-        for (std::size_t j = b.head; j < b.v.size(); ++j) {
-          if (is_dead(b.v[j].slot)) {
-            free_.push_back(b.v[j].slot);
-          } else {
-            scratch_.push_back(b.v[j]);
-          }
-        }
-        b.v.clear();
-        b.head = 0;
-      }
-    }
-    for (const HeapNode& node : heap_) {
-      if (is_dead(node.slot)) {
-        free_.push_back(node.slot);
-      } else {
-        scratch_.push_back(node);
-      }
-    }
-    heap_.clear();
-    wheel_count_ = 0;
-    cur_ = 0;
-
-    const std::size_t n = scratch_.size();
-    if (n < kWheelMinLive) {
-      bucket_mask_ = 0;
-      heap_.assign(scratch_.begin(), scratch_.end());
-      heapify();
-      return;
-    }
-    // Sort once: min/max fall out of the ends, and the distribution
-    // below turns every bucket insertion into an append — O(n log n)
-    // total, with no quadratic tie pile-ups.
-    std::sort(scratch_.begin(), scratch_.end(), node_less);
-    double tmin = time_from_key(scratch_.front().time_key);
-    double tmax = time_from_key(scratch_.back().time_key);
-    if (include_t != nullptr) {
-      tmin = std::min(tmin, *include_t);
-      tmax = std::max(tmax, *include_t);
-    }
-    const std::size_t nb =
-        std::min(kMaxWheelBuckets, std::bit_ceil(n));
-    const double span = tmax - tmin;
-    // Twice the mean gap: the live span fills about half the window, so
-    // a full lap's worth of future inserts lands in the wheel, not the
-    // heap.  Degenerate spans (all events at one instant) get width 1 —
-    // a single sorted bucket.
-    double w = span > 0.0 ? 2.0 * span / static_cast<double>(n) : 1.0;
-    double inv = 1.0 / w;
-    if (!std::isfinite(w) || !std::isfinite(inv) || !(w > 0.0)) {
-      w = 1.0;
-      inv = 1.0;
-    }
-    width_ = w;
-    inv_width_ = inv;
-    base_ = tmin;
-    base_key_ = time_key(tmin);
-    const double horizon = base_ + width_ * static_cast<double>(nb);
-    horizon_key_ = time_key(horizon);
-    buckets_.resize(nb);
-    bucket_mask_ = nb - 1;
-    for (const HeapNode& node : scratch_) {
-      if (node.time_key < horizon_key_) {
-        place_in_wheel(node);
-      } else {
-        heap_.push_back(node);
-      }
-    }
-    heapify();
-  }
-
-  /// --- 4-ary overflow heap ----------------------------------------------
 
   /// Heap arity.  4-ary rather than binary: half the tree depth means
   /// half the *serialized* cache misses on a descent (each level's
   /// address depends on the previous comparison), which is what bounds
-  /// pop throughput once the far-future population outgrows L2.
+  /// pop throughput once the population outgrows L2.
   static constexpr std::size_t kArity = 4;
 
   void sift_up(std::size_t i) noexcept {
@@ -615,13 +323,6 @@ class EventQueue {
     heap_[i] = v;
   }
 
-  /// Floyd heap construction: O(n), order-independent.
-  void heapify() noexcept {
-    const std::size_t n = heap_.size();
-    if (n > 1)
-      for (std::size_t i = (n - 2) / kArity + 1; i-- > 0;) sift_down(i);
-  }
-
   void pop_heap_root() noexcept {
     heap_.front() = heap_.back();
     heap_.pop_back();
@@ -635,26 +336,28 @@ class EventQueue {
     }
   }
 
+  /// Drops every tombstone in one pass and rebuilds the heap with Floyd's
+  /// O(n) construction.
+  void compact() {
+    std::size_t w = 0;
+    for (const HeapNode& node : heap_) {
+      if (is_dead(node.slot)) {
+        free_.push_back(node.slot);
+      } else {
+        heap_[w++] = node;
+      }
+    }
+    heap_.resize(w);
+    if (w > 1)
+      for (std::size_t i = (w - 2) / kArity + 1; i-- > 0;) sift_down(i);
+  }
+
   std::vector<Entry> entries_;       // slab of event records
   std::vector<std::uint32_t> free_;  // recycled slots in entries_
   std::vector<std::uint64_t> dead_bits_;  // 1 bit/slot: cancelled or fired
+  std::vector<HeapNode> heap_;       // live nodes plus uncompacted tombstones
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
-
-  // Timing wheel (near future).  bucket_mask_ == 0 means disabled.
-  std::vector<Bucket> buckets_;
-  std::size_t bucket_mask_ = 0;
-  std::size_t cur_ = 0;          // scan position in buckets_
-  std::size_t wheel_count_ = 0;  // nodes (live + dead) in the wheel
-  double base_ = 0.0;            // time at the front edge of bucket 0
-  double width_ = 0.0;           // seconds per bucket
-  double inv_width_ = 0.0;
-  std::uint64_t base_key_ = 0;
-  std::uint64_t horizon_key_ = 0;
-
-  // Overflow heap (far future; the whole queue when the wheel is off).
-  std::vector<HeapNode> heap_;
-  std::vector<HeapNode> scratch_;  // rebuild staging, kept to avoid allocs
 };
 
 }  // namespace dsf::des

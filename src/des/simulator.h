@@ -39,9 +39,9 @@ class Simulator {
 
   /// Batched fan-out relative to now(): schedules `n` events where event
   /// `i` fires after `delays[i]` seconds and runs `make(i)`.  One now()
-  /// read and one queue reservation cover the whole batch; ordering is
-  /// identical to n schedule_in calls in index order (same sequence
-  /// numbers, same clamping of negative delays).
+  /// read covers the whole batch; ordering is identical to n schedule_in
+  /// calls in index order (same sequence numbers, same clamping of
+  /// negative delays).
   template <typename Make>
   void schedule_in_batch(const SimTime* delays, std::size_t n, Make&& make) {
     const SimTime now = now_;
@@ -63,9 +63,6 @@ class Simulator {
       return p;
     });
   }
-
-  /// Pre-sizes the event queue; see EventQueue::reserve.
-  void reserve(std::size_t events) { queue_.reserve(events); }
 
   /// Cancels a pending event; see EventQueue::cancel.
   bool cancel(EventId id) { return queue_.cancel(id); }

@@ -6,7 +6,8 @@
 
 namespace dsf::obs {
 
-/// Peak resident set in bytes (0 when the platform offers no getrusage).
+/// Peak resident set of this process image in bytes: VmHWM from
+/// /proc/self/status, else getrusage's ru_maxrss, else 0.
 std::uint64_t peak_rss_bytes() noexcept;
 
 }  // namespace dsf::obs

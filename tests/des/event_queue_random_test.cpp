@@ -1,13 +1,13 @@
 // Randomized differential test of EventQueue against an ordered-set
-// oracle.  The queue is a two-level structure (timing wheel + overflow
-// heap) whose pop order must be exactly the strict total order
-// (time, seq) — the oracle is a std::set keyed the same way, and every
-// interleaving of schedule / batch-schedule / cancel / pop / shrink must
-// agree with it event-for-event: same timestamp bits, same callback, same
-// size.  Populations are driven well past the wheel-enable threshold and
-// back down so both representations and the transitions between them
-// (enable, lap wrap, window jump, rebase, tombstone compaction) are all
-// crossed many times.
+// oracle.  The queue is a 4-ary heap with lazy tombstones whose pop
+// order must be exactly the strict total order (time, seq) — the oracle
+// is a std::set keyed the same way, and every interleaving of schedule /
+// batch-schedule / cancel / pop must agree with it event-for-event: same
+// timestamp bits, same callback, same size.  Populations run from a few
+// events (partial child rows) to thousands (full-arity tournaments,
+// deep sift-downs), with inserts below the current minimum, exact ties,
+// far-future clusters and enough cancel pressure to trigger tombstone
+// compaction.
 
 #include "des/event_queue.h"
 
@@ -122,7 +122,34 @@ class DifferentialHarness {
           ::testing::Test::HasNonfatalFailure())
         return;
       if ((op & 1023) == 0) check_size();
-      if ((op & 8191) == 8191) q_.shrink_to_fit();
+    }
+  }
+
+  // The simulators' mix of time scales in one queue: a standing set of
+  // minute- to hour-scale timers (sessions, query timeouts) under dense
+  // second-scale message traffic.  A quarter of the ops cancel an event
+  // and arm a fresh timer, as a satisfied query cancels its timeout and
+  // the next query arms one; each cancelled timer leaves a tombstone deep
+  // in the heap, so this phase also drives tombstone compaction.
+  void run_timer_phase(int ops, std::size_t timers) {
+    for (std::size_t i = 0; i < timers; ++i) schedule_one(draw_timer());
+    const std::size_t target = timers + 64;
+    for (int op = 0; op < ops; ++op) {
+      const std::uint64_t r = rng_() % 100;
+      if (r < 25) {
+        cancel_random();
+        schedule_one(draw_timer());
+      } else if (r < 30) {
+        schedule_batch(2 + rng_() % 15, now_ + 0.05);
+      } else if (r < 70 && ref_.size() < target) {
+        schedule_one(now_ + static_cast<double>(rng_() % 2000) * 1e-3);
+      } else if (!ref_.empty()) {
+        pop_one();
+      }
+      if (::testing::Test::HasFatalFailure() ||
+          ::testing::Test::HasNonfatalFailure())
+        return;
+      if ((op & 1023) == 0) check_size();
     }
   }
 
@@ -138,11 +165,16 @@ class DifferentialHarness {
       return now_ + static_cast<double>(rng_() % 100000) * 1e-3;
     }
     if (r < 95) {
-      // Far future: lands in the overflow heap, migrates at a lap.
+      // Far future: stays deep in the heap across many pops.
       return now_ + 1000.0 + static_cast<double>(rng_() % 1000);
     }
-    // Behind the current window, possibly negative: forces a rebase.
+    // In the past, possibly negative: sifts all the way to the root.
     return now_ - static_cast<double>(rng_() % 50);
+  }
+
+  double draw_timer() {
+    return now_ + 60.0 * static_cast<double>(1 + rng_() % 240) +
+           static_cast<double>(rng_() % 1000) * 1e-3;
   }
 
   std::mt19937_64 rng_;
@@ -157,7 +189,8 @@ class DifferentialHarness {
 };
 
 TEST(EventQueueDifferential, HeapOnlySmallPopulation) {
-  // Stays below the wheel-enable threshold: pure heap representation.
+  // A few dozen events: a shallow heap whose last row is mostly partial,
+  // so sift-downs take the short-row path of min_child.
   for (std::uint64_t seed : {11u, 12u, 13u}) {
     DifferentialHarness h(seed);
     h.run_phase(20000, 64);
@@ -165,18 +198,26 @@ TEST(EventQueueDifferential, HeapOnlySmallPopulation) {
   }
 }
 
-TEST(EventQueueDifferential, WheelLargePopulation) {
+TEST(EventQueueDifferential, LargePopulation) {
   for (std::uint64_t seed : {21u, 22u, 23u}) {
     DifferentialHarness h(seed);
-    h.run_phase(15000, 3000);  // well past enable: wheel + overflow heap
-    h.run_phase(15000, 400);   // shrink back through the disable band
+    h.run_phase(15000, 3000);  // deep heap: full-arity tournaments
+    h.run_phase(15000, 400);   // shrink back down
+    h.drain_all();
+  }
+}
+
+TEST(EventQueueDifferential, HourTimersUnderSecondScaleTraffic) {
+  for (std::uint64_t seed : {51u, 52u}) {
+    DifferentialHarness h(seed);
+    h.run_timer_phase(30000, 3000);
     h.drain_all();
   }
 }
 
 TEST(EventQueueDifferential, GrowDrainCycles) {
-  // Repeated collapse and regrowth crosses enable/disable hysteresis and
-  // the empty-wheel wrap path over and over.
+  // Repeated collapse to empty and regrowth: every slot is recycled with
+  // stale handles outstanding, and the heap restarts from one node.
   DifferentialHarness h(31);
   for (int cycle = 0; cycle < 6; ++cycle) {
     h.run_phase(4000, 1500);
@@ -185,9 +226,9 @@ TEST(EventQueueDifferential, GrowDrainCycles) {
 }
 
 TEST(EventQueueDifferential, ClusteredTimeJumps) {
-  // Clusters separated by huge gaps: each drain forces the wheel window
-  // to jump directly to the overflow heap's minimum rather than lapping
-  // across the gap.
+  // Clusters separated by huge gaps: each far-future batch sits under a
+  // busy near-future population and surfaces only once the cluster
+  // before it has drained.
   DifferentialHarness h(41);
   for (int cluster = 0; cluster < 5; ++cluster) {
     h.run_phase(3000, 800);
@@ -216,7 +257,7 @@ TEST(EventQueueDifferential, SnapshotRoundTripPreservesPopOrder) {
       const std::uint64_t r = rng() % 100;
       if (r < 60) return now + 0.25 * static_cast<double>(rng() % 256);
       if (r < 90) return now + static_cast<double>(rng() % 100000) * 1e-3;
-      return now + 2000.0 + static_cast<double>(rng() % 1000);  // overflow heap
+      return now + 2000.0 + static_cast<double>(rng() % 1000);  // far future
     };
 
     for (int op = 0; op < 6000; ++op) {
@@ -290,16 +331,15 @@ TEST(EventQueueDifferential, SnapshotRoundTripPreservesPopOrder) {
   }
 }
 
-TEST(EventQueueDifferential, EqualTimestampFifoAcrossRepresentations) {
-  // A thousand events at one instant, scheduled while the wheel is
-  // active, must fire in exact insertion order.
+TEST(EventQueueDifferential, EqualTimestampFifoInLargeHeap) {
+  // A thousand events at one instant, scheduled into a heap that already
+  // holds 400 others, must fire in exact insertion order: among ties the
+  // sequence number alone decides.
   EventQueue q;
   std::vector<int> fired;
-  for (int i = 0; i < 400; ++i)
-    q.schedule(0.5 * i, [] {});  // push population past wheel enable
+  for (int i = 0; i < 400; ++i) q.schedule(0.5 * i, [] {});
   for (int i = 0; i < 1000; ++i)
     q.schedule(1.0, [&fired, i] { fired.push_back(i); });
-  int seen = 0;
   while (!q.empty()) {
     auto [t, cb] = q.pop();
     cb();
@@ -308,7 +348,6 @@ TEST(EventQueueDifferential, EqualTimestampFifoAcrossRepresentations) {
   for (std::size_t i = 0; i < fired.size(); ++i)
     EXPECT_EQ(fired[i], static_cast<int>(i));
   EXPECT_EQ(fired.size(), 1000u);
-  (void)seen;
 }
 
 }  // namespace
