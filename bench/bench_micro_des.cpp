@@ -82,8 +82,8 @@ BENCHMARK(BM_EventQueueCancel);
 
 #ifdef DSF_BENCH_HAS_CALLBACK
 
-/// Neighbor fan-out via one bulk insertion, then drain: the shape of the
-/// batched engine dispatch (OverlayEngine::send_batch).
+/// Neighbor fan-out via one bulk insertion, then drain: the shape of
+/// core::event_flood's per-hop dispatch (Simulator::schedule_at_batch).
 void BM_EventQueueScheduleBatch(benchmark::State& state) {
   const auto fanout = static_cast<std::size_t>(state.range(0));
   des::EventQueue q;

@@ -10,9 +10,8 @@
 //   * SearchContext — the bindings a search runs over: initiator, overlay
 //     (neighbors), content predicate, scoring, delay model, transport
 //     policy, dedup stamps and scratch buffers.  Built once per call site
-//     through make_search_context / make_ranked_context, which also own
-//     the reliable-transmit default that used to live in a duplicated
-//     overload of every search entry point.
+//     through make_ranked_context; an exact-match site may bind rank and
+//     candidate to NoRank / NoCandidate, which its schemes never read.
 //
 // The flood-family schemes read only the exact-match subset of the
 // context; the ranked scheme (ranked_search.h) adds `rank`, and the
@@ -120,26 +119,9 @@ struct SearchContext {
   SearchScratch* scratch = nullptr;
 };
 
-/// Builds an exact-match context.  This builder subsumes the historical
-/// reliable-transmit overload pair: pass core::ReliableTransmit{} (or let
-/// the engine's search_transmit() collapse the fault/no-fault branch) —
-/// there is exactly one entry point either way.
-template <typename NeighborsFn, typename HasContentFn, typename DelayFn,
-          typename TransmitFn>
-auto make_search_context(net::NodeId initiator, NeighborsFn neighbors,
-                         HasContentFn has_content, DelayFn delay,
-                         TransmitFn transmit, VisitStamp& stamps,
-                         VisitStamp& hit_stamps, SearchScratch& scratch) {
-  SearchContext<NeighborsFn, HasContentFn, DelayFn, TransmitFn> ctx{
-      initiator, neighbors, has_content, delay, transmit};
-  ctx.stamps = &stamps;
-  ctx.hit_stamps = &hit_stamps;
-  ctx.scratch = &scratch;
-  return ctx;
-}
-
-/// Builds a ranked/similarity context: an exact-match context plus the
-/// scoring and bucket-candidate bindings the ranked schemes read.
+/// Builds a search context.  `transmit` is core::ReliableTransmit{} or the
+/// engine's search_transmit(); `rank` and `candidate` are read only by the
+/// ranked and similarity schemes.
 template <typename NeighborsFn, typename HasContentFn, typename DelayFn,
           typename TransmitFn, typename RankFn, typename CandidateFn>
 auto make_ranked_context(net::NodeId initiator, NeighborsFn neighbors,

@@ -37,21 +37,6 @@ class Simulator {
     return queue_.schedule(t > now_ ? t : now_, std::move(cb));
   }
 
-  /// Batched fan-out relative to now(): schedules `n` events where event
-  /// `i` fires after `delays[i]` seconds and runs `make(i)`.  One now()
-  /// read covers the whole batch; ordering is identical to n schedule_in
-  /// calls in index order (same sequence numbers, same clamping of
-  /// negative delays).
-  template <typename Make>
-  void schedule_in_batch(const SimTime* delays, std::size_t n, Make&& make) {
-    const SimTime now = now_;
-    queue_.schedule_batch(n, [&](std::size_t i) {
-      const SimTime d = delays[i];
-      return std::pair<SimTime, EventQueue::Callback>(d > 0 ? now + d : now,
-                                                      make(i));
-    });
-  }
-
   /// Batched absolute-time variant: `gen(i)` returns the (time, callback)
   /// pair for event `i`; past times are clamped to now() exactly as in
   /// schedule_at.

@@ -266,22 +266,15 @@ void DigLibSim::update_neighbors(net::NodeId r) {
 
 DigLibResult DigLibSim::run() {
   // A resumed run takes its pending query events from the snapshot and must
-  // not draw the initial delays, but it still registers the per-repository
-  // update periodics in the same order so indices line up with the file.
+  // not draw the initial delays.
   for (net::NodeId r = 0; r < config_.num_repositories; ++r) {
     if (!resumed())
       schedule_keyed(interquery_.sample(rng()), kLibQuery, r, 0,
                      [this, r] { issue_query(r); });
-    if (config_.mode == ListMode::kAdaptive) {
-      if (resumed()) {
-        register_periodic(config_.update_period_s,
-                          [this, r] { update_neighbors(r); });
-      } else {
-        schedule_every(rng().uniform(0.0, config_.update_period_s),
-                       config_.update_period_s,
-                       [this, r] { update_neighbors(r); });
-      }
-    }
+    if (config_.mode == ListMode::kAdaptive)
+      every(config_.update_period_s,
+            [this] { return rng().uniform(0.0, config_.update_period_s); },
+            [this, r] { update_neighbors(r); });
   }
   run_until_horizon();
   result_.traffic = traffic();

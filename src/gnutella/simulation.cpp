@@ -15,11 +15,11 @@ namespace dsf::gnutella {
 std::unique_ptr<core::BenefitFunction> make_benefit(BenefitKind kind) {
   switch (kind) {
     case BenefitKind::kBandwidthOverResults:
-      return sim::make_benefit(sim::BenefitPolicy::kBandwidthOverResults);
+      return std::make_unique<core::BandwidthOverResults>();
     case BenefitKind::kUnit:
-      return sim::make_benefit(sim::BenefitPolicy::kUnit);
+      return std::make_unique<core::UnitBenefit>();
     case BenefitKind::kInverseLatency:
-      return sim::make_benefit(sim::BenefitPolicy::kInverseLatency);
+      return std::make_unique<core::InverseLatency>();
   }
   core::unreachable_enum("gnutella::BenefitKind");
 }
@@ -102,9 +102,10 @@ std::uint32_t Simulation::summary_estimate(net::NodeId v, net::NodeId c) const {
 void Simulation::prime() {
   // Decide every user's initial state first so the bootstrap graph is
   // built over the full initial on-line population.
-  const SessionChurn churn(session_);
   const std::vector<net::NodeId> initially_online =
-      draw_initial_online(churn, session_rng());
+      draw_initial_online([this](net::NodeId) {
+        return session_.draw_initial_online(session_rng());
+      });
   for (net::NodeId u : initially_online) {
     hot_[u].online = true;
     hot_[u].online_pos = static_cast<std::uint32_t>(online_nodes_.size());
@@ -141,17 +142,12 @@ void Simulation::probe_overlay() {
 }
 
 RunResult Simulation::run() {
-  // A resumed run skips priming (hot/cold state, roster and pending events
-  // come from the snapshot) but must still register its periodics in the
-  // same order as a fresh run so periodic indices line up with the file.
+  // A resumed run skips priming: hot/cold state, roster and pending events
+  // come from the snapshot.
   if (!resumed()) prime();
-  if (config_.probe_period_s > 0.0) {
-    if (resumed())
-      register_periodic(config_.probe_period_s, [this] { probe_overlay(); });
-    else
-      schedule_every(config_.probe_period_s, config_.probe_period_s,
-                     [this] { probe_overlay(); });
-  }
+  if (config_.probe_period_s > 0.0)
+    every(config_.probe_period_s, [this] { return config_.probe_period_s; },
+          [this] { probe_overlay(); });
   result_.events_executed = run_until_horizon();
   result_.warmup_bucket = static_cast<std::size_t>(config_.warmup_hours);
   result_.last_bucket = static_cast<std::size_t>(config_.sim_hours) - 1;
@@ -275,20 +271,10 @@ void Simulation::issue_query(net::NodeId u) {
   }
 
   capture_query_arrival(u, song);
-
-  core::SearchParams params;
-  params.max_hops = config_.max_hops;
-  params.forward_when_hit = false;  // §4.1: repliers do not propagate
-  params.timeout_s = config_.query_timeout_s;
-
-  const std::uint32_t span = obs_search_begin(u, params.max_hops, song);
-  const auto outcome = run_search(u, song, params);
-  finish_search(span, u, params, outcome);
+  const core::SearchOutcome outcome = search(u, song);
 
   const des::SimTime now = sim_.now();
   result_.messages.add(now, outcome.query_messages);
-  count(net::MessageType::kQuery, outcome.query_messages);
-  count(net::MessageType::kQueryReply, outcome.reply_messages);
   if (reporting()) {
     ++result_.queries_issued;
     result_.nodes_reached.add(outcome.nodes_reached);
@@ -323,20 +309,10 @@ load::Served Simulation::serve_injected_query(net::NodeId u,
           ? query_gen_.draw(cold_[u].profile, load_lane())
           : static_cast<workload::SongId>(item % catalog_.num_songs());
 
-  core::SearchParams params;
-  params.max_hops = config_.max_hops;
-  params.forward_when_hit = false;
-  params.timeout_s = config_.query_timeout_s;
-
-  const std::uint32_t span = obs_search_begin(u, params.max_hops, song);
-  const auto outcome = run_search(u, song, params);
-  finish_search(span, u, params, outcome);
-
   // Injected traffic is real traffic to the network (ledger, checker,
   // flight recorder) but is reported through LoadStats, not the
   // closed-loop RunResult series.
-  count(net::MessageType::kQuery, outcome.query_messages);
-  count(net::MessageType::kQueryReply, outcome.reply_messages);
+  const core::SearchOutcome outcome = search(u, song);
   load::Served served;
   served.latency_s = config_.query_timeout_s;  // a miss serves the timeout
   if (outcome.satisfied()) {
@@ -385,9 +361,17 @@ double Simulation::ranked_score(net::NodeId n,
   return (static_cast<double>(bits >> 11) + 1.0) * 0x1.0p-53;
 }
 
-void Simulation::finish_search(std::uint32_t span, net::NodeId u,
-                               const core::SearchParams& params,
-                               const core::SearchOutcome& outcome) {
+core::SearchOutcome Simulation::search(net::NodeId u, workload::SongId song) {
+  core::SearchParams params;
+  params.max_hops = config_.max_hops;
+  params.forward_when_hit = false;  // §4.1: repliers do not propagate
+  params.timeout_s = config_.query_timeout_s;
+  const core::QuerySpec spec =
+      sim::query_spec_for(config_.search_strategy, params, config_.top_k,
+                          config_.sim_threshold);
+
+  const std::uint32_t span = obs_search_begin(u, params.max_hops, song);
+  core::SearchOutcome outcome = run_search(u, song, spec);
   if (span != 0) {
     // First hit = minimum reply arrival (first_result_delay_s's metric);
     // its hop is the span's first-hit depth.
@@ -396,15 +380,15 @@ void Simulation::finish_search(std::uint32_t span, net::NodeId u,
                    first ? first->reply_at_s : -1.0, outcome.best_score());
   }
   if (sim::InvariantChecker* c = checker())
-    c->check_search_outcome(
-        sim::query_spec_for(config_.search_strategy, params, config_.top_k,
-                            config_.sim_threshold),
-        outcome);
+    c->check_search_outcome(spec, outcome);
+  count(net::MessageType::kQuery, outcome.query_messages);
+  count(net::MessageType::kQueryReply, outcome.reply_messages);
+  return outcome;
 }
 
 core::SearchOutcome Simulation::run_search(net::NodeId u,
                                            workload::SongId song,
-                                           const core::SearchParams& params) {
+                                           const core::QuerySpec& spec) {
   const auto neighbors = [this](net::NodeId n) -> core::NeighborView {
     return overlay_.out_neighbors(n);
   };
@@ -430,11 +414,8 @@ core::SearchOutcome Simulation::run_search(net::NodeId u,
                                        candidate, delay, search_transmit(),
                                        stamps_, hit_stamps_, scratch_);
   ctx.stats = &cold_[u].stats;
-  return sim::dispatch_search(
-      config_.search_strategy,
-      sim::query_spec_for(config_.search_strategy, params, config_.top_k,
-                          config_.sim_threshold),
-      config_.directed_fanout, ctx);
+  return sim::dispatch_search(config_.search_strategy, spec,
+                              config_.directed_fanout, ctx);
 }
 
 void Simulation::on_peer_crashed(net::NodeId u) {
@@ -700,9 +681,9 @@ void Simulation::load_domain(snap::Reader::In& in) {
     h.session_event = des::EventId{};
   }
   online_nodes_.clear();
-  const std::uint64_t online_count = in.u64();
-  online_nodes_.reserve(static_cast<std::size_t>(online_count));
-  for (std::uint64_t i = 0; i < online_count; ++i) {
+  const std::size_t online_count = in.count(4);
+  online_nodes_.reserve(online_count);
+  for (std::size_t i = 0; i < online_count; ++i) {
     const net::NodeId u = in.u32();
     if (u >= hot_.size())
       throw snap::SnapshotError("gnutella: on-line roster entry out of range");
@@ -746,9 +727,10 @@ void Simulation::load_domain(snap::Reader::In& in) {
   result_.trials_kept = in.u64();
   result_.trials_rejected = in.u64();
   result_.probes.clear();
-  const std::uint64_t nprobes = in.u64();
-  result_.probes.reserve(static_cast<std::size_t>(nprobes));
-  for (std::uint64_t i = 0; i < nprobes; ++i) {
+  // One probe: five f64 fields and a u64 population.
+  const std::size_t nprobes = in.count(5 * 8 + 8);
+  result_.probes.reserve(nprobes);
+  for (std::size_t i = 0; i < nprobes; ++i) {
     ProbeSample p;
     p.time_s = in.f64();
     p.mean_degree = in.f64();

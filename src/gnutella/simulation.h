@@ -81,26 +81,6 @@ struct RunResult {
   }
 };
 
-/// Adapts workload::SessionModel to the engine's ChurnModel policy surface
-/// (the §4.2 on/off churn as a plug-in the engine helpers can consume).
-class SessionChurn final : public sim::ChurnModel {
- public:
-  explicit SessionChurn(const workload::SessionModel& session)
-      : session_(session) {}
-  bool initially_online(des::Rng& rng) const override {
-    return session_.draw_initial_online(rng);
-  }
-  double online_duration_s(des::Rng& rng) const override {
-    return session_.draw_online_duration(rng);
-  }
-  double offline_duration_s(des::Rng& rng) const override {
-    return session_.draw_offline_duration(rng);
-  }
-
- private:
-  const workload::SessionModel& session_;
-};
-
 /// The §4 case study: a population of music-sharing users over a symmetric
 /// overlay, either static (random neighbors, random replacement on log-off)
 /// or dynamic (Algo 5: combined search/exploration, benefit-ranked
@@ -217,20 +197,20 @@ class Simulation : public sim::OverlayEngine {
   void log_in(net::NodeId u);
   void log_off(net::NodeId u);
   void issue_query(net::NodeId u);
+  /// One search by `u` for `song`, the body closed-loop and injected
+  /// queries share: opens the trace span, runs the search, closes the
+  /// span, certifies the outcome when a checker is attached, and counts
+  /// the query and reply messages.
+  core::SearchOutcome search(net::NodeId u, workload::SongId song);
   /// Dispatches to the configured SearchStrategy (§2's orthogonal
   /// techniques all run over the same overlay/content/delay bindings; the
   /// ranked plane's schemes add scoring/bucket bindings on top).
   core::SearchOutcome run_search(net::NodeId u, workload::SongId song,
-                                 const core::SearchParams& params);
+                                 const core::QuerySpec& spec);
   /// kTopK's per-peer score for a (peer, song) query: 0 unless the peer
   /// holds the song; holders get a deterministic score in (0, 1] keyed on
   /// (seed, peer, song) — the relevance spread the ranked scheme orders.
   double ranked_score(net::NodeId n, workload::SongId song) const noexcept;
-  /// Records one finished search: trace span end, query/reply accounting,
-  /// and per-search scheme certification when a checker is attached.
-  void finish_search(std::uint32_t span, net::NodeId u,
-                     const core::SearchParams& params,
-                     const core::SearchOutcome& outcome);
   /// Algo 5's combined search & exploration (dynamic scheme): feeds every
   /// result of `outcome` into u's benefit statistics, then reconfigures u
   /// once its reconfiguration threshold is reached.

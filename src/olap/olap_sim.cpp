@@ -196,22 +196,15 @@ void OlapSim::update_neighbors(net::NodeId p) {
 
 OlapResult OlapSim::run() {
   // A resumed run takes its pending query events from the snapshot and must
-  // not draw the initial delays, but it still registers the per-peer update
-  // periodics in the same order so indices line up with the file.
+  // not draw the initial delays.
   for (net::NodeId p = 0; p < config_.num_peers; ++p) {
     if (!resumed())
       schedule_keyed(interquery_.sample(rng()), kOlapQuery, p, 0,
                      [this, p] { issue_query(p); });
-    if (config_.dynamic) {
-      if (resumed()) {
-        register_periodic(config_.update_period_s,
-                          [this, p] { update_neighbors(p); });
-      } else {
-        schedule_every(rng().uniform(0.0, config_.update_period_s),
-                       config_.update_period_s,
-                       [this, p] { update_neighbors(p); });
-      }
-    }
+    if (config_.dynamic)
+      every(config_.update_period_s,
+            [this] { return rng().uniform(0.0, config_.update_period_s); },
+            [this, p] { update_neighbors(p); });
   }
   run_until_horizon();
   result_.traffic = traffic();

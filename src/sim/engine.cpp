@@ -110,24 +110,18 @@ const char* kCaptureSnapshotError =
     " incomplete)";
 }  // namespace
 
-void OverlayEngine::schedule_every(double first_delay_s, double period_s,
-                                   std::function<void()> fn) {
-  const std::size_t idx = register_periodic(period_s, std::move(fn));
-  start_periodic(idx, first_delay_s);
-}
-
-std::size_t OverlayEngine::register_periodic(double period_s,
-                                             std::function<void()> body) {
+void OverlayEngine::every(double period_s,
+                          const std::function<double()>& first_delay,
+                          std::function<void()> body) {
   periodics_.push_back(Periodic{period_s, std::move(body)});
-  return periodics_.size() - 1;
+  if (!resumed_) start_periodic(periodics_.size() - 1, first_delay());
 }
 
-void OverlayEngine::start_periodic(std::size_t idx, double first_delay_s) {
+void OverlayEngine::start_periodic(std::size_t idx, double delay_s) {
   // Same single insertion point as the old trailing-self-reschedule
   // recursion, so a run that never snapshots replays byte-identically.
-  const des::EventId id =
-      sim_.schedule_in(first_delay_s, [this, idx] { run_periodic_tick(idx); });
-  if (snap_track_) note_keyed(id.seq, kKeyedPeriodic, idx, 0);
+  schedule_keyed(delay_s, kKeyedPeriodic, idx, 0,
+                 [this, idx] { run_periodic_tick(idx); });
 }
 
 void OverlayEngine::run_periodic_tick(std::size_t idx) {
@@ -135,30 +129,7 @@ void OverlayEngine::run_periodic_tick(std::size_t idx) {
   start_periodic(idx, periodics_[idx].period_s);
 }
 
-void OverlayEngine::sample_traffic() {
-  TrafficSample s;
-  s.time_s = sim_.now();
-  s.messages = ledger_.stats().total();
-  s.bytes = ledger_.total_bytes();
-  traffic_samples_.push_back(s);
-  if (traffic_series_) {
-    // Per-bucket increments: the series holds new messages per period.
-    const std::uint64_t prev = traffic_samples_.size() > 1
-                                   ? traffic_samples_.rbegin()[1].messages
-                                   : 0;
-    traffic_series_->add(s.time_s, s.messages - prev);
-  }
-}
-
 std::uint64_t OverlayEngine::run_until_horizon() {
-  // Engine periodics register on fresh and resumed runs alike (identical
-  // indices); only fresh runs draw start offsets and schedule first ticks.
-  if (traffic_sample_period_s_ > 0.0) {
-    if (!traffic_series_) traffic_series_.emplace(traffic_sample_period_s_);
-    const std::size_t idx = register_periodic(traffic_sample_period_s_,
-                                              [this] { sample_traffic(); });
-    if (!resumed_) start_periodic(idx, traffic_sample_period_s_);
-  }
   if (!resumed_ || (crash_model_.enabled() && !saved_crash_armed_)) {
     // Fresh runs start the crash process as configured.  A resumed run
     // normally inherits the saved run's crash tick through event replay —
@@ -327,57 +298,6 @@ core::TransmitResult OverlayEngine::transmit(net::MessageType type,
   return res;
 }
 
-void OverlayEngine::send_faulty(net::NodeId from, net::NodeId to,
-                                net::MessageType type,
-                                std::function<void()> on_deliver,
-                                std::uint64_t bytes) {
-  // Delay first: with an empty plan this consumes exactly the draws the
-  // fast path would, so checker-only runs replay byte-identically.
-  const double base_delay = sample_delay_s(from, to);
-  FaultDecision d;
-  if (!fault_plan_.empty()) d = fault_plan_.decide(type, sim_.now(), fault_rng_);
-  if (d.duplicate) count(type, 1, bytes);  // extra copy's send
-  const std::uint64_t copies = d.duplicate ? 2 : 1;
-  trace(obs::RecordKind::kSend, from, to, type, bytes, -1, copies);
-  if (d.drop) {
-    ledger_.count_dropped(type, copies);
-    if (abuse_ambient_) abuse_ledger_.count_dropped(type, copies);
-    trace(obs::RecordKind::kDrop, from, to, type, bytes, -1, copies);
-    return;
-  }
-  // The abuse scope is ambient only for the duration of the synchronous
-  // spray service; capture it so the delayed fate (and any cascade the
-  // delivery callback triggers) stays attributed to the abuser.
-  const bool abuse = abuse_ambient_;
-  deliver_copy(base_delay + d.extra_delay_s, from, to, type, bytes, abuse,
-               on_deliver);
-  if (d.duplicate)
-    // The duplicate takes its own path through the network.
-    deliver_copy(sample_delay_s(from, to) + d.extra_delay_s, from, to, type,
-                 bytes, abuse, std::move(on_deliver));
-}
-
-void OverlayEngine::deliver_copy(double delay_s, net::NodeId from,
-                                 net::NodeId to, net::MessageType type,
-                                 std::uint64_t bytes, bool abuse,
-                                 std::function<void()> on_deliver) {
-  sim_.schedule_in(
-      delay_s,
-      [this, from, to, type, bytes, abuse, fn = std::move(on_deliver)] {
-        const ScopedAbuse scope(this, abuse);
-        if (node_dead(to)) {
-          ledger_.count_dropped(type, 1);
-          if (abuse_ambient_) abuse_ledger_.count_dropped(type, 1);
-          trace(obs::RecordKind::kDrop, from, to, type, bytes, -1, 1);
-          return;
-        }
-        ledger_.count_delivered(type, 1);
-        if (abuse_ambient_) abuse_ledger_.count_delivered(type, 1);
-        trace(obs::RecordKind::kRecv, from, to, type, bytes, -1, 1);
-        fn();
-      });
-}
-
 void OverlayEngine::crash_node(net::NodeId u) {
   if (u >= dead_.size() || dead_[u]) return;
   dead_[u] = 1;
@@ -532,19 +452,6 @@ void OverlayEngine::write_engine_core(snap::Writer::Out& out) {
     out.u64(ledger_.delivered(static_cast<net::MessageType>(t)));
   for (int t = 0; t < net::kNumMessageTypes; ++t)
     out.u64(ledger_.dropped(static_cast<net::MessageType>(t)));
-  out.f64(traffic_sample_period_s_);
-  out.u64(traffic_samples_.size());
-  for (const TrafficSample& s : traffic_samples_) {
-    out.f64(s.time_s);
-    out.u64(s.messages);
-    out.u64(s.bytes);
-  }
-  out.u8(traffic_series_ ? 1 : 0);
-  if (traffic_series_) {
-    out.f64(traffic_series_->bucket_width());
-    out.u64(traffic_series_->buckets().size());
-    for (std::uint64_t b : traffic_series_->buckets()) out.u64(b);
-  }
   out.u32(next_span_);
   // Period per registered periodic: the resumed run re-registers the
   // bodies and replay validates its table against this one.
@@ -583,35 +490,9 @@ void OverlayEngine::read_engine_core(snap::Reader::In& in) {
   for (std::uint64_t& v : delivered) v = in.u64();
   for (std::uint64_t& v : dropped) v = in.u64();
   ledger_.restore(stats, bytes, delivered, dropped);
-  const double sample_period = in.f64();
-  if (sample_period != traffic_sample_period_s_)
-    throw snap::SnapshotError(
-        cfg_.name +
-        ": traffic sample period differs from the snapshot's; resume with "
-        "the same sampling flags");
-  traffic_samples_.clear();
-  const std::uint64_t num_samples = in.u64();
-  traffic_samples_.reserve(static_cast<std::size_t>(num_samples));
-  for (std::uint64_t i = 0; i < num_samples; ++i) {
-    TrafficSample s;
-    s.time_s = in.f64();
-    s.messages = in.u64();
-    s.bytes = in.u64();
-    traffic_samples_.push_back(s);
-  }
-  if (in.u8() != 0) {
-    const double width = in.f64();
-    std::vector<std::uint64_t> buckets(static_cast<std::size_t>(in.u64()));
-    for (std::uint64_t& b : buckets) b = in.u64();
-    traffic_series_.emplace(width);
-    traffic_series_->restore(std::move(buckets));
-  }
   next_span_ = in.u32();
-  restored_periods_.clear();
-  const std::uint64_t num_periodics = in.u64();
-  restored_periods_.reserve(static_cast<std::size_t>(num_periodics));
-  for (std::uint64_t i = 0; i < num_periodics; ++i)
-    restored_periods_.push_back(in.f64());
+  restored_periods_.assign(in.count(8), 0.0);
+  for (double& period : restored_periods_) period = in.f64();
   saved_crash_armed_ = in.u8() != 0;
   sim_.restore_clock(now, executed);
 }
@@ -683,16 +564,13 @@ void OverlayEngine::write_events(snap::Writer::Out& out) {
 }
 
 void OverlayEngine::read_events(snap::Reader::In& in) {
-  restored_events_.clear();
-  const std::uint64_t n = in.u64();
-  restored_events_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    PendingRecord r;
+  // One record: f64 time, u32 kind, u64 a, u64 b.
+  restored_events_.assign(in.count(8 + 4 + 8 + 8), PendingRecord{});
+  for (PendingRecord& r : restored_events_) {
     r.t = in.f64();
     r.kind = in.u32();
     r.a = in.u64();
     r.b = in.u64();
-    restored_events_.push_back(r);
   }
 }
 

@@ -4,21 +4,22 @@
 // used to re-implement — RNG lane splitting, the delay model, the overlay
 // relation table, message accounting, bootstrap helpers, periodic
 // scheduling and horizon control — owned by one base class.  A scenario
-// composes/subclasses OverlayEngine, keeps only its domain state (catalogs,
-// caches, holdings) and its event handlers, and inherits the rest.
+// subclasses OverlayEngine, keeps only its domain state (catalogs, caches,
+// holdings) and its event handlers, and inherits the rest.  Every exchange
+// a scenario runs (search, exploration, neighbor update) is resolved
+// synchronously through transmit(), bound as search_transmit().
 //
 // Determinism contract: the engine constructs its members in exactly the
 // order the hand-rolled simulators did (master RNG → lane splits → delay
 // model → overlay), so a fixed seed replays the exact pre-refactor
 // trajectory.  Helpers that could perturb the event or RNG stream
-// (schedule_every, fill_random_neighbors, draw_initial_online) are
-// documented with the equivalence argument they rely on.
+// (every, fill_random_neighbors, draw_initial_online) are documented with
+// the equivalence argument they rely on.
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -31,7 +32,6 @@
 #include "des/rng.h"
 #include "des/simulator.h"
 #include "load/open_loop.h"
-#include "metrics/time_series.h"
 #include "net/delay_model.h"
 #include "net/message.h"
 #include "net/node_id.h"
@@ -39,7 +39,6 @@
 #include "snap/snapshot.h"
 #include "sim/adversary.h"
 #include "sim/fault.h"
-#include "sim/policy.h"
 #include "sim/validate.h"
 
 namespace dsf::sim {
@@ -166,13 +165,6 @@ class MessageLedger {
   std::array<std::uint64_t, net::kNumMessageTypes> dropped_{};
 };
 
-/// One periodic traffic sample (enable via set_traffic_sample_period).
-struct TrafficSample {
-  double time_s = 0.0;
-  std::uint64_t messages = 0;  ///< cumulative count at sample time
-  std::uint64_t bytes = 0;     ///< cumulative bytes at sample time
-};
-
 /// Base class of every scenario simulator.  Owns the simulator clock, the
 /// RNG lanes, the delay model, the overlay table, the message ledger and
 /// the shared search scratch; exposes the scheduling/bootstrap helpers the
@@ -185,7 +177,6 @@ class OverlayEngine {
   const core::CompactNeighborTable& overlay() const noexcept {
     return overlay_;
   }
-  const net::DelayModel& delay_model() const noexcept { return delay_; }
   des::Simulator& simulator() noexcept { return sim_; }
   std::size_t num_nodes() const noexcept { return overlay_.size(); }
 
@@ -225,9 +216,6 @@ class OverlayEngine {
     checker_ = checker;
     refresh_fault_active();
   }
-
-  const FaultPlan& fault_plan() const noexcept { return fault_plan_; }
-  const CrashModel& crash_model() const noexcept { return crash_model_; }
 
   /// The attached checker, or nullptr.  Scenarios use it for per-search
   /// certification (InvariantChecker::check_search_outcome) — the type is
@@ -270,20 +258,6 @@ class OverlayEngine {
   /// dangling entries, exactly as after a real ungraceful disconnect.
   void crash_node(net::NodeId u);
 
-  /// Enables periodic traffic sampling every `period_s` seconds (wired to
-  /// metrics::TimeSeries bucketing).  Must be called before run; off by
-  /// default so ported benches replay byte-identically.
-  void set_traffic_sample_period(double period_s) {
-    traffic_sample_period_s_ = period_s;
-  }
-  const std::vector<TrafficSample>& traffic_samples() const noexcept {
-    return traffic_samples_;
-  }
-  /// Message counts bucketed by sample period (empty unless enabled).
-  const std::optional<metrics::TimeSeries>& traffic_series() const noexcept {
-    return traffic_series_;
-  }
-
   /// --- snapshot/restore (DESIGN.md §1.9) --------------------------------
   /// Arms a mid-run snapshot: the horizon loop runs to `at_s`, writes the
   /// full simulation state to `path`, then continues to the horizon.  The
@@ -309,9 +283,8 @@ class OverlayEngine {
   void save_snapshot(const std::string& path);
 
   /// True when this simulation was restored from a snapshot.  Scenarios
-  /// branch on this in run(): skip the initial scheduling draws, register
-  /// periodic bodies only (in the exact fresh-run order), and let the
-  /// engine replay the snapshot's pending events.
+  /// branch on this in run() to skip the initial scheduling draws; the
+  /// engine replays the snapshot's pending events.
   bool resumed() const noexcept { return resumed_; }
 
   /// --- open-loop load injection (off by default: zero draws, zero
@@ -326,9 +299,6 @@ class OverlayEngine {
   /// Must be called before run; mutually exclusive with snapshots
   /// (std::invalid_argument).
   void set_open_loop(load::OpenLoopOptions opts);
-
-  /// True when the open-loop front-end is armed.
-  bool open_loop() const noexcept { return load_opts_.enabled; }
 
   /// Admission/latency accounting of the armed open-loop run (zeros when
   /// the layer is off).  `pending` is filled in at end of run.
@@ -346,9 +316,6 @@ class OverlayEngine {
   /// serialized).
   void set_adversary(AdversaryPlan plan);
 
-  const AdversaryPlan& adversary_plan() const noexcept {
-    return adversary_plan_;
-  }
   /// What the layer did (role counts, sprayed queries, outage victims,
   /// storm kicks).  All zero when the layer is off.
   const AdversaryStats& adversary_stats() const noexcept {
@@ -413,16 +380,12 @@ class OverlayEngine {
   des::Rng& topo_rng() noexcept { return *topo_; }
   des::Rng& session_rng() noexcept { return *session_; }
   des::Rng& query_rng() noexcept { return *query_; }
-  des::Rng& delay_rng() noexcept { return lanes_.delay; }
   /// The injection lane consulted by serve_injected_query overrides when
   /// they draw a kAnyItem target.  Normally the open-loop layer's
   /// dedicated lane; while the adversary layer serves a sprayed abuse
   /// query it is swapped to the adversary lane, so abuse draws never
   /// perturb the open-loop stream.
   des::Rng& load_lane() noexcept { return *inject_lane_; }
-
-  /// The adversary layer's dedicated decision lane.
-  des::Rng& adversary_lane() noexcept { return adversary_rng_; }
 
   /// One-way delay sample for a (from, to) transmission, drawn from the
   /// delay lane.
@@ -470,14 +433,6 @@ class OverlayEngine {
     return id;
   }
 
-  /// Splits schedule_every into its two halves so a restored run can
-  /// rebuild periodic bodies without re-drawing their start offsets:
-  /// registration appends the body to an index-stable table (identical
-  /// call order fresh and resumed, hence identical indices), and
-  /// start_periodic — fresh runs only — schedules the first keyed tick.
-  std::size_t register_periodic(double period_s, std::function<void()> body);
-  void start_periodic(std::size_t idx, double first_delay_s);
-
   /// --- accounting ------------------------------------------------------
   /// Counts a send; while an abuse scope is ambient the count is mirrored
   /// into the abuse ledger so blast-radius traffic stays attributed (one
@@ -486,60 +441,6 @@ class OverlayEngine {
              std::uint64_t bytes_each = 0) noexcept {
     ledger_.count(t, n, bytes_each);
     if (abuse_ambient_) abuse_ledger_.count(t, n, bytes_each);
-  }
-
-  /// Unified message dispatch: accounts for the transmission (count +
-  /// bytes), samples the propagation delay from the delay lane and
-  /// schedules `on_deliver` at the arrival time.  New scenarios build
-  /// their protocols on this; the ported hot paths keep their historical
-  /// inline accounting so the replayed RNG stream is untouched.  When the
-  /// fault layer is active (a fault plan, crash model, checker or sink is
-  /// attached) the transmission is routed through it: the plan may
-  /// drop/duplicate/delay the copy, a dead receiver drops it on arrival,
-  /// and every copy's fate is traced.
-  template <typename Fn>
-  void send(net::NodeId from, net::NodeId to, net::MessageType type,
-            Fn&& on_deliver, std::uint64_t bytes = 0) {
-    const std::uint64_t b = bytes ? bytes : default_message_bytes(type);
-    count(type, 1, b);
-    if (fault_active_) {
-      send_faulty(from, to, type, std::function<void()>(on_deliver), b);
-      return;
-    }
-    sim_.schedule_in(sample_delay_s(from, to), std::forward<Fn>(on_deliver));
-  }
-
-  /// Batched unified dispatch for neighbor fan-out: one ledger update, one
-  /// timestamp read and one bulk queue insertion cover the whole batch.
-  /// `targets` is any random-access range of NodeId; `make_on_deliver(i)`
-  /// builds the delivery callback for targets[i].  Delay samples are drawn
-  /// from the delay lane in target order and the scheduled events carry
-  /// consecutive sequence numbers, so a run using send_batch is
-  /// byte-identical to the same run calling send() per target.  When the
-  /// fault layer is active every copy still gets an individual fate
-  /// (drop/duplicate/delay, dead-receiver check) through the per-copy
-  /// faulty path.
-  template <typename Targets, typename MakeCb>
-  void send_batch(net::NodeId from, const Targets& targets,
-                  net::MessageType type, MakeCb&& make_on_deliver,
-                  std::uint64_t bytes_each = 0) {
-    const std::size_t n = std::size(targets);
-    if (n == 0) return;
-    const std::uint64_t b =
-        bytes_each ? bytes_each : default_message_bytes(type);
-    count(type, n, b);
-    if (fault_active_) {
-      for (std::size_t i = 0; i < n; ++i)
-        send_faulty(from, targets[i], type,
-                    std::function<void()>(make_on_deliver(i)), b);
-      return;
-    }
-    const double now = sim_.now();
-    sim_.queue().schedule_batch(n, [&](std::size_t i) {
-      const double d = sample_delay_s(from, targets[i]);
-      return std::pair<des::SimTime, des::Callback>(d > 0 ? now + d : now,
-                                                    make_on_deliver(i));
-    });
   }
 
   /// --- fault layer ------------------------------------------------------
@@ -656,15 +557,17 @@ class OverlayEngine {
   void warn(const std::string& message);
 
   /// --- periodic scheduling --------------------------------------------
-  /// Runs `fn` after `first_delay_s`, then every `period_s` forever.
-  /// Equivalent to the trailing-self-reschedule pattern the scenarios used
-  /// (body runs, then reschedules last): the callback invokes `fn` and
-  /// then schedules the next tick, so event insertion order — and with it
-  /// the queue's insertion-order tie-breaking — is unchanged as long as
-  /// `fn` itself schedules nothing after its own old reschedule point
-  /// (true of every ported periodic body).
-  void schedule_every(double first_delay_s, double period_s,
-                      std::function<void()> fn);
+  /// Runs `body` every `period_s` seconds, fresh and resumed runs alike.
+  /// The body is appended to an index-stable table, so a resumed run that
+  /// makes the same calls in the same order gets the indices its snapshot
+  /// recorded.  On a fresh run only, `first_delay()` is called (it may
+  /// draw) and the first tick is scheduled after it; a resumed run draws
+  /// nothing and takes its pending ticks from the snapshot.  Each tick
+  /// runs the body, then schedules the next one — the trailing
+  /// self-reschedule order the scenarios always used, so insertion-order
+  /// tie-breaking in the queue is unchanged.
+  void every(double period_s, const std::function<double()>& first_delay,
+             std::function<void()> body);
 
   /// --- bootstrap -------------------------------------------------------
   /// The shared attempt budget of the random bootstrap: four probes per
@@ -715,14 +618,6 @@ class OverlayEngine {
     return online;
   }
 
-  /// ChurnModel-driven variant: one Bernoulli per node from `lane`.
-  std::vector<net::NodeId> draw_initial_online(const ChurnModel& churn,
-                                               des::Rng& lane) {
-    return draw_initial_online([&](net::NodeId) {
-      return churn.initially_online(lane);
-    });
-  }
-
   const EngineConfig& engine_config() const noexcept { return cfg_; }
 
   /// --- shared state (scenario classes reach these directly) ------------
@@ -737,8 +632,6 @@ class OverlayEngine {
   MessageLedger ledger_;
 
  private:
-  void sample_traffic();
-
   /// --- snapshot plumbing ------------------------------------------------
   struct KeyedNote {
     std::uint32_t kind = 0;
@@ -765,6 +658,9 @@ class OverlayEngine {
   /// Drops notes whose events already fired (amortized: rebuilds from the
   /// live queue when the table outgrows twice the pending population).
   void sweep_keyed_notes();
+  /// Schedules periodic `idx`'s next tick `delay_s` from now (keyed, so a
+  /// save sees it).
+  void start_periodic(std::size_t idx, double delay_s);
   void run_periodic_tick(std::size_t idx);
   void run_crash_tick();
   /// Re-schedules the snapshot's pending events after the resumed run has
@@ -777,17 +673,6 @@ class OverlayEngine {
   void read_engine_core(snap::Reader::In& in);
   void read_overlay(snap::Reader::In& in);
   void read_events(snap::Reader::In& in);
-
-  /// Async-path fate resolution behind send(): plan decision, per-copy
-  /// delivery events, dead-receiver drops, fate traces.  The ambient abuse
-  /// flag is captured at send time and re-established around the delayed
-  /// fate (and the delivery callback's cascade) so asynchronous copies stay
-  /// attributed to their abuser.
-  void send_faulty(net::NodeId from, net::NodeId to, net::MessageType type,
-                   std::function<void()> on_deliver, std::uint64_t bytes);
-  void deliver_copy(double delay_s, net::NodeId from, net::NodeId to,
-                    net::MessageType type, std::uint64_t bytes, bool abuse,
-                    std::function<void()> on_deliver);
 
   /// The engine's one trace point: builds one record for `copies`
   /// identical copies of a transmission fate (or for a crash) and hands
@@ -857,9 +742,6 @@ class OverlayEngine {
   des::Rng* session_ = nullptr;
   des::Rng* query_ = nullptr;
   WarningSink warning_sink_;
-  double traffic_sample_period_s_ = 0.0;
-  std::vector<TrafficSample> traffic_samples_;
-  std::optional<metrics::TimeSeries> traffic_series_;
   std::uint64_t bootstrap_underfills_ = 0;
   bool underfill_reported_ = false;
 

@@ -1,31 +1,20 @@
 #pragma once
 
-// The policy-object surface of the overlay engine: the per-scenario choices
-// the paper treats as orthogonal plug-ins — how queries propagate (§2), how
-// a result's worth is measured (§3.4), and how nodes come and go (§4.2) —
-// expressed as small objects/enums a scenario hands to (or consults next
-// to) sim::OverlayEngine.  A new scenario picks from these instead of
-// re-implementing dispatch switches.
+// Query propagation as a plug-in: the search strategies the paper treats
+// as orthogonal to reconfiguration (§2), one enum and one dispatch switch
+// a scenario calls instead of re-implementing its own.
 
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "core/benefit.h"
 #include "core/flood_search.h"
 #include "core/lsh.h"
 #include "core/query_plane.h"
 #include "core/ranked_search.h"
 #include "core/search_strategies.h"
-#include "core/stats_store.h"
 #include "core/unreachable.h"
-#include "core/visit_stamp.h"
-#include "des/rng.h"
-#include "net/node_id.h"
 
 namespace dsf::sim {
 
@@ -151,41 +140,5 @@ core::SearchOutcome dispatch_search(SearchStrategyKind kind,
   }
   core::unreachable_enum("sim::SearchStrategyKind");
 }
-
-/// The benefit functions of §3.4, one per scenario family plus the ablation
-/// baselines, behind a single factory (the exhaustive-switch pattern every
-/// policy switch in the tree follows: all cases return, no fallback).
-enum class BenefitPolicy : std::uint8_t {
-  kBandwidthOverResults,  ///< §4.1 music sharing: B / R
-  kItemsOverLatency,      ///< web caching: pages per second
-  kProcessingTimeSaved,   ///< OLAP: warehouse time avoided
-  kUnit,                  ///< ablation: pure result counting
-  kInverseLatency,        ///< ablation: reply latency only
-};
-
-std::unique_ptr<core::BenefitFunction> make_benefit(BenefitPolicy policy);
-
-/// Churn policy: decides each node's initial on-line state and session
-/// durations.  The engine's `draw_initial_online` consumes one lane draw
-/// per node; scenarios with sessions schedule log-ins/log-offs from the
-/// duration draws.
-class ChurnModel {
- public:
-  virtual ~ChurnModel() = default;
-  virtual bool initially_online(des::Rng& rng) const = 0;
-  virtual double online_duration_s(des::Rng& rng) const = 0;
-  virtual double offline_duration_s(des::Rng& rng) const = 0;
-};
-
-/// Server populations (digital libraries, OLAP peers, proxies): every node
-/// is up for the whole horizon.
-class NoChurn final : public ChurnModel {
- public:
-  bool initially_online(des::Rng&) const override { return true; }
-  double online_duration_s(des::Rng&) const override {
-    return std::numeric_limits<double>::infinity();
-  }
-  double offline_duration_s(des::Rng&) const override { return 0.0; }
-};
 
 }  // namespace dsf::sim

@@ -47,7 +47,7 @@ inline void put_time_series(Writer::Out& out, const metrics::TimeSeries& t) {
 }
 
 inline void get_time_series(Reader::In& in, metrics::TimeSeries& t) {
-  std::vector<std::uint64_t> buckets(static_cast<std::size_t>(in.u64()));
+  std::vector<std::uint64_t> buckets(in.count(8));
   for (std::uint64_t& b : buckets) b = in.u64();
   t.restore(std::move(buckets));
 }
@@ -61,7 +61,7 @@ inline void put_histogram(Writer::Out& out, const metrics::Histogram& h) {
 }
 
 inline void get_histogram(Reader::In& in, metrics::Histogram& h) {
-  std::vector<std::uint64_t> bins(static_cast<std::size_t>(in.u64()));
+  std::vector<std::uint64_t> bins(in.count(8));
   for (std::uint64_t& b : bins) b = in.u64();
   const std::uint64_t count = in.u64();
   const std::uint64_t underflow = in.u64();
@@ -109,7 +109,7 @@ void put_lru(Writer::Out& out, const Cache& c) {
 /// final recency order equals the saved one.
 template <typename Cache>
 void get_lru(Reader::In& in, Cache& c) {
-  std::vector<std::uint64_t> keys(static_cast<std::size_t>(in.u64()));
+  std::vector<std::uint64_t> keys(in.count(8));
   for (std::uint64_t& k : keys) k = in.u64();
   for (std::size_t i = keys.size(); i-- > 0;) c.insert(keys[i]);
 }
@@ -120,7 +120,7 @@ inline void put_bloom(Writer::Out& out, const net::BloomFilter& f) {
 }
 
 inline void get_bloom(Reader::In& in, net::BloomFilter& f) {
-  std::vector<std::uint64_t> words(static_cast<std::size_t>(in.u64()));
+  std::vector<std::uint64_t> words(in.count(8));
   for (std::uint64_t& w : words) w = in.u64();
   try {
     f.restore_words(words);

@@ -14,7 +14,11 @@
 // CRC — in its constructor, before the engine applies a single byte of
 // state.  Any defect throws snap::SnapshotError; a truncated download or
 // a flipped bit can therefore never leave a half-restored simulation.
-// Unknown versions are rejected outright (no forward parsing).
+// Unknown versions are rejected outright (no forward parsing).  A file
+// whose framing and CRCs are intact but whose contents are inconsistent
+// (a count larger than its section, an out-of-range id) still throws
+// SnapshotError, but only once the payload is applied, so the target
+// simulation may be partly restored and must be discarded.
 //
 // Encoding: little-endian fixed-width integers; doubles as their IEEE-754
 // bit pattern.  Writers emit sections in a fixed order and sort any
@@ -40,11 +44,13 @@ class SnapshotError : public std::runtime_error {
 
 /// "DSFSNAP\0" little-endian.
 inline constexpr std::uint64_t kMagic = 0x0050414E53465344ULL;
-inline constexpr std::uint32_t kVersion = 1;
+/// Bumped whenever a section's layout changes; the reader accepts only
+/// this version.
+inline constexpr std::uint32_t kVersion = 2;
 
 enum class SectionId : std::uint32_t {
   kIdentity = 1,    ///< scenario name, population, seed
-  kEngineCore = 2,  ///< clock, RNG lanes, ledger, fault + sampling state
+  kEngineCore = 2,  ///< clock, RNG lanes, ledger, fault state
   kOverlay = 3,     ///< compact neighbor table (raw per-node lists)
   kEvents = 4,      ///< pending events as (time, kind, payload) records
   kDomain = 5,      ///< scenario-owned state (caches, stats, results)
@@ -140,6 +146,16 @@ class Reader {
                     static_cast<std::size_t>(n));
       pos_ += static_cast<std::size_t>(n);
       return s;
+    }
+    /// Reads a u64 element count and checks that that many elements of
+    /// `elem_bytes` each fit in the rest of the section, so a corrupt
+    /// count fails typed before it sizes an allocation.
+    std::size_t count(std::size_t elem_bytes) {
+      const std::uint64_t n = u64();
+      if (n > remaining() / elem_bytes)
+        throw SnapshotError("element count " + std::to_string(n) +
+                            " exceeds the section payload");
+      return static_cast<std::size_t>(n);
     }
     std::size_t remaining() const noexcept { return size_ - pos_; }
 

@@ -243,50 +243,30 @@ void WebCacheSim::rebuild_digest(net::NodeId p) {
 
 WebCacheResult WebCacheSim::run() {
   // A resumed run takes its pending request events from the snapshot and
-  // must not draw the initial delays, but it still registers every periodic
-  // in the same order so indices line up with the file.
-  const bool fresh = !resumed();
+  // must not draw the initial delays.  Each periodic starts at a uniform
+  // phase within its period.
+  const auto phase = [this](double period_s) {
+    return [this, period_s] { return rng().uniform(0.0, period_s); };
+  };
   for (net::NodeId p = 0; p < config_.num_proxies; ++p) {
     // Parents have no client population of their own; they serve (and are
     // warmed by) leaf misses only.
-    if (!is_parent(p) && fresh)
+    if (!is_parent(p) && !resumed())
       schedule_keyed(interrequest_.sample(rng()), kWebRequest, p, 0,
                      [this, p] { request(p); });
-    if (is_parent(p)) {
-      if (config_.digest_rebuild_period_s > 0.0) {
-        if (fresh)
-          schedule_every(rng().uniform(0.0, config_.digest_rebuild_period_s),
-                         config_.digest_rebuild_period_s,
-                         [this, p] { rebuild_digest(p); });
-        else
-          register_periodic(config_.digest_rebuild_period_s,
-                            [this, p] { rebuild_digest(p); });
-      }
-      continue;
+    // Parents only rebuild their digest; leaves explore, update and
+    // rebuild when dynamic.
+    if (!is_parent(p) && config_.dynamic) {
+      every(config_.explore_period_s, phase(config_.explore_period_s),
+            [this, p] { explore_from(p); });
+      every(config_.update_period_s, phase(config_.update_period_s),
+            [this, p] { update_neighbors(p); });
     }
-    if (config_.dynamic) {
-      if (fresh) {
-        schedule_every(rng().uniform(0.0, config_.explore_period_s),
-                       config_.explore_period_s,
-                       [this, p] { explore_from(p); });
-        schedule_every(rng().uniform(0.0, config_.update_period_s),
-                       config_.update_period_s,
-                       [this, p] { update_neighbors(p); });
-        if (config_.digest_rebuild_period_s > 0.0) {
-          schedule_every(rng().uniform(0.0, config_.digest_rebuild_period_s),
-                         config_.digest_rebuild_period_s,
-                         [this, p] { rebuild_digest(p); });
-        }
-      } else {
-        register_periodic(config_.explore_period_s,
-                          [this, p] { explore_from(p); });
-        register_periodic(config_.update_period_s,
-                          [this, p] { update_neighbors(p); });
-        if (config_.digest_rebuild_period_s > 0.0)
-          register_periodic(config_.digest_rebuild_period_s,
-                            [this, p] { rebuild_digest(p); });
-      }
-    }
+    if ((is_parent(p) || config_.dynamic) &&
+        config_.digest_rebuild_period_s > 0.0)
+      every(config_.digest_rebuild_period_s,
+            phase(config_.digest_rebuild_period_s),
+            [this, p] { rebuild_digest(p); });
   }
   run_until_horizon();
   result_.traffic = traffic();

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/benefit.h"
 #include "diglib/diglib_sim.h"
 #include "core/stats_store.h"
 #include "core/visit_stamp.h"
@@ -29,8 +28,8 @@ class TestEngine : public OverlayEngine {
 
   using OverlayEngine::count;
   using OverlayEngine::default_bootstrap_attempts;
-  using OverlayEngine::draw_initial_online;
   using OverlayEngine::engine_config;
+  using OverlayEngine::every;
   using OverlayEngine::fill_random_neighbors;
   using OverlayEngine::horizon_s;
   using OverlayEngine::query_rng;
@@ -38,11 +37,9 @@ class TestEngine : public OverlayEngine {
   using OverlayEngine::rng;
   using OverlayEngine::run_until_horizon;
   using OverlayEngine::sample_delay_s;
-  using OverlayEngine::schedule_every;
-  using OverlayEngine::send;
-  using OverlayEngine::send_batch;
   using OverlayEngine::session_rng;
   using OverlayEngine::topo_rng;
+  using OverlayEngine::transmit;
   using OverlayEngine::warmup_s;
 };
 
@@ -132,128 +129,56 @@ TEST(DefaultMessageBytes, EveryTypeHasAPositiveWireSize) {
 }
 
 TEST(OverlayEngine, SendAccountsTracesAndDelivers) {
+  // A synchronous exchange: the caller counts the send, transmit()
+  // resolves the copy's fate and emits the send and receive records.
   TestEngine e(small_config());
   obs::RingSink ring;
   e.set_trace_sink(&ring);
+  e.simulator().run_until(5.0);  // records carry the clock
 
-  bool delivered = false;
-  e.send(0, 1, net::MessageType::kQuery, [&] { delivered = true; });
+  e.count(net::MessageType::kQuery);
+  const auto res = e.transmit(net::MessageType::kQuery, 0, 1, 2);
 
+  EXPECT_TRUE(res.deliver);
+  EXPECT_FALSE(res.duplicate);
+  EXPECT_DOUBLE_EQ(res.extra_delay_s, 0.0);
   EXPECT_EQ(e.traffic().total(net::MessageType::kQuery), 1u);
   EXPECT_EQ(e.ledger().bytes(net::MessageType::kQuery),
             default_message_bytes(net::MessageType::kQuery));
-  auto trace = ring.snapshot();
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace[0].kind, obs::RecordKind::kSend);
-  EXPECT_EQ(trace[0].from, 0u);
-  EXPECT_EQ(trace[0].to, 1u);
-  EXPECT_EQ(trace[0].type, static_cast<std::uint8_t>(net::MessageType::kQuery));
-  EXPECT_EQ(trace[0].unpack_bytes(),
-            default_message_bytes(net::MessageType::kQuery));
-  EXPECT_FALSE(trace[0].unpack_abuse());
-  EXPECT_EQ(trace[0].b, 1u);     // one copy
-  EXPECT_EQ(trace[0].ttl, -1);  // send() traffic carries no hop budget
-
-  EXPECT_FALSE(delivered);
-  e.simulator().run();
-  EXPECT_TRUE(delivered);
-  EXPECT_GT(e.simulator().now(), 0.0);  // the delay sample was positive
-  trace = ring.snapshot();
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace[1].kind, obs::RecordKind::kRecv);  // the copy's fate
-  EXPECT_EQ(trace[1].time_s, e.simulator().now());
   EXPECT_EQ(e.ledger().delivered(net::MessageType::kQuery), 1u);
-}
-
-TEST(OverlayEngine, SendBatchMatchesPerTargetSendExactly) {
-  // The batched fan-out is an accounting + scheduling shortcut, not a
-  // semantic change: with the same seed it must produce byte-identical
-  // ledger counts and delivery times as a per-target send() loop, because
-  // delays are sampled in target order either way.
-  const std::vector<net::NodeId> targets{1, 3, 5, 2, 7};
-
-  TestEngine a(small_config());
-  std::vector<std::pair<net::NodeId, double>> deliveries_a;
-  for (const auto to : targets)
-    a.send(0, to, net::MessageType::kQuery,
-           [&, to] { deliveries_a.emplace_back(to, a.simulator().now()); });
-  a.simulator().run();
-
-  TestEngine b(small_config());
-  std::vector<std::pair<net::NodeId, double>> deliveries_b;
-  b.send_batch(0, targets, net::MessageType::kQuery, [&](std::size_t i) {
-    const auto to = targets[i];
-    return [&, to] { deliveries_b.emplace_back(to, b.simulator().now()); };
-  });
-  b.simulator().run();
-
-  EXPECT_EQ(a.traffic().total(net::MessageType::kQuery), targets.size());
-  EXPECT_EQ(b.traffic().total(net::MessageType::kQuery), targets.size());
-  EXPECT_EQ(a.ledger().bytes(net::MessageType::kQuery),
-            b.ledger().bytes(net::MessageType::kQuery));
-
-  ASSERT_EQ(deliveries_a.size(), targets.size());
-  ASSERT_EQ(deliveries_b.size(), targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    EXPECT_EQ(deliveries_a[i].first, deliveries_b[i].first);
-    EXPECT_EQ(deliveries_a[i].second, deliveries_b[i].second);  // exact
+  EXPECT_EQ(e.ledger().dropped(net::MessageType::kQuery), 0u);
+  const auto trace = ring.snapshot();
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0].kind, obs::RecordKind::kSend);
+  EXPECT_EQ(trace[1].kind, obs::RecordKind::kRecv);  // the copy's fate
+  for (const obs::Record& r : trace) {
+    EXPECT_EQ(r.time_s, 5.0);
+    EXPECT_EQ(r.from, 0u);
+    EXPECT_EQ(r.to, 1u);
+    EXPECT_EQ(r.type, static_cast<std::uint8_t>(net::MessageType::kQuery));
+    EXPECT_EQ(r.unpack_bytes(),
+              default_message_bytes(net::MessageType::kQuery));
+    EXPECT_FALSE(r.unpack_abuse());
+    EXPECT_EQ(r.b, 1u);    // one copy
+    EXPECT_EQ(r.ttl, 2);  // the hop budget the exchange passed
   }
-}
-
-TEST(OverlayEngine, TracedSendBatchMatchesPerTargetSendExactly) {
-  // With a sink attached both forms take the traced per-copy path: the
-  // record streams (every send, then each copy's delivery in arrival
-  // order) and the fate counters must agree exactly.
-  const std::vector<net::NodeId> targets{1, 3, 5, 2, 7};
-
-  TestEngine a(small_config());
-  obs::RingSink ring_a;
-  a.set_trace_sink(&ring_a);
-  for (const auto to : targets) a.send(0, to, net::MessageType::kQuery, [] {});
-  a.simulator().run();
-
-  TestEngine b(small_config());
-  obs::RingSink ring_b;
-  b.set_trace_sink(&ring_b);
-  b.send_batch(0, targets, net::MessageType::kQuery,
-               [](std::size_t) { return [] {}; });
-  b.simulator().run();
-
-  EXPECT_EQ(a.ledger().delivered(net::MessageType::kQuery), targets.size());
-  EXPECT_EQ(b.ledger().delivered(net::MessageType::kQuery), targets.size());
-  const auto trace_a = ring_a.snapshot();
-  const auto trace_b = ring_b.snapshot();
-  ASSERT_EQ(trace_a.size(), 2 * targets.size());
-  ASSERT_EQ(trace_b.size(), trace_a.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    EXPECT_EQ(trace_a[i].kind, obs::RecordKind::kSend);
-    EXPECT_EQ(trace_a[i].to, targets[i]);
-  }
-  for (std::size_t i = 0; i < trace_a.size(); ++i) {
-    EXPECT_EQ(trace_a[i].kind, trace_b[i].kind);
-    EXPECT_EQ(trace_a[i].to, trace_b[i].to);
-    EXPECT_EQ(trace_a[i].type, trace_b[i].type);
-    EXPECT_EQ(trace_a[i].a, trace_b[i].a);
-    EXPECT_EQ(trace_a[i].b, trace_b[i].b);
-    EXPECT_EQ(trace_a[i].time_s, trace_b[i].time_s);  // exact
-  }
-}
-
-TEST(OverlayEngine, SendBatchWithEmptyTargetListIsANoOp) {
-  TestEngine e(small_config());
-  const std::vector<net::NodeId> none;
-  e.send_batch(0, none, net::MessageType::kQuery,
-               [&](std::size_t) { return [] {}; });
-  EXPECT_EQ(e.traffic().total(net::MessageType::kQuery), 0u);
-  EXPECT_TRUE(e.simulator().queue().empty());
+  EXPECT_TRUE(e.simulator().queue().empty());  // nothing was scheduled
 }
 
 TEST(OverlayEngine, ScheduleEveryFiresAtFirstDelayThenEveryPeriod) {
   TestEngine e(small_config());
   std::vector<double> fire_times;
-  e.schedule_every(1.0, 2.0,
-                   [&] { fire_times.push_back(e.simulator().now()); });
+  int first_delay_calls = 0;
+  e.every(
+      2.0,
+      [&] {
+        ++first_delay_calls;
+        return 1.0;
+      },
+      [&] { fire_times.push_back(e.simulator().now()); });
+  EXPECT_EQ(first_delay_calls, 1);
   e.simulator().run_until(6.0);
+  EXPECT_EQ(first_delay_calls, 1) << "later ticks use the period";
   ASSERT_EQ(fire_times.size(), 3u);
   EXPECT_DOUBLE_EQ(fire_times[0], 1.0);
   EXPECT_DOUBLE_EQ(fire_times[1], 3.0);
@@ -409,32 +334,6 @@ TEST(OverlayEngine, DefaultBootstrapAttemptsIsFourPerSlot) {
   EXPECT_EQ(e.default_bootstrap_attempts(), 12);  // 4 * out_capacity(3)
 }
 
-TEST(OverlayEngine, DrawInitialOnlineWithNoChurnSelectsEveryNode) {
-  TestEngine e(small_config());
-  const NoChurn churn;
-  const auto online = e.draw_initial_online(churn, e.rng());
-  ASSERT_EQ(online.size(), e.num_nodes());
-  for (net::NodeId u = 0; u < e.num_nodes(); ++u) EXPECT_EQ(online[u], u);
-}
-
-TEST(OverlayEngine, TrafficSamplingRecordsCumulativeCounts) {
-  TestEngine e(small_config());
-  e.set_traffic_sample_period(10.0);
-  // One query at t=0 and one more every 12 s via a periodic event.
-  e.count(net::MessageType::kQuery);
-  e.schedule_every(12.0, 12.0, [&] { e.count(net::MessageType::kQuery); });
-  e.run_until_horizon();  // 36 s horizon -> samples at 10, 20, 30
-
-  const auto& samples = e.traffic_samples();
-  ASSERT_EQ(samples.size(), 3u);
-  EXPECT_DOUBLE_EQ(samples[0].time_s, 10.0);
-  EXPECT_EQ(samples[0].messages, 1u);  // t=0 count only
-  EXPECT_EQ(samples[1].messages, 2u);  // + t=12
-  EXPECT_EQ(samples[2].messages, 3u);  // + t=24
-  EXPECT_GT(samples[2].bytes, samples[0].bytes);
-  ASSERT_TRUE(e.traffic_series().has_value());
-}
-
 TEST(OverlayEngine, ReportingFlipsAfterWarmup) {
   auto cfg = small_config();
   cfg.warmup_hours = 0.005;  // 18 s
@@ -465,26 +364,6 @@ TEST(Validate, HelpersProduceConsistentMessages) {
   EXPECT_NO_THROW(require_divides("diglib", "num_docs", 12, "num_topics", 3));
 }
 
-TEST(MakeBenefit, CoversEveryPolicy) {
-  const struct {
-    BenefitPolicy policy;
-    std::string_view name;
-  } kCases[] = {
-      {BenefitPolicy::kBandwidthOverResults, "bandwidth/results"},
-      {BenefitPolicy::kItemsOverLatency, "items/latency"},
-      {BenefitPolicy::kProcessingTimeSaved, "processing-time-saved"},
-      {BenefitPolicy::kUnit, "unit"},
-      {BenefitPolicy::kInverseLatency, "1/latency"},
-  };
-  for (const auto& c : kCases) {
-    const auto fn = make_benefit(c.policy);
-    ASSERT_NE(fn, nullptr);
-    EXPECT_EQ(fn->name(), c.name);
-  }
-  core::ResultInfo info;
-  EXPECT_DOUBLE_EQ(make_benefit(BenefitPolicy::kUnit)->benefit(info), 1.0);
-}
-
 TEST(DispatchSearch, EveryStrategyFindsReachableContent) {
   // Line overlay 0 -> 1 -> 2 -> 3 with content at node 2.
   const std::vector<std::vector<net::NodeId>> adj = {{1}, {2}, {3}, {}};
@@ -500,9 +379,9 @@ TEST(DispatchSearch, EveryStrategyFindsReachableContent) {
   core::VisitStamp stamps(4);
   core::VisitStamp hit_stamps(4);
   core::SearchScratch scratch;
-  auto ctx = core::make_search_context(0, neighbors, has_content, delay,
-                                       core::ReliableTransmit{}, stamps,
-                                       hit_stamps, scratch);
+  auto ctx = core::make_ranked_context(
+      0, neighbors, has_content, core::NoRank{}, core::NoCandidate{}, delay,
+      core::ReliableTransmit{}, stamps, hit_stamps, scratch);
   ctx.stats = &stats;
 
   for (auto kind :
@@ -529,9 +408,9 @@ TEST(DispatchSearch, IterativeDeepeningAccumulatesCycleCost) {
   core::VisitStamp stamps(4);
   core::VisitStamp hit_stamps(4);
   core::SearchScratch scratch;
-  auto ctx = core::make_search_context(0, neighbors, has_content, delay,
-                                       core::ReliableTransmit{}, stamps,
-                                       hit_stamps, scratch);
+  auto ctx = core::make_ranked_context(
+      0, neighbors, has_content, core::NoRank{}, core::NoCandidate{}, delay,
+      core::ReliableTransmit{}, stamps, hit_stamps, scratch);
   ctx.stats = &stats;
   const core::QuerySpec spec = core::QuerySpec::exact(params);
 

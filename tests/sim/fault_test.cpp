@@ -1,6 +1,6 @@
 // Fault-injection layer: plan validation, the zero-draw guarantees that
 // make an armed-but-idle layer a true no-op, per-type drop/duplicate/
-// delay behaviour through the engine's unified send(), the crash model's
+// delay behaviour through the engine's transmit(), the crash model's
 // no-cleanup semantics, and small adversarial end-to-end runs of every
 // scenario simulator with the invariant checker attached.
 #include "sim/fault.h"
@@ -27,8 +27,8 @@ class TestEngine : public OverlayEngine {
   explicit TestEngine(EngineConfig cfg) : OverlayEngine(std::move(cfg)) {}
 
   using OverlayEngine::begin_faulty_search;
+  using OverlayEngine::count;
   using OverlayEngine::run_until_horizon;
-  using OverlayEngine::send;
   using OverlayEngine::transmit;
 };
 
@@ -164,7 +164,17 @@ TEST(FaultPlan, WindowBoundariesAreInclusiveStartExclusiveEnd) {
   EXPECT_NE(lane.state(), before_inside);
 }
 
-// --- per-type behaviour through the unified send() ------------------------
+// --- per-type behaviour through transmit() ---------------------------------
+
+/// One exchange the way the scenarios run it: count the send, resolve the
+/// copy's fate, count the duplicate's extra copy.
+core::TransmitResult exchange(TestEngine& e, net::MessageType type,
+                              net::NodeId from, net::NodeId to) {
+  e.count(type);
+  const core::TransmitResult res = e.transmit(type, from, to, -1);
+  if (res.duplicate) e.count(type);
+  return res;
+}
 
 TEST(FaultLayer, DropsEveryTargetedTypeThroughSend) {
   for (int i = 0; i < net::kNumMessageTypes; ++i) {
@@ -176,11 +186,7 @@ TEST(FaultLayer, DropsEveryTargetedTypeThroughSend) {
     plan.set_rule(type, r);
     e.set_fault_plan(plan);
 
-    bool delivered = false;
-    e.send(0, 1, type, [&] { delivered = true; });
-    e.simulator().run();
-
-    EXPECT_FALSE(delivered) << net::to_string(type);
+    EXPECT_FALSE(exchange(e, type, 0, 1).deliver) << net::to_string(type);
     EXPECT_EQ(e.ledger().dropped(type), 1u) << net::to_string(type);
     EXPECT_EQ(e.ledger().delivered(type), 0u) << net::to_string(type);
     EXPECT_EQ(e.traffic().total(type), 1u) << net::to_string(type);
@@ -189,22 +195,24 @@ TEST(FaultLayer, DropsEveryTargetedTypeThroughSend) {
 
 TEST(FaultLayer, DuplicatesDeliverTwiceAndCountTwice) {
   TestEngine e(small_config());
+  InvariantChecker checker;
+  e.attach_checker(&checker);
   FaultPlan plan;
   FaultRule r;
   r.duplicate_prob = 1.0;
   plan.set_rule(net::MessageType::kPing, r);
   e.set_fault_plan(plan);
 
-  int deliveries = 0;
-  e.send(0, 1, net::MessageType::kPing, [&] { ++deliveries; });
-  e.simulator().run();
+  const auto res = exchange(e, net::MessageType::kPing, 0, 1);
+  EXPECT_TRUE(res.deliver);
+  EXPECT_TRUE(res.duplicate);
 
-  EXPECT_EQ(deliveries, 2);
   // Both copies were put on the wire and both arrived: conservation holds
   // with sent == delivered == 2.
   EXPECT_EQ(e.traffic().total(net::MessageType::kPing), 2u);
   EXPECT_EQ(e.ledger().delivered(net::MessageType::kPing), 2u);
   EXPECT_EQ(e.ledger().dropped(net::MessageType::kPing), 0u);
+  EXPECT_TRUE(checker.ok()) << checker.report();
 }
 
 TEST(FaultLayer, ExtraDelayPostponesDelivery) {
@@ -216,12 +224,9 @@ TEST(FaultLayer, ExtraDelayPostponesDelivery) {
   plan.set_rule(net::MessageType::kPong, r);
   e.set_fault_plan(plan);
 
-  double delivered_at = -1.0;
-  e.send(0, 1, net::MessageType::kPong,
-         [&] { delivered_at = e.simulator().now(); });
-  e.simulator().run();
-
-  EXPECT_GE(delivered_at, 5.0) << "extra delay was not applied";
+  const auto res = exchange(e, net::MessageType::kPong, 0, 1);
+  EXPECT_TRUE(res.deliver);
+  EXPECT_DOUBLE_EQ(res.extra_delay_s, 5.0) << "extra delay was not applied";
   EXPECT_EQ(e.ledger().delivered(net::MessageType::kPong), 1u);
 }
 
@@ -260,12 +265,9 @@ TEST(FaultLayer, CrashedPeerDropsArrivingCopies) {
   e.crash_node(1);  // idempotent: a dead peer cannot crash again
   EXPECT_EQ(e.crashes(), 1u);
 
-  bool delivered = false;
-  e.send(0, 1, net::MessageType::kQuery, [&] { delivered = true; });
-  e.simulator().run();
-
-  EXPECT_FALSE(delivered);
+  EXPECT_FALSE(exchange(e, net::MessageType::kQuery, 0, 1).deliver);
   EXPECT_EQ(e.ledger().dropped(net::MessageType::kQuery), 1u);
+  EXPECT_EQ(e.ledger().delivered(net::MessageType::kQuery), 0u);
   // The checker saw the crash and the drop — and no dead delivery.
   EXPECT_EQ(checker.crashes_seen(), 1u);
   EXPECT_TRUE(checker.ok()) << checker.report();

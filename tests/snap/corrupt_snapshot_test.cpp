@@ -1,11 +1,12 @@
 // Fail-closed battery for the snapshot reader: every way a file can be
 // damaged — truncation at any level, a flipped byte in every section,
-// a wrong magic, a future version, a stored-CRC flip — must surface as a
-// typed snap::SnapshotError, and a failed load must leave the simulation
-// untouched (the reader validates the whole file before any state is
-// applied, so the same object can still load a good file afterwards).
-// The suite also runs under ASan/UBSan in CI: a malformed length that
-// slipped past validation would trip the sanitizers here.
+// a wrong magic, a version other than the reader's, a stored-CRC flip, a
+// re-checksummed count larger than its section — must surface as a typed
+// snap::SnapshotError.  Framing and CRC damage must also leave the
+// simulation untouched (the reader validates the whole file before any
+// state is applied, so the same object can still load a good file
+// afterwards).  The suite also runs under ASan/UBSan in CI: a malformed
+// length that slipped past validation would trip the sanitizers here.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -148,10 +149,14 @@ TEST_F(CorruptSnapshotTest, WrongMagic) {
 }
 
 TEST_F(CorruptSnapshotTest, FutureVersionIsRejectedForward) {
-  auto bytes = *good_bytes_;
-  bytes[8] = 2;  // version u32 little-endian: v2 reader required
-  bytes[9] = bytes[10] = bytes[11] = 0;
-  expect_rejected(bytes, "version");
+  // A newer writer's file and an older one (the previous format) are both
+  // refused, never parsed.
+  for (const std::uint32_t version : {snap::kVersion + 1, snap::kVersion - 1}) {
+    auto bytes = *good_bytes_;
+    for (std::size_t i = 0; i < 4; ++i)  // version u32 little-endian
+      bytes[8 + i] = static_cast<unsigned char>(version >> (8 * i));
+    expect_rejected(bytes, "version" + std::to_string(version));
+  }
 }
 
 TEST_F(CorruptSnapshotTest, TruncatedHeader) {
@@ -209,6 +214,39 @@ TEST_F(CorruptSnapshotTest, InflatedSectionLength) {
   const std::size_t len_at = frames.back().crc_offset - 8;
   for (std::size_t i = 0; i < 8; ++i) bytes[len_at + i] = 0xFF;
   expect_rejected(bytes, "length");
+}
+
+TEST_F(CorruptSnapshotTest, OversizedCountWithValidCrcIsRejectedTyped) {
+  // Damage the CRC cannot see: a count rewritten to 2^61 with the section
+  // checksum recomputed.  The pending-event count opens the events
+  // section, and peer 0's cache size opens the olap domain section.  Both
+  // must fail typed before they size an allocation.  The error surfaces
+  // while state is being applied, so each attempt uses a fresh simulation.
+  const auto frames = parse_frames(*good_bytes_);
+  for (const snap::SectionId id :
+       {snap::SectionId::kEvents, snap::SectionId::kDomain}) {
+    SCOPED_TRACE("section " + std::to_string(static_cast<std::uint32_t>(id)));
+    const Frame* f = nullptr;
+    for (const Frame& candidate : frames)
+      if (candidate.id == static_cast<std::uint32_t>(id)) f = &candidate;
+    ASSERT_NE(f, nullptr);
+    ASSERT_GE(f->payload_length, 8u);
+    auto bytes = *good_bytes_;
+    const std::uint64_t count = std::uint64_t{1} << 61;
+    for (std::size_t i = 0; i < 8; ++i)
+      bytes[f->payload_offset + i] = static_cast<unsigned char>(count >> (8 * i));
+    const std::uint32_t crc =
+        snap::crc32(bytes.data() + f->payload_offset, f->payload_length);
+    for (std::size_t i = 0; i < 4; ++i)
+      bytes[f->crc_offset + i] = static_cast<unsigned char>(crc >> (8 * i));
+
+    const std::string path = ::testing::TempDir() + "dsf_corrupt_count_" +
+                             std::to_string(::getpid()) + ".snap";
+    spit(path, bytes);
+    olap::OlapSim sim(tiny_olap());
+    EXPECT_THROW(sim.load_snapshot(path), snap::SnapshotError);
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(CorruptSnapshotTest, ScenarioMismatch) {

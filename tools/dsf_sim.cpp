@@ -2,7 +2,8 @@
 //
 //   dsf_sim gnutella [--users 2000] [--hops 2] [--dynamic true]
 //                    [--threshold 2] [--hours 96] [--warmup 12]
-//                    [--strategy flood|iterative|directed|local-indices]
+//                    [--search-scheme flood|iterative|directed|
+//                                     local-indices|top-k|lsh]
 //                    [--seed 42] [--json]
 //   dsf_sim webcache [--proxies 64] [--dynamic true] [--hours 4]
 //                    [--warmup 0.5] [--json]
@@ -78,9 +79,12 @@
 // not parse as, overflows or falls outside its declared type or range, or
 // flags and layers that cannot run together; 3 the trace export could
 // not be written; 4 the invariant checker found violations; 5 a corrupt,
-// truncated or mismatched snapshot file (rejected without partial state
-// mutation).  Text output is human-readable; --json emits a
-// machine-readable record for scripting sweeps.
+// truncated, mismatched or older-format snapshot file.  Framing and CRC
+// damage is rejected before any state is touched; a CRC-valid file with
+// inconsistent contents (a count larger than its section) is rejected
+// while state is being applied, and the run stops there.  Text output is
+// human-readable; --json emits a machine-readable record for scripting
+// sweeps.
 
 #include <cmath>
 #include <cstdio>
