@@ -1,11 +1,11 @@
 // Scheme sweep: the ranked query plane measured end to end.  One full
 // static Gnutella run per search scheme — flood, iterative deepening,
-// directed BFT, local indices, top-k ranked, LSH similarity — with the
-// invariant checker attached (including the per-outcome scheme contracts:
-// k bound, score ordering, similarity threshold, no pruning for
-// exact-match).  The static overlay plus the four-lane RNG layout make
-// the arms directly comparable: every arm sees the same peers, sessions
-// and query arrivals, so traffic differences are the scheme's alone.
+// directed BFT, local indices, top-k ranked — with the invariant checker
+// attached (including the per-outcome scheme contracts: k bound, score
+// ordering, no pruning for exact-match).  The static overlay plus the
+// four-lane RNG layout make the arms directly comparable: every arm sees
+// the same peers, sessions and query arrivals, so traffic differences are
+// the scheme's alone.
 //
 // The headline figure: FD-style top-k prunes last-hop forwards through
 // one-hop scored digests, cutting query traffic versus the flood while
@@ -14,15 +14,9 @@
 // carries the measured reduction and both hit ratios so the acceptance
 // bar — >= 3x at equal hit ratio — is machine-checkable downstream.
 //
-// A second stanza certifies the LSH plane off-line: a planted-duplicates
-// library (peers derived from shared prototypes with small mutations)
-// where ground-truth Jaccard neighbors are known by construction, scored
-// for recall through the banded bucket gate + signature estimate.
-//
 // Every run must finish checker-clean; any violation makes the bench
 // exit 4.  Honours DSF_FAST / DSF_SEED like the other figure benches.
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -30,8 +24,6 @@
 #include <vector>
 
 #include "cli/flag_registry.h"
-#include "core/lsh.h"
-#include "des/rng.h"
 #include "fig_common.h"
 #include "metrics/csv.h"
 #include "metrics/json_emitter.h"
@@ -89,95 +81,19 @@ ArmPoint run_arm(const gnutella::Config& config, bool* clean) {
   return p;
 }
 
-struct RecallPoint {
-  double threshold = 0.5;
-  std::uint32_t peers = 0;
-  std::uint64_t true_pairs = 0;
-  std::uint64_t retrieved = 0;
-  std::uint64_t false_hits = 0;
-
-  double recall() const {
-    return true_pairs ? static_cast<double>(retrieved) /
-                            static_cast<double>(true_pairs)
-                      : 0.0;
-  }
-};
-
-double true_jaccard(const std::vector<std::uint64_t>& a,
-                    const std::vector<std::uint64_t>& b) {
-  std::vector<std::uint64_t> inter, uni;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(inter));
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(uni));
-  return uni.empty() ? 0.0
-                     : static_cast<double>(inter.size()) /
-                           static_cast<double>(uni.size());
-}
-
-/// Planted-duplicates recall: peers copy one of a handful of disjoint
-/// prototypes and mutate ~7% of the items, so within-family true Jaccard
-/// (~0.76) clears the threshold and cross-family (~0) never does.  A
-/// retrieved neighbor must pass both the band-bucket gate and the
-/// signature-estimate threshold — exactly the gate lsh_similarity_search
-/// applies per visited peer.
-RecallPoint lsh_recall_stanza(std::uint64_t seed, double threshold) {
-  constexpr std::uint32_t kPeers = 200;
-  constexpr std::uint32_t kProtos = 8;
-  constexpr std::uint64_t kSetSize = 80;
-  des::Rng rng(seed);
-
-  std::vector<std::vector<std::uint64_t>> sets(kPeers);
-  for (std::uint32_t p = 0; p < kPeers; ++p) {
-    auto& s = sets[p];
-    const std::uint64_t proto = p % kProtos;
-    for (std::uint64_t i = 0; i < kSetSize; ++i)
-      s.push_back(rng.uniform() < 0.07 ? 1'000'000 + p * kSetSize + i
-                                       : proto * kSetSize + i);
-    std::sort(s.begin(), s.end());
-    s.erase(std::unique(s.begin(), s.end()), s.end());
-  }
-
-  core::LshIndex idx;
-  idx.reserve(kPeers);
-  for (const auto& s : sets)
-    idx.append_node(std::span<const std::uint64_t>(s));
-
-  RecallPoint r;
-  r.threshold = threshold;
-  r.peers = kPeers;
-  for (std::uint32_t a = 0; a < kPeers; ++a) {
-    for (std::uint32_t b = 0; b < kPeers; ++b) {
-      if (a == b) continue;
-      const bool is_true = true_jaccard(sets[a], sets[b]) >= threshold;
-      const bool is_hit = idx.candidate(a, b) &&
-                          idx.estimated_similarity(a, b) >= threshold;
-      r.true_pairs += is_true;
-      if (is_true && is_hit) ++r.retrieved;
-      if (!is_true && is_hit) ++r.false_hits;
-    }
-  }
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   cli::FlagRegistry reg(
-      "bench_scheme_sweep [--top-k K] [--sim-threshold T] [--out PATH] "
-      "[--csv PATH]",
+      "bench_scheme_sweep [--top-k K] [--out PATH] [--csv PATH]",
       "Search-scheme comparison on the static Gnutella overlay: one "
       "checker-certified run per scheme (flood, iterative, directed, "
-      "local-indices, top-k, lsh) plus a planted-duplicates LSH recall "
-      "stanza; emits dsf-scheme-sweep-v1 JSON.  Honours DSF_FAST / "
-      "DSF_SEED.");
+      "local-indices, top-k); emits dsf-scheme-sweep-v2 JSON.  Honours "
+      "DSF_FAST / DSF_SEED.");
   reg.add_int("top-k", 4, "results per query for the ranked arm (>= 1)")
-      .add_double("sim-threshold", 0.2,
-                  "minimum estimated Jaccard similarity for the lsh arm")
       .add_string("out", "scheme_sweep.json", "JSON output path")
       .add_string("csv", "scheme_sweep_series.csv", "CSV output path");
   std::uint32_t top_k = 4;
-  double sim_threshold = 0.2;
   try {
     reg.parse(argc, argv);
     if (reg.help_requested()) {
@@ -187,9 +103,6 @@ int main(int argc, char** argv) {
     const long long k = reg.get_int("top-k");
     if (k < 1) throw std::invalid_argument("--top-k: must be >= 1");
     top_k = static_cast<std::uint32_t>(k);
-    sim_threshold = reg.get_double("sim-threshold");
-    if (!(sim_threshold >= 0.0 && sim_threshold <= 1.0))
-      throw std::invalid_argument("--sim-threshold: must be in [0, 1]");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
@@ -210,7 +123,6 @@ int main(int argc, char** argv) {
     base.warmup_hours = 1.0;
   }
   base.top_k = top_k;
-  base.sim_threshold = sim_threshold;
 
   const sim::SearchStrategyKind kinds[] = {
       sim::SearchStrategyKind::kFlood,
@@ -218,7 +130,6 @@ int main(int argc, char** argv) {
       sim::SearchStrategyKind::kDirectedBft,
       sim::SearchStrategyKind::kLocalIndices,
       sim::SearchStrategyKind::kTopK,
-      sim::SearchStrategyKind::kLsh,
   };
 
   bool clean = true;
@@ -250,17 +161,8 @@ int main(int argc, char** argv) {
               "%.4f vs %.4f\n",
               reduction, topk ? topk->hit_ratio() : 0.0, flood.hit_ratio());
 
-  const RecallPoint recall = lsh_recall_stanza(base.seed, 0.5);
-  std::printf("lsh planted-duplicates recall: %.4f (%llu/%llu true pairs, "
-              "%llu false hits)\n",
-              recall.recall(),
-              static_cast<unsigned long long>(recall.retrieved),
-              static_cast<unsigned long long>(recall.true_pairs),
-              static_cast<unsigned long long>(recall.false_hits));
-
-  std::printf("\n-- scheme sweep: one static run per scheme (k=%u, "
-              "threshold=%.2f) --\n",
-              top_k, sim_threshold);
+  std::printf("\n-- scheme sweep: one static run per scheme (k=%u) --\n",
+              top_k);
   metrics::Table table({"scheme", "queries", "hit_ratio", "query_msgs",
                         "reply_msgs", "results", "delay_mean_s"});
   for (const ArmPoint& p : arms)
@@ -296,13 +198,12 @@ int main(int argc, char** argv) {
   }
   metrics::JsonEmitter j(out);
   j.begin_object();
-  j.schema("scheme-sweep", 1);
+  j.schema("scheme-sweep", 2);
   j.field("scenario", "gnutella-static");
   j.field("peers", static_cast<std::uint64_t>(base.num_users));
   j.field("sim_hours", base.sim_hours, 2);
   j.field("warmup_hours", base.warmup_hours, 2);
   j.field("top_k", static_cast<std::uint64_t>(top_k));
-  j.field("sim_threshold", sim_threshold, 3);
   j.field("clean", clean);
   j.begin_array("arms");
   for (const ArmPoint& p : arms) {
@@ -326,14 +227,6 @@ int main(int argc, char** argv) {
   j.field("topk_hit_ratio", topk ? topk->hit_ratio() : 0.0, 4);
   j.field("flood_hits", flood.hits);
   j.field("topk_hits", topk ? topk->hits : 0);
-  j.end_object();
-  j.begin_object("lsh_recall");
-  j.field("threshold", recall.threshold, 3);
-  j.field("peers", static_cast<std::uint64_t>(recall.peers));
-  j.field("true_pairs", recall.true_pairs);
-  j.field("retrieved", recall.retrieved);
-  j.field("recall", recall.recall(), 4);
-  j.field("false_hits", recall.false_hits);
   j.end_object();
   j.end_object();
   j.finish();

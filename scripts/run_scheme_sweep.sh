@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Runs the search-scheme sweep (bench_scheme_sweep) and validates the
-# resulting dsf-scheme-sweep-v1 document: schema tag, checker-clean flag,
-# all six scheme arms present over an identical query workload, the
+# resulting dsf-scheme-sweep-v2 document: schema tag, checker-clean flag,
+# exactly the five scheme arms over an identical query workload, and the
 # ranked-plane acceptance bars (top-k cuts query traffic >= 3x versus the
 # flood at an EQUAL hit ratio — its pruning never withholds a forward
-# that could change a verdict), and the planted-duplicates LSH recall
-# stanza (>= 0.9).  CI's bench-smoke job calls this with --quick
-# (DSF_FAST) and archives the validated JSON; the full sweep produced
-# BENCH_PR10.json at the repo root.
+# that could change a verdict — and returns at most k results per query).
+# CI's bench-smoke job calls this with --quick (DSF_FAST) and archives the
+# validated JSON.  BENCH_PR10.json at the repo root records the earlier v1
+# document (six arms plus a recall stanza; see EXPERIMENTS.md).
 #
 # Usage: scripts/run_scheme_sweep.sh [--quick] [--out PATH] [--build-dir DIR]
 set -euo pipefail
@@ -47,11 +47,11 @@ import json, sys
 path = sys.argv[1]
 with open(path) as f:
     doc = json.load(f)
-assert doc.get("schema") == "dsf-scheme-sweep-v1", f"bad schema in {path}"
+assert doc.get("schema") == "dsf-scheme-sweep-v2", f"bad schema in {path}"
 assert doc.get("clean") is True, "sweep was not checker-clean"
 arms = {a["scheme"]: a for a in doc.get("arms", [])}
-expected = {"flood", "iterative", "directed", "local-indices", "top-k", "lsh"}
-assert set(arms) == expected, f"missing scheme arm(s): {expected - set(arms)}"
+expected = {"flood", "iterative", "directed", "local-indices", "top-k"}
+assert set(arms) == expected, f"arms {sorted(arms)} != {sorted(expected)}"
 queries = {a["queries"] for a in arms.values()}
 assert len(queries) == 1, f"arms saw different query workloads: {queries}"
 for a in arms.values():
@@ -66,10 +66,6 @@ assert comp["topk_hits"] == comp["flood_hits"], \
 k = doc["top_k"]
 assert arms["top-k"]["results"] <= k * arms["top-k"]["queries"], \
     "top-k arm returned more than k results per query"
-recall = doc["lsh_recall"]
-assert recall["true_pairs"] > 0, "recall stanza found no true pairs"
-assert recall["recall"] >= 0.9, f"lsh recall {recall['recall']} < 0.9"
 print(f"validated {path}: {len(arms)} arms, "
-      f"top-k reduction {comp['traffic_reduction']:.2f}x at equal hit ratio, "
-      f"lsh recall {recall['recall']:.3f}")
+      f"top-k reduction {comp['traffic_reduction']:.2f}x at equal hit ratio")
 EOF

@@ -71,17 +71,6 @@ FlagRegistry& FlagRegistry::add_bool(const std::string& name, bool def,
   return *this;
 }
 
-FlagRegistry& FlagRegistry::alias(const std::string& alt,
-                                  const std::string& canonical) {
-  for (Flag& f : flags_) {
-    if (f.name == canonical) {
-      f.aliases.push_back(alt);
-      return *this;
-    }
-  }
-  throw std::logic_error("alias for undeclared flag: --" + canonical);
-}
-
 FlagRegistry& FlagRegistry::hide(const std::string& name) {
   for (Flag& f : flags_) {
     if (f.name == name) {
@@ -97,15 +86,6 @@ FlagRegistry& FlagRegistry::note(std::string text) {
   return *this;
 }
 
-FlagRegistry::Flag* FlagRegistry::resolve(const std::string& key) {
-  for (Flag& f : flags_) {
-    if (f.name == key) return &f;
-    for (const std::string& a : f.aliases)
-      if (a == key) return &f;
-  }
-  return nullptr;
-}
-
 std::string FlagRegistry::suggest(const std::string& key) const {
   std::string best;
   std::size_t best_dist = std::string::npos;
@@ -114,13 +94,6 @@ std::string FlagRegistry::suggest(const std::string& key) const {
     if (d < best_dist) {
       best_dist = d;
       best = f.name;
-    }
-    for (const std::string& a : f.aliases) {
-      const std::size_t da = edit_distance(key, a);
-      if (da < best_dist) {
-        best_dist = da;
-        best = a;
-      }
     }
   }
   // Only suggest plausible typos: a third of the name's length, at least
@@ -132,15 +105,10 @@ std::string FlagRegistry::suggest(const std::string& key) const {
 const Args& FlagRegistry::parse(int argc, const char* const* argv) {
   args_.emplace(argc, argv);
 
-  // Bind declared flags first (canonical spelling wins over aliases),
-  // marking every accepted spelling recognized in the tokenizer.
+  // Bind declared flags first, marking each one recognized in the
+  // tokenizer.
   for (Flag& f : flags_) {
-    std::optional<std::string> v = args_->get(f.name);
-    for (const std::string& a : f.aliases) {
-      const auto av = args_->get(a);
-      if (!v) v = av;
-    }
-    if (v) {
+    if (const std::optional<std::string> v = args_->get(f.name)) {
       f.set = true;
       f.value = *v;
     }
@@ -273,7 +241,6 @@ std::string FlagRegistry::help() const {
           if (f.def_bool) line += " (default on)";
           break;
       }
-      for (const std::string& a : f.aliases) line += " [alias --" + a + "]";
       body += line + "\n";
     }
     for (const std::string& n : groups_[g].notes) body += "  " + n + "\n";

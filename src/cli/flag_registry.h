@@ -2,12 +2,11 @@
 
 // FlagRegistry: the declarative command-line surface shared by the driver
 // and the benches.  Every flag is declared exactly once — name, type,
-// default, help text, optional legacy aliases — and the registry derives
-// everything that used to be hand-rolled per tool: the `--help` reference,
-// typed accessors with defaults, alias resolution, and rejection of
-// undeclared options with a nearest-match suggestion (a typo like
-// `--fault-drp` used to pass silently; now it exits with "did you mean
-// --fault-drop?").
+// default, help text — and the registry derives everything that used to
+// be hand-rolled per tool: the `--help` reference, typed accessors with
+// defaults, and rejection of undeclared options with a nearest-match
+// suggestion (a typo like `--fault-drp` used to pass silently; now it
+// exits with "did you mean --fault-drop?").
 //
 // The registry layers on cli::Args (the GNU-style tokenizer), which keeps
 // positional arguments and `--key=value` handling in one place.
@@ -50,12 +49,6 @@ class FlagRegistry {
                            std::string help);
   FlagRegistry& add_bool(const std::string& name, bool def, std::string help);
 
-  /// Declares `alt` as an accepted alternate spelling of `canonical`
-  /// (legacy names scripts still pass).  Shown next to the canonical
-  /// flag in --help.  When both spellings are given, the canonical one
-  /// wins.
-  FlagRegistry& alias(const std::string& alt, const std::string& canonical);
-
   /// Drops `name` from the --help listing (bulk-generated families like
   /// the 27 per-type fault overrides document themselves as one line via
   /// note() instead).  The flag still parses normally.
@@ -71,7 +64,7 @@ class FlagRegistry {
   const Args& parse(int argc, const char* const* argv);
 
   bool help_requested() const noexcept { return help_requested_; }
-  /// The generated flag reference (usage line, groups, defaults, aliases).
+  /// The generated flag reference (usage line, groups, defaults).
   std::string help() const;
 
   /// Typed accessors: the bound value, or the declared default.  Throw
@@ -82,9 +75,9 @@ class FlagRegistry {
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
-  /// True when the flag (under any spelling) appeared on the command
-  /// line — lets "specific wins over generic" logic distinguish an
-  /// explicit value from a default.
+  /// True when the flag appeared on the command line — lets "specific
+  /// wins over generic" logic distinguish an explicit value from a
+  /// default.
   bool was_set(const std::string& name) const;
 
   /// The underlying tokenizer (for positional arguments).  Valid after
@@ -100,7 +93,6 @@ class FlagRegistry {
     std::string help;
     std::size_t group = 0;
     bool hidden = false;
-    std::vector<std::string> aliases;
     // Typed defaults (only the declared type's slot is meaningful).
     std::string def_string;
     std::int64_t def_int = 0;
@@ -118,9 +110,6 @@ class FlagRegistry {
 
   Flag& declare(const std::string& name, Type type, std::string help);
   const Flag& find(const std::string& name) const;
-  /// The declared flag an option key refers to (canonical or alias), or
-  /// nullptr.
-  Flag* resolve(const std::string& key);
   std::string suggest(const std::string& key) const;
 
   std::string program_;

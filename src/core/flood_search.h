@@ -48,16 +48,16 @@ struct SearchParams {
   double timeout_s = std::numeric_limits<double>::infinity();
 };
 
-/// One result of a search: a node holding (or resembling) the requested
-/// content, when the query reached it, when its direct reply lands back at
-/// the initiator, and — for the ranked/similarity schemes — the result's
-/// score.  Exact-match schemes leave the score at 0.0.
+/// One result of a search: a node holding the requested content, when the
+/// query reached it, when its direct reply lands back at the initiator,
+/// and — for the ranked scheme — the result's score.  Exact-match schemes
+/// leave the score at 0.0.
 struct SearchHit {
   net::NodeId node = net::kInvalidNode;
   int hop = 0;               ///< hops from the initiator
   double arrival_s = 0.0;    ///< query arrival time at `node` (relative)
   double reply_at_s = 0.0;   ///< reply arrival back at the initiator
-  double score = 0.0;        ///< ranked/similarity score (0 = unscored)
+  double score = 0.0;        ///< ranked score (0 = unscored)
 };
 
 /// Outcome of one query, common to every scheme.  Exact-match floods leave

@@ -4,19 +4,19 @@
 // runs against (SearchContext), replacing the positional flood plumbing
 // that used to thread ten arguments through every call site.
 //
-//   * QuerySpec — the query's class (exact-match | top-k ranked |
-//     similarity) plus the class-specific knobs (k, similarity threshold)
-//     and the propagation parameters shared by every class.
+//   * QuerySpec — the query's class (exact-match | top-k ranked) plus the
+//     class-specific knob (k) and the propagation parameters shared by
+//     every class.
 //   * SearchContext — the bindings a search runs over: initiator, overlay
 //     (neighbors), content predicate, scoring, delay model, transport
 //     policy, dedup stamps and scratch buffers.  Built once per call site
-//     through make_ranked_context; an exact-match site may bind rank and
-//     candidate to NoRank / NoCandidate, which its schemes never read.
+//     through make_ranked_context; an exact-match site may bind rank to
+//     NoRank, which its schemes never read.
 //
 // The flood-family schemes read only the exact-match subset of the
-// context; the ranked scheme (ranked_search.h) adds `rank`, and the
-// similarity scheme (lsh.h) adds `candidate`.  sim::dispatch_search picks
-// the algorithm from the strategy kind and hands it the right slices.
+// context; the ranked scheme (ranked_search.h) adds `rank`.
+// sim::dispatch_search picks the algorithm from the strategy kind and
+// hands it the right slices.
 
 #include <cstdint>
 
@@ -27,24 +27,22 @@
 
 namespace dsf::core {
 
-/// What kind of answer the query wants (the three query classes of the
+/// What kind of answer the query wants (the two query classes of the
 /// ranked query plane).
 enum class QueryClass : std::uint8_t {
   kExactMatch,  ///< any holder of the requested item (the historical class)
   kTopKRanked,  ///< the k best-scored results, pruned by score floor
-  kSimilarity,  ///< every peer whose signature similarity clears a threshold
 };
 
 constexpr const char* to_string(QueryClass c) noexcept {
   switch (c) {
     case QueryClass::kExactMatch: return "exact-match";
     case QueryClass::kTopKRanked: return "top-k";
-    case QueryClass::kSimilarity: return "similarity";
   }
   return "?";
 }
 
-/// One query, fully typed: class, class-specific knobs, and the shared
+/// One query, fully typed: class, class-specific knob, and the shared
 /// propagation parameters.  Construct through the factories so every call
 /// site states its class explicitly.
 struct QuerySpec {
@@ -52,9 +50,6 @@ struct QuerySpec {
   SearchParams params;
   /// kTopKRanked: how many results the initiator wants (>= 1).
   std::uint32_t k = 1;
-  /// kSimilarity: minimum estimated similarity a reply must clear, in
-  /// [0, 1].
-  double sim_threshold = 0.5;
 
   static QuerySpec exact(const SearchParams& params) {
     QuerySpec s;
@@ -69,23 +64,11 @@ struct QuerySpec {
     s.k = k;
     return s;
   }
-  static QuerySpec similar(const SearchParams& params, double threshold) {
-    QuerySpec s;
-    s.query_class = QueryClass::kSimilarity;
-    s.params = params;
-    s.sim_threshold = threshold;
-    return s;
-  }
 };
 
 /// Rank binding for exact-match contexts: nothing scores.
 struct NoRank {
   constexpr double operator()(net::NodeId) const noexcept { return 0.0; }
-};
-
-/// Candidate binding for exact-match contexts: nothing matches a bucket.
-struct NoCandidate {
-  constexpr bool operator()(net::NodeId) const noexcept { return false; }
 };
 
 /// Everything one search runs against, bound once at the call site:
@@ -94,8 +77,6 @@ struct NoCandidate {
 ///   `has_content(n)` -> bool : does n hold the requested item
 ///   `rank(n)`        -> double : n's best local score for this query
 ///                       (> 0 iff n can contribute a ranked result)
-///   `candidate(n)`   -> bool : do n's LSH band buckets collide with the
-///                       query signature's (similarity routing)
 ///   `delay(a, b)`    -> double : one-way delay seconds per transmission
 ///   `transmit(...)`  -> TransmitResult : transport verdict per copy
 ///
@@ -103,8 +84,7 @@ struct NoCandidate {
 /// engine-owned dedup and reuse buffers.  The struct is an aggregate so a
 /// site can adjust a binding after construction (e.g. ctx.stats).
 template <typename NeighborsFn, typename HasContentFn, typename DelayFn,
-          typename TransmitFn, typename RankFn = NoRank,
-          typename CandidateFn = NoCandidate>
+          typename TransmitFn, typename RankFn = NoRank>
 struct SearchContext {
   net::NodeId initiator = net::kInvalidNode;
   NeighborsFn neighbors;
@@ -112,7 +92,6 @@ struct SearchContext {
   DelayFn delay;
   TransmitFn transmit;
   RankFn rank{};
-  CandidateFn candidate{};
   const StatsStore* stats = nullptr;  ///< directed BFT only
   VisitStamp* stamps = nullptr;
   VisitStamp* hit_stamps = nullptr;  ///< local indices only
@@ -120,18 +99,15 @@ struct SearchContext {
 };
 
 /// Builds a search context.  `transmit` is core::ReliableTransmit{} or the
-/// engine's search_transmit(); `rank` and `candidate` are read only by the
-/// ranked and similarity schemes.
+/// engine's search_transmit(); `rank` is read only by the ranked scheme.
 template <typename NeighborsFn, typename HasContentFn, typename DelayFn,
-          typename TransmitFn, typename RankFn, typename CandidateFn>
+          typename TransmitFn, typename RankFn>
 auto make_ranked_context(net::NodeId initiator, NeighborsFn neighbors,
-                         HasContentFn has_content, RankFn rank,
-                         CandidateFn candidate, DelayFn delay,
+                         HasContentFn has_content, RankFn rank, DelayFn delay,
                          TransmitFn transmit, VisitStamp& stamps,
                          VisitStamp& hit_stamps, SearchScratch& scratch) {
-  SearchContext<NeighborsFn, HasContentFn, DelayFn, TransmitFn, RankFn,
-                CandidateFn>
-      ctx{initiator, neighbors, has_content, delay, transmit, rank, candidate};
+  SearchContext<NeighborsFn, HasContentFn, DelayFn, TransmitFn, RankFn> ctx{
+      initiator, neighbors, has_content, delay, transmit, rank};
   ctx.stamps = &stamps;
   ctx.hit_stamps = &hit_stamps;
   ctx.scratch = &scratch;

@@ -15,10 +15,6 @@ sim::EngineConfig DigLibSim::make_engine_config(const DigLibConfig& config) {
   sim::require_divides("diglib", "num_docs", config.num_docs, "num_topics",
                        config.num_topics);
   sim::require_positive("diglib", "query_timeout_s", config.query_timeout_s);
-  sim::validate_or_throw(
-      config.search_strategy != sim::SearchStrategyKind::kLsh, "diglib",
-      "search_strategy lsh is not supported (repositories advertise no "
-      "similarity signatures)");
   if (config.search_strategy == sim::SearchStrategyKind::kTopK)
     sim::require_positive("diglib", "top_k", config.top_k);
   sim::EngineConfig ec;
@@ -122,12 +118,11 @@ core::SearchOutcome DigLibSim::search_doc(net::NodeId from, DocId doc) {
   };
   const std::uint32_t span = obs_search_begin(from, params.max_hops, doc);
   auto ctx = core::make_ranked_context(from, neighbors, has_content, rank,
-                                       core::NoCandidate{}, delay,
-                                       search_transmit(), stamps_,
+                                       delay, search_transmit(), stamps_,
                                        hit_stamps_, scratch_);
   ctx.stats = &repos_[from].stats;
-  const core::QuerySpec spec = sim::query_spec_for(
-      config_.search_strategy, params, config_.top_k, /*sim_threshold=*/0.0);
+  const core::QuerySpec spec =
+      sim::query_spec_for(config_.search_strategy, params, config_.top_k);
   const auto outcome =
       sim::dispatch_search(config_.search_strategy, spec,
                            /*directed_fanout=*/config_.num_neighbors, ctx);

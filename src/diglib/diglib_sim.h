@@ -55,9 +55,8 @@ struct DigLibConfig {
   double query_timeout_s = 4.0;
   ListMode mode = ListMode::kAdaptive;
   double update_period_s = 600.0;  ///< Algo-3 trigger for kAdaptive
-  /// Query-propagation scheme.  The federation supports the flood family
-  /// and kTopK (ranked retrieval over document scores); kLsh is rejected
-  /// at construction — repositories advertise no signatures.
+  /// Query-propagation scheme: the flood family or kTopK (ranked retrieval
+  /// over document scores).
   sim::SearchStrategyKind search_strategy = sim::SearchStrategyKind::kFlood;
   std::uint32_t top_k = 1;  ///< kTopK: copies the client wants ranked
   double sim_hours = 2.0;

@@ -46,11 +46,6 @@ struct Config {
   /// plane's k; the floor that prunes last-hop forwards is the k-th best
   /// score among replies arrived so far).
   std::uint32_t top_k = 1;
-  /// kLsh: MinHash signature geometry (bands x rows) and the minimum
-  /// estimated Jaccard similarity a replying peer must clear.
-  std::uint32_t lsh_bands = 16;
-  std::uint32_t lsh_rows = 4;
-  double sim_threshold = 0.5;
 
   // --- reconfiguration (§4.1) ---
   bool dynamic = true;                 ///< false = static Gnutella baseline

@@ -76,20 +76,6 @@ Simulation::Simulation(const Config& config)
       for (workload::SongId s : songs) digests_.back().insert(s);
     }
   }
-
-  if (config.search_strategy == SearchStrategy::kLsh) {
-    // One MinHash signature per user over the start-up library, seeded
-    // from the run seed so two runs with equal configs build equal
-    // buckets.  Draw-free: no RNG lane is consumed.
-    core::LshParams lp;
-    lp.bands = config.lsh_bands;
-    lp.rows = config.lsh_rows;
-    lp.seed = des::hash_seed(config.seed, /*stream=*/0x15151515u);
-    lsh_ = std::make_unique<core::LshIndex>(lp);
-    lsh_->reserve(config.num_users);
-    for (net::NodeId u = 0; u < config.num_users; ++u)
-      lsh_->append_node(libraries_.base(u));
-  }
 }
 
 std::uint32_t Simulation::summary_estimate(net::NodeId v, net::NodeId c) const {
@@ -367,8 +353,7 @@ core::SearchOutcome Simulation::search(net::NodeId u, workload::SongId song) {
   params.forward_when_hit = false;  // §4.1: repliers do not propagate
   params.timeout_s = config_.query_timeout_s;
   const core::QuerySpec spec =
-      sim::query_spec_for(config_.search_strategy, params, config_.top_k,
-                          config_.sim_threshold);
+      sim::query_spec_for(config_.search_strategy, params, config_.top_k);
 
   const std::uint32_t span = obs_search_begin(u, params.max_hops, song);
   core::SearchOutcome outcome = run_search(u, song, spec);
@@ -400,19 +385,13 @@ core::SearchOutcome Simulation::run_search(net::NodeId u,
   const auto delay = [this](net::NodeId a, net::NodeId b) {
     return sample_delay_s(a, b);
   };
-  // kTopK's score doubles as the one-hop digest bound; kLsh reads the
-  // initiator-anchored similarity estimate plus the band-bucket gate.
-  const auto rank = [this, u, song](net::NodeId n) {
-    return config_.search_strategy == SearchStrategy::kLsh
-               ? lsh_->estimated_similarity(u, n)
-               : ranked_score(n, song);
+  // kTopK's score doubles as the one-hop digest bound.
+  const auto rank = [this, song](net::NodeId n) {
+    return ranked_score(n, song);
   };
-  const auto candidate = [this, u](net::NodeId n) {
-    return !is_free_rider(n) && lsh_->candidate(u, n);
-  };
-  auto ctx = core::make_ranked_context(u, neighbors, has_content, rank,
-                                       candidate, delay, search_transmit(),
-                                       stamps_, hit_stamps_, scratch_);
+  auto ctx = core::make_ranked_context(u, neighbors, has_content, rank, delay,
+                                       search_transmit(), stamps_, hit_stamps_,
+                                       scratch_);
   ctx.stats = &cold_[u].stats;
   return sim::dispatch_search(config_.search_strategy, spec,
                               config_.directed_fanout, ctx);

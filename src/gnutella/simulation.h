@@ -6,7 +6,6 @@
 
 #include "core/benefit.h"
 #include "core/flood_search.h"
-#include "core/lsh.h"
 #include "core/query_plane.h"
 #include "core/relations.h"
 #include "core/search_strategies.h"
@@ -204,7 +203,7 @@ class Simulation : public sim::OverlayEngine {
   core::SearchOutcome search(net::NodeId u, workload::SongId song);
   /// Dispatches to the configured SearchStrategy (§2's orthogonal
   /// techniques all run over the same overlay/content/delay bindings; the
-  /// ranked plane's schemes add scoring/bucket bindings on top).
+  /// ranked scheme adds the scoring binding on top).
   core::SearchOutcome run_search(net::NodeId u, workload::SongId song,
                                  const core::QuerySpec& spec);
   /// kTopK's per-peer score for a (peer, song) query: 0 unless the peer
@@ -254,11 +253,6 @@ class Simulation : public sim::OverlayEngine {
   /// materialized when the summary-gated policy is active.
   std::vector<net::BloomFilter> digests_;
   std::vector<net::NodeId> online_nodes_;
-  /// kLsh: per-user MinHash signatures over the start-up libraries (like
-  /// the summary-gated digests, signatures stay as built — deployed
-  /// systems rebuild them periodically, not per download).  Null for
-  /// every other strategy.
-  std::unique_ptr<core::LshIndex> lsh_;
   core::VisitStamp hit_stamps_;  ///< per-search holder dedup (local indices)
   std::unique_ptr<core::BenefitFunction> benefit_fn_;
   RunResult result_;

@@ -1,9 +1,11 @@
 #pragma once
 
 // Shared serialization of one open-loop run's LoadStats: the same field
-// set backs the `load` object in dsf_sim's JSON output, every point of
-// bench_load_sweep's dsf-load-sweep-v1 document, and the byte-identity
-// determinism test (two same-seed runs must serialize identically).
+// set backs every point of bench_load_sweep's dsf-load-sweep-v1 document
+// and the byte-identity determinism test
+// (OpenLoop.SameSeedSameScheduleIsByteIdenticalReport: two same-seed runs
+// must serialize identically).  dsf_sim's `load` object is built
+// separately and carries a subset of these fields.
 
 #include "load/open_loop.h"
 #include "metrics/json_emitter.h"

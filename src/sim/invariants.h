@@ -211,10 +211,9 @@ class InvariantChecker {
   /// query plane's per-query contract).  Exact-match outcomes must carry
   /// no scores and no pruning (nothing prunes a flood); ranked outcomes
   /// must respect the k bound with scores positive and sorted
-  /// best-first; similarity outcomes must clear the threshold on every
-  /// hit.  Scenarios call this per search when a checker is attached
-  /// (OverlayEngine::checker() is non-null): it is cheap, one pass over
-  /// the hit list, but per-query.
+  /// best-first.  Scenarios call this per search when a checker is
+  /// attached (OverlayEngine::checker() is non-null): it is cheap, one pass
+  /// over the hit list, but per-query.
   void check_search_outcome(const core::QuerySpec& spec,
                             const core::SearchOutcome& out) {
     switch (spec.query_class) {
@@ -262,18 +261,6 @@ class InvariantChecker {
         }
         break;
       }
-      case core::QueryClass::kSimilarity:
-        for (const core::SearchHit& h : out.hits)
-          if (h.score < spec.sim_threshold) {
-            violate("scheme",
-                    "similarity hit at node " + std::to_string(h.node) +
-                        " scored " + std::to_string(h.score) +
-                        ", below threshold " +
-                        std::to_string(spec.sim_threshold),
-                    last_time_s_);
-            break;
-          }
-        break;
     }
   }
 

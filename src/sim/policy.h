@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "core/flood_search.h"
-#include "core/lsh.h"
 #include "core/query_plane.h"
 #include "core/ranked_search.h"
 #include "core/search_strategies.h"
@@ -20,15 +19,13 @@ namespace dsf::sim {
 
 /// Query-propagation technique (§2: the Yang & Garcia-Molina methods are
 /// orthogonal to reconfiguration and compose with any overlay; the ranked
-/// and similarity schemes extend the same plug-in point with queries that
-/// carry scores).
+/// scheme extends the same plug-in point with queries that carry scores).
 enum class SearchStrategyKind : std::uint8_t {
   kFlood,               ///< plain BFS flood (the case study's default)
   kIterativeDeepening,  ///< growing-depth cycles until satisfied
   kDirectedBft,         ///< initiator forwards to a beneficial subset only
   kLocalIndices,        ///< nodes answer for peers within radius 1
   kTopK,                ///< FD top-k: scored replies, threshold propagation
-  kLsh,                 ///< MinHash similarity with banded bucket routing
 };
 
 constexpr const char* to_string(SearchStrategyKind k) noexcept {
@@ -38,7 +35,6 @@ constexpr const char* to_string(SearchStrategyKind k) noexcept {
     case SearchStrategyKind::kDirectedBft: return "directed";
     case SearchStrategyKind::kLocalIndices: return "local-indices";
     case SearchStrategyKind::kTopK: return "top-k";
-    case SearchStrategyKind::kLsh: return "lsh";
   }
   return "?";
 }
@@ -51,12 +47,11 @@ inline SearchStrategyKind parse_search_strategy(const std::string& s) {
   if (s == "directed") return SearchStrategyKind::kDirectedBft;
   if (s == "local-indices") return SearchStrategyKind::kLocalIndices;
   if (s == "top-k") return SearchStrategyKind::kTopK;
-  if (s == "lsh") return SearchStrategyKind::kLsh;
   throw std::invalid_argument("--search-scheme: unknown value: " + s);
 }
 
 /// The query class a strategy serves: the flood family answers exact-match
-/// queries; the ranked and similarity schemes each own their class.
+/// queries; the ranked scheme owns the top-k class.
 constexpr core::QueryClass query_class_of(SearchStrategyKind k) noexcept {
   switch (k) {
     case SearchStrategyKind::kFlood:
@@ -66,8 +61,6 @@ constexpr core::QueryClass query_class_of(SearchStrategyKind k) noexcept {
       return core::QueryClass::kExactMatch;
     case SearchStrategyKind::kTopK:
       return core::QueryClass::kTopKRanked;
-    case SearchStrategyKind::kLsh:
-      return core::QueryClass::kSimilarity;
   }
   return core::QueryClass::kExactMatch;
 }
@@ -75,14 +68,12 @@ constexpr core::QueryClass query_class_of(SearchStrategyKind k) noexcept {
 /// Builds the QuerySpec a strategy needs from the scenario's knobs.
 inline core::QuerySpec query_spec_for(SearchStrategyKind kind,
                                       const core::SearchParams& params,
-                                      std::uint32_t k, double sim_threshold) {
+                                      std::uint32_t k) {
   switch (query_class_of(kind)) {
     case core::QueryClass::kExactMatch:
       return core::QuerySpec::exact(params);
     case core::QueryClass::kTopKRanked:
       return core::QuerySpec::top_k(params, k);
-    case core::QueryClass::kSimilarity:
-      return core::QuerySpec::similar(params, sim_threshold);
   }
   core::unreachable_enum("core::QueryClass");
 }
@@ -91,11 +82,9 @@ inline core::QuerySpec query_spec_for(SearchStrategyKind kind,
 /// SearchContext.  The flood family reads the exact-match bindings
 /// (neighbors/has_content/delay/transmit/stamps/scratch, plus ctx.stats
 /// and spec-independent directed_fanout for directed BFT and hit_stamps
-/// for local indices); kTopK additionally reads ctx.rank, and kLsh reads
-/// ctx.rank (the similarity estimate) and ctx.candidate (the band-bucket
-/// gate).  Iterative deepening is folded into a plain SearchOutcome
-/// (accumulated message cost, final cycle's hits) so every metrics path
-/// sees one result type.
+/// for local indices); kTopK additionally reads ctx.rank.  Iterative
+/// deepening is folded into a plain SearchOutcome (accumulated message
+/// cost, final cycle's hits) so every metrics path sees one result type.
 template <typename Ctx>
 core::SearchOutcome dispatch_search(SearchStrategyKind kind,
                                     const core::QuerySpec& spec,
@@ -132,11 +121,6 @@ core::SearchOutcome dispatch_search(SearchStrategyKind kind,
       return core::ranked_topk_search(ctx.initiator, spec.params, spec.k,
                                       ctx.neighbors, ctx.rank, ctx.delay,
                                       ctx.transmit, *ctx.stamps, *ctx.scratch);
-    case SearchStrategyKind::kLsh:
-      return core::lsh_similarity_search(
-          ctx.initiator, spec.params, spec.sim_threshold, ctx.neighbors,
-          ctx.rank, ctx.candidate, ctx.delay, ctx.transmit, *ctx.stamps,
-          *ctx.scratch);
   }
   core::unreachable_enum("sim::SearchStrategyKind");
 }

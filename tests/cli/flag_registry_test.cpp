@@ -1,6 +1,6 @@
-// The declarative flag surface: typed defaults, alias resolution,
-// generated help, and — the behavior change this registry exists for —
-// rejection of undeclared options with a nearest-match suggestion.
+// The declarative flag surface: typed defaults, generated help, and — the
+// behavior change this registry exists for — rejection of undeclared
+// options with a nearest-match suggestion.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -26,7 +26,6 @@ FlagRegistry make_registry() {
   reg.add_double("drop", 0.0, "loss probability");
   reg.add_bool("dynamic", false, "reconfigure overlay");
   reg.add_string("mode", "adaptive", "strategy");
-  reg.alias("users", "peers");
   return reg;
 }
 
@@ -51,21 +50,6 @@ TEST(FlagRegistry, BindsTypedValues) {
   EXPECT_EQ(reg.get_string("mode"), "flood");
   EXPECT_TRUE(reg.was_set("peers"));
   EXPECT_TRUE(reg.was_set("drop"));
-}
-
-TEST(FlagRegistry, AliasBindsTheCanonicalFlag) {
-  auto reg = make_registry();
-  const Argv a({"--users", "64"});
-  reg.parse(a.argc(), a.argv());
-  EXPECT_EQ(reg.get_int("peers"), 64);
-  EXPECT_TRUE(reg.was_set("peers"));
-}
-
-TEST(FlagRegistry, CanonicalSpellingWinsOverAlias) {
-  auto reg = make_registry();
-  const Argv a({"--users", "64", "--peers", "32"});
-  reg.parse(a.argc(), a.argv());
-  EXPECT_EQ(reg.get_int("peers"), 32);
 }
 
 TEST(FlagRegistry, UnknownFlagThrowsWithSuggestion) {
@@ -136,7 +120,6 @@ TEST(FlagRegistry, HelpIsDeclaredAndRendersGroupsAliasesDefaults) {
   const std::string h = reg.help();
   EXPECT_NE(h.find("prog [options]"), std::string::npos);
   EXPECT_NE(h.find("--peers"), std::string::npos);
-  EXPECT_NE(h.find("alias --users"), std::string::npos);
   EXPECT_NE(h.find("default"), std::string::npos);
 }
 

@@ -380,7 +380,7 @@ TEST(DispatchSearch, EveryStrategyFindsReachableContent) {
   core::VisitStamp hit_stamps(4);
   core::SearchScratch scratch;
   auto ctx = core::make_ranked_context(
-      0, neighbors, has_content, core::NoRank{}, core::NoCandidate{}, delay,
+      0, neighbors, has_content, core::NoRank{}, delay,
       core::ReliableTransmit{}, stamps, hit_stamps, scratch);
   ctx.stats = &stats;
 
@@ -409,7 +409,7 @@ TEST(DispatchSearch, IterativeDeepeningAccumulatesCycleCost) {
   core::VisitStamp hit_stamps(4);
   core::SearchScratch scratch;
   auto ctx = core::make_ranked_context(
-      0, neighbors, has_content, core::NoRank{}, core::NoCandidate{}, delay,
+      0, neighbors, has_content, core::NoRank{}, delay,
       core::ReliableTransmit{}, stamps, hit_stamps, scratch);
   ctx.stats = &stats;
   const core::QuerySpec spec = core::QuerySpec::exact(params);
@@ -432,7 +432,6 @@ TEST(DispatchSearch, RankedSchemesRouteThroughTheContextBindings) {
   };
   auto has_content = [](net::NodeId n) { return n == 1 || n == 3; };
   auto rank = [](net::NodeId n) { return n == 1 ? 0.9 : n == 3 ? 0.4 : 0.0; };
-  auto candidate = [](net::NodeId n) { return n == 1 || n == 3; };
   auto delay = [](net::NodeId, net::NodeId) { return 0.1; };
 
   core::SearchParams params;
@@ -440,8 +439,7 @@ TEST(DispatchSearch, RankedSchemesRouteThroughTheContextBindings) {
   core::VisitStamp stamps(4);
   core::VisitStamp hit_stamps(4);
   core::SearchScratch scratch;
-  auto ctx = core::make_ranked_context(0, neighbors, has_content, rank,
-                                       candidate, delay,
+  auto ctx = core::make_ranked_context(0, neighbors, has_content, rank, delay,
                                        core::ReliableTransmit{}, stamps,
                                        hit_stamps, scratch);
 
@@ -454,25 +452,19 @@ TEST(DispatchSearch, RankedSchemesRouteThroughTheContextBindings) {
   EXPECT_TRUE(top.k_satisfied());
   // The unscored leaf's last-hop forward was withheld.
   EXPECT_EQ(top.pruned_subtrees, 1u);
-
-  const auto sim_spec = core::QuerySpec::similar(params, 0.5);
-  const auto similar =
-      dispatch_search(SearchStrategyKind::kLsh, sim_spec, 2, ctx);
-  // Both candidates are visited; only the one clearing the threshold
-  // (rank doubles as the similarity estimate here) replies.
-  ASSERT_EQ(similar.hits.size(), 1u);
-  EXPECT_EQ(similar.hits[0].node, 1u);
-  EXPECT_GE(similar.hits[0].score, 0.5);
 }
 
 TEST(SearchStrategyKind, ParseAndPrintRoundTrip) {
   for (auto kind :
        {SearchStrategyKind::kFlood, SearchStrategyKind::kIterativeDeepening,
         SearchStrategyKind::kDirectedBft, SearchStrategyKind::kLocalIndices,
-        SearchStrategyKind::kTopK, SearchStrategyKind::kLsh}) {
+        SearchStrategyKind::kTopK}) {
     EXPECT_EQ(parse_search_strategy(to_string(kind)), kind);
   }
   EXPECT_THROW(parse_search_strategy("gossip"), std::invalid_argument);
+  // A command line naming the removed similarity scheme must fail, not
+  // run as some other scheme.
+  EXPECT_THROW(parse_search_strategy("lsh"), std::invalid_argument);
   EXPECT_THROW(parse_search_strategy(""), std::invalid_argument);
 }
 
@@ -486,18 +478,13 @@ TEST(SearchStrategyKind, QueryClassAndSpecFactoriesAgree) {
             core::QueryClass::kExactMatch);
   EXPECT_EQ(query_class_of(SearchStrategyKind::kTopK),
             core::QueryClass::kTopKRanked);
-  EXPECT_EQ(query_class_of(SearchStrategyKind::kLsh),
-            core::QueryClass::kSimilarity);
 
-  const auto exact = query_spec_for(SearchStrategyKind::kFlood, params, 7, 0.9);
+  const auto exact = query_spec_for(SearchStrategyKind::kFlood, params, 7);
   EXPECT_EQ(exact.query_class, core::QueryClass::kExactMatch);
-  const auto ranked = query_spec_for(SearchStrategyKind::kTopK, params, 7, 0.9);
+  const auto ranked = query_spec_for(SearchStrategyKind::kTopK, params, 7);
   EXPECT_EQ(ranked.query_class, core::QueryClass::kTopKRanked);
   EXPECT_EQ(ranked.k, 7u);
-  const auto similar = query_spec_for(SearchStrategyKind::kLsh, params, 7, 0.9);
-  EXPECT_EQ(similar.query_class, core::QueryClass::kSimilarity);
-  EXPECT_DOUBLE_EQ(similar.sim_threshold, 0.9);
-  EXPECT_EQ(similar.params.max_hops, 2);
+  EXPECT_EQ(ranked.params.max_hops, 2);
 }
 
 TEST(OverlayEngine, EngineConfigIsPreserved) {

@@ -436,16 +436,6 @@ TEST(InvariantChecker, RankedHitsOutOfScoreOrderAreCaught) {
   EXPECT_TRUE(has_violation(c, "scheme"));
 }
 
-TEST(InvariantChecker, SubThresholdSimilarityHitIsCaught) {
-  InvariantChecker c;
-  core::SearchParams p;
-  core::SearchOutcome out;
-  out.hits.push_back(hit(1, 0.3));
-  c.check_search_outcome(core::QuerySpec::similar(p, 0.5), out);
-  EXPECT_FALSE(c.ok());
-  EXPECT_TRUE(has_violation(c, "scheme"));
-}
-
 TEST(InvariantChecker, WellFormedOutcomesOfEveryClassAreClean) {
   InvariantChecker c;
   core::SearchParams p;
@@ -459,10 +449,6 @@ TEST(InvariantChecker, WellFormedOutcomesOfEveryClassAreClean) {
   ranked.hits.push_back(hit(2, 0.4));
   ranked.pruned_subtrees = 7;  // ranked schemes are allowed to prune
   c.check_search_outcome(core::QuerySpec::top_k(p, 2), ranked);
-
-  core::SearchOutcome similar;
-  similar.hits.push_back(hit(1, 0.6));
-  c.check_search_outcome(core::QuerySpec::similar(p, 0.5), similar);
 
   EXPECT_TRUE(c.ok()) << c.report();
 }

@@ -1,4 +1,4 @@
-// Ranked-query-plane battery, in three movements:
+// Ranked-query-plane battery, in two movements:
 //
 //   1. Byte-identity pins: the QuerySpec/SearchContext redesign routes
 //      every simulator through the new dispatch, so each golden
@@ -14,10 +14,6 @@
 //      checker certifies every outcome against the spec (k bound, score
 //      ordering) as the run goes.
 //
-//   3. LSH behavioral pins: banded bucket routing is deterministic,
-//      prunes the gather phase hard, and every reported neighbor clears
-//      the similarity threshold (checker-enforced per search).
-//
 // The golden configurations are shared with determinism_test.cpp via
 // sim_fingerprints.h; runs here keep the suite in the PR fast tier
 // (label: scheme).
@@ -25,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
 
 #include "sim/invariants.h"
 #include "sim/policy.h"
@@ -156,48 +151,6 @@ TEST(TopKScheme, DigLibRankedRetrievalHonorsTheKBound) {
 
   const auto again = fingerprint(diglib::DigLibSim(config).run());
   EXPECT_EQ(fingerprint(ranked).value(), again.value());
-}
-
-// --- LSH behavioral pins --------------------------------------------------
-
-TEST(LshScheme, BucketRoutingPrunesAndStaysCertified) {
-  const auto config = scheme_gnutella_config();
-  const auto flood = gnutella::Simulation(config).run();
-
-  auto lsh_config = config;
-  lsh_config.search_strategy = sim::SearchStrategyKind::kLsh;
-  lsh_config.sim_threshold = 0.2;
-  sim::InvariantChecker checker;
-  gnutella::Simulation sim(lsh_config);
-  sim.attach_checker(&checker);
-  const auto lsh = sim.run();
-
-  // Same query arrivals; the gather phase follows bucket collisions only,
-  // so the similarity scheme sends far less than an exhaustive flood.
-  EXPECT_EQ(lsh.queries_issued, flood.queries_issued);
-  EXPECT_LT(lsh.traffic.total(net::MessageType::kQuery),
-            flood.traffic.total(net::MessageType::kQuery));
-  // Every reported neighbor cleared the threshold — the checker verified
-  // each outcome against the similarity spec as the run went.
-  checker.check_overlay(sim.overlay());
-  checker.check_ledger(sim.ledger());
-  EXPECT_TRUE(checker.ok()) << checker.report();
-  EXPECT_GT(checker.events_seen(), 0u);
-}
-
-TEST(LshScheme, SameSeedSameFingerprint) {
-  auto config = scheme_gnutella_config();
-  config.search_strategy = sim::SearchStrategyKind::kLsh;
-  config.sim_threshold = 0.2;
-  const auto a = fingerprint(gnutella::Simulation(config).run());
-  const auto b = fingerprint(gnutella::Simulation(config).run());
-  EXPECT_EQ(a.value(), b.value());
-}
-
-TEST(LshScheme, DigLibRejectsSimilarityQueries) {
-  auto config = simtest::golden_diglib_config();
-  config.search_strategy = sim::SearchStrategyKind::kLsh;
-  EXPECT_THROW(diglib::DigLibSim{config}, std::invalid_argument);
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/lsh.h"
 #include "des/rng.h"
 
 namespace dsf::des {
@@ -193,77 +192,6 @@ TEST(DistributionsStat, ParetoStormScaleMatchesConfiguredMean) {
   const double sample_mean = acc / static_cast<double>(kDraws);
   EXPECT_GT(sample_mean, 0.5 * mean);
   EXPECT_LT(sample_mean, 2.0 * mean);
-}
-
-// --- Chi-square, MinHash collision probability --------------------------
-
-/// The smallest position hash over a set — one MinHash signature entry.
-std::uint64_t minhash_position(std::uint64_t seed, std::uint32_t h,
-                               const std::vector<std::uint64_t>& items) {
-  std::uint64_t best = ~0ULL;
-  for (const std::uint64_t item : items)
-    best = std::min(best, core::lsh_position_hash(seed, h, item));
-  return best;
-}
-
-TEST(DistributionsStat, MinHashCollisionRateMatchesJaccardChiSquare) {
-  // The property the whole LSH scheme stands on: each signature position
-  // matches between two sets with probability exactly their Jaccard
-  // similarity (the minimum of a random permutation lands in the
-  // intersection with probability |A∩B| / |A∪B|).  Construct pairs at
-  // controlled Jaccard levels — S-item sets sharing I items, so
-  // J = I / (2S - I) — and chi-square the observed match counts across
-  // many independent positions against the exact expectation.  A biased
-  // position hash (poor avalanche, correlated positions) fails here
-  // before it would surface as bad routing recall.
-  constexpr std::uint64_t kSeed = 0x315a7e57ba5eba11ULL;
-  constexpr std::uint32_t kPositions = 50'000;
-  constexpr std::uint64_t kSetSize = 100;
-  const std::uint64_t shared_counts[] = {20, 40, 60, 80};
-
-  double chi2 = 0.0;
-  std::size_t df = 0;
-  for (const std::uint64_t shared : shared_counts) {
-    std::vector<std::uint64_t> a, b;
-    for (std::uint64_t i = 0; i < shared; ++i) {
-      a.push_back(i);
-      b.push_back(i);
-    }
-    for (std::uint64_t i = shared; i < kSetSize; ++i) {
-      a.push_back(1'000'000 + i);  // A-private
-      b.push_back(2'000'000 + i);  // B-private
-    }
-    const double jaccard = static_cast<double>(shared) /
-                           static_cast<double>(2 * kSetSize - shared);
-
-    std::uint64_t matches = 0;
-    for (std::uint32_t h = 0; h < kPositions; ++h)
-      matches += minhash_position(kSeed, h, a) == minhash_position(kSeed, h, b);
-
-    const double expect_match = jaccard * kPositions;
-    const double expect_miss = kPositions - expect_match;
-    const double dm = static_cast<double>(matches) - expect_match;
-    chi2 += dm * dm / expect_match + dm * dm / expect_miss;
-    ++df;  // two cells per level, one constraint
-  }
-  EXPECT_LT(chi2, chi2_bound(df))
-      << "chi2 " << chi2 << " over " << df << " Jaccard levels";
-
-  // Degenerate levels are exact, not statistical: disjoint sets share no
-  // position (a 64-bit value collision is ~2^-64 per position), identical
-  // sets share every position.
-  std::vector<std::uint64_t> x, y;
-  for (std::uint64_t i = 0; i < kSetSize; ++i) {
-    x.push_back(i);
-    y.push_back(1'000'000 + i);
-  }
-  std::uint64_t disjoint_matches = 0, identical_matches = 0;
-  for (std::uint32_t h = 0; h < 1'000; ++h) {
-    disjoint_matches += minhash_position(kSeed, h, x) == minhash_position(kSeed, h, y);
-    identical_matches += minhash_position(kSeed, h, x) == minhash_position(kSeed, h, x);
-  }
-  EXPECT_EQ(disjoint_matches, 0u);
-  EXPECT_EQ(identical_matches, 1'000u);
 }
 
 TEST(DistributionsStat, ZipfRankOneIsModal) {

@@ -1,19 +1,25 @@
 // dsf_sim — command-line driver for every scenario in the library.
 //
 //   dsf_sim gnutella [--users 2000] [--hops 2] [--dynamic true]
-//                    [--threshold 2] [--hours 96] [--warmup 12]
+//                    [--threshold 2] [--library-growth] [--exclude-owned]
 //                    [--search-scheme flood|iterative|directed|
-//                                     local-indices|top-k|lsh]
-//                    [--seed 42] [--json]
+//                                     local-indices|top-k] [--top-k 1]
+//                    [--hours 96] [--warmup 12] [--seed 42] [--json]
 //   dsf_sim webcache [--proxies 64] [--dynamic true] [--hours 4]
 //                    [--warmup 0.5] [--json]
 //   dsf_sim olap     [--peers 48] [--dynamic true] [--hours 6]
 //                    [--warmup 1] [--json]
 //   dsf_sim diglib   [--repos 64] [--mode all|static|adaptive]
+//                    [--search-scheme flood|iterative|directed|
+//                                     local-indices|top-k] [--top-k 1]
 //                    [--hours 2] [--warmup 0.25] [--json]
 //
-// Metrics are reported only after the warm-up, so a --warmup that is not
-// below --hours (given or defaulted) is a usage error (exit 2).
+// --peers, --hours, --warmup and --seed are common to all four scenarios;
+// every other scenario flag is read only by the scenarios whose usage line
+// above shows it, and giving it to another scenario is a usage error
+// (exit 2) rather than a run that silently ignores it.  Metrics are
+// reported only after the warm-up, so a --warmup that is not below
+// --hours (given or defaulted) is a usage error too.
 //
 // Run `dsf_sim --help` for the full generated flag reference.  The whole
 // surface is declared once through cli::FlagRegistry: every scenario also
@@ -86,12 +92,14 @@
 // human-readable; --json emits a machine-readable record for scripting
 // sweeps.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "cli/adversary_flags.h"
 #include "cli/fault_flags.h"
@@ -134,8 +142,8 @@ cli::FlagRegistry make_registry() {
       .add_int("proxies", -1, "webcache population")
       .add_int("repos", -1, "diglib population")
       .add_int("hops", -1, "gnutella hop limit")
-      .add_bool("dynamic", false, "adaptive neighbor selection "
-                                  "(default: scenario config)")
+      .add_bool("dynamic", false, "gnutella/webcache/olap: adaptive neighbor "
+                                  "selection (default: scenario config)")
       .add_int("threshold", -1, "gnutella reconfiguration threshold")
       .add_double("hours", -1.0, "simulated hours")
       .add_double("warmup", -1.0,
@@ -144,18 +152,15 @@ cli::FlagRegistry make_registry() {
       .add_int("seed", -1, "master seed (default 42/7/11/17 by scenario)")
       .add_bool("library-growth", false, "gnutella: downloads grow libraries")
       .add_bool("exclude-owned", false, "gnutella: re-draw owned songs")
-      .add_string("mode", "adaptive", "diglib list mode: all|static|adaptive");
+      .add_string("mode", "adaptive", "diglib list mode: all|static|adaptive")
+      .note("a scenario flag given to a scenario that does not read it is "
+            "rejected; --peers/--hours/--warmup/--seed apply to all four");
 
   reg.group("ranked query plane");
   reg.add_string("search-scheme", "flood",
-                 "query scheme: flood|iterative|directed|local-indices|"
-                 "top-k|lsh (gnutella: all; diglib: all but lsh)")
-      .add_int("top-k", 1, "top-k: results the initiator wants (>= 1)")
-      .add_int("lsh-bands", 16, "lsh: signature bands (>= 1)")
-      .add_int("lsh-rows", 4, "lsh: min-hash rows per band (>= 1)")
-      .add_double("sim-threshold", 0.5,
-                  "lsh: minimum estimated Jaccard similarity in [0, 1]");
-  reg.alias("strategy", "search-scheme");
+                 "query scheme for gnutella and diglib: flood|iterative|"
+                 "directed|local-indices|top-k")
+      .add_int("top-k", 1, "top-k: results the initiator wants (>= 1)");
 
   reg.group("snapshot");
   reg.add_string("save-snapshot", "",
@@ -194,6 +199,45 @@ cli::FlagRegistry make_registry() {
   register_fault_flags(reg);
   register_adversary_flags(reg);
   return reg;
+}
+
+/// The scenario flags each scenario reads.  --peers, --hours, --warmup and
+/// --seed are common to all four and left out; every flag listed here
+/// belongs only to the scenarios whose row names it.
+struct ScenarioFlags {
+  const char* scenario;
+  std::vector<std::string> reads;
+};
+const ScenarioFlags kScenarioFlags[] = {
+    {"gnutella",
+     {"users", "hops", "threshold", "dynamic", "library-growth",
+      "exclude-owned", "search-scheme", "top-k"}},
+    {"webcache", {"proxies", "dynamic"}},
+    {"olap", {"dynamic"}},
+    {"diglib", {"repos", "mode", "search-scheme", "top-k"}},
+};
+
+/// Rejects a scenario flag set explicitly for a scenario that never reads
+/// it: the run would otherwise exit 0 with output identical to the run
+/// without the flag.  An unknown scenario is left to the usage check.
+void reject_unread_flags(const cli::FlagRegistry& reg,
+                         const std::string& scenario) {
+  const ScenarioFlags* own = nullptr;
+  for (const ScenarioFlags& row : kScenarioFlags)
+    if (scenario == row.scenario) own = &row;
+  if (own == nullptr) return;
+  for (const ScenarioFlags& row : kScenarioFlags)
+    for (const std::string& flag : row.reads) {
+      if (!reg.was_set(flag) ||
+          std::find(own->reads.begin(), own->reads.end(), flag) !=
+              own->reads.end())
+        continue;
+      std::string msg = "--" + flag + ": scenario " + scenario +
+                        " does not read this flag (" + scenario + " reads";
+      for (const std::string& f : own->reads) msg += " --" + f;
+      throw cli::FlagError(msg + " and the common --peers --hours --warmup "
+                                 "--seed)");
+    }
 }
 
 /// Config-default fallbacks: the registry's sentinel defaults mean "not
@@ -552,9 +596,9 @@ struct Layers {
   }
 };
 
-/// Parses and cross-validates the ranked-query flag group: scheme-specific
-/// flags are rejected unless their scheme is selected, and each value is
-/// range-checked.  Every violation is a typed FlagError (usage exit 2).
+/// Parses and cross-validates the ranked-query flag group: --top-k is
+/// rejected unless its scheme is selected, and its value is range-checked.
+/// Every violation is a typed FlagError (usage exit 2).
 sim::SearchStrategyKind ranked_scheme(const cli::FlagRegistry& reg) {
   sim::SearchStrategyKind kind;
   try {
@@ -563,24 +607,10 @@ sim::SearchStrategyKind ranked_scheme(const cli::FlagRegistry& reg) {
     throw cli::FlagError(e.what());
   }
   const bool topk = kind == sim::SearchStrategyKind::kTopK;
-  const bool lsh = kind == sim::SearchStrategyKind::kLsh;
   if (reg.was_set("top-k") && !topk)
     throw cli::FlagError("--top-k: requires --search-scheme top-k");
-  for (const char* flag : {"lsh-bands", "lsh-rows", "sim-threshold"})
-    if (reg.was_set(flag) && !lsh)
-      throw cli::FlagError(std::string("--") + flag +
-                           ": requires --search-scheme lsh");
   if (topk && reg.get_int("top-k") < 1)
     throw cli::FlagError("--top-k: must be >= 1");
-  if (lsh) {
-    if (reg.get_int("lsh-bands") < 1)
-      throw cli::FlagError("--lsh-bands: must be >= 1");
-    if (reg.get_int("lsh-rows") < 1)
-      throw cli::FlagError("--lsh-rows: must be >= 1");
-    const double t = reg.get_double("sim-threshold");
-    if (!(t >= 0.0 && t <= 1.0))
-      throw cli::FlagError("--sim-threshold: must lie in [0, 1]");
-  }
   return kind;
 }
 
@@ -595,9 +625,6 @@ int run_gnutella(const cli::FlagRegistry& reg, bool json) {
   c.seed = static_cast<std::uint64_t>(int_or(reg, "seed", 42));
   c.search_strategy = ranked_scheme(reg);
   c.top_k = static_cast<std::uint32_t>(reg.get_int("top-k"));
-  c.lsh_bands = static_cast<std::uint32_t>(reg.get_int("lsh-bands"));
-  c.lsh_rows = static_cast<std::uint32_t>(reg.get_int("lsh-rows"));
-  c.sim_threshold = reg.get_double("sim-threshold");
   c.library_growth = reg.get_bool("library-growth");
   c.exclude_owned_songs = reg.get_bool("exclude-owned");
 
@@ -725,12 +752,7 @@ int run_diglib(const cli::FlagRegistry& reg, bool json) {
   }
   apply_horizon(reg, c.sim_hours, c.warmup_hours);
   c.seed = static_cast<std::uint64_t>(int_or(reg, "seed", 17));
-  const auto scheme = ranked_scheme(reg);
-  if (scheme == sim::SearchStrategyKind::kLsh)
-    throw cli::FlagError(
-        "--search-scheme lsh: diglib repositories advertise no similarity "
-        "signatures");
-  c.search_strategy = scheme;
+  c.search_strategy = ranked_scheme(reg);
   c.top_k = static_cast<std::uint32_t>(reg.get_int("top-k"));
 
   Layers layers(reg);
@@ -777,6 +799,7 @@ int main(int argc, char** argv) {
     const bool json = reg.get_bool("json");
 
     const std::string& scenario = args.positional().front();
+    reject_unread_flags(reg, scenario);
     if (scenario == "gnutella") return run_gnutella(reg, json);
     if (scenario == "webcache") return run_webcache(reg, json);
     if (scenario == "olap") return run_olap(reg, json);
