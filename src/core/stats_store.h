@@ -1,72 +1,86 @@
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
-#include <unordered_map>
-#include <utility>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "net/node_id.h"
 
 namespace dsf::core {
 
+/// One peer's cumulative benefit in a StatsStore.
+struct StatsEntry {
+  net::NodeId peer;
+  double benefit;
+};
+
 /// Per-repository statistics about other nodes encountered through search
 /// and exploration (§3.4): cumulative benefit keyed by peer.  This is the
 /// state the neighbor-update algorithms sort to pick the new neighborhood.
+///
+/// The entries live in one flat vector, found by linear scan and removed by
+/// swap-pop.  Stores are small (the peers met recently: 14–28 entries on
+/// average and at most 96 when plan_update runs on the perfbench workloads
+/// at seed 42), so a scan over contiguous 16-byte entries beats hashing,
+/// and the store costs one allocation instead of a node per peer.  Iteration
+/// order is therefore insertion order perturbed by removals; every consumer
+/// that depends on order (plan_update, the snapshot writer) sorts by a
+/// total order with an id tie-break.
 class StatsStore {
  public:
   /// Adds `delta` to the cumulative benefit of `peer`.
-  void add(net::NodeId peer, double delta) { benefit_[peer] += delta; }
+  void add(net::NodeId peer, double delta) {
+    const std::size_t i = index_of(peer);
+    if (i < entries_.size()) {
+      entries_[i].benefit += delta;
+    } else {
+      // 0.0 + delta, not delta: a first -0.0 becomes +0.0 exactly as a
+      // value-initialized map entry did, so snapshot bytes do not change.
+      entries_.push_back({peer, 0.0 + delta});
+    }
+  }
 
   /// Cumulative benefit (0 for unknown peers).
   double benefit_of(net::NodeId peer) const {
-    const auto it = benefit_.find(peer);
-    return it == benefit_.end() ? 0.0 : it->second;
+    const std::size_t i = index_of(peer);
+    return i < entries_.size() ? entries_[i].benefit : 0.0;
   }
 
-  bool knows(net::NodeId peer) const { return benefit_.count(peer) != 0; }
+  bool knows(net::NodeId peer) const {
+    return index_of(peer) < entries_.size();
+  }
 
   /// Forgets a peer entirely (§4.1: an evicted node resets the evictor's
   /// statistics so it does not attempt to reconnect in the near future).
-  void reset(net::NodeId peer) { benefit_.erase(peer); }
+  void reset(net::NodeId peer) {
+    const std::size_t i = index_of(peer);
+    if (i == entries_.size()) return;
+    entries_[i] = entries_.back();
+    entries_.pop_back();
+  }
 
-  void clear() { benefit_.clear(); }
+  void clear() { entries_.clear(); }
 
   /// Multiplies every entry by `factor` (aging; optional extension).
   void decay(double factor) {
-    for (auto& [peer, b] : benefit_) b *= factor;
+    for (StatsEntry& e : entries_) e.benefit *= factor;
   }
 
-  std::size_t size() const noexcept { return benefit_.size(); }
+  std::size_t size() const noexcept { return entries_.size(); }
 
-  /// Returns up to `k` peers with the highest cumulative benefit among
-  /// those accepted by `eligible`, best first.  Ties broken by node id for
-  /// determinism.  O(n log n) on the number of known peers — the stores are
-  /// small (peers encountered recently), so this is never hot.
-  template <typename Eligible>
-  std::vector<net::NodeId> top_k(std::size_t k, Eligible&& eligible) const {
-    std::vector<std::pair<double, net::NodeId>> ranked;
-    ranked.reserve(benefit_.size());
-    for (const auto& [peer, b] : benefit_)
-      if (eligible(peer)) ranked.emplace_back(b, peer);
-    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-      if (a.first != b.first) return a.first > b.first;
-      return a.second < b.second;
-    });
-    if (ranked.size() > k) ranked.resize(k);
-    std::vector<net::NodeId> out;
-    out.reserve(ranked.size());
-    for (const auto& [b, peer] : ranked) out.push_back(peer);
-    return out;
-  }
-
-  /// Iteration support (tests, debugging, serialization).
-  const std::unordered_map<net::NodeId, double>& entries() const noexcept {
-    return benefit_;
-  }
+  /// Iteration support (planner, serialization, tests), in no particular
+  /// order.
+  std::span<const StatsEntry> entries() const noexcept { return entries_; }
 
  private:
-  std::unordered_map<net::NodeId, double> benefit_;
+  /// Position of `peer`'s entry, or size() when it has none.
+  std::size_t index_of(net::NodeId peer) const {
+    std::size_t i = 0;
+    while (i < entries_.size() && entries_[i].peer != peer) ++i;
+    return i;
+  }
+
+  std::vector<StatsEntry> entries_;
 };
 
 }  // namespace dsf::core

@@ -5,50 +5,35 @@
 
 namespace dsf::core {
 
-namespace {
+namespace detail {
 
-bool contains(std::span<const net::NodeId> v, net::NodeId n) noexcept {
-  return std::find(v.begin(), v.end(), n) != v.end();
+std::vector<Ranked>& rank_buffer() {
+  thread_local std::vector<Ranked> buffer;
+  return buffer;
 }
 
-}  // namespace
-
-UpdatePlan plan_update(const StatsStore& stats,
+UpdatePlan finish_plan(std::vector<Ranked>& ranked,
                        std::span<const net::NodeId> current_out,
-                       std::size_t capacity, const EligibleFn& eligible) {
-  // Candidate set: known peers plus current neighbors (the latter may have
-  // no statistics yet, e.g. fresh random links).
-  struct Ranked {
-    double benefit;
-    bool is_current;
-    net::NodeId node;
-  };
-  std::vector<Ranked> ranked;
-  ranked.reserve(stats.size() + current_out.size());
-  for (const auto& [peer, b] : stats.entries()) {
-    if (!eligible(peer)) continue;
-    ranked.push_back({b, contains(current_out, peer), peer});
-  }
-  for (net::NodeId n : current_out) {
-    if (!stats.knows(n) && eligible(n)) ranked.push_back({0.0, true, n});
-  }
-
-  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
-    if (a.benefit != b.benefit) return a.benefit > b.benefit;
-    if (a.is_current != b.is_current) return a.is_current;  // damp churn
-    return a.node < b.node;
-  });
-  if (ranked.size() > capacity) ranked.resize(capacity);
+                       std::size_t capacity) {
+  const std::size_t keep = std::min(capacity, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + keep, ranked.end(),
+                    [](const Ranked& a, const Ranked& b) {
+                      if (a.benefit != b.benefit) return a.benefit > b.benefit;
+                      if (a.is_current != b.is_current) return a.is_current;
+                      return a.node < b.node;
+                    });
 
   UpdatePlan plan;
-  plan.new_out.reserve(ranked.size());
-  for (const Ranked& r : ranked) plan.new_out.push_back(r.node);
+  plan.new_out.reserve(keep);
+  for (std::size_t i = 0; i < keep; ++i) plan.new_out.push_back(ranked[i].node);
   for (net::NodeId n : plan.new_out)
     if (!contains(current_out, n)) plan.additions.push_back(n);
   for (net::NodeId n : current_out)
     if (!contains(plan.new_out, n)) plan.evictions.push_back(n);
   return plan;
 }
+
+}  // namespace detail
 
 net::NodeId least_beneficial(const StatsStore& stats,
                              std::span<const net::NodeId> list) {
@@ -71,7 +56,8 @@ InvitationDecision decide_invitation(const StatsStore& stats,
                                      std::size_t capacity,
                                      InvitationPolicy policy) {
   InvitationDecision d;
-  if (contains(in_list, inviter)) return d;  // already a neighbor: reject
+  // Already a neighbor: reject.
+  if (detail::contains(in_list, inviter)) return d;
   if (in_list.size() < capacity) {
     d.accept = true;
     return d;

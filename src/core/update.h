@@ -1,7 +1,7 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -19,23 +19,64 @@ struct UpdatePlan {
   std::vector<net::NodeId> evictions;  ///< in current but not new_out
 };
 
-/// Predicate deciding whether a peer may become a neighbor right now
-/// (typically: is on-line and is not this node).
-using EligibleFn = std::function<bool(net::NodeId)>;
+namespace detail {
+
+/// One planner candidate.  The planner ranks by a strict total order:
+/// benefit (highest first), then current neighbors first (damps churn),
+/// then node id.
+struct Ranked {
+  double benefit;
+  bool is_current;
+  net::NodeId node;
+};
+
+inline bool contains(std::span<const net::NodeId> v, net::NodeId n) noexcept {
+  return std::find(v.begin(), v.end(), n) != v.end();
+}
+
+/// The calling thread's ranking buffer, reused across plans (cleared, never
+/// shrunk).
+std::vector<Ranked>& rank_buffer();
+
+/// Orders the top `capacity` candidates of `ranked` and derives the plan
+/// against `current_out`.
+UpdatePlan finish_plan(std::vector<Ranked>& ranked,
+                       std::span<const net::NodeId> current_out,
+                       std::size_t capacity);
+
+}  // namespace detail
 
 /// Computes the most-beneficial neighborhood of size <= `capacity` from the
 /// statistics (Algo 3; also the planning step of Algo 5's Reconfigure).
+/// `eligible(peer)` decides whether a peer may become a neighbor right now
+/// (typically: is on-line and is not this node).
 ///
 /// Candidates are the union of the statistics' peers and the current
 /// neighbors, ranked by cumulative benefit.  Current neighbors win ties so
 /// that reconfiguration never churns between equally-good peers; this also
 /// means a node with sparse statistics keeps its current neighborhood
-/// rather than shrinking it.
+/// rather than shrinking it.  The ranking is a total order, so only the top
+/// `capacity` candidates are sorted.
 /// Neighbor lists arrive as spans so both the reference and the compact
 /// overlay tables (and plain vectors in tests) can feed the planner.
+template <typename Eligible>
 UpdatePlan plan_update(const StatsStore& stats,
                        std::span<const net::NodeId> current_out,
-                       std::size_t capacity, const EligibleFn& eligible);
+                       std::size_t capacity, Eligible&& eligible) {
+  // Candidate set: known peers plus current neighbors (the latter may have
+  // no statistics yet, e.g. fresh random links).
+  std::vector<detail::Ranked>& ranked = detail::rank_buffer();
+  ranked.clear();
+  for (const StatsEntry& e : stats.entries()) {
+    if (!eligible(e.peer)) continue;
+    ranked.push_back(
+        {e.benefit, detail::contains(current_out, e.peer), e.peer});
+  }
+  for (net::NodeId n : current_out) {
+    if (!stats.knows(n) && eligible(n)) ranked.push_back({0.0, true, n});
+  }
+  return detail::finish_plan(ranked, current_out, capacity);
+}
 
 /// How an invited node reacts to a neighboring invitation (§3.4's two
 /// symmetric-update variants).
@@ -82,32 +123,5 @@ InvitationDecision decide_invitation(const StatsStore& stats,
 /// older/lower ids — about which more is typically known — survive.
 net::NodeId least_beneficial(const StatsStore& stats,
                              std::span<const net::NodeId> list);
-
-/// Reconfiguration trigger of the case study (§4.1/§4.3): a counter of
-/// requests issued since the last reconfiguration; firing at `threshold`
-/// (the paper's parameter T, swept in Fig 3b).  Invitations and evictions
-/// reset the counter to damp cascading updates.
-class ReconfigCounter {
- public:
-  explicit ReconfigCounter(std::uint32_t threshold) : threshold_(threshold) {}
-
-  std::uint32_t threshold() const noexcept { return threshold_; }
-
-  /// Registers one issued request; returns true when the threshold is
-  /// reached (the caller should reconfigure and the counter resets).
-  bool on_request() noexcept {
-    if (threshold_ == 0) return false;  // 0 disables periodic reconfiguration
-    if (++count_ < threshold_) return false;
-    count_ = 0;
-    return true;
-  }
-
-  void reset() noexcept { count_ = 0; }
-  std::uint32_t count() const noexcept { return count_; }
-
- private:
-  std::uint32_t threshold_;
-  std::uint32_t count_ = 0;
-};
 
 }  // namespace dsf::core

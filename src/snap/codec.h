@@ -73,18 +73,19 @@ inline void get_histogram(Reader::In& in, metrics::Histogram& h) {
   }
 }
 
-/// Benefit entries sorted by peer id.  Restore replays through add();
-/// iteration-order consumers (plan_update, top_k) apply total-order sorts
-/// with id tie-breaks, so the rebuilt map's layout is behavior-neutral.
+/// Benefit entries sorted by peer id.  Restore replays through add(), so
+/// the rebuilt store holds its entries in id order rather than the saved
+/// store's; the one order-dependent consumer, plan_update, ranks by a
+/// total order with an id tie-break, so that order is behavior-neutral.
 inline void put_stats_store(Writer::Out& out, const core::StatsStore& s) {
-  std::vector<std::pair<net::NodeId, double>> entries(s.entries().begin(),
-                                                      s.entries().end());
+  std::vector<core::StatsEntry> entries(s.entries().begin(),
+                                        s.entries().end());
   std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+            [](const auto& a, const auto& b) { return a.peer < b.peer; });
   out.u64(entries.size());
-  for (const auto& [peer, benefit] : entries) {
-    out.u32(peer);
-    out.f64(benefit);
+  for (const core::StatsEntry& e : entries) {
+    out.u32(e.peer);
+    out.f64(e.benefit);
   }
 }
 

@@ -5,8 +5,6 @@
 namespace dsf::core {
 namespace {
 
-const auto kAll = [](net::NodeId) { return true; };
-
 TEST(StatsStore, AccumulatesBenefit) {
   StatsStore s;
   s.add(3, 1.5);
@@ -46,41 +44,6 @@ TEST(StatsStore, DecayScalesEntries) {
   s.decay(0.5);
   EXPECT_DOUBLE_EQ(s.benefit_of(1), 5.0);
   EXPECT_DOUBLE_EQ(s.benefit_of(2), 2.0);
-}
-
-TEST(StatsStore, TopKOrdersByBenefit) {
-  StatsStore s;
-  s.add(1, 1.0);
-  s.add(2, 5.0);
-  s.add(3, 3.0);
-  s.add(4, 4.0);
-  const auto top = s.top_k(2, kAll);
-  EXPECT_EQ(top, (std::vector<net::NodeId>{2, 4}));
-}
-
-TEST(StatsStore, TopKRespectsEligibility) {
-  StatsStore s;
-  s.add(1, 10.0);
-  s.add(2, 5.0);
-  s.add(3, 1.0);
-  const auto top =
-      s.top_k(2, [](net::NodeId n) { return n != 1; });  // 1 is "offline"
-  EXPECT_EQ(top, (std::vector<net::NodeId>{2, 3}));
-}
-
-TEST(StatsStore, TopKTieBreaksByNodeId) {
-  StatsStore s;
-  s.add(7, 2.0);
-  s.add(3, 2.0);
-  s.add(5, 2.0);
-  const auto top = s.top_k(3, kAll);
-  EXPECT_EQ(top, (std::vector<net::NodeId>{3, 5, 7}));
-}
-
-TEST(StatsStore, TopKSmallerThanK) {
-  StatsStore s;
-  s.add(1, 1.0);
-  EXPECT_EQ(s.top_k(5, kAll).size(), 1u);
 }
 
 }  // namespace

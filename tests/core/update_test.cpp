@@ -142,31 +142,5 @@ TEST(DecideInvitation, ExistingNeighborRejected) {
   EXPECT_FALSE(d.accept);
 }
 
-TEST(ReconfigCounter, FiresAtThreshold) {
-  ReconfigCounter c(2);  // the paper's default T = 2
-  EXPECT_FALSE(c.on_request());
-  EXPECT_TRUE(c.on_request());
-  EXPECT_FALSE(c.on_request());  // restarted
-  EXPECT_TRUE(c.on_request());
-}
-
-TEST(ReconfigCounter, ResetDampsCascades) {
-  ReconfigCounter c(2);
-  c.on_request();
-  c.reset();  // e.g. an invitation arrived
-  EXPECT_FALSE(c.on_request());
-  EXPECT_TRUE(c.on_request());
-}
-
-TEST(ReconfigCounter, ZeroThresholdNeverFires) {
-  ReconfigCounter c(0);
-  for (int i = 0; i < 10; ++i) EXPECT_FALSE(c.on_request());
-}
-
-TEST(ReconfigCounter, ThresholdOneFiresEveryRequest) {
-  ReconfigCounter c(1);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(c.on_request());
-}
-
 }  // namespace
 }  // namespace dsf::core
