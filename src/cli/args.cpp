@@ -1,8 +1,5 @@
 #include "cli/args.h"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace dsf::cli {
 
 namespace {
@@ -53,57 +50,6 @@ std::optional<std::string> Args::get(const std::string& key) const {
   if (it == options_.end()) return std::nullopt;
   recognized_.insert(key);
   return it->second;
-}
-
-std::string Args::get_string(const std::string& key,
-                             const std::string& fallback) const {
-  return get(key).value_or(fallback);
-}
-
-std::int64_t Args::get_int(const std::string& key,
-                           std::int64_t fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  // std::stoll throws std::out_of_range for values that parse but do not
-  // fit — surface both failure modes as the typed FlagError instead of
-  // letting the overflow escape and abort the driver.
-  std::size_t pos = 0;
-  std::int64_t parsed = 0;
-  try {
-    parsed = std::stoll(*v, &pos);
-  } catch (const std::out_of_range&) {
-    throw FlagError("--" + key + ": integer out of range: " + *v);
-  } catch (const std::invalid_argument&) {
-    pos = std::string::npos;
-  }
-  if (pos != v->size())
-    throw FlagError("--" + key + ": not an integer: " + *v);
-  return parsed;
-}
-
-double Args::get_double(const std::string& key, double fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  std::size_t pos = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(*v, &pos);
-  } catch (const std::out_of_range&) {
-    throw FlagError("--" + key + ": number out of range: " + *v);
-  } catch (const std::invalid_argument&) {
-    pos = std::string::npos;
-  }
-  if (pos != v->size())
-    throw FlagError("--" + key + ": not a number: " + *v);
-  return parsed;
-}
-
-bool Args::get_bool(const std::string& key, bool fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  if (*v == "true" || *v == "1" || *v == "yes" || *v == "on") return true;
-  if (*v == "false" || *v == "0" || *v == "no" || *v == "off") return false;
-  throw FlagError("--" + key + ": not a boolean: " + *v);
 }
 
 std::vector<std::string> Args::unrecognized() const {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -23,14 +22,15 @@ class FlagError : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
-/// Minimal command-line parser for the `dsf_sim` driver: GNU-style
+/// The command-line tokenizer under cli::FlagRegistry: GNU-style
 /// `--key value` / `--key=value` options plus bare positional arguments.
-/// Unknown keys are collected so the driver can reject typos with a
+/// Values stay strings (the registry parses them as the declared type);
+/// keys never read are collected so the registry can reject typos with a
 /// helpful message instead of silently ignoring them.
 class Args {
  public:
-  /// Parses argv; throws std::invalid_argument on malformed input
-  /// (an option missing its value).
+  /// Tokenizes argv.  Never throws: an option with no value reads as
+  /// "true".
   Args(int argc, const char* const* argv);
 
   /// The positional (non-option) arguments, in order.
@@ -38,21 +38,10 @@ class Args {
     return positional_;
   }
 
-  bool has(const std::string& key) const { return options_.count(key) != 0; }
-
-  /// Raw string value (nullopt if absent).
+  /// Raw string value (nullopt if absent); marks the key recognized.
   std::optional<std::string> get(const std::string& key) const;
 
-  /// Typed getters with defaults; throw FlagError when the value does not
-  /// parse as the requested type or does not fit in it.
-  std::string get_string(const std::string& key,
-                         const std::string& fallback) const;
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  double get_double(const std::string& key, double fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
-
-  /// Marks a key as recognized; `unrecognized()` returns the rest.
-  void recognize(const std::string& key) const { recognized_.insert(key); }
+  /// The keys no get() has read, in key order.
   std::vector<std::string> unrecognized() const;
 
  private:

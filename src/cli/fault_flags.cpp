@@ -59,11 +59,16 @@ FaultOptions fault_options_from(const FlagRegistry& reg) {
       r.duplicate_prob = reg.get_double("fault-dup-" + name);
     if (reg.was_set("fault-delay-" + name))
       r.delay_prob = reg.get_double("fault-delay-" + name);
-    if (!r.trivial()) opts.plan.set_rule(t, r);
+    // Every rule is validated, trivial ones included; set_rule keeps a
+    // trivial rule out of the active mask, so it never draws.
+    opts.plan.set_rule(t, r);
   }
 
   opts.crashes.rate_per_hour = reg.get_double("fault-crash-rate");
   const std::int64_t crash_max = reg.get_int("fault-crash-max");
+  if (crash_max < -1)
+    throw std::invalid_argument(
+        "--fault-crash-max: must be >= 0, or -1 for unlimited");
   if (crash_max >= 0) opts.crashes.max_crashes = crash_max;
   opts.crashes.start_s = reg.get_double("fault-crash-start");
   opts.crashes.end_s = reg.get_double("fault-crash-end");

@@ -17,7 +17,7 @@
 //                            ping, pong, explore-query, explore-reply,
 //                            invitation, invitation-reply, eviction)
 //   --fault-crash-rate R     Poisson peer crashes per hour
-//   --fault-crash-max N      stop after N crashes
+//   --fault-crash-max N      stop after N crashes (-1: unlimited)
 //   --fault-crash-start S / --fault-crash-end S
 //                            crash window in sim seconds
 //   --fault-check            attach the InvariantChecker and audit the

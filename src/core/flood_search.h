@@ -22,7 +22,8 @@ struct TransmitResult {
 
 /// The no-op transport policy: every transmission succeeds.  Passing this
 /// to the transmit-aware searches compiles down to the historical
-/// fault-free bodies, so the reliable overloads stay bit-identical.
+/// fault-free bodies, so flood_search's reliable overload stays
+/// bit-identical.
 struct ReliableTransmit {
   /// Called once per search (or per iterative-deepening cycle) with the
   /// cycle's hop budget, before any transmission is attempted.

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/flood_search.h"
@@ -30,7 +29,10 @@ namespace dsf::core {
 /// accumulated cost across all cycles.
 struct IterativeOutcome {
   SearchOutcome last;                ///< hits of the final (successful) cycle
-  std::uint64_t total_messages = 0;  ///< messages across every cycle
+  std::uint64_t total_messages = 0;  ///< query messages across every cycle
+  /// Reply messages across every cycle: under faults an unsatisfied cycle
+  /// may still have sent replies that were lost or arrived too late.
+  std::uint64_t total_replies = 0;
   int cycles = 0;                    ///< cycles actually run
   int final_depth = 0;               ///< depth of the last cycle
 
@@ -61,24 +63,12 @@ IterativeOutcome iterative_deepening_search(
     out.last = flood_search(initiator, params, neighbors, has_content, delay,
                             transmit, stamps, scratch);
     out.total_messages += out.last.query_messages;
+    out.total_replies += out.last.reply_messages;
     ++out.cycles;
     out.final_depth = depth;
     if (out.last.satisfied()) break;
   }
   return out;
-}
-
-template <typename NeighborsFn, typename HasContentFn, typename DelayFn>
-IterativeOutcome iterative_deepening_search(
-    net::NodeId initiator, const SearchParams& base,
-    const std::vector<int>& depths, NeighborsFn&& neighbors,
-    HasContentFn&& has_content, DelayFn&& delay, VisitStamp& stamps,
-    SearchScratch& scratch) {
-  ReliableTransmit reliable;
-  return iterative_deepening_search(
-      initiator, base, depths, std::forward<NeighborsFn>(neighbors),
-      std::forward<HasContentFn>(has_content), std::forward<DelayFn>(delay),
-      reliable, stamps, scratch);
 }
 
 /// Builds the canonical depth ladder for a hop budget `max_hops`:
@@ -113,22 +103,6 @@ SearchOutcome directed_flood_search(
                       transmit, stamps, scratch);
 }
 
-template <typename NeighborsFn, typename HasContentFn, typename DelayFn>
-SearchOutcome directed_flood_search(net::NodeId initiator,
-                                    const SearchParams& params,
-                                    const std::vector<net::NodeId>& subset,
-                                    NeighborsFn&& neighbors,
-                                    HasContentFn&& has_content,
-                                    DelayFn&& delay, VisitStamp& stamps,
-                                    SearchScratch& scratch) {
-  ReliableTransmit reliable;
-  return directed_flood_search(initiator, params, subset,
-                               std::forward<NeighborsFn>(neighbors),
-                               std::forward<HasContentFn>(has_content),
-                               std::forward<DelayFn>(delay), reliable, stamps,
-                               scratch);
-}
-
 /// Local indices with radius 1: every visited node answers for itself AND
 /// its direct neighbors (it maintains an index over their content), so a
 /// depth-d flood covers depth d+1.  A holder discovered through a peer's
@@ -160,9 +134,9 @@ SearchOutcome indexed_flood_search(net::NodeId initiator,
     const double reply_at =
         via == initiator ? arrival : arrival + delay(via, initiator);
     if (reply_at > params.timeout_s) return false;
-    ++out.reply_messages;
     TransmitResult tr;  // hop-0 index hits are answered locally: no message
     if (via != initiator) {
+      ++out.reply_messages;
       tr = transmit(net::MessageType::kQueryReply, via, initiator, -1);
       if (tr.duplicate) ++out.reply_messages;
     }
@@ -208,21 +182,6 @@ SearchOutcome indexed_flood_search(net::NodeId initiator,
     }
   }
   return out;
-}
-
-template <typename NeighborsFn, typename HasContentFn, typename DelayFn>
-SearchOutcome indexed_flood_search(net::NodeId initiator,
-                                   const SearchParams& params,
-                                   NeighborsFn&& neighbors,
-                                   HasContentFn&& has_content, DelayFn&& delay,
-                                   VisitStamp& stamps, VisitStamp& hit_stamps,
-                                   SearchScratch& scratch) {
-  ReliableTransmit reliable;
-  return indexed_flood_search(initiator, params,
-                              std::forward<NeighborsFn>(neighbors),
-                              std::forward<HasContentFn>(has_content),
-                              std::forward<DelayFn>(delay), reliable, stamps,
-                              hit_stamps, scratch);
 }
 
 }  // namespace dsf::core

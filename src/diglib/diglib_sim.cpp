@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "core/update.h"
-#include "sim/invariants.h"
 #include "snap/codec.h"
 
 namespace dsf::diglib {
@@ -35,7 +34,6 @@ sim::EngineConfig DigLibSim::make_engine_config(const DigLibConfig& config) {
 DigLibSim::DigLibSim(const DigLibConfig& config)
     : sim::OverlayEngine(make_engine_config(config)),
       config_(config),
-      hit_stamps_(config.num_repositories),
       copy_count_(config.num_docs, 0),
       doc_zipf_(config.num_docs / config.num_topics, config.zipf_theta),
       interquery_(config.mean_interquery_s) {
@@ -97,44 +95,24 @@ core::SearchOutcome DigLibSim::search_doc(net::NodeId from, DocId doc) {
   params.max_hops = config_.mode == ListMode::kAllToAll ? 1 : config_.max_hops;
   params.forward_when_hit = true;
 
-  const auto neighbors = [this](net::NodeId n) -> core::NeighborView {
-    return overlay_.out_neighbors(n);
-  };
-  const auto has_content = [this, doc](net::NodeId n) {
-    // Free-riders (adversary layer) answer nothing; always false when off.
-    return !is_free_rider(n) && holds(n, doc);
-  };
-  const auto delay = [this](net::NodeId a, net::NodeId b) {
-    return sample_delay_s(a, b);
-  };
-  // kTopK ranks holders by a deterministic per-(repository, document)
-  // relevance in (0, 1] — the retrieval score a ranked federation would
-  // compute locally.  Non-holders and free-riders score 0.
-  const auto rank = [this, doc](net::NodeId n) {
-    if (is_free_rider(n) || !holds(n, doc)) return 0.0;
-    const std::uint64_t bits =
-        des::hash_seed(des::hash_seed(config_.seed, 0x2b5eced5u) ^ n, doc);
-    return (static_cast<double>(bits >> 11) + 1.0) * 0x1.0p-53;
-  };
-  const std::uint32_t span = obs_search_begin(from, params.max_hops, doc);
-  auto ctx = core::make_ranked_context(from, neighbors, has_content, rank,
-                                       delay, search_transmit(), stamps_,
-                                       hit_stamps_, scratch_);
-  ctx.stats = &repos_[from].stats;
-  const core::QuerySpec spec =
-      sim::query_spec_for(config_.search_strategy, params, config_.top_k);
-  const auto outcome =
-      sim::dispatch_search(config_.search_strategy, spec,
-                           /*directed_fanout=*/config_.num_neighbors, ctx);
-  if (span != 0) {
-    const core::SearchHit* first = outcome.first_hit();
-    obs_search_end(span, from, outcome.hits.size(), first ? first->hop : -1,
-                   first ? first->reply_at_s : -1.0, outcome.best_score());
-  }
-  if (sim::InvariantChecker* c = checker()) c->check_search_outcome(spec, outcome);
-
-  count(net::MessageType::kQuery, outcome.query_messages);
-  count(net::MessageType::kQueryReply, outcome.reply_messages);
+  const auto outcome = search(
+      config_.search_strategy, params, config_.top_k,
+      /*directed_fanout=*/config_.num_neighbors, from, doc,
+      repos_[from].stats,
+      [this, doc](net::NodeId n) {
+        // Free-riders (adversary layer) answer nothing; always false when
+        // off.
+        return !is_free_rider(n) && holds(n, doc);
+      },
+      // kTopK ranks holders by a deterministic per-(repository, document)
+      // relevance in (0, 1] — the retrieval score a ranked federation
+      // would compute locally.  Non-holders and free-riders score 0.
+      [this, doc](net::NodeId n) {
+        if (is_free_rider(n) || !holds(n, doc)) return 0.0;
+        const std::uint64_t bits = des::hash_seed(
+            des::hash_seed(config_.seed, 0x2b5eced5u) ^ n, doc);
+        return (static_cast<double>(bits >> 11) + 1.0) * 0x1.0p-53;
+      });
 
   if (config_.mode == ListMode::kAdaptive) {
     for (const auto& hit : outcome.hits) {
@@ -211,25 +189,19 @@ void DigLibSim::update_neighbors(net::NodeId r) {
   const auto plan = core::plan_update(
       repo.stats, overlay_.out_neighbors(r), learned_cap,
       [r](net::NodeId n) { return n != r; });
-  const auto tx = search_transmit();
   if (!plan.additions.empty() &&
       !overlay_.lists(r).has_out(plan.additions.front())) {
     const net::NodeId cand = plan.additions.front();
     // The invitation must actually reach the candidate (it may be
     // crashed, or the message may be lost) before any slot is freed.
-    count(net::MessageType::kInvitation);
-    const auto t = tx(net::MessageType::kInvitation, r, cand, -1);
-    if (t.duplicate) count(net::MessageType::kInvitation);
-    if (t.deliver) {
+    if (send(net::MessageType::kInvitation, r, cand, -1).deliver) {
       if (overlay_.lists(r).out().size() >= learned_cap) {
         const net::NodeId worst =
             core::least_beneficial(repo.stats, overlay_.out_neighbors(r));
         if (worst != net::kInvalidNode) {
           overlay_.unlink(r, worst);
-          count(net::MessageType::kEviction);
           // Notification only: the unlink stands even if it is lost.
-          const auto te = tx(net::MessageType::kEviction, r, worst, -1);
-          if (te.duplicate) count(net::MessageType::kEviction);
+          send(net::MessageType::kEviction, r, worst, -1);
         }
       }
       overlay_.link(r, cand);
@@ -244,7 +216,7 @@ void DigLibSim::update_neighbors(net::NodeId r) {
     const auto q =
         static_cast<net::NodeId>(rng().uniform_int(config_.num_repositories));
     if (q == r || overlay_.lists(r).has_out(q)) continue;
-    const auto t = tx(net::MessageType::kPing, r, q, -1);
+    const auto t = search_transmit()(net::MessageType::kPing, r, q, -1);
     if (!t.deliver) continue;  // unanswered probe: try another target
     if (overlay_.link(r, q)) {
       repo.exploration_link = q;

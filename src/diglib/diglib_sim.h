@@ -143,8 +143,8 @@ class DigLibSim : public sim::OverlayEngine {
 
   void issue_query(net::NodeId r);
   /// The search path shared by closed-loop queries and open-loop
-  /// injection: extensive flood from `from`, span recording, message
-  /// accounting and (kAdaptive) benefit-statistics feeding.
+  /// injection: extensive search from `from` through the engine's
+  /// search(), then (kAdaptive) benefit-statistics feeding.
   core::SearchOutcome search_doc(net::NodeId from, DocId doc);
   void update_neighbors(net::NodeId r);
   DocId draw_doc(std::uint32_t home_topic) {
@@ -155,8 +155,6 @@ class DigLibSim : public sim::OverlayEngine {
 
   DigLibConfig config_;
   std::vector<Repository> repos_;
-  /// Holder-dedup stamps for the local-indices strategy.
-  core::VisitStamp hit_stamps_;
   std::vector<std::uint32_t> copy_count_;  ///< per-document replica count
   des::Zipf doc_zipf_;
   des::Exponential interquery_;

@@ -6,7 +6,6 @@
 #include "core/graph_stats.h"
 #include "core/unreachable.h"
 #include "des/distributions.h"
-#include "sim/invariants.h"
 #include "snap/codec.h"
 #include "workload/user_profile.h"
 
@@ -49,7 +48,6 @@ Simulation::Simulation(const Config& config)
       library_gen_(catalog_, config.library),
       query_gen_(catalog_),
       session_(config.session),
-      hit_stamps_(config.num_users),
       benefit_fn_(make_benefit(config.benefit)) {
   des::Rng profile_rng = rng().split();
   workload::ProfileGenerator profiles(catalog_, config.user_zipf_theta);
@@ -257,7 +255,7 @@ void Simulation::issue_query(net::NodeId u) {
   }
 
   capture_query_arrival(u, song);
-  const core::SearchOutcome outcome = search(u, song);
+  const core::SearchOutcome outcome = search_song(u, song);
 
   const des::SimTime now = sim_.now();
   result_.messages.add(now, outcome.query_messages);
@@ -298,7 +296,7 @@ load::Served Simulation::serve_injected_query(net::NodeId u,
   // Injected traffic is real traffic to the network (ledger, checker,
   // flight recorder) but is reported through LoadStats, not the
   // closed-loop RunResult series.
-  const core::SearchOutcome outcome = search(u, song);
+  const core::SearchOutcome outcome = search_song(u, song);
   load::Served served;
   served.latency_s = config_.query_timeout_s;  // a miss serves the timeout
   if (outcome.satisfied()) {
@@ -347,54 +345,22 @@ double Simulation::ranked_score(net::NodeId n,
   return (static_cast<double>(bits >> 11) + 1.0) * 0x1.0p-53;
 }
 
-core::SearchOutcome Simulation::search(net::NodeId u, workload::SongId song) {
+core::SearchOutcome Simulation::search_song(net::NodeId u,
+                                            workload::SongId song) {
   core::SearchParams params;
   params.max_hops = config_.max_hops;
   params.forward_when_hit = false;  // §4.1: repliers do not propagate
   params.timeout_s = config_.query_timeout_s;
-  const core::QuerySpec spec =
-      sim::query_spec_for(config_.search_strategy, params, config_.top_k);
-
-  const std::uint32_t span = obs_search_begin(u, params.max_hops, song);
-  core::SearchOutcome outcome = run_search(u, song, spec);
-  if (span != 0) {
-    // First hit = minimum reply arrival (first_result_delay_s's metric);
-    // its hop is the span's first-hit depth.
-    const core::SearchHit* first = outcome.first_hit();
-    obs_search_end(span, u, outcome.hits.size(), first ? first->hop : -1,
-                   first ? first->reply_at_s : -1.0, outcome.best_score());
-  }
-  if (sim::InvariantChecker* c = checker())
-    c->check_search_outcome(spec, outcome);
-  count(net::MessageType::kQuery, outcome.query_messages);
-  count(net::MessageType::kQueryReply, outcome.reply_messages);
-  return outcome;
-}
-
-core::SearchOutcome Simulation::run_search(net::NodeId u,
-                                           workload::SongId song,
-                                           const core::QuerySpec& spec) {
-  const auto neighbors = [this](net::NodeId n) -> core::NeighborView {
-    return overlay_.out_neighbors(n);
-  };
-  const auto has_content = [this, song](net::NodeId n) {
-    // Free-riders (adversary layer) answer nothing; with the layer off the
-    // role test is a single always-false branch.
-    return !is_free_rider(n) && libraries_.contains(n, song);
-  };
-  const auto delay = [this](net::NodeId a, net::NodeId b) {
-    return sample_delay_s(a, b);
-  };
-  // kTopK's score doubles as the one-hop digest bound.
-  const auto rank = [this, song](net::NodeId n) {
-    return ranked_score(n, song);
-  };
-  auto ctx = core::make_ranked_context(u, neighbors, has_content, rank, delay,
-                                       search_transmit(), stamps_, hit_stamps_,
-                                       scratch_);
-  ctx.stats = &cold_[u].stats;
-  return sim::dispatch_search(config_.search_strategy, spec,
-                              config_.directed_fanout, ctx);
+  return search(
+      config_.search_strategy, params, config_.top_k, config_.directed_fanout,
+      u, song, cold_[u].stats,
+      [this, song](net::NodeId n) {
+        // Free-riders (adversary layer) answer nothing; with the layer off
+        // the role test is a single always-false branch.
+        return !is_free_rider(n) && libraries_.contains(n, song);
+      },
+      // kTopK's score doubles as the one-hop digest bound.
+      [this, song](net::NodeId n) { return ranked_score(n, song); });
 }
 
 void Simulation::on_peer_crashed(net::NodeId u) {
@@ -436,15 +402,9 @@ bool Simulation::adversary_churn_kick(des::Rng& lane, double offline_mean_s,
 
 bool Simulation::invite(net::NodeId u, net::NodeId v) {
   UserHot& target = hot_[v];
-  const auto tx = search_transmit();
-  count(net::MessageType::kInvitation);
-  const auto ti = tx(net::MessageType::kInvitation, u, v, -1);
-  if (ti.duplicate) count(net::MessageType::kInvitation);
   // A lost invitation (or a crashed target) elicits no reply at all.
-  if (!ti.deliver) return false;
-  count(net::MessageType::kInvitationReply);
-  const auto tr = tx(net::MessageType::kInvitationReply, v, u, -1);
-  if (tr.duplicate) count(net::MessageType::kInvitationReply);
+  if (!send(net::MessageType::kInvitation, u, v, -1).deliver) return false;
+  const auto tr = send(net::MessageType::kInvitationReply, v, u, -1);
   if (!target.online) return false;
   // A lost reply means u never learns of the acceptance: the exchange
   // fails (retry/timeout recovery is ROADMAP work, not modeled here).
@@ -537,10 +497,7 @@ void Simulation::evaluate_trial(net::NodeId inviter, net::NodeId invitee) {
 }
 
 void Simulation::evict(net::NodeId evictor, net::NodeId evictee) {
-  count(net::MessageType::kEviction);
-  const auto t =
-      search_transmit()(net::MessageType::kEviction, evictor, evictee, -1);
-  if (t.duplicate) count(net::MessageType::kEviction);
+  const auto t = send(net::MessageType::kEviction, evictor, evictee, -1);
   // The evictor severs the link either way (the symmetric table is the
   // ground truth), but a lost eviction — or a crashed evictee — means the
   // other side never runs its Process Eviction reaction.

@@ -6,7 +6,6 @@
 
 #include "core/benefit.h"
 #include "core/flood_search.h"
-#include "core/query_plane.h"
 #include "core/relations.h"
 #include "core/search_strategies.h"
 #include "core/stats_store.h"
@@ -196,16 +195,10 @@ class Simulation : public sim::OverlayEngine {
   void log_in(net::NodeId u);
   void log_off(net::NodeId u);
   void issue_query(net::NodeId u);
-  /// One search by `u` for `song`, the body closed-loop and injected
-  /// queries share: opens the trace span, runs the search, closes the
-  /// span, certifies the outcome when a checker is attached, and counts
-  /// the query and reply messages.
-  core::SearchOutcome search(net::NodeId u, workload::SongId song);
-  /// Dispatches to the configured SearchStrategy (§2's orthogonal
-  /// techniques all run over the same overlay/content/delay bindings; the
-  /// ranked scheme adds the scoring binding on top).
-  core::SearchOutcome run_search(net::NodeId u, workload::SongId song,
-                                 const core::QuerySpec& spec);
+  /// One search by `u` for `song` through the configured scheme, the
+  /// body closed-loop and injected queries share (the engine's search()
+  /// does the span, certification and accounting).
+  core::SearchOutcome search_song(net::NodeId u, workload::SongId song);
   /// kTopK's per-peer score for a (peer, song) query: 0 unless the peer
   /// holds the song; holders get a deterministic score in (0, 1] keyed on
   /// (seed, peer, song) — the relevance spread the ranked scheme orders.
@@ -253,7 +246,6 @@ class Simulation : public sim::OverlayEngine {
   /// materialized when the summary-gated policy is active.
   std::vector<net::BloomFilter> digests_;
   std::vector<net::NodeId> online_nodes_;
-  core::VisitStamp hit_stamps_;  ///< per-search holder dedup (local indices)
   std::unique_ptr<core::BenefitFunction> benefit_fn_;
   RunResult result_;
 };

@@ -65,9 +65,6 @@ ChunkId OlapSim::draw_query_base(net::NodeId p, des::Rng& r) {
 double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
                              bool* peer_served) {
   Peer& peer = peers_[p];
-  // Inactive fault layer => default verdicts, zero draws: one transmit
-  // binding serves both regimes byte-identically.
-  const auto tx = search_transmit();
   if (peer_served) *peer_served = false;
   const bool report = record;
   double response = 0.0;
@@ -82,7 +79,7 @@ double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
     // Extensive search (§3.2): the chunk request keeps propagating up to
     // the hop limit; the closest holder (in hops, then delay) serves it.
     const std::uint32_t span = obs_search_begin(p, config_.max_hops, chunk);
-    tx.begin(config_.max_hops);
+    search_transmit().begin(config_.max_hops);
     stamps_.begin_search();
     stamps_.mark(p);
     struct Frontier {
@@ -98,10 +95,8 @@ double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
       if (holder != net::kInvalidNode && cur.hop + 1 > holder_hop) break;
       for (net::NodeId q : overlay_.out_neighbors(cur.node)) {
         if (q == cur.sender) continue;
-        count(net::MessageType::kQuery);
-        const auto tq = tx(net::MessageType::kQuery, cur.node, q,
-                           config_.max_hops - cur.hop);
-        if (tq.duplicate) count(net::MessageType::kQuery);
+        const auto tq = send(net::MessageType::kQuery, cur.node, q,
+                             config_.max_hops - cur.hop);
         if (!tq.deliver) continue;  // lost: q stays reachable via others
         if (!stamps_.mark(q)) continue;
         const int hop = cur.hop + 1;
@@ -109,14 +104,10 @@ double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
         // role test is a single always-false branch when the layer is off.
         const bool has_chunk =
             !is_free_rider(q) && peers_[q].cache.contains(chunk);
-        if (has_chunk && holder == net::kInvalidNode) {
-          count(net::MessageType::kQueryReply);
-          const auto tr = tx(net::MessageType::kQueryReply, q, p, -1);
-          if (tr.duplicate) count(net::MessageType::kQueryReply);
-          if (tr.deliver) {
-            holder = q;
-            holder_hop = hop;
-          }
+        if (has_chunk && holder == net::kInvalidNode &&
+            send(net::MessageType::kQueryReply, q, p, -1).deliver) {
+          holder = q;
+          holder_hop = hop;
         }
         if (hop < config_.max_hops) queue.push_back({q, cur.node, hop});
       }

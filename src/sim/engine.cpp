@@ -85,6 +85,7 @@ OverlayEngine::OverlayEngine(EngineConfig cfg)
       overlay_(cfg_.num_nodes, cfg_.relation, cfg_.out_capacity,
                cfg_.in_capacity),
       stamps_(cfg_.num_nodes),
+      hit_stamps_(cfg_.num_nodes),
       fault_rng_(make_fault_lane(cfg_.seed)),
       dead_(cfg_.num_nodes, 0),
       load_rng_(des::hash_seed(cfg_.seed, kLoadStream)) {
@@ -258,6 +259,22 @@ void OverlayEngine::obs_search_end(std::uint32_t span, net::NodeId initiator,
   r.b = obs::Record::pack_delay(first_result_delay_s);
   obs_->record(r);
   if (current_span_ == span) current_span_ = 0;
+}
+
+void OverlayEngine::end_search(std::uint32_t span, net::NodeId initiator,
+                               std::uint32_t k,
+                               const core::SearchOutcome& outcome) {
+  if (span != 0) {
+    // First hit = minimum reply arrival (first_result_delay_s's metric);
+    // its hop is the span's first-hit depth.
+    const core::SearchHit* first = outcome.first_hit();
+    obs_search_end(span, initiator, outcome.hits.size(),
+                   first ? first->hop : -1, first ? first->reply_at_s : -1.0,
+                   outcome.best_score());
+  }
+  if (checker_) checker_->check_search_outcome(k, outcome);
+  count(net::MessageType::kQuery, outcome.query_messages);
+  count(net::MessageType::kQueryReply, outcome.reply_messages);
 }
 
 void OverlayEngine::emit_heartbeat(double wall_start_s) {

@@ -5,9 +5,11 @@
 // relation table, message accounting, bootstrap helpers, periodic
 // scheduling and horizon control — owned by one base class.  A scenario
 // subclasses OverlayEngine, keeps only its domain state (catalogs, caches,
-// holdings) and its event handlers, and inherits the rest.  Every exchange
-// a scenario runs (search, exploration, neighbor update) is resolved
-// synchronously through transmit(), bound as search_transmit().
+// holdings) and its event handlers, and inherits the rest.  A search
+// through the scheme plug-in is one search() call; every other exchange
+// (a hand-expanded probe, exploration, invitation, eviction) sends each
+// copy through one send() call.  Both resolve every copy synchronously
+// through transmit() and do the accounting.
 //
 // Determinism contract: the engine constructs its members in exactly the
 // order the hand-rolled simulators did (master RNG → lane splits → delay
@@ -28,6 +30,7 @@
 #include "core/compact_relations.h"
 #include "core/relations.h"
 #include "core/flood_search.h"
+#include "core/stats_store.h"
 #include "core/visit_stamp.h"
 #include "des/rng.h"
 #include "des/simulator.h"
@@ -39,6 +42,7 @@
 #include "snap/snapshot.h"
 #include "sim/adversary.h"
 #include "sim/fault.h"
+#include "sim/policy.h"
 #include "sim/validate.h"
 
 namespace dsf::sim {
@@ -211,16 +215,12 @@ class OverlayEngine {
   }
   /// Attaches a continuous invariant checker fed from the trace point.
   /// Routes transmissions through the (draw-free when the plan is empty)
-  /// traced paths; pass nullptr to detach.
+  /// traced paths, and search() certifies every outcome with it; pass
+  /// nullptr to detach.
   void attach_checker(InvariantChecker* checker) {
     checker_ = checker;
     refresh_fault_active();
   }
-
-  /// The attached checker, or nullptr.  Scenarios use it for per-search
-  /// certification (InvariantChecker::check_search_outcome) — the type is
-  /// only forward-declared here, so call sites include sim/invariants.h.
-  InvariantChecker* checker() const noexcept { return checker_; }
 
   /// --- flight recorder (off by default: null pointer, zero records) -----
   /// Attaches a flight-recorder sink, replacing any attached before.  Like
@@ -456,9 +456,9 @@ class OverlayEngine {
   core::TransmitResult transmit(net::MessageType type, net::NodeId from,
                                 net::NodeId to, int ttl);
 
-  /// The one TransmitFn every synchronous exchange binds — searches,
-  /// probes, invitations, evictions.  When the fault layer is inactive it
-  /// is byte-identical to core::ReliableTransmit (default verdict, zero
+  /// The TransmitFn search() binds; a hand-expanded search calls its
+  /// begin() once before sending.  When the fault layer is inactive it is
+  /// byte-identical to core::ReliableTransmit (default verdict, zero
   /// draws, no checker TTL context); when active it resolves each copy's
   /// fate through transmit() and opens the checker's TTL context per
   /// search cycle.
@@ -476,6 +476,58 @@ class OverlayEngine {
   };
   MaybeFaultyTransmit search_transmit() noexcept {
     return MaybeFaultyTransmit{this, fault_active_};
+  }
+
+  /// --- search and exchange ---------------------------------------------
+  /// Sends one exchange message (probe, invitation, eviction, ...): counts
+  /// the copy, resolves its fate and counts a duplicate's extra copy.
+  /// With the fault layer inactive this is one count and one predicted
+  /// branch, and the verdict is the default (delivered, on time).
+  core::TransmitResult send(net::MessageType type, net::NodeId from,
+                            net::NodeId to, int ttl) {
+    count(type);
+    if (!fault_active_) return {};
+    const core::TransmitResult r = transmit(type, from, to, ttl);
+    if (r.duplicate) count(type);
+    return r;
+  }
+
+  /// One search by `initiator` for `item` (§3.2's generic algorithm with
+  /// §2's propagation schemes plugged in): opens the trace span, runs
+  /// sim::dispatch_search over the overlay, the delay lane,
+  /// search_transmit() and the engine's dedup and scratch buffers, closes
+  /// the span, certifies the outcome when a checker is attached, and
+  /// counts the query and reply messages.  `has_content(n)` says whether
+  /// n holds the item; `rank(n)` is n's score, read only by kTopK, which
+  /// also reads `k`; directed BFT picks `directed_fanout` neighbors by
+  /// `stats`.
+  template <typename HasContentFn, typename RankFn>
+  core::SearchOutcome search(SearchStrategyKind kind,
+                             const core::SearchParams& params, std::uint32_t k,
+                             std::uint32_t directed_fanout,
+                             net::NodeId initiator, std::uint64_t item,
+                             const core::StatsStore& stats,
+                             HasContentFn has_content, RankFn rank) {
+    const std::uint32_t span =
+        obs_search_begin(initiator, params.max_hops, item);
+    SearchContext ctx{
+        initiator,
+        [this](net::NodeId n) -> core::NeighborView {
+          return overlay_.out_neighbors(n);
+        },
+        has_content,
+        rank,
+        [this](net::NodeId a, net::NodeId b) { return sample_delay_s(a, b); },
+        search_transmit(),
+        &stats,
+        &stamps_,
+        &hit_stamps_,
+        &scratch_};
+    core::SearchOutcome outcome =
+        dispatch_search(kind, params, k, directed_fanout, ctx);
+    end_search(span, initiator, kind == SearchStrategyKind::kTopK ? k : 0,
+               outcome);
+    return outcome;
   }
 
   /// --- search spans (flight recorder) ----------------------------------
@@ -627,6 +679,7 @@ class OverlayEngine {
   net::DelayModel delay_;
   core::CompactNeighborTable overlay_;
   core::VisitStamp stamps_;     ///< per-search visited set
+  core::VisitStamp hit_stamps_; ///< per-search holder dedup (local indices)
   core::SearchScratch scratch_; ///< flood frontier reuse
   des::Simulator sim_;
   MessageLedger ledger_;
@@ -682,6 +735,12 @@ class OverlayEngine {
              std::uint64_t copies);
   /// Records one heartbeat; the wall clock counts from `wall_start_s`.
   void emit_heartbeat(double wall_start_s);
+
+  /// search()'s bookkeeping after dispatch: closes `span`, certifies the
+  /// outcome against the requested `k` (0: exact match) and counts the
+  /// query and reply messages.
+  void end_search(std::uint32_t span, net::NodeId initiator, std::uint32_t k,
+                  const core::SearchOutcome& outcome);
 
   /// The traced paths serve three consumers: the fault plan, the
   /// invariant checker and the flight recorder.  All three ride the same

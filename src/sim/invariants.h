@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/flood_search.h"
-#include "core/query_plane.h"
 #include "core/relations.h"
 #include "net/message.h"
 #include "net/node_id.h"
@@ -144,8 +143,9 @@ class InvariantChecker {
   /// and for every type in `exact_sent` the traced send count must equal
   /// the ledger's sent count.  (Exact send reconciliation is opt-in
   /// because some scenarios account messages the engine never transmits
-  /// individually — e.g. digest exchanges bulk-counted on link formation —
-  /// and iterative deepening bulk-counts only its final cycle's replies.)
+  /// individually — e.g. digest exchanges bulk-counted on link formation,
+  /// or list-change notifications counted but never sent — and diglib's
+  /// exploration ping is transmitted but counted only when a link forms.)
   void check_ledger(const MessageLedger& ledger,
                     std::initializer_list<net::MessageType> exact_sent = {}) {
     for (int i = 0; i < net::kNumMessageTypes; ++i) {
@@ -207,60 +207,53 @@ class InvariantChecker {
               last_time_s_);
   }
 
-  /// Certifies one search outcome against its query spec (the ranked
-  /// query plane's per-query contract).  Exact-match outcomes must carry
-  /// no scores and no pruning (nothing prunes a flood); ranked outcomes
-  /// must respect the k bound with scores positive and sorted
-  /// best-first.  Scenarios call this per search when a checker is
-  /// attached (OverlayEngine::checker() is non-null): it is cheap, one pass
-  /// over the hit list, but per-query.
-  void check_search_outcome(const core::QuerySpec& spec,
-                            const core::SearchOutcome& out) {
-    switch (spec.query_class) {
-      case core::QueryClass::kExactMatch:
-        if (out.pruned_subtrees != 0)
+  /// Certifies one search outcome against the `k` it asked for: 0 for the
+  /// flood family (exact match, the SearchOutcome::k_target convention),
+  /// the result count for top-k.  Exact-match outcomes must carry no
+  /// scores and no pruning (nothing prunes a flood); ranked outcomes must
+  /// respect the k bound with scores positive and sorted best-first.
+  /// OverlayEngine::search calls this per search when a checker is
+  /// attached: it is cheap, one pass over the hit list, but per-query.
+  void check_search_outcome(std::uint32_t k, const core::SearchOutcome& out) {
+    if (k == 0) {
+      if (out.pruned_subtrees != 0)
+        violate("scheme",
+                "exact-match search pruned " +
+                    std::to_string(out.pruned_subtrees) +
+                    " subtree(s) — nothing bounds a flood",
+                last_time_s_);
+      for (const core::SearchHit& h : out.hits)
+        if (h.score != 0.0) {
           violate("scheme",
-                  "exact-match search pruned " +
-                      std::to_string(out.pruned_subtrees) +
-                      " subtree(s) — nothing bounds a flood",
+                  "exact-match hit at node " + std::to_string(h.node) +
+                      " carries score " + std::to_string(h.score),
                   last_time_s_);
-        for (const core::SearchHit& h : out.hits)
-          if (h.score != 0.0) {
-            violate("scheme",
-                    "exact-match hit at node " + std::to_string(h.node) +
-                        " carries score " + std::to_string(h.score),
-                    last_time_s_);
-            break;
-          }
-        break;
-      case core::QueryClass::kTopKRanked: {
-        if (out.hits.size() > spec.k)
-          violate("scheme",
-                  "top-k outcome returned " +
-                      std::to_string(out.hits.size()) + " hits for k = " +
-                      std::to_string(spec.k),
-                  last_time_s_);
-        double prev = std::numeric_limits<double>::infinity();
-        for (const core::SearchHit& h : out.hits) {
-          if (h.score <= 0.0) {
-            violate("scheme",
-                    "ranked hit at node " + std::to_string(h.node) +
-                        " has non-positive score " + std::to_string(h.score),
-                    last_time_s_);
-            break;
-          }
-          if (h.score > prev) {
-            violate("scheme",
-                    "ranked hits out of order: score " +
-                        std::to_string(h.score) + " after " +
-                        std::to_string(prev),
-                    last_time_s_);
-            break;
-          }
-          prev = h.score;
+          break;
         }
+      return;
+    }
+    if (out.hits.size() > k)
+      violate("scheme",
+              "top-k outcome returned " + std::to_string(out.hits.size()) +
+                  " hits for k = " + std::to_string(k),
+              last_time_s_);
+    double prev = std::numeric_limits<double>::infinity();
+    for (const core::SearchHit& h : out.hits) {
+      if (h.score <= 0.0) {
+        violate("scheme",
+                "ranked hit at node " + std::to_string(h.node) +
+                    " has non-positive score " + std::to_string(h.score),
+                last_time_s_);
         break;
       }
+      if (h.score > prev) {
+        violate("scheme",
+                "ranked hits out of order: score " + std::to_string(h.score) +
+                    " after " + std::to_string(prev),
+                last_time_s_);
+        break;
+      }
+      prev = h.score;
     }
   }
 

@@ -10,10 +10,12 @@
 #include <utility>
 
 #include "core/flood_search.h"
-#include "core/query_plane.h"
 #include "core/ranked_search.h"
 #include "core/search_strategies.h"
+#include "core/stats_store.h"
 #include "core/unreachable.h"
+#include "core/visit_stamp.h"
+#include "net/node_id.h"
 
 namespace dsf::sim {
 
@@ -50,77 +52,79 @@ inline SearchStrategyKind parse_search_strategy(const std::string& s) {
   throw std::invalid_argument("--search-scheme: unknown value: " + s);
 }
 
-/// The query class a strategy serves: the flood family answers exact-match
-/// queries; the ranked scheme owns the top-k class.
-constexpr core::QueryClass query_class_of(SearchStrategyKind k) noexcept {
-  switch (k) {
-    case SearchStrategyKind::kFlood:
-    case SearchStrategyKind::kIterativeDeepening:
-    case SearchStrategyKind::kDirectedBft:
-    case SearchStrategyKind::kLocalIndices:
-      return core::QueryClass::kExactMatch;
-    case SearchStrategyKind::kTopK:
-      return core::QueryClass::kTopKRanked;
-  }
-  return core::QueryClass::kExactMatch;
-}
-
-/// Builds the QuerySpec a strategy needs from the scenario's knobs.
-inline core::QuerySpec query_spec_for(SearchStrategyKind kind,
-                                      const core::SearchParams& params,
-                                      std::uint32_t k) {
-  switch (query_class_of(kind)) {
-    case core::QueryClass::kExactMatch:
-      return core::QuerySpec::exact(params);
-    case core::QueryClass::kTopKRanked:
-      return core::QuerySpec::top_k(params, k);
-  }
-  core::unreachable_enum("core::QueryClass");
-}
+/// Everything one search runs over.  OverlayEngine::search binds it from
+/// the engine's overlay, delay lane, transport and buffers; tests bind
+/// fake graphs directly.
+///
+///   `neighbors(n)`   -> NeighborView : outgoing list of n
+///   `has_content(n)` -> bool : does n hold the requested item
+///   `rank(n)`        -> double : n's best local score for this query
+///                       (> 0 iff n can contribute a ranked result)
+///   `delay(a, b)`    -> double : one-way delay seconds per transmission
+///   `transmit(...)`  -> TransmitResult : transport verdict per copy
+///
+/// `stats` feeds directed-BFT subset selection and `hit_stamps` the local
+/// indices' holder dedup; `stamps` and `scratch` are reused across
+/// searches.
+template <typename NeighborsFn, typename HasContentFn, typename RankFn,
+          typename DelayFn, typename TransmitFn>
+struct SearchContext {
+  net::NodeId initiator;
+  NeighborsFn neighbors;
+  HasContentFn has_content;
+  RankFn rank;
+  DelayFn delay;
+  TransmitFn transmit;
+  const core::StatsStore* stats;
+  core::VisitStamp* stamps;
+  core::VisitStamp* hit_stamps;
+  core::SearchScratch* scratch;
+};
 
 /// Dispatches one query through the configured strategy over the bound
-/// SearchContext.  The flood family reads the exact-match bindings
-/// (neighbors/has_content/delay/transmit/stamps/scratch, plus ctx.stats
-/// and spec-independent directed_fanout for directed BFT and hit_stamps
-/// for local indices); kTopK additionally reads ctx.rank.  Iterative
-/// deepening is folded into a plain SearchOutcome (accumulated message
-/// cost, final cycle's hits) so every metrics path sees one result type.
+/// SearchContext.  The flood family reads neighbors/has_content/delay/
+/// transmit/stamps/scratch, plus ctx.stats and `directed_fanout` for
+/// directed BFT and hit_stamps for local indices; kTopK reads ctx.rank and
+/// `k` instead of has_content.  Iterative deepening is folded into a
+/// plain SearchOutcome (message cost summed over every cycle, final
+/// cycle's hits) so every metrics path sees one result type.
 template <typename Ctx>
 core::SearchOutcome dispatch_search(SearchStrategyKind kind,
-                                    const core::QuerySpec& spec,
+                                    const core::SearchParams& params,
+                                    std::uint32_t k,
                                     std::uint32_t directed_fanout, Ctx& ctx) {
   switch (kind) {
     case SearchStrategyKind::kFlood:
-      return core::flood_search(ctx.initiator, spec.params, ctx.neighbors,
+      return core::flood_search(ctx.initiator, params, ctx.neighbors,
                                 ctx.has_content, ctx.delay, ctx.transmit,
                                 *ctx.stamps, *ctx.scratch);
     case SearchStrategyKind::kIterativeDeepening: {
       auto it = core::iterative_deepening_search(
-          ctx.initiator, spec.params,
-          core::default_depth_ladder(spec.params.max_hops), ctx.neighbors,
-          ctx.has_content, ctx.delay, ctx.transmit, *ctx.stamps,
-          *ctx.scratch);
+          ctx.initiator, params, core::default_depth_ladder(params.max_hops),
+          ctx.neighbors, ctx.has_content, ctx.delay, ctx.transmit,
+          *ctx.stamps, *ctx.scratch);
       core::SearchOutcome out = std::move(it.last);
       out.query_messages = it.total_messages;
+      out.reply_messages = it.total_replies;
       return out;
     }
     case SearchStrategyKind::kDirectedBft: {
       const auto subset = core::select_directed_subset(
           *ctx.stats, ctx.neighbors(ctx.initiator), directed_fanout);
-      return core::directed_flood_search(ctx.initiator, spec.params, subset,
+      return core::directed_flood_search(ctx.initiator, params, subset,
                                          ctx.neighbors, ctx.has_content,
                                          ctx.delay, ctx.transmit, *ctx.stamps,
                                          *ctx.scratch);
     }
     case SearchStrategyKind::kLocalIndices:
-      return core::indexed_flood_search(ctx.initiator, spec.params,
-                                        ctx.neighbors, ctx.has_content,
-                                        ctx.delay, ctx.transmit, *ctx.stamps,
+      return core::indexed_flood_search(ctx.initiator, params, ctx.neighbors,
+                                        ctx.has_content, ctx.delay,
+                                        ctx.transmit, *ctx.stamps,
                                         *ctx.hit_stamps, *ctx.scratch);
     case SearchStrategyKind::kTopK:
-      return core::ranked_topk_search(ctx.initiator, spec.params, spec.k,
-                                      ctx.neighbors, ctx.rank, ctx.delay,
-                                      ctx.transmit, *ctx.stamps, *ctx.scratch);
+      return core::ranked_topk_search(ctx.initiator, params, k, ctx.neighbors,
+                                      ctx.rank, ctx.delay, ctx.transmit,
+                                      *ctx.stamps, *ctx.scratch);
   }
   core::unreachable_enum("sim::SearchStrategyKind");
 }

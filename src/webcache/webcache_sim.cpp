@@ -78,9 +78,6 @@ PageId WebCacheSim::draw_page(net::NodeId p, des::Rng& r) {
 double WebCacheSim::serve_page(net::NodeId p, PageId page, bool record,
                                bool* hit) {
   Proxy& proxy = proxies_[p];
-  // Inactive fault layer => default verdicts, zero draws: one transmit
-  // binding serves both regimes byte-identically.
-  const auto tx = search_transmit();
   if (proxy.cache.touch(page)) {
     if (record) {
       ++result_.local_hits;
@@ -92,18 +89,14 @@ double WebCacheSim::serve_page(net::NodeId p, PageId page, bool record,
   // One-hop probe of the outgoing neighbors (Squid: hops = 1), then the
   // origin server as the alternative repository.
   const std::uint32_t span = obs_search_begin(p, 1, page);
-  tx.begin(1);
+  search_transmit().begin(1);
   double latency = 0.0;
   net::NodeId holder = net::kInvalidNode;
   for (net::NodeId q : overlay_.out_neighbors(p)) {
-    count(net::MessageType::kQuery);
-    const auto tq = tx(net::MessageType::kQuery, p, q, 1);
-    if (tq.duplicate) count(net::MessageType::kQuery);
-    if (!tq.deliver) continue;  // probe lost or neighbor crashed
-    count(net::MessageType::kQueryReply);
-    const auto tr = tx(net::MessageType::kQueryReply, q, p, -1);
-    if (tr.duplicate) count(net::MessageType::kQueryReply);
-    if (!tr.deliver) continue;  // reply lost: the probe goes unanswered
+    // Probe lost or neighbor crashed: no reply.
+    if (!send(net::MessageType::kQuery, p, q, 1).deliver) continue;
+    // Reply lost: the probe goes unanswered.
+    if (!send(net::MessageType::kQueryReply, q, p, -1).deliver) continue;
     // Free-riders (adversary layer) never serve from their cache; the role
     // test is a single always-false branch when the layer is off.
     if (holder == net::kInvalidNode && !is_free_rider(q) &&
@@ -172,7 +165,6 @@ void WebCacheSim::explore_from(net::NodeId p) {
   // path latency.
   if (node_dead(p)) return;  // crashed: no more exploration
   Proxy& proxy = proxies_[p];
-  const auto tx = search_transmit();
   std::vector<PageId> hot;
   hot.reserve(config_.hot_set_size);
   for (PageId page : proxy.cache.order()) {
@@ -186,14 +178,10 @@ void WebCacheSim::explore_from(net::NodeId p) {
         config_.num_parents ? rng().uniform_int(config_.num_parents)
                             : rng().uniform_int(config_.num_proxies));
     if (q == p) continue;
-    count(net::MessageType::kExploreQuery);
-    const auto tq = tx(net::MessageType::kExploreQuery, p, q, -1);
-    if (tq.duplicate) count(net::MessageType::kExploreQuery);
-    if (!tq.deliver) continue;  // probe lost or candidate crashed
-    count(net::MessageType::kExploreReply);
-    const auto tr = tx(net::MessageType::kExploreReply, q, p, -1);
-    if (tr.duplicate) count(net::MessageType::kExploreReply);
-    if (!tr.deliver) continue;  // reply lost: candidate goes unscored
+    // Probe lost or candidate crashed: no reply.
+    if (!send(net::MessageType::kExploreQuery, p, q, -1).deliver) continue;
+    // Reply lost: the candidate goes unscored.
+    if (!send(net::MessageType::kExploreReply, q, p, -1).deliver) continue;
     std::uint32_t overlap = 0;
     for (PageId page : hot) {
       // Digest match: cheap and shippable, but stale between rebuilds and

@@ -83,6 +83,38 @@ TEST(FlagRegistry, BadTypedValueThrows) {
   EXPECT_THROW(reg.parse(a.argc(), a.argv()), std::invalid_argument);
 }
 
+TEST(FlagRegistry, MalformedValuesThrow) {
+  // Each declared type rejects a value that does not parse as it.
+  for (const std::vector<const char*>& words :
+       {std::vector<const char*>{"--peers", "12x"},
+        std::vector<const char*>{"--drop", "1.5.2"},
+        std::vector<const char*>{"--dynamic", "maybe"}}) {
+    auto reg = make_registry();
+    const Argv a(words);
+    EXPECT_THROW(reg.parse(a.argc(), a.argv()), FlagError) << words[0];
+  }
+}
+
+TEST(FlagRegistry, BoolSpellings) {
+  FlagRegistry reg("prog");
+  reg.add_bool("a", false, "").add_bool("b", true, "");
+  reg.add_bool("c", false, "").add_bool("d", true, "");
+  const Argv a({"--a", "yes", "--b", "0", "--c=on", "--d", "off"});
+  reg.parse(a.argc(), a.argv());
+  EXPECT_TRUE(reg.get_bool("a"));
+  EXPECT_FALSE(reg.get_bool("b"));
+  EXPECT_TRUE(reg.get_bool("c"));
+  EXPECT_FALSE(reg.get_bool("d"));
+}
+
+TEST(FlagRegistry, FlagErrorIsAnInvalidArgument) {
+  // Catch-sites that handle std::invalid_argument (the drivers' usage
+  // exit) see every typed flag error.
+  auto reg = make_registry();
+  const Argv a({"--peers", "99999999999999999999"});
+  EXPECT_THROW(reg.parse(a.argc(), a.argv()), std::invalid_argument);
+}
+
 TEST(FlagRegistry, OverflowIntegerIsATypedOutOfRangeError) {
   // Eager validation in parse() must catch a value that parses but does
   // not fit in int64 — and say so, instead of the old "not an integer"

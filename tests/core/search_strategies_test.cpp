@@ -57,7 +57,7 @@ TEST(IterativeDeepening, StopsAtFirstSatisfiedCycle) {
   SearchParams p;
   const auto out = iterative_deepening_search(
       0, p, {2, 4}, f.neighbors(), f.has_content(),
-      StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+      StrategyFixture::unit_delay, ReliableTransmit{}, f.stamps_, f.scratch_);
   EXPECT_TRUE(out.satisfied());
   EXPECT_EQ(out.cycles, 1);
   EXPECT_EQ(out.final_depth, 2);
@@ -73,7 +73,7 @@ TEST(IterativeDeepening, EscalatesWhenNearbyMisses) {
   SearchParams p;
   const auto out = iterative_deepening_search(
       0, p, {2, 4}, f.neighbors(), f.has_content(),
-      StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+      StrategyFixture::unit_delay, ReliableTransmit{}, f.stamps_, f.scratch_);
   EXPECT_TRUE(out.satisfied());
   EXPECT_EQ(out.cycles, 2);
   EXPECT_EQ(out.final_depth, 4);
@@ -87,7 +87,7 @@ TEST(IterativeDeepening, AccumulatesMessagesAcrossCycles) {
   SearchParams p;
   const auto out = iterative_deepening_search(
       0, p, {1, 3}, f.neighbors(), f.has_content(),
-      StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+      StrategyFixture::unit_delay, ReliableTransmit{}, f.stamps_, f.scratch_);
   EXPECT_FALSE(out.satisfied());
   // Cycle 1 (depth 1): 0→1 = 1 message.  Cycle 2 (depth 3): 0→1, 1→2,
   // 2→3 = 3 messages.  Total 4.
@@ -103,7 +103,7 @@ TEST(IterativeDeepening, CheaperThanFullFloodWhenResultsNearby) {
   SearchParams p;
   const auto iterative = iterative_deepening_search(
       0, p, {1, 4}, f.neighbors(), f.has_content(),
-      StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+      StrategyFixture::unit_delay, ReliableTransmit{}, f.stamps_, f.scratch_);
   p.max_hops = 4;
   const auto flood =
       flood_search(0, p, f.neighbors(), f.has_content(),
@@ -148,7 +148,7 @@ TEST(DirectedBft, OnlySubsetReceivesFromInitiator) {
   const auto subset = select_directed_subset(stats, f.adj_[0], 2);
   const auto out = directed_flood_search(
       0, p, subset, f.neighbors(), f.has_content(),
-      StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+      StrategyFixture::unit_delay, ReliableTransmit{}, f.stamps_, f.scratch_);
   EXPECT_FALSE(out.satisfied());
   EXPECT_EQ(out.query_messages, 2u);
 }
@@ -166,7 +166,7 @@ TEST(DirectedBft, IntermediateNodesFloodNormally) {
   p.max_hops = 2;
   const auto out = directed_flood_search(
       0, p, {1}, f.neighbors(), f.has_content(),
-      StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+      StrategyFixture::unit_delay, ReliableTransmit{}, f.stamps_, f.scratch_);
   EXPECT_TRUE(out.satisfied());
   EXPECT_EQ(out.hits[0].node, 3u);
 }
@@ -178,15 +178,15 @@ TEST(LocalIndices, InitiatorIndexAnswersAtHopZero) {
   f.content(1);
   SearchParams p;
   p.max_hops = 2;
-  const auto out =
-      indexed_flood_search(0, p, f.neighbors(), f.has_content(),
-                           StrategyFixture::unit_delay, f.stamps_,
-                           f.hit_stamps_, f.scratch_);
+  const auto out = indexed_flood_search(
+      0, p, f.neighbors(), f.has_content(), StrategyFixture::unit_delay,
+      ReliableTransmit{}, f.stamps_, f.hit_stamps_, f.scratch_);
   ASSERT_TRUE(out.satisfied());
   EXPECT_EQ(out.hits[0].node, 1u);
   EXPECT_EQ(out.hits[0].hop, 0);                 // answered from the index
   EXPECT_DOUBLE_EQ(out.hits[0].reply_at_s, 0.0);  // no network round trip
   EXPECT_EQ(out.query_messages, 0u);              // stop-at-hit: no flood
+  EXPECT_EQ(out.reply_messages, 0u);  // answered locally: nothing was sent
 }
 
 TEST(LocalIndices, RadiusExtendsEffectiveDepth) {
@@ -203,10 +203,9 @@ TEST(LocalIndices, RadiusExtendsEffectiveDepth) {
       flood_search(0, p, f.neighbors(), f.has_content(),
                    StrategyFixture::unit_delay, f.stamps_, f.scratch_);
   EXPECT_FALSE(plain.satisfied());
-  const auto indexed =
-      indexed_flood_search(0, p, f.neighbors(), f.has_content(),
-                           StrategyFixture::unit_delay, f.stamps_,
-                           f.hit_stamps_, f.scratch_);
+  const auto indexed = indexed_flood_search(
+      0, p, f.neighbors(), f.has_content(), StrategyFixture::unit_delay,
+      ReliableTransmit{}, f.stamps_, f.hit_stamps_, f.scratch_);
   EXPECT_TRUE(indexed.satisfied());
   EXPECT_EQ(indexed.hits[0].node, 3u);
 }
@@ -224,10 +223,9 @@ TEST(LocalIndices, HolderReportedOnceDespiteMultipleIndexers) {
   SearchParams p;
   p.max_hops = 2;
   p.forward_when_hit = true;  // let both branches run
-  const auto out =
-      indexed_flood_search(0, p, f.neighbors(), f.has_content(),
-                           StrategyFixture::unit_delay, f.stamps_,
-                           f.hit_stamps_, f.scratch_);
+  const auto out = indexed_flood_search(
+      0, p, f.neighbors(), f.has_content(), StrategyFixture::unit_delay,
+      ReliableTransmit{}, f.stamps_, f.hit_stamps_, f.scratch_);
   std::size_t count = 0;
   for (const auto& h : out.hits)
     if (h.node == 3) ++count;
@@ -247,10 +245,9 @@ TEST(LocalIndices, FewerMessagesThanPlainFloodSameCoverage) {
                    StrategyFixture::unit_delay, f.stamps_, f.scratch_);
   SearchParams shallow;
   shallow.max_hops = 3;
-  const auto indexed =
-      indexed_flood_search(0, shallow, f.neighbors(), f.has_content(),
-                           StrategyFixture::unit_delay, f.stamps_,
-                           f.hit_stamps_, f.scratch_);
+  const auto indexed = indexed_flood_search(
+      0, shallow, f.neighbors(), f.has_content(), StrategyFixture::unit_delay,
+      ReliableTransmit{}, f.stamps_, f.hit_stamps_, f.scratch_);
   EXPECT_LE(indexed.query_messages, plain.query_messages);
 }
 

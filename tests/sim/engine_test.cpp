@@ -26,7 +26,6 @@ class TestEngine : public OverlayEngine {
  public:
   explicit TestEngine(EngineConfig cfg) : OverlayEngine(std::move(cfg)) {}
 
-  using OverlayEngine::count;
   using OverlayEngine::default_bootstrap_attempts;
   using OverlayEngine::engine_config;
   using OverlayEngine::every;
@@ -37,9 +36,9 @@ class TestEngine : public OverlayEngine {
   using OverlayEngine::rng;
   using OverlayEngine::run_until_horizon;
   using OverlayEngine::sample_delay_s;
+  using OverlayEngine::send;
   using OverlayEngine::session_rng;
   using OverlayEngine::topo_rng;
-  using OverlayEngine::transmit;
   using OverlayEngine::warmup_s;
 };
 
@@ -129,15 +128,14 @@ TEST(DefaultMessageBytes, EveryTypeHasAPositiveWireSize) {
 }
 
 TEST(OverlayEngine, SendAccountsTracesAndDelivers) {
-  // A synchronous exchange: the caller counts the send, transmit()
-  // resolves the copy's fate and emits the send and receive records.
+  // A synchronous exchange: send() counts the copy, resolves its fate
+  // and emits the send and receive records.
   TestEngine e(small_config());
   obs::RingSink ring;
   e.set_trace_sink(&ring);
   e.simulator().run_until(5.0);  // records carry the clock
 
-  e.count(net::MessageType::kQuery);
-  const auto res = e.transmit(net::MessageType::kQuery, 0, 1, 2);
+  const auto res = e.send(net::MessageType::kQuery, 0, 1, 2);
 
   EXPECT_TRUE(res.deliver);
   EXPECT_FALSE(res.duplicate);
@@ -163,6 +161,28 @@ TEST(OverlayEngine, SendAccountsTracesAndDelivers) {
     EXPECT_EQ(r.ttl, 2);  // the hop budget the exchange passed
   }
   EXPECT_TRUE(e.simulator().queue().empty());  // nothing was scheduled
+
+  // A forced duplicate: one send() counts both copies, and one send and
+  // one receive record each stand for the two.
+  FaultPlan plan;
+  FaultRule dup;
+  dup.duplicate_prob = 1.0;
+  plan.set_rule(net::MessageType::kInvitation, dup);
+  e.set_fault_plan(plan);
+  const auto twice = e.send(net::MessageType::kInvitation, 2, 3, -1);
+  EXPECT_TRUE(twice.deliver);
+  EXPECT_TRUE(twice.duplicate);
+  EXPECT_EQ(e.traffic().total(net::MessageType::kInvitation), 2u);
+  EXPECT_EQ(e.ledger().bytes(net::MessageType::kInvitation),
+            2 * default_message_bytes(net::MessageType::kInvitation));
+  EXPECT_EQ(e.ledger().delivered(net::MessageType::kInvitation), 2u);
+  const auto dup_trace = ring.snapshot();
+  ASSERT_EQ(dup_trace.size(), 4u);
+  EXPECT_EQ(dup_trace[2].kind, obs::RecordKind::kSend);
+  EXPECT_EQ(dup_trace[3].kind, obs::RecordKind::kRecv);
+  EXPECT_EQ(dup_trace[2].b, 2u);
+  EXPECT_EQ(dup_trace[3].b, 2u);
+  EXPECT_EQ(dup_trace[2].ttl, -1);  // not a query: no hop budget
 }
 
 TEST(OverlayEngine, ScheduleEveryFiresAtFirstDelayThenEveryPeriod) {
@@ -373,21 +393,22 @@ TEST(DispatchSearch, EveryStrategyFindsReachableContent) {
   auto has_content = [](net::NodeId n) { return n == 2; };
   auto delay = [](net::NodeId, net::NodeId) { return 0.1; };
 
+  auto no_rank = [](net::NodeId) { return 0.0; };
+
   core::SearchParams params;
   params.max_hops = 3;
   core::StatsStore stats;
   core::VisitStamp stamps(4);
   core::VisitStamp hit_stamps(4);
   core::SearchScratch scratch;
-  auto ctx = core::make_ranked_context(
-      0, neighbors, has_content, core::NoRank{}, delay,
-      core::ReliableTransmit{}, stamps, hit_stamps, scratch);
-  ctx.stats = &stats;
+  SearchContext ctx{0u, neighbors, has_content, no_rank, delay,
+                    core::ReliableTransmit{}, &stats, &stamps, &hit_stamps,
+                    &scratch};
 
   for (auto kind :
        {SearchStrategyKind::kFlood, SearchStrategyKind::kIterativeDeepening,
         SearchStrategyKind::kDirectedBft, SearchStrategyKind::kLocalIndices}) {
-    const auto out = dispatch_search(kind, core::QuerySpec::exact(params),
+    const auto out = dispatch_search(kind, params, /*k=*/0,
                                      /*directed_fanout=*/2, ctx);
     EXPECT_TRUE(out.satisfied()) << "strategy " << to_string(kind);
     EXPECT_GT(out.query_messages, 0u);
@@ -402,22 +423,22 @@ TEST(DispatchSearch, IterativeDeepeningAccumulatesCycleCost) {
   auto has_content = [](net::NodeId n) { return n == 3; };
   auto delay = [](net::NodeId, net::NodeId) { return 0.1; };
 
+  auto no_rank = [](net::NodeId) { return 0.0; };
+
   core::SearchParams params;
   params.max_hops = 3;
   core::StatsStore stats;
   core::VisitStamp stamps(4);
   core::VisitStamp hit_stamps(4);
   core::SearchScratch scratch;
-  auto ctx = core::make_ranked_context(
-      0, neighbors, has_content, core::NoRank{}, delay,
-      core::ReliableTransmit{}, stamps, hit_stamps, scratch);
-  ctx.stats = &stats;
-  const core::QuerySpec spec = core::QuerySpec::exact(params);
+  SearchContext ctx{0u, neighbors, has_content, no_rank, delay,
+                    core::ReliableTransmit{}, &stats, &stamps, &hit_stamps,
+                    &scratch};
 
   const auto flood =
-      dispatch_search(SearchStrategyKind::kFlood, spec, 2, ctx);
-  const auto iter =
-      dispatch_search(SearchStrategyKind::kIterativeDeepening, spec, 2, ctx);
+      dispatch_search(SearchStrategyKind::kFlood, params, 0, 2, ctx);
+  const auto iter = dispatch_search(SearchStrategyKind::kIterativeDeepening,
+                                    params, 0, 2, ctx);
   // Deepening repeats shallow cycles before the hit at depth 3, so its
   // accumulated message cost exceeds one full flood.
   EXPECT_GT(iter.query_messages, flood.query_messages);
@@ -436,15 +457,16 @@ TEST(DispatchSearch, RankedSchemesRouteThroughTheContextBindings) {
 
   core::SearchParams params;
   params.max_hops = 1;
+  core::StatsStore stats;
   core::VisitStamp stamps(4);
   core::VisitStamp hit_stamps(4);
   core::SearchScratch scratch;
-  auto ctx = core::make_ranked_context(0, neighbors, has_content, rank, delay,
-                                       core::ReliableTransmit{}, stamps,
-                                       hit_stamps, scratch);
+  SearchContext ctx{0u, neighbors, has_content, rank, delay,
+                    core::ReliableTransmit{}, &stats, &stamps, &hit_stamps,
+                    &scratch};
 
-  const auto spec = core::QuerySpec::top_k(params, 1);
-  const auto top = dispatch_search(SearchStrategyKind::kTopK, spec, 2, ctx);
+  const auto top =
+      dispatch_search(SearchStrategyKind::kTopK, params, /*k=*/1, 2, ctx);
   ASSERT_EQ(top.hits.size(), 1u);
   EXPECT_EQ(top.hits[0].node, 1u);
   EXPECT_DOUBLE_EQ(top.hits[0].score, 0.9);
@@ -466,25 +488,6 @@ TEST(SearchStrategyKind, ParseAndPrintRoundTrip) {
   // run as some other scheme.
   EXPECT_THROW(parse_search_strategy("lsh"), std::invalid_argument);
   EXPECT_THROW(parse_search_strategy(""), std::invalid_argument);
-}
-
-TEST(SearchStrategyKind, QueryClassAndSpecFactoriesAgree) {
-  core::SearchParams params;
-  params.max_hops = 2;
-
-  EXPECT_EQ(query_class_of(SearchStrategyKind::kFlood),
-            core::QueryClass::kExactMatch);
-  EXPECT_EQ(query_class_of(SearchStrategyKind::kDirectedBft),
-            core::QueryClass::kExactMatch);
-  EXPECT_EQ(query_class_of(SearchStrategyKind::kTopK),
-            core::QueryClass::kTopKRanked);
-
-  const auto exact = query_spec_for(SearchStrategyKind::kFlood, params, 7);
-  EXPECT_EQ(exact.query_class, core::QueryClass::kExactMatch);
-  const auto ranked = query_spec_for(SearchStrategyKind::kTopK, params, 7);
-  EXPECT_EQ(ranked.query_class, core::QueryClass::kTopKRanked);
-  EXPECT_EQ(ranked.k, 7u);
-  EXPECT_EQ(ranked.params.max_hops, 2);
 }
 
 TEST(OverlayEngine, EngineConfigIsPreserved) {

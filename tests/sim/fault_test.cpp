@@ -27,8 +27,8 @@ class TestEngine : public OverlayEngine {
   explicit TestEngine(EngineConfig cfg) : OverlayEngine(std::move(cfg)) {}
 
   using OverlayEngine::begin_faulty_search;
-  using OverlayEngine::count;
   using OverlayEngine::run_until_horizon;
+  using OverlayEngine::send;
   using OverlayEngine::transmit;
 };
 
@@ -164,17 +164,7 @@ TEST(FaultPlan, WindowBoundariesAreInclusiveStartExclusiveEnd) {
   EXPECT_NE(lane.state(), before_inside);
 }
 
-// --- per-type behaviour through transmit() ---------------------------------
-
-/// One exchange the way the scenarios run it: count the send, resolve the
-/// copy's fate, count the duplicate's extra copy.
-core::TransmitResult exchange(TestEngine& e, net::MessageType type,
-                              net::NodeId from, net::NodeId to) {
-  e.count(type);
-  const core::TransmitResult res = e.transmit(type, from, to, -1);
-  if (res.duplicate) e.count(type);
-  return res;
-}
+// --- per-type behaviour through send() ------------------------------------
 
 TEST(FaultLayer, DropsEveryTargetedTypeThroughSend) {
   for (int i = 0; i < net::kNumMessageTypes; ++i) {
@@ -186,7 +176,7 @@ TEST(FaultLayer, DropsEveryTargetedTypeThroughSend) {
     plan.set_rule(type, r);
     e.set_fault_plan(plan);
 
-    EXPECT_FALSE(exchange(e, type, 0, 1).deliver) << net::to_string(type);
+    EXPECT_FALSE(e.send(type, 0, 1, -1).deliver) << net::to_string(type);
     EXPECT_EQ(e.ledger().dropped(type), 1u) << net::to_string(type);
     EXPECT_EQ(e.ledger().delivered(type), 0u) << net::to_string(type);
     EXPECT_EQ(e.traffic().total(type), 1u) << net::to_string(type);
@@ -203,7 +193,7 @@ TEST(FaultLayer, DuplicatesDeliverTwiceAndCountTwice) {
   plan.set_rule(net::MessageType::kPing, r);
   e.set_fault_plan(plan);
 
-  const auto res = exchange(e, net::MessageType::kPing, 0, 1);
+  const auto res = e.send(net::MessageType::kPing, 0, 1, -1);
   EXPECT_TRUE(res.deliver);
   EXPECT_TRUE(res.duplicate);
 
@@ -224,7 +214,7 @@ TEST(FaultLayer, ExtraDelayPostponesDelivery) {
   plan.set_rule(net::MessageType::kPong, r);
   e.set_fault_plan(plan);
 
-  const auto res = exchange(e, net::MessageType::kPong, 0, 1);
+  const auto res = e.send(net::MessageType::kPong, 0, 1, -1);
   EXPECT_TRUE(res.deliver);
   EXPECT_DOUBLE_EQ(res.extra_delay_s, 5.0) << "extra delay was not applied";
   EXPECT_EQ(e.ledger().delivered(net::MessageType::kPong), 1u);
@@ -265,7 +255,7 @@ TEST(FaultLayer, CrashedPeerDropsArrivingCopies) {
   e.crash_node(1);  // idempotent: a dead peer cannot crash again
   EXPECT_EQ(e.crashes(), 1u);
 
-  EXPECT_FALSE(exchange(e, net::MessageType::kQuery, 0, 1).deliver);
+  EXPECT_FALSE(e.send(net::MessageType::kQuery, 0, 1, -1).deliver);
   EXPECT_EQ(e.ledger().dropped(net::MessageType::kQuery), 1u);
   EXPECT_EQ(e.ledger().delivered(net::MessageType::kQuery), 0u);
   // The checker saw the crash and the drop — and no dead delivery.

@@ -385,70 +385,64 @@ core::SearchHit hit(net::NodeId node, double score) {
 
 TEST(InvariantChecker, ExactMatchOutcomeWithPruningIsCaught) {
   InvariantChecker c;
-  core::SearchParams p;
   core::SearchOutcome out;
   out.pruned_subtrees = 3;  // nothing bounds a flood
-  c.check_search_outcome(core::QuerySpec::exact(p), out);
+  c.check_search_outcome(/*k=*/0, out);
   EXPECT_FALSE(c.ok());
   EXPECT_TRUE(has_violation(c, "scheme"));
 }
 
 TEST(InvariantChecker, ExactMatchHitCarryingAScoreIsCaught) {
   InvariantChecker c;
-  core::SearchParams p;
   core::SearchOutcome out;
   out.hits.push_back(hit(4, 0.7));
-  c.check_search_outcome(core::QuerySpec::exact(p), out);
+  c.check_search_outcome(/*k=*/0, out);
   EXPECT_FALSE(c.ok());
   EXPECT_TRUE(has_violation(c, "scheme"));
 }
 
 TEST(InvariantChecker, TopKOverflowIsCaught) {
   InvariantChecker c;
-  core::SearchParams p;
   core::SearchOutcome out;
   out.hits.push_back(hit(1, 0.9));
   out.hits.push_back(hit(2, 0.8));
   out.hits.push_back(hit(3, 0.7));
-  c.check_search_outcome(core::QuerySpec::top_k(p, 2), out);
+  c.check_search_outcome(/*k=*/2, out);
   EXPECT_FALSE(c.ok());
   EXPECT_TRUE(has_violation(c, "scheme"));
 }
 
 TEST(InvariantChecker, RankedHitWithNonPositiveScoreIsCaught) {
   InvariantChecker c;
-  core::SearchParams p;
   core::SearchOutcome out;
   out.hits.push_back(hit(1, 0.0));
-  c.check_search_outcome(core::QuerySpec::top_k(p, 2), out);
+  c.check_search_outcome(/*k=*/2, out);
   EXPECT_FALSE(c.ok());
   EXPECT_TRUE(has_violation(c, "scheme"));
 }
 
 TEST(InvariantChecker, RankedHitsOutOfScoreOrderAreCaught) {
   InvariantChecker c;
-  core::SearchParams p;
   core::SearchOutcome out;
   out.hits.push_back(hit(1, 0.3));
   out.hits.push_back(hit(2, 0.8));  // ascending: the sort contract broke
-  c.check_search_outcome(core::QuerySpec::top_k(p, 2), out);
+  c.check_search_outcome(/*k=*/2, out);
   EXPECT_FALSE(c.ok());
   EXPECT_TRUE(has_violation(c, "scheme"));
 }
 
 TEST(InvariantChecker, WellFormedOutcomesOfEveryClassAreClean) {
   InvariantChecker c;
-  core::SearchParams p;
 
   core::SearchOutcome exact;
   exact.hits.push_back(hit(1, 0.0));
-  c.check_search_outcome(core::QuerySpec::exact(p), exact);
+  c.check_search_outcome(/*k=*/0, exact);
 
   core::SearchOutcome ranked;
   ranked.hits.push_back(hit(1, 0.9));
   ranked.hits.push_back(hit(2, 0.4));
   ranked.pruned_subtrees = 7;  // ranked schemes are allowed to prune
-  c.check_search_outcome(core::QuerySpec::top_k(p, 2), ranked);
+  c.check_search_outcome(/*k=*/2, ranked);
 
   EXPECT_TRUE(c.ok()) << c.report();
 }

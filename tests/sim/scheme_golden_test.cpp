@@ -1,18 +1,22 @@
-// Ranked-query-plane battery, in two movements:
+// Search-scheme battery, in three movements:
 //
-//   1. Byte-identity pins: the QuerySpec/SearchContext redesign routes
-//      every simulator through the new dispatch, so each golden
-//      configuration's metric fingerprint is pinned to the value captured
-//      from the pre-redesign positional dispatch.  Any accounting drift
-//      in the migration — an extra RNG draw, a reordered transmit, a
-//      changed message count — moves the digest and fails loudly.
+//   1. Byte-identity pins: every simulator routes its searches through
+//      one dispatch, so each golden configuration's metric fingerprint is
+//      pinned to the value captured from the original positional
+//      dispatch.  Any accounting drift — an extra RNG draw, a reordered
+//      transmit, a changed message count — moves the digest and fails
+//      loudly.
 //
 //   2. Top-k behavioral pins: FD-style ranked search must keep the
 //      per-query satisfied verdict identical to the flood (it only
 //      withholds last-hop forwards whose score bound cannot contribute)
 //      while sending measurably less query traffic; the invariant
-//      checker certifies every outcome against the spec (k bound, score
-//      ordering) as the run goes.
+//      checker certifies every outcome against the requested k (bound,
+//      score ordering) as the run goes.
+//
+//   3. Ledger reconciliation: under message loss and duplication, every
+//      scheme's counted query and reply messages equal the copies it put
+//      on the wire.
 //
 // The golden configurations are shared with determinism_test.cpp via
 // sim_fingerprints.h; runs here keep the suite in the PR fast tier
@@ -21,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "sim/invariants.h"
 #include "sim/policy.h"
@@ -33,8 +38,9 @@ using simtest::fingerprint;
 
 // --- byte-identity pins (all four sims, default exact-match flood) -------
 
-// Captured from the positional dispatch_search immediately before the
-// QuerySpec/SearchContext migration, at the shared golden configurations.
+// Captured from the positional dispatch_search immediately before
+// searches were routed through a typed context, at the shared golden
+// configurations.
 constexpr std::uint64_t kGnutellaGolden = 0xb9277ed18171a2a5ULL;
 constexpr std::uint64_t kDigLibGolden = 0xd7f24cb668478baeULL;
 constexpr std::uint64_t kOlapGolden = 0xe88d3bb0331b9740ULL;
@@ -152,6 +158,68 @@ TEST(TopKScheme, DigLibRankedRetrievalHonorsTheKBound) {
   const auto again = fingerprint(diglib::DigLibSim(config).run());
   EXPECT_EQ(fingerprint(ranked).value(), again.value());
 }
+
+// --- ledger reconciliation under loss --------------------------------------
+
+/// Drops 10% and duplicates 5% of query and query-reply copies, so every
+/// run loses replies (an unsatisfied iterative-deepening cycle can then
+/// still have sent some).
+sim::FaultPlan lossy_search_plan() {
+  sim::FaultRule r;
+  r.drop_prob = 0.1;
+  r.duplicate_prob = 0.05;
+  sim::FaultPlan plan;
+  plan.set_rule(net::MessageType::kQuery, r);
+  plan.set_rule(net::MessageType::kQueryReply, r);
+  return plan;
+}
+
+class SchemeLedger
+    : public ::testing::TestWithParam<sim::SearchStrategyKind> {};
+
+/// The traced query and reply sends (one record per copy put on the wire)
+/// must equal what the ledger counted, for every scheme on both
+/// simulators that dispatch through the scheme plug-in.
+template <typename Sim, typename Config>
+void expect_search_traffic_reconciles(Config config,
+                                      sim::SearchStrategyKind kind) {
+  config.search_strategy = kind;
+  config.top_k = 2;
+  sim::InvariantChecker checker;
+  Sim sim(config);
+  sim.set_fault_plan(lossy_search_plan());
+  sim.attach_checker(&checker);
+  sim.run();
+  checker.check_ledger(sim.ledger(), {net::MessageType::kQuery,
+                                      net::MessageType::kQueryReply});
+  EXPECT_TRUE(checker.ok()) << checker.report();
+  EXPECT_GT(sim.ledger().dropped(net::MessageType::kQueryReply), 0u)
+      << "the plan must actually lose replies";
+}
+
+TEST_P(SchemeLedger, GnutellaQueryAndReplySendsMatchTheTrace) {
+  expect_search_traffic_reconciles<gnutella::Simulation>(
+      simtest::golden_gnutella_config(), GetParam());
+}
+
+TEST_P(SchemeLedger, DigLibQueryAndReplySendsMatchTheTrace) {
+  expect_search_traffic_reconciles<diglib::DigLibSim>(
+      simtest::golden_diglib_config(), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryScheme, SchemeLedger,
+    ::testing::Values(sim::SearchStrategyKind::kFlood,
+                      sim::SearchStrategyKind::kIterativeDeepening,
+                      sim::SearchStrategyKind::kDirectedBft,
+                      sim::SearchStrategyKind::kLocalIndices,
+                      sim::SearchStrategyKind::kTopK),
+    [](const ::testing::TestParamInfo<sim::SearchStrategyKind>& info) {
+      std::string name = sim::to_string(info.param);
+      for (char& c : name)
+        if (c == '-') c = '_';
+      return name;
+    });
 
 }  // namespace
 }  // namespace dsf
