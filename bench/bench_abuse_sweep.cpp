@@ -34,7 +34,7 @@
 #include "cli/flag_registry.h"
 #include "fig_common.h"
 #include "metrics/csv.h"
-#include "metrics/json_emitter.h"
+#include "metrics/json.h"
 #include "metrics/table.h"
 #include "obs/chrome_trace.h"
 #include "obs/ring_sink.h"
@@ -267,47 +267,51 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  metrics::JsonEmitter j(out);
-  j.begin_object();
-  j.schema("abuse-sweep", 1);
-  j.field("scenario", "gnutella");
-  j.field("abuse_rate_per_s", abuse_rate, 3);
-  j.field("peers", static_cast<std::uint64_t>(base.num_users));
-  j.field("sim_hours", base.sim_hours, 2);
-  j.field("warmup_hours", base.warmup_hours, 2);
-  j.field("clean", clean);
-  j.begin_array("points");
+  using metrics::JsonValue;
+  JsonValue rows = JsonValue::array();
   for (const SweepPoint& p : points) {
-    j.begin_object();
-    j.field("abuser_fraction", p.fraction, 3);
-    j.field("dynamic", p.dynamic);
-    j.field("abusers", p.adversary.abusers);
-    j.field("abuse_queries", p.adversary.abuse_queries);
-    j.field("abuse_hits", p.adversary.abuse_hits);
-    j.field("queries", p.queries);
-    j.field("hits", p.hits);
-    j.field("good_hit_ratio", p.good_hit_ratio(), 4);
-    j.field("total_messages", p.total_messages);
-    j.field("abuse_messages", p.abuse_messages);
-    j.field("abuse_traffic_share", p.abuse_traffic_share(), 4);
-    j.field("total_bytes", p.total_bytes);
-    j.field("abuse_bytes", p.abuse_bytes);
-    j.field("abuse_bytes_share", p.abuse_bytes_share(), 4);
-    j.field("abuser_mean_degree", p.abuser_mean_degree, 3);
-    j.field("good_mean_degree", p.good_mean_degree, 3);
-    j.end_object();
+    JsonValue row = JsonValue::object();
+    row.set("abuser_fraction", JsonValue::number(p.fraction))
+        .set("dynamic", JsonValue::boolean(p.dynamic))
+        .set("abusers", JsonValue::number(p.adversary.abusers))
+        .set("abuse_queries", JsonValue::number(p.adversary.abuse_queries))
+        .set("abuse_hits", JsonValue::number(p.adversary.abuse_hits))
+        .set("queries", JsonValue::number(p.queries))
+        .set("hits", JsonValue::number(p.hits))
+        .set("good_hit_ratio", JsonValue::number(p.good_hit_ratio()))
+        .set("total_messages", JsonValue::number(p.total_messages))
+        .set("abuse_messages", JsonValue::number(p.abuse_messages))
+        .set("abuse_traffic_share", JsonValue::number(p.abuse_traffic_share()))
+        .set("total_bytes", JsonValue::number(p.total_bytes))
+        .set("abuse_bytes", JsonValue::number(p.abuse_bytes))
+        .set("abuse_bytes_share", JsonValue::number(p.abuse_bytes_share()))
+        .set("abuser_mean_degree", JsonValue::number(p.abuser_mean_degree))
+        .set("good_mean_degree", JsonValue::number(p.good_mean_degree));
+    rows.push(std::move(row));
   }
-  j.end_array();
-  j.begin_object("case_study");
-  j.field("abusers", case_point.adversary.abusers);
-  j.field("dynamic", true);
-  j.field("abuse_queries", case_point.adversary.abuse_queries);
-  j.field("abuse_traffic_share", case_point.abuse_traffic_share(), 4);
-  j.field("trace_records", static_cast<std::uint64_t>(records.size()));
-  j.field("trace_path", trace_path);
-  j.end_object();
-  j.end_object();
-  j.finish();
+  JsonValue case_study = JsonValue::object();
+  case_study.set("abusers", JsonValue::number(case_point.adversary.abusers))
+      .set("dynamic", JsonValue::boolean(true))
+      .set("abuse_queries",
+           JsonValue::number(case_point.adversary.abuse_queries))
+      .set("abuse_traffic_share",
+           JsonValue::number(case_point.abuse_traffic_share()))
+      .set("trace_records",
+           JsonValue::number(static_cast<std::uint64_t>(records.size())))
+      .set("trace_path", JsonValue::string(trace_path));
+  JsonValue doc = JsonValue::object();
+  doc.set("schema", JsonValue::string("dsf-abuse-sweep-v1"))
+      .set("scenario", JsonValue::string("gnutella"))
+      .set("abuse_rate_per_s", JsonValue::number(abuse_rate))
+      .set("peers",
+           JsonValue::number(static_cast<std::uint64_t>(base.num_users)))
+      .set("sim_hours", JsonValue::number(base.sim_hours))
+      .set("warmup_hours", JsonValue::number(base.warmup_hours))
+      .set("clean", JsonValue::boolean(clean))
+      .set("points", std::move(rows))
+      .set("case_study", std::move(case_study));
+  doc.write(out);
+  out << '\n';
   std::printf("wrote %s\n", out_path.c_str());
 
   if (!clean) {

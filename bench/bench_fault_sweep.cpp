@@ -20,7 +20,7 @@
 #include "cli/flag_registry.h"
 #include "fig_common.h"
 #include "metrics/csv.h"
-#include "metrics/json_emitter.h"
+#include "metrics/json.h"
 #include "metrics/table.h"
 #include "sim/fault.h"
 #include "sim/invariants.h"
@@ -60,10 +60,7 @@ SweepPoint run_point(const gnutella::Config& config, double loss,
   const auto r = sim.run();
 
   checker.check_overlay(sim.overlay());
-  // The flood strategy transmits every query and reply individually, so
-  // the traced send counts must match the ledger exactly.
-  checker.check_ledger(sim.ledger(), {net::MessageType::kQuery,
-                                      net::MessageType::kQueryReply});
+  checker.check_ledger(sim.ledger());
   if (!checker.ok()) {
     std::fprintf(stderr, "loss %.2f (%s): %s", loss,
                  config.dynamic ? "dynamic" : "static",
@@ -153,26 +150,27 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  metrics::JsonEmitter j(out);
-  j.begin_object();
-  j.schema("fault-sweep", 1);
-  j.field("max_hops", base.max_hops);
-  j.field("sim_hours", base.sim_hours, 1);
-  j.field("clean", clean);
-  j.begin_array("points");
+  using metrics::JsonValue;
+  JsonValue rows = JsonValue::array();
   for (std::size_t i = 0; i < losses.size(); ++i) {
-    j.begin_object();
-    j.field("loss", losses[i], 2);
-    j.field("hit_ratio_static", sta[i].hit_ratio(), 4);
-    j.field("hit_ratio_dynamic", dyn[i].hit_ratio(), 4);
-    j.field("queries_static", sta[i].queries);
-    j.field("queries_dynamic", dyn[i].queries);
-    j.field("dropped_total", sta[i].dropped + dyn[i].dropped);
-    j.end_object();
+    JsonValue row = JsonValue::object();
+    row.set("loss", JsonValue::number(losses[i]))
+        .set("hit_ratio_static", JsonValue::number(sta[i].hit_ratio()))
+        .set("hit_ratio_dynamic", JsonValue::number(dyn[i].hit_ratio()))
+        .set("queries_static", JsonValue::number(sta[i].queries))
+        .set("queries_dynamic", JsonValue::number(dyn[i].queries))
+        .set("dropped_total",
+             JsonValue::number(sta[i].dropped + dyn[i].dropped));
+    rows.push(std::move(row));
   }
-  j.end_array();
-  j.end_object();
-  j.finish();
+  JsonValue doc = JsonValue::object();
+  doc.set("schema", JsonValue::string("dsf-fault-sweep-v1"))
+      .set("max_hops", JsonValue::number(std::int64_t{base.max_hops}))
+      .set("sim_hours", JsonValue::number(base.sim_hours))
+      .set("clean", JsonValue::boolean(clean))
+      .set("points", std::move(rows));
+  doc.write(out);
+  out << '\n';
   std::printf("wrote %s\n", out_path.c_str());
 
   if (!clean) {

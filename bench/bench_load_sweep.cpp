@@ -25,7 +25,7 @@
 #include "load/report.h"
 #include "load/schedule.h"
 #include "metrics/csv.h"
-#include "metrics/json_emitter.h"
+#include "metrics/json.h"
 #include "metrics/table.h"
 #include "sim/invariants.h"
 
@@ -195,26 +195,27 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  metrics::JsonEmitter j(out);
-  j.begin_object();
-  j.schema("load-sweep", 1);
-  j.field("scenario", "gnutella");
-  j.field("schedule", load::schedule_name(kind));
-  j.field("admission_cap", static_cast<std::uint64_t>(cap));
-  j.field("peers", static_cast<std::uint64_t>(base.num_users));
-  j.field("sim_hours", base.sim_hours, 2);
-  j.field("warmup_hours", base.warmup_hours, 2);
-  j.field("clean", clean);
-  j.begin_array("points");
+  using metrics::JsonValue;
+  JsonValue rows = JsonValue::array();
   for (const SweepPoint& p : points) {
-    j.begin_object();
-    j.field("offered_qps", p.offered_qps, 2);
-    load::write_load_stats(j, p.stats, measure_s);
-    j.end_object();
+    JsonValue row = JsonValue::object();
+    row.set("offered_qps", JsonValue::number(p.offered_qps));
+    load::write_load_stats(row, p.stats, measure_s);
+    rows.push(std::move(row));
   }
-  j.end_array();
-  j.end_object();
-  j.finish();
+  JsonValue doc = JsonValue::object();
+  doc.set("schema", JsonValue::string("dsf-load-sweep-v1"))
+      .set("scenario", JsonValue::string("gnutella"))
+      .set("schedule", JsonValue::string(load::schedule_name(kind)))
+      .set("admission_cap", JsonValue::number(static_cast<std::uint64_t>(cap)))
+      .set("peers",
+           JsonValue::number(static_cast<std::uint64_t>(base.num_users)))
+      .set("sim_hours", JsonValue::number(base.sim_hours))
+      .set("warmup_hours", JsonValue::number(base.warmup_hours))
+      .set("clean", JsonValue::boolean(clean))
+      .set("points", std::move(rows));
+  doc.write(out);
+  out << '\n';
   std::printf("wrote %s\n", out_path.c_str());
 
   if (!clean) {

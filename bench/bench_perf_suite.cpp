@@ -29,7 +29,7 @@
 #include "des/rng.h"
 #include "gnutella/config.h"
 #include "gnutella/simulation.h"
-#include "metrics/json_emitter.h"
+#include "metrics/json.h"
 #include "net/delay_model.h"
 #include "obs/process_stats.h"
 #include "obs/ring_sink.h"
@@ -298,27 +298,28 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  dsf::metrics::JsonEmitter j(out);
-  j.begin_object();
-  j.schema("perf-suite", 1);
-  j.field("quick", quick);
-  j.field("trace", trace_mode);
-  j.field("repeat", repeat);
-  j.field("peak_rss_bytes", dsf::obs::peak_rss_bytes());
-  if (trace_mode == "ring") j.field("trace_records", ring.total());
-  j.begin_array("results");
+  using dsf::metrics::JsonValue;
+  JsonValue rows = JsonValue::array();
   for (const Result& r : results) {
-    j.begin_object();
-    j.field("name", r.name);
-    j.field("items", r.items);
-    j.field("wall_s", r.wall_s, 6);
-    j.field("items_per_s", r.items_per_s, 1);
-    j.field("detail", r.detail);
-    j.end_object();
+    JsonValue row = JsonValue::object();
+    row.set("name", JsonValue::string(r.name))
+        .set("items", JsonValue::number(r.items))
+        .set("wall_s", JsonValue::number(r.wall_s))
+        .set("items_per_s", JsonValue::number(r.items_per_s))
+        .set("detail", JsonValue::string(r.detail));
+    rows.push(std::move(row));
   }
-  j.end_array();
-  j.end_object();
-  j.finish();
+  JsonValue doc = JsonValue::object();
+  doc.set("schema", JsonValue::string("dsf-perf-suite-v1"))
+      .set("quick", JsonValue::boolean(quick))
+      .set("trace", JsonValue::string(trace_mode))
+      .set("repeat", JsonValue::number(std::int64_t{repeat}))
+      .set("peak_rss_bytes", JsonValue::number(dsf::obs::peak_rss_bytes()));
+  if (trace_mode == "ring")
+    doc.set("trace_records", JsonValue::number(ring.total()));
+  doc.set("results", std::move(rows));
+  doc.write(out);
+  out << '\n';
   if (!out) {
     std::fprintf(stderr, "write to %s failed\n", out_path.c_str());
     return 1;

@@ -34,7 +34,7 @@
 #include "des/sweep.h"
 #include "gnutella/config.h"
 #include "gnutella/simulation.h"
-#include "metrics/json_emitter.h"
+#include "metrics/json.h"
 #include "metrics/time_series.h"
 #include "net/message.h"
 #include "obs/process_stats.h"
@@ -231,31 +231,33 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s for writing\n", opt.out_path.c_str());
     return 1;
   }
-  dsf::metrics::JsonEmitter j(out);
-  j.begin_object();
-  j.schema("scale-run", 1);
-  j.field("peers", static_cast<std::uint64_t>(opt.peers));
-  j.field("hours", opt.hours, 3);
-  j.field("replications", static_cast<std::uint64_t>(opt.replications));
-  j.field("seed", opt.seed);
-  j.field("wall_s", wall, 3);
-  j.field("events", total.events);
-  j.field("events_per_s", events_per_s, 0);
-  j.field("peak_rss_bytes", rss);
-  j.field("rss_per_peer",
-          static_cast<double>(rss) / static_cast<double>(resident_peers), 1);
-  j.field("overlay_bytes", total.overlay_bytes);
-  j.field("library_bytes", total.library_bytes);
-  j.field("queries", total.queries);
-  j.field("hits", total.satisfied);
-  j.field("hit_ratio", hit_ratio, 4);
-  j.field("messages", total.traffic.total());
-  j.field("delay_mean_s", total.delay.mean(), 4);
-  j.field("delay_p50_s", total.delay_hist.quantile(0.5), 4);
-  j.field("delay_p95_s", total.delay_hist.quantile(0.95), 4);
-  j.field("reconfigurations", total.reconfigurations);
-  j.end_object();
-  j.finish();
+  using dsf::metrics::JsonValue;
+  JsonValue doc = JsonValue::object();
+  doc.set("schema", JsonValue::string("dsf-scale-run-v1"))
+      .set("peers", JsonValue::number(static_cast<std::uint64_t>(opt.peers)))
+      .set("hours", JsonValue::number(opt.hours))
+      .set("replications",
+           JsonValue::number(std::uint64_t{opt.replications}))
+      .set("seed", JsonValue::number(opt.seed))
+      .set("wall_s", JsonValue::number(wall))
+      .set("events", JsonValue::number(total.events))
+      .set("events_per_s", JsonValue::number(events_per_s))
+      .set("peak_rss_bytes", JsonValue::number(rss))
+      .set("rss_per_peer",
+           JsonValue::number(static_cast<double>(rss) /
+                             static_cast<double>(resident_peers)))
+      .set("overlay_bytes", JsonValue::number(total.overlay_bytes))
+      .set("library_bytes", JsonValue::number(total.library_bytes))
+      .set("queries", JsonValue::number(total.queries))
+      .set("hits", JsonValue::number(total.satisfied))
+      .set("hit_ratio", JsonValue::number(hit_ratio))
+      .set("messages", JsonValue::number(total.traffic.total()))
+      .set("delay_mean_s", JsonValue::number(total.delay.mean()))
+      .set("delay_p50_s", JsonValue::number(total.delay_hist.quantile(0.5)))
+      .set("delay_p95_s", JsonValue::number(total.delay_hist.quantile(0.95)))
+      .set("reconfigurations", JsonValue::number(total.reconfigurations));
+  doc.write(out);
+  out << '\n';
   if (!out) {
     std::fprintf(stderr, "write to %s failed\n", opt.out_path.c_str());
     return 1;

@@ -26,7 +26,7 @@
 #include "cli/flag_registry.h"
 #include "fig_common.h"
 #include "metrics/csv.h"
-#include "metrics/json_emitter.h"
+#include "metrics/json.h"
 #include "metrics/table.h"
 #include "sim/invariants.h"
 
@@ -196,40 +196,42 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  metrics::JsonEmitter j(out);
-  j.begin_object();
-  j.schema("scheme-sweep", 2);
-  j.field("scenario", "gnutella-static");
-  j.field("peers", static_cast<std::uint64_t>(base.num_users));
-  j.field("sim_hours", base.sim_hours, 2);
-  j.field("warmup_hours", base.warmup_hours, 2);
-  j.field("top_k", static_cast<std::uint64_t>(top_k));
-  j.field("clean", clean);
-  j.begin_array("arms");
+  using metrics::JsonValue;
+  JsonValue rows = JsonValue::array();
   for (const ArmPoint& p : arms) {
-    j.begin_object();
-    j.field("scheme", sim::to_string(p.kind));
-    j.field("queries", p.queries);
-    j.field("hits", p.hits);
-    j.field("hit_ratio", p.hit_ratio(), 4);
-    j.field("results", p.results);
-    j.field("query_messages", p.query_messages);
-    j.field("reply_messages", p.reply_messages);
-    j.field("total_messages", p.total_messages);
-    j.field("total_bytes", p.total_bytes);
-    j.field("first_result_delay_mean_s", p.first_result_delay_mean, 6);
-    j.end_object();
+    JsonValue row = JsonValue::object();
+    row.set("scheme", JsonValue::string(sim::to_string(p.kind)))
+        .set("queries", JsonValue::number(p.queries))
+        .set("hits", JsonValue::number(p.hits))
+        .set("hit_ratio", JsonValue::number(p.hit_ratio()))
+        .set("results", JsonValue::number(p.results))
+        .set("query_messages", JsonValue::number(p.query_messages))
+        .set("reply_messages", JsonValue::number(p.reply_messages))
+        .set("total_messages", JsonValue::number(p.total_messages))
+        .set("total_bytes", JsonValue::number(p.total_bytes))
+        .set("first_result_delay_mean_s",
+             JsonValue::number(p.first_result_delay_mean));
+    rows.push(std::move(row));
   }
-  j.end_array();
-  j.begin_object("topk_vs_flood");
-  j.field("traffic_reduction", reduction, 3);
-  j.field("flood_hit_ratio", flood.hit_ratio(), 4);
-  j.field("topk_hit_ratio", topk ? topk->hit_ratio() : 0.0, 4);
-  j.field("flood_hits", flood.hits);
-  j.field("topk_hits", topk ? topk->hits : 0);
-  j.end_object();
-  j.end_object();
-  j.finish();
+  JsonValue versus = JsonValue::object();
+  versus.set("traffic_reduction", JsonValue::number(reduction))
+      .set("flood_hit_ratio", JsonValue::number(flood.hit_ratio()))
+      .set("topk_hit_ratio", JsonValue::number(topk ? topk->hit_ratio() : 0.0))
+      .set("flood_hits", JsonValue::number(flood.hits))
+      .set("topk_hits", JsonValue::number(topk ? topk->hits : 0));
+  JsonValue doc = JsonValue::object();
+  doc.set("schema", JsonValue::string("dsf-scheme-sweep-v2"))
+      .set("scenario", JsonValue::string("gnutella-static"))
+      .set("peers",
+           JsonValue::number(static_cast<std::uint64_t>(base.num_users)))
+      .set("sim_hours", JsonValue::number(base.sim_hours))
+      .set("warmup_hours", JsonValue::number(base.warmup_hours))
+      .set("top_k", JsonValue::number(static_cast<std::uint64_t>(top_k)))
+      .set("clean", JsonValue::boolean(clean))
+      .set("arms", std::move(rows))
+      .set("topk_vs_flood", std::move(versus));
+  doc.write(out);
+  out << '\n';
   std::printf("wrote %s\n", out_path.c_str());
 
   if (!clean) {

@@ -43,9 +43,10 @@ struct FaultOptions {
 /// group; the 27 per-type overrides are hidden behind one note line).
 void register_fault_flags(FlagRegistry& reg);
 
-/// Builds the options from a parsed registry; throws
-/// std::invalid_argument on bad values (negative rates, inverted
-/// windows, ...).
+/// Builds the options from a parsed registry; a bad value (a probability
+/// outside [0, 1], a drop + dup + delay sum above 1, a negative delay or
+/// crash rate, an inverted window, --fault-crash-max below -1) throws a
+/// FlagError naming the flag and the value.
 FaultOptions fault_options_from(const FlagRegistry& reg);
 
 }  // namespace dsf::cli

@@ -69,7 +69,7 @@ DigLibSim::DigLibSim(const DigLibConfig& config)
             return static_cast<net::NodeId>(
                 rng().uniform_int(config_.num_repositories));
           },
-          [] {});
+          [](net::NodeId) {});
     }
   }
 }
@@ -208,22 +208,20 @@ void DigLibSim::update_neighbors(net::NodeId r) {
     }
   }
 
-  // Install the new exploration link.  The probe's fate is resolved
-  // first; the ping is accounted only for the attempt that installs the
-  // link.
+  // Install the new exploration link: link first, then probe the target;
+  // an unanswered probe undoes the link and the next target is tried.
   int attempts = 8;
   while (attempts-- > 0) {
     const auto q =
         static_cast<net::NodeId>(rng().uniform_int(config_.num_repositories));
     if (q == r || overlay_.lists(r).has_out(q)) continue;
-    const auto t = search_transmit()(net::MessageType::kPing, r, q, -1);
-    if (!t.deliver) continue;  // unanswered probe: try another target
-    if (overlay_.link(r, q)) {
-      repo.exploration_link = q;
-      count(net::MessageType::kPing);
-      if (t.duplicate) count(net::MessageType::kPing);
-      break;
+    if (!overlay_.link(r, q)) continue;
+    if (!send(net::MessageType::kPing, r, q, -1).deliver) {
+      overlay_.unlink(r, q);
+      continue;
     }
+    repo.exploration_link = q;
+    break;
   }
 
   // Statistics decay so the ranking tracks the current overlay rather

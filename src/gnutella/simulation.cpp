@@ -151,14 +151,17 @@ void Simulation::fill_with_random_neighbors(net::NodeId u,
       [this] {
         return online_nodes_[topo_rng().uniform_int(online_nodes_.size())];
       },
-      [this] { on_link_formed(); });
+      [this, u](net::NodeId v) { on_link_formed(u, v); });
 }
 
-void Simulation::on_link_formed() {
+void Simulation::on_link_formed(net::NodeId u, net::NodeId v) {
   // Local indices must be maintained: a new link triggers a content-digest
-  // exchange in both directions (Yang & GM's index-update cost).
-  if (config_.search_strategy == SearchStrategy::kLocalIndices)
-    count(net::MessageType::kExploreReply, 2);
+  // exchange in both directions (Yang & GM's index-update cost).  The link
+  // stands whatever the digests' fate.
+  if (config_.search_strategy == SearchStrategy::kLocalIndices) {
+    send(net::MessageType::kExploreReply, u, v, -1);
+    send(net::MessageType::kExploreReply, v, u, -1);
+  }
 }
 
 void Simulation::log_in(net::NodeId u) {
@@ -454,7 +457,7 @@ bool Simulation::invite(net::NodeId u, net::NodeId v) {
       overlay_.lists(v).out().size() >= adversary_degree_bound(v, kNoBound))
     return false;
   if (!overlay_.link(u, v)) return false;  // u saturated meanwhile
-  on_link_formed();
+  on_link_formed(u, v);
   ++result_.invitations_accepted;
   // Accepting resets the invited node's own counter to damp cascades
   // (§4.1); the ablation knob leaves the counter running.

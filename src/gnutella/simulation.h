@@ -226,8 +226,9 @@ class Simulation : public sim::OverlayEngine {
   /// entries (default: full) or the attempt budget is spent
   /// (bootstrap-server behaviour of Gnutella).
   void fill_with_random_neighbors(net::NodeId u, std::size_t target = SIZE_MAX);
-  /// Accounting hook for every new overlay link (index maintenance etc.).
-  void on_link_formed();
+  /// Hook for every new overlay link u -> v: under local indices, sends
+  /// the content-digest exchange in both directions.
+  void on_link_formed(net::NodeId u, net::NodeId v);
   /// Samples overlay-structure statistics (rescheduled by the engine).
   void probe_overlay();
   double benefit_of(const core::ResultInfo& info) const {

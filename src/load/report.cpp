@@ -2,35 +2,41 @@
 
 namespace dsf::load {
 
-void write_load_stats(metrics::JsonEmitter& j, const LoadStats& s,
+void write_load_stats(metrics::JsonValue& out, const LoadStats& s,
                       double measure_s) {
-  j.field("offered", s.offered);
-  j.field("admitted", s.admitted);
-  j.field("rejected", s.rejected);
-  j.field("completed", s.completed);
-  j.field("shed", s.shed);
-  j.field("pending", s.pending);
-  j.field("hits", s.hits);
-  j.field("completed_after_warmup", s.completed_after_warmup);
-  j.field("hits_after_warmup", s.hits_after_warmup);
-  j.field("rejection_rate",
-          s.offered ? static_cast<double>(s.rejected) /
-                          static_cast<double>(s.offered)
-                    : 0.0,
-          6);
+  using metrics::JsonValue;
+  out.set("offered", JsonValue::number(s.offered))
+      .set("admitted", JsonValue::number(s.admitted))
+      .set("rejected", JsonValue::number(s.rejected))
+      .set("completed", JsonValue::number(s.completed))
+      .set("shed", JsonValue::number(s.shed))
+      .set("pending", JsonValue::number(s.pending))
+      .set("hits", JsonValue::number(s.hits))
+      .set("completed_after_warmup",
+           JsonValue::number(s.completed_after_warmup))
+      .set("hits_after_warmup", JsonValue::number(s.hits_after_warmup))
+      .set("rejection_rate",
+           JsonValue::number(s.offered ? static_cast<double>(s.rejected) /
+                                             static_cast<double>(s.offered)
+                                       : 0.0));
   if (measure_s > 0.0) {
-    j.field("goodput_qps",
-            static_cast<double>(s.completed_after_warmup) / measure_s, 4);
-    j.field("hit_qps",
-            static_cast<double>(s.hits_after_warmup) / measure_s, 4);
+    out.set("goodput_qps",
+            JsonValue::number(static_cast<double>(s.completed_after_warmup) /
+                              measure_s))
+        .set("hit_qps", JsonValue::number(
+                            static_cast<double>(s.hits_after_warmup) /
+                            measure_s));
   }
-  j.field("latency_p50_ms", s.sojourn_hist.quantile(0.50) * 1000.0, 3);
-  j.field("latency_p95_ms", s.sojourn_hist.quantile(0.95) * 1000.0, 3);
-  j.field("latency_p99_ms", s.sojourn_hist.quantile(0.99) * 1000.0, 3);
-  j.field("latency_mean_ms", s.sojourn_s.mean() * 1000.0, 3);
-  j.field("latency_max_ms", s.sojourn_s.max() * 1000.0, 3);
-  j.field("queue_depth_mean", s.queue_depth.mean(), 4);
-  j.field("queue_depth_peak", s.peak_queue_depth);
+  out.set("latency_p50_ms",
+          JsonValue::number(s.sojourn_hist.quantile(0.50) * 1000.0))
+      .set("latency_p95_ms",
+           JsonValue::number(s.sojourn_hist.quantile(0.95) * 1000.0))
+      .set("latency_p99_ms",
+           JsonValue::number(s.sojourn_hist.quantile(0.99) * 1000.0))
+      .set("latency_mean_ms", JsonValue::number(s.sojourn_s.mean() * 1000.0))
+      .set("latency_max_ms", JsonValue::number(s.sojourn_s.max() * 1000.0))
+      .set("queue_depth_mean", JsonValue::number(s.queue_depth.mean()))
+      .set("queue_depth_peak", JsonValue::number(s.peak_queue_depth));
 }
 
 }  // namespace dsf::load

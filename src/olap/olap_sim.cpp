@@ -45,7 +45,7 @@ OlapSim::OlapSim(const OlapConfig& config)
         [this] {
           return static_cast<net::NodeId>(rng().uniform_int(config_.num_peers));
         },
-        [] {});
+        [](net::NodeId) {});
   }
 }
 
@@ -175,13 +175,15 @@ void OlapSim::update_neighbors(net::NodeId p) {
       peers_[p].stats, overlay_.out_neighbors(p),
       adversary_degree_bound(p, config_.num_neighbors),
       [p](net::NodeId n) { return n != p; });
+  // Notifications only: each link or unlink stands whatever the
+  // message's fate.
   for (net::NodeId x : plan.evictions) {
     overlay_.unlink(p, x);
-    count(net::MessageType::kEviction);
+    send(net::MessageType::kEviction, p, x, -1);
   }
   for (net::NodeId v : plan.additions) {
     overlay_.link(p, v);
-    count(net::MessageType::kInvitation);
+    send(net::MessageType::kInvitation, p, v, -1);
   }
 }
 

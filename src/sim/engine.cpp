@@ -198,6 +198,12 @@ void OverlayEngine::warn(const std::string& message) {
 
 // --- fault layer ----------------------------------------------------------
 
+void OverlayEngine::attach_checker(InvariantChecker* checker) {
+  checker_ = checker;
+  if (checker_) checker_->start_from(ledger_);
+  refresh_fault_active();
+}
+
 void OverlayEngine::begin_faulty_search(int max_ttl) {
   if (checker_) checker_->on_search_begin(max_ttl);
 }

@@ -216,11 +216,10 @@ class OverlayEngine {
   /// Attaches a continuous invariant checker fed from the trace point.
   /// Routes transmissions through the (draw-free when the plan is empty)
   /// traced paths, and search() certifies every outcome with it; pass
-  /// nullptr to detach.
-  void attach_checker(InvariantChecker* checker) {
-    checker_ = checker;
-    refresh_fault_active();
-  }
+  /// nullptr to detach.  The checker audits the traffic from here on:
+  /// attach after load_snapshot, and the resumed run's ledger is its
+  /// starting point.
+  void attach_checker(InvariantChecker* checker);
 
   /// --- flight recorder (off by default: null pointer, zero records) -----
   /// Attaches a flight-recorder sink, replacing any attached before.  Like
@@ -433,16 +432,6 @@ class OverlayEngine {
     return id;
   }
 
-  /// --- accounting ------------------------------------------------------
-  /// Counts a send; while an abuse scope is ambient the count is mirrored
-  /// into the abuse ledger so blast-radius traffic stays attributed (one
-  /// always-false predicted branch on every baseline path).
-  void count(net::MessageType t, std::uint64_t n = 1,
-             std::uint64_t bytes_each = 0) noexcept {
-    ledger_.count(t, n, bytes_each);
-    if (abuse_ambient_) abuse_ledger_.count(t, n, bytes_each);
-  }
-
   /// --- fault layer ------------------------------------------------------
   /// Resets the invariant checker's TTL context for one search (or one
   /// iterative-deepening cycle) with hop budget `max_ttl`.
@@ -451,8 +440,8 @@ class OverlayEngine {
   /// Resolves the fate of one synchronous transmission (the eagerly
   /// expanded search paths): consults the plan, drops copies addressed to
   /// dead peers, updates the ledger's fate counters and emits trace
-  /// records.  Does NOT count the send itself — callers keep their
-  /// historical bulk accounting.
+  /// records.  Does NOT count the send itself: send() counts each copy,
+  /// and search() counts a whole search's messages when it ends.
   core::TransmitResult transmit(net::MessageType type, net::NodeId from,
                                 net::NodeId to, int ttl);
 
@@ -633,9 +622,10 @@ class OverlayEngine {
   /// `target` entries, is full, or the budget is spent.  Self-links and
   /// repeat picks consume an attempt without forming a link (exactly the
   /// historical behaviour — the loops this replaces either pre-checked
-  /// `has_out` or let link() fail; both consume the draw).  `on_link` runs
-  /// once per link formed.  Exhausting the budget short of the target is
-  /// recorded and summarized at end of run instead of passing silently.
+  /// `has_out` or let link() fail; both consume the draw).  `on_link(v)`
+  /// runs once per link u -> v formed.  Exhausting the budget short of the
+  /// target is recorded and summarized at end of run instead of passing
+  /// silently.
   template <typename PickFn, typename OnLinkFn>
   void fill_random_neighbors(net::NodeId u, std::size_t target, int attempts,
                              PickFn&& pick, OnLinkFn&& on_link) {
@@ -654,7 +644,7 @@ class OverlayEngine {
               adversary_degree_bound(
                   v, std::numeric_limits<std::size_t>::max()))
         continue;
-      if (overlay_.link(u, v)) on_link();  // fails harmlessly if v is full
+      if (overlay_.link(u, v)) on_link(v);  // fails harmlessly if v is full
     }
     if (lists.out().size() < target && !lists.out_full())
       ++bootstrap_underfills_;
@@ -726,6 +716,15 @@ class OverlayEngine {
   void read_engine_core(snap::Reader::In& in);
   void read_overlay(snap::Reader::In& in);
   void read_events(snap::Reader::In& in);
+
+  /// Counts `n` sends of type `t`, the ledger half of send() and
+  /// end_search(); while an abuse scope is ambient the count is mirrored
+  /// into the abuse ledger so blast-radius traffic stays attributed (one
+  /// always-false predicted branch on every baseline path).
+  void count(net::MessageType t, std::uint64_t n = 1) noexcept {
+    ledger_.count(t, n);
+    if (abuse_ambient_) abuse_ledger_.count(t, n);
+  }
 
   /// The engine's one trace point: builds one record for `copies`
   /// identical copies of a transmission fate (or for a crash) and hands

@@ -9,8 +9,8 @@
 // arrive:
 //
 //   * message conservation — per type, delivered + dropped never exceeds
-//     sent; sent - delivered - dropped is the (non-negative) in-flight
-//     count, reconciled against the MessageLedger by check_ledger();
+//     sent; at end of run check_ledger() requires the traced sends,
+//     deliveries and drops of every type to equal the MessageLedger's;
 //   * TTL monotonicity — within one search (begin_faulty_search sets the
 //     context), query TTLs stay in [1, max_hops] and never increase in
 //     BFS trace order;
@@ -25,7 +25,6 @@
 // and tampered ledgers to prove each class is actually detected.
 
 #include <cstdint>
-#include <initializer_list>
 #include <limits>
 #include <span>
 #include <string>
@@ -138,16 +137,23 @@ class InvariantChecker {
               last_time_s_);
   }
 
-  /// Reconciles the traced per-type fates against the engine's ledger:
-  /// the ledger's delivered/dropped counters must equal the traced ones,
-  /// and for every type in `exact_sent` the traced send count must equal
-  /// the ledger's sent count.  (Exact send reconciliation is opt-in
-  /// because some scenarios account messages the engine never transmits
-  /// individually — e.g. digest exchanges bulk-counted on link formation,
-  /// or list-change notifications counted but never sent — and diglib's
-  /// exploration ping is transmitted but counted only when a link forms.)
-  void check_ledger(const MessageLedger& ledger,
-                    std::initializer_list<net::MessageType> exact_sent = {}) {
+  /// Takes `ledger`'s counts as reconciled: a checker attached to a run
+  /// resumed from a snapshot audits what is sent after the resume point.
+  void start_from(const MessageLedger& ledger) noexcept {
+    for (int i = 0; i < net::kNumMessageTypes; ++i) {
+      const auto t = static_cast<net::MessageType>(i);
+      sent_[i] = ledger.stats().total(t);
+      delivered_[i] = ledger.delivered(t);
+      dropped_[i] = ledger.dropped(t);
+    }
+  }
+
+  /// Reconciles the trace against the engine's ledger for every message
+  /// type: the traced sends, deliveries and drops must equal the ledger's
+  /// sent, delivered and dropped counts (every counted message is
+  /// transmitted through the traced paths, and every traced send is
+  /// counted).
+  void check_ledger(const MessageLedger& ledger) {
     for (int i = 0; i < net::kNumMessageTypes; ++i) {
       const auto t = static_cast<net::MessageType>(i);
       if (delivered_[i] != ledger.delivered(t))
@@ -169,9 +175,6 @@ class InvariantChecker {
                 std::string(net::to_string(t)) +
                     ": delivered + dropped exceeds sent at end of run",
                 last_time_s_);
-    }
-    for (net::MessageType t : exact_sent) {
-      const auto i = static_cast<std::size_t>(t);
       if (sent_[i] != ledger.stats().total(t))
         violate("ledger",
                 std::string(net::to_string(t)) + ": traced " +

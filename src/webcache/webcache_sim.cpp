@@ -59,7 +59,7 @@ WebCacheSim::WebCacheSim(const WebCacheConfig& config)
               config_.num_parents ? rng().uniform_int(config_.num_parents)
                                   : rng().uniform_int(config_.num_proxies));
         },
-        [] {});
+        [](net::NodeId) {});
   }
 }
 
@@ -212,13 +212,15 @@ void WebCacheSim::update_neighbors(net::NodeId p) {
       [this, p](net::NodeId n) {
         return n != p && (config_.num_parents == 0 || is_parent(n));
       });
+  // Notifications only: each link or unlink stands whatever the
+  // message's fate.
   for (net::NodeId x : plan.evictions) {
     overlay_.unlink(p, x);
-    count(net::MessageType::kEviction);
+    send(net::MessageType::kEviction, p, x, -1);
   }
   for (net::NodeId v : plan.additions) {
     overlay_.link(p, v);
-    count(net::MessageType::kInvitation);
+    send(net::MessageType::kInvitation, p, v, -1);
   }
 }
 

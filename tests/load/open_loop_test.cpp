@@ -6,14 +6,13 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "../sim/sim_fingerprints.h"
 #include "load/report.h"
 #include "load/schedule.h"
-#include "metrics/json_emitter.h"
+#include "metrics/json.h"
 #include "sim/invariants.h"
 
 namespace dsf::load {
@@ -40,13 +39,9 @@ OpenLoopOptions constant_load(double qps, std::size_t cap,
 }
 
 std::string report_json(const LoadStats& s, double measure_s) {
-  std::ostringstream out;
-  metrics::JsonEmitter j(out);
-  j.begin_object();
-  write_load_stats(j, s, measure_s);
-  j.end_object();
-  j.finish();
-  return out.str();
+  metrics::JsonValue out = metrics::JsonValue::object();
+  write_load_stats(out, s, measure_s);
+  return out.to_string();
 }
 
 // --- determinism ---------------------------------------------------------

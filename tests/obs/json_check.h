@@ -1,8 +1,8 @@
 #pragma once
 
 // Minimal recursive-descent JSON parser for test assertions: enough to
-// verify that the Chrome-trace exporter and JsonEmitter produce documents
-// a real consumer would accept, without adding a JSON dependency to the
+// verify that the Chrome-trace exporter's streamed documents are ones a
+// real consumer would accept, without adding a JSON dependency to the
 // build.  Parses the full value grammar (objects, arrays, strings with
 // escapes, numbers, true/false/null); numbers are held as double.
 

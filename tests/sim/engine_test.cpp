@@ -211,7 +211,10 @@ TEST(OverlayEngine, FillRandomNeighborsReachesTargetDegree) {
   e.fill_random_neighbors(
       0, 3, e.default_bootstrap_attempts(),
       [&] { return static_cast<net::NodeId>(e.rng().uniform_int(8)); },
-      [&] { ++links; });
+      [&](net::NodeId v) {
+        ++links;
+        EXPECT_TRUE(e.overlay().lists(0).has_out(v)) << v;
+      });
   EXPECT_EQ(e.overlay().out_neighbors(0).size(), 3u);
   EXPECT_EQ(links, 3);
   EXPECT_EQ(e.bootstrap_underfills(), 0u);
@@ -228,7 +231,7 @@ TEST(OverlayEngine, FillRandomNeighborsRecordsUnderfill) {
         ++attempts_seen;
         return static_cast<net::NodeId>(0);
       },
-      [] { FAIL() << "no link should form"; });
+      [](net::NodeId) { FAIL() << "no link should form"; });
   EXPECT_EQ(attempts_seen, e.default_bootstrap_attempts());
   EXPECT_TRUE(e.overlay().out_neighbors(0).empty());
   EXPECT_EQ(e.bootstrap_underfills(), 1u);
@@ -241,7 +244,7 @@ TEST(OverlayEngine, BootstrapUnderfillReportsThroughWarningSink) {
   // Same degenerate pick as above: the budget burns out with zero links.
   e.fill_random_neighbors(
       0, 3, e.default_bootstrap_attempts(),
-      [] { return static_cast<net::NodeId>(0); }, [] {});
+      [] { return static_cast<net::NodeId>(0); }, [](net::NodeId) {});
   ASSERT_EQ(e.bootstrap_underfills(), 1u);
   EXPECT_TRUE(warnings.empty()) << "report happens at end of run, not inline";
 

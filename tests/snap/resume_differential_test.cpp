@@ -24,6 +24,7 @@
 #include "../sim/sim_fingerprints.h"
 #include "obs/ring_sink.h"
 #include "sim/fault.h"
+#include "sim/invariants.h"
 
 namespace dsf {
 namespace {
@@ -181,6 +182,33 @@ TEST(ResumeDifferential, CrashModelArmedOnlyOnResumeStillFires) {
   fork.run();
   EXPECT_GT(fork.crashes(), 0u)
       << "crash model armed on a resumed run never fired";
+  std::remove(path.c_str());
+}
+
+TEST(ResumeDifferential, CheckerAttachedOnResumeReconcilesTheLedger) {
+  // The same recipe under --fault-check: the ledger restored from an
+  // unchecked save holds sends no checker saw, so the checker attached
+  // to the fork audits the traffic after the resume point.
+  const gnutella::Config cfg = small_gnutella();
+  const std::string path = ::testing::TempDir() + "dsf_checked_fork.snap";
+  {
+    gnutella::Simulation saver(cfg);
+    saver.request_snapshot_save(path, 1800.0);
+    saver.run();
+  }
+  gnutella::Simulation fork(cfg);
+  sim::CrashModel crashes;
+  crashes.rate_per_hour = 30.0;
+  fork.set_crash_model(crashes);
+  fork.load_snapshot(path);
+  sim::InvariantChecker checker;
+  fork.attach_checker(&checker);
+  fork.run();
+  checker.check_overlay(fork.overlay());
+  checker.check_ledger(fork.ledger());
+  EXPECT_TRUE(checker.ok()) << checker.report();
+  EXPECT_GT(checker.events_seen(), 0u);
+  EXPECT_GT(fork.crashes(), 0u);
   std::remove(path.c_str());
 }
 

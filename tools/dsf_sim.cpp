@@ -72,6 +72,9 @@
 //   --adversary-outage-class C --adversary-outage-at S
 //                            correlated regional outage of a delay class
 //   --adversary-storm-rate R churn storms with Pareto session tails
+//                            (gnutella only: the other scenarios model
+//                            no sessions, so the five --adversary-storm-*
+//                            flags are usage errors there)
 //   --adversary-degree-<class> N / --adversary-weight-<class> W
 //                            heterogeneous per-class capacity
 //   --adversary-check        audit abuse attribution; exit 4 on violation
@@ -99,6 +102,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/adversary_flags.h"
@@ -107,6 +111,7 @@
 #include "diglib/diglib_sim.h"
 #include "gnutella/simulation.h"
 #include "load/open_loop.h"
+#include "load/report.h"
 #include "load/schedule.h"
 #include "load/trace_reader.h"
 #include "metrics/json.h"
@@ -203,7 +208,8 @@ cli::FlagRegistry make_registry() {
 
 /// The scenario flags each scenario reads.  --peers, --hours, --warmup and
 /// --seed are common to all four and left out; every flag listed here
-/// belongs only to the scenarios whose row names it.
+/// belongs only to the scenarios whose row names it.  The churn storm
+/// kicks peers out of their sessions, which only gnutella models.
 struct ScenarioFlags {
   const char* scenario;
   std::vector<std::string> reads;
@@ -211,7 +217,9 @@ struct ScenarioFlags {
 const ScenarioFlags kScenarioFlags[] = {
     {"gnutella",
      {"users", "hops", "threshold", "dynamic", "library-growth",
-      "exclude-owned", "search-scheme", "top-k"}},
+      "exclude-owned", "search-scheme", "top-k", "adversary-storm-rate",
+      "adversary-storm-start", "adversary-storm-end", "adversary-storm-shape",
+      "adversary-storm-offline-s"}},
     {"webcache", {"proxies", "dynamic"}},
     {"olap", {"dynamic"}},
     {"diglib", {"repos", "mode", "search-scheme", "top-k"}},
@@ -505,42 +513,6 @@ struct LoadContext {
     engine.set_open_loop(std::move(o));
   }
 
-  /// The machine-readable record nested under "load" in --json output.
-  metrics::JsonValue json(const sim::OverlayEngine& engine,
-                          double measure_s) const {
-    const load::LoadStats& s = engine.load_stats();
-    metrics::JsonValue out = metrics::JsonValue::object();
-    out.set("offered", metrics::JsonValue::number(s.offered))
-        .set("admitted", metrics::JsonValue::number(s.admitted))
-        .set("rejected", metrics::JsonValue::number(s.rejected))
-        .set("completed", metrics::JsonValue::number(s.completed))
-        .set("shed", metrics::JsonValue::number(s.shed))
-        .set("pending", metrics::JsonValue::number(s.pending))
-        .set("hits", metrics::JsonValue::number(s.hits))
-        .set("rejection_rate",
-             metrics::JsonValue::number(
-                 s.offered ? static_cast<double>(s.rejected) /
-                                 static_cast<double>(s.offered)
-                           : 0.0))
-        .set("goodput_qps",
-             metrics::JsonValue::number(
-                 measure_s > 0.0
-                     ? static_cast<double>(s.completed_after_warmup) /
-                           measure_s
-                     : 0.0))
-        .set("latency_p50_ms",
-             metrics::JsonValue::number(s.sojourn_hist.quantile(0.50) * 1e3))
-        .set("latency_p95_ms",
-             metrics::JsonValue::number(s.sojourn_hist.quantile(0.95) * 1e3))
-        .set("latency_p99_ms",
-             metrics::JsonValue::number(s.sojourn_hist.quantile(0.99) * 1e3))
-        .set("queue_depth_mean",
-             metrics::JsonValue::number(s.queue_depth.mean()))
-        .set("queue_depth_peak",
-             metrics::JsonValue::number(s.peak_queue_depth));
-    return out;
-  }
-
   /// The human-readable summary line for text output.
   void print(const sim::OverlayEngine& engine, double measure_s) const {
     const load::LoadStats& s = engine.load_stats();
@@ -584,6 +556,19 @@ struct Layers {
     adv.arm(engine, fault);
     fault.arm(engine);
     trace.arm(engine);
+  }
+
+  /// Prints the scenario's --json record, with the open-loop `load`
+  /// object appended when the layer ran.
+  void print_json(metrics::JsonValue out, const sim::OverlayEngine& engine,
+                  double measure_s) const {
+    if (load.enabled) {
+      metrics::JsonValue stats = metrics::JsonValue::object();
+      load::write_load_stats(stats, engine.load_stats(), measure_s);
+      out.set("load", std::move(stats));
+    }
+    out.write(std::cout);
+    std::cout << '\n';
   }
 
   /// Exit code: an audit failure (4, adversary before fault) outranks a
@@ -650,9 +635,7 @@ int run_gnutella(const cli::FlagRegistry& reg, bool json) {
              metrics::JsonValue::number(r.first_result_delay_s.mean() * 1e3))
         .set("reconfigurations", metrics::JsonValue::number(r.reconfigurations))
         .set("evictions", metrics::JsonValue::number(r.evictions));
-    if (layers.load.enabled) out.set("load", layers.load.json(sim, measure_s));
-    out.write(std::cout);
-    std::cout << '\n';
+    layers.print_json(std::move(out), sim, measure_s);
   } else {
     std::printf("gnutella (%s, hops=%d): %llu queries, %llu hits, "
                 "%llu messages, %.0f ms mean first result\n",
@@ -688,9 +671,7 @@ int run_webcache(const cli::FlagRegistry& reg, bool json) {
              metrics::JsonValue::number(r.neighbor_hit_rate()))
         .set("mean_latency_ms",
              metrics::JsonValue::number(r.latency_s.mean() * 1e3));
-    if (layers.load.enabled) out.set("load", layers.load.json(sim, measure_s));
-    out.write(std::cout);
-    std::cout << '\n';
+    layers.print_json(std::move(out), sim, measure_s);
   } else {
     std::printf("webcache (%s): %llu requests, %.1f%% local, %.1f%% "
                 "neighbor-of-miss, %.0f ms mean latency\n",
@@ -723,9 +704,7 @@ int run_olap(const cli::FlagRegistry& reg, bool json) {
         .set("peer_hit_rate", metrics::JsonValue::number(r.peer_hit_rate()))
         .set("mean_response_s",
              metrics::JsonValue::number(r.response_time_s.mean()));
-    if (layers.load.enabled) out.set("load", layers.load.json(sim, measure_s));
-    out.write(std::cout);
-    std::cout << '\n';
+    layers.print_json(std::move(out), sim, measure_s);
   } else {
     std::printf("olap (%s): %llu queries, %.1f%% peer hits, %.2f s mean "
                 "response\n",
@@ -771,9 +750,7 @@ int run_diglib(const cli::FlagRegistry& reg, bool json) {
         .set("recall", metrics::JsonValue::number(r.recall()))
         .set("messages_per_query",
              metrics::JsonValue::number(r.messages_per_query.mean()));
-    if (layers.load.enabled) out.set("load", layers.load.json(sim, measure_s));
-    out.write(std::cout);
-    std::cout << '\n';
+    layers.print_json(std::move(out), sim, measure_s);
   } else {
     std::printf("diglib (%s): %llu queries, %.1f%% hit rate, recall %.3f, "
                 "%.1f msgs/query\n",
