@@ -15,50 +15,27 @@
 #include "des/rng.h"
 #include "net/delay_model.h"
 
-// The batch-scheduling and SBO-callback benches only exist on trees that
-// have the zero-allocation queue; the guard lets this exact file build
-// against the pre-overhaul queue too, which is how the before/after
-// numbers in BENCH_PR3.json are produced (same bench source, two trees).
-#if __has_include("des/callback.h")
-#include "des/callback.h"
-#define DSF_BENCH_HAS_CALLBACK 1
-#endif
-
 namespace {
 
 using namespace dsf;
 
-/// Hold-model throughput with a *representative* closure.  The simulators
-/// never schedule empty lambdas: a delivery captures an engine pointer
-/// plus message coordinates (~24 bytes).  That size is what decides
-/// whether the callback type allocates — std::function's 16-byte inline
-/// buffer spills it to the heap on every schedule, the 48-byte SBO
-/// callback never does — so an empty-capture bench would hide exactly the
-/// cost this queue was rebuilt to remove.  Each popped event is also
-/// dispatched, as Simulator::step does.
+/// Hold-model throughput: a standing population of events, each popped
+/// one handled (folded into a sink, as Simulator's handler would read
+/// it) and replaced by one at a random later time.
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   des::EventQueue q;
   des::Rng rng(1);
-  // Keep a standing population of events, replacing each popped one.
   const int population = static_cast<int>(state.range(0));
   std::uint64_t acc = 0;
-  std::uint64_t* sink = &acc;
   double now = 0.0;
-  for (int i = 0; i < population; ++i) {
-    const double t = rng.uniform(0.0, 100.0);
-    q.schedule(t, [sink, t, i] {
-      *sink += static_cast<std::uint64_t>(t) + static_cast<std::uint64_t>(i);
-    });
-  }
+  for (int i = 0; i < population; ++i)
+    q.schedule(rng.uniform(0.0, 100.0),
+               des::Event{1, static_cast<std::uint64_t>(i), 0});
   for (auto _ : state) {
-    auto [t, cb] = q.pop();
-    cb();
+    const auto [t, ev] = q.pop();
+    acc += ev.a;
     now = t;
-    const double d = rng.uniform(0.0, 100.0);
-    const auto tag = static_cast<std::uint32_t>(acc);
-    q.schedule(now + d, [sink, d, tag] {
-      *sink += static_cast<std::uint64_t>(d) + tag;
-    });
+    q.schedule(now + rng.uniform(0.0, 100.0), des::Event{1, acc & 0xffff, 0});
   }
   benchmark::DoNotOptimize(acc);
   state.SetItemsProcessed(state.iterations());
@@ -70,17 +47,12 @@ BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1024)->Arg(16384)->Arg(262144);
 /// are never popped, so this also exercises the tombstone sweep.
 void BM_EventQueueCancel(benchmark::State& state) {
   des::EventQueue q;
-  std::uint64_t acc = 0;
-  std::uint64_t* sink = &acc;
   for (auto _ : state) {
-    const auto id = q.schedule(1.0, [sink] { ++*sink; });
+    const auto id = q.schedule(1.0, des::Event{1, 0, 0});
     benchmark::DoNotOptimize(q.cancel(id));
   }
-  benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_EventQueueCancel);
-
-#ifdef DSF_BENCH_HAS_CALLBACK
 
 /// Neighbor fan-out via one bulk insertion, then drain: the shape of
 /// core::event_flood's per-hop dispatch (Simulator::schedule_at_batch).
@@ -89,19 +61,15 @@ void BM_EventQueueScheduleBatch(benchmark::State& state) {
   des::EventQueue q;
   des::Rng rng(11);
   std::uint64_t acc = 0;
-  std::uint64_t* sink = &acc;
   double now = 0.0;
   for (auto _ : state) {
     q.schedule_batch(fanout, [&](std::size_t i) {
-      const double d = rng.uniform(0.0, 100.0);
-      return std::pair<des::SimTime, des::EventQueue::Callback>(
-          now + d, [sink, d, i] {
-            *sink += static_cast<std::uint64_t>(d) + i;
-          });
+      return std::pair<des::SimTime, des::Event>(now + rng.uniform(0.0, 100.0),
+                                                 des::Event{1, i, 0});
     });
     for (std::size_t i = 0; i < fanout; ++i) {
-      auto [t, cb] = q.pop();
-      cb();
+      const auto [t, ev] = q.pop();
+      acc += ev.a;
       now = t;
     }
   }
@@ -110,24 +78,6 @@ void BM_EventQueueScheduleBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(fanout));
 }
 BENCHMARK(BM_EventQueueScheduleBatch)->Arg(4)->Arg(16)->Arg(64);
-
-/// Construct + move + dispatch of an SBO callback alone, outside the
-/// queue: the per-event callback overhead floor.
-void BM_CallbackConstructDispatch(benchmark::State& state) {
-  std::uint64_t acc = 0;
-  std::uint64_t* sink = &acc;
-  std::uint64_t k = 0;
-  for (auto _ : state) {
-    const std::uint64_t tag = ++k;
-    des::Callback cb([sink, tag] { *sink += tag; });
-    des::Callback moved = std::move(cb);
-    moved();
-  }
-  benchmark::DoNotOptimize(acc);
-}
-BENCHMARK(BM_CallbackConstructDispatch);
-
-#endif  // DSF_BENCH_HAS_CALLBACK
 
 void BM_RngNext(benchmark::State& state) {
   des::Rng rng(2);

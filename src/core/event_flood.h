@@ -11,11 +11,9 @@
 //
 // The fan-out follows the batched DES dispatch contract (DESIGN.md §1.5):
 // one node's expansion counts and stamps every neighbor first, then issues
-// a single bulk insertion into the event queue.  Each scheduled hop
-// captures a raw pointer to the flood context — which lives on the
-// caller's stack for the whole drain — plus the hop coordinates, 32 bytes
-// in total, so steady-state flooding never touches the heap allocator for
-// callbacks.
+// a single bulk insertion into the event queue.  The flood runs on its own
+// simulator whose handler is the flood's: each scheduled hop is an event
+// record whose payload indexes a per-flood vector of hop coordinates.
 
 #include <utility>
 #include <vector>
@@ -26,22 +24,19 @@
 namespace dsf::core {
 
 /// Runs one query flood by scheduling each hop as a simulator event,
-/// starting at the simulator's current time.  Returns when the simulator
-/// drains (the caller's simulator must not hold unrelated events).
-/// Semantics mirror flood_search: forward to every neighbor except the
-/// sender, duplicates counted-then-discarded, holders reply directly to
-/// the initiator and do not forward unless `forward_when_hit`.
+/// starting at absolute time `start_s` on a simulator private to the
+/// flood.  Semantics mirror flood_search: forward to every neighbor except
+/// the sender, duplicates counted-then-discarded, holders reply directly
+/// to the initiator and do not forward unless `forward_when_hit`.  Reported
+/// times are relative to the start, as in flood_search.
 template <typename NeighborsFn, typename HasContentFn, typename DelayFn>
-SearchOutcome event_flood_search(des::Simulator& sim, net::NodeId initiator,
+SearchOutcome event_flood_search(net::NodeId initiator,
                                  const SearchParams& params,
                                  NeighborsFn&& neighbors,
                                  HasContentFn&& has_content, DelayFn&& delay,
-                                 VisitStamp& stamps) {
-  // All flood state lives in this frame: sim.run() below drains every
-  // scheduled hop before the function returns, so events reference the
-  // context by plain pointer instead of a shared_ptr copy per hop.
+                                 VisitStamp& stamps,
+                                 des::SimTime start_s = 0.0) {
   struct Ctx {
-    des::Simulator& sim;
     const SearchParams& params;
     NeighborsFn& neighbors;
     HasContentFn& has_content;
@@ -51,61 +46,58 @@ SearchOutcome event_flood_search(des::Simulator& sim, net::NodeId initiator,
     double start;
     SearchOutcome out;
 
-    /// One expansion's accepted deliveries, gathered before the bulk
-    /// schedule.  Reused across expansions: send_from never recurses (it
-    /// only schedules future events), so one buffer suffices.
-    struct Pending {
-      net::NodeId nbr;
+    /// One scheduled delivery: `node` receives the query from `sender` at
+    /// `arrival` seconds after the start.  An event's `a` is its index.
+    struct Hop {
+      net::NodeId node;
+      net::NodeId sender;
+      int hop;
       double arrival;
     };
-    std::vector<Pending> fanout;
+    std::vector<Hop> hops;
 
-    void send_from(net::NodeId node, net::NodeId sender, int hop,
-                   double now_rel) {
+    void send_from(des::Simulator& sim, net::NodeId node, net::NodeId sender,
+                   int hop, double now_rel) {
       if (hop >= params.max_hops) return;
-      fanout.clear();
+      const std::size_t first = hops.size();
       for (net::NodeId nbr : neighbors(node)) {
         if (nbr == sender) continue;
         ++out.query_messages;
         if (!stamps.mark(nbr)) continue;  // counted, but receiver will drop
-        const double arrival = now_rel + delay(node, nbr);
         ++out.nodes_reached;
-        fanout.push_back({nbr, arrival});
+        hops.push_back({nbr, node, hop + 1, now_rel + delay(node, nbr)});
       }
-      const int next_hop = hop + 1;
-      Ctx* ctx = this;
-      sim.schedule_at_batch(fanout.size(), [&](std::size_t i) {
-        const Pending p = fanout[i];
-        auto hop_cb = [ctx, p, node, next_hop] {
-          ctx->arrive(p.nbr, node, next_hop, p.arrival);
-        };
-        static_assert(des::Callback::stores_inline<decltype(hop_cb)>(),
-                      "event-flood hop capture must fit the callback SBO");
-        return std::pair<des::SimTime, des::Callback>(start + p.arrival,
-                                                      std::move(hop_cb));
+      sim.schedule_at_batch(hops.size() - first, [&](std::size_t i) {
+        return std::pair<des::SimTime, des::Event>(
+            start + hops[first + i].arrival, des::Event{0, first + i, 0});
       });
     }
 
-    void arrive(net::NodeId node, net::NodeId sender, int hop,
-                double arrival) {
+    void arrive(des::Simulator& sim, const Hop& h) {
       bool forward = true;
-      if (has_content(node)) {
-        const double reply_at = arrival + delay(node, initiator);
+      if (has_content(h.node)) {
+        const double reply_at = h.arrival + delay(h.node, initiator);
         if (reply_at <= params.timeout_s) {
           ++out.reply_messages;
-          out.hits.push_back({node, hop, arrival, reply_at});
+          out.hits.push_back({h.node, h.hop, h.arrival, reply_at});
         }
         if (!params.forward_when_hit) forward = false;
       }
-      if (forward) send_from(node, sender, hop, arrival);
+      if (forward) send_from(sim, h.node, h.sender, h.hop, h.arrival);
     }
   };
 
-  Ctx ctx{sim,    params,    neighbors, has_content, delay,
-          stamps, initiator, sim.now(), {},          {}};
+  Ctx ctx{params, neighbors, has_content, delay, stamps,
+          initiator, start_s, {}, {}};
+  // send_from may grow `hops`, so the handler copies the record first.
+  des::Simulator sim([&ctx, &sim](const des::Event& e) {
+    const typename Ctx::Hop h = ctx.hops[e.a];
+    ctx.arrive(sim, h);
+  });
+  sim.run_until(start_s);  // an empty queue: only moves the clock
   ctx.stamps.begin_search();
   ctx.stamps.mark(initiator);
-  ctx.send_from(initiator, net::kInvalidNode, 0, 0.0);
+  ctx.send_from(sim, initiator, net::kInvalidNode, 0, 0.0);
   sim.run();
   return ctx.out;
 }

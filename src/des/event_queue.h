@@ -7,12 +7,21 @@
 #include <utility>
 #include <vector>
 
-#include "des/callback.h"
-
 namespace dsf::des {
 
 /// Simulation time in seconds.
 using SimTime = double;
+
+/// One scheduled event as plain data: a kind plus two integer payloads.
+/// The queue never interprets them; the simulator hands each popped event
+/// to its one handler, which switches on `kind` (DESIGN.md §1.5).  Being
+/// data, a pending event can be written to a snapshot and read back as it
+/// is.
+struct Event {
+  std::uint32_t kind = 0;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+};
 
 /// Handle to a scheduled event, usable for cancellation.  A handle is a
 /// (slot, generation) pair: slots are recycled, generations are not, so a
@@ -26,7 +35,7 @@ struct EventId {
   }
 };
 
-/// Priority queue of timestamped callbacks with stable FIFO ordering for
+/// Priority queue of timestamped events with stable FIFO ordering for
 /// equal timestamps and O(1) lazy cancellation.  Event times must be
 /// finite.
 ///
@@ -35,9 +44,8 @@ struct EventId {
 /// delays (the simulators mix second-scale message hops with hour-scale
 /// session and query timers in one queue).
 ///
-///  - callbacks are des::Callback (48-byte small-buffer, move-only), so
-///    typical closures are stored without touching the heap allocator;
-///  - event records live in a recycled slab; heap nodes carry the full
+///  - event records (a 24-byte Event plus its sequence number) live in a
+///    recycled slab, two to a cache line; heap nodes carry the full
 ///    ordering key (an order-preserving integer image of the time, plus
 ///    the sequence number) so comparisons never dereference the slab;
 ///  - cancellation is lazy: a dense 1-bit-per-slot tombstone set checked
@@ -52,13 +60,11 @@ struct EventId {
 /// trajectory.
 class EventQueue {
  public:
-  using Callback = des::Callback;
-
   EventQueue() = default;
 
-  /// Schedules `cb` at absolute time `t` (finite).  Events with equal
+  /// Schedules `ev` at absolute time `t` (finite).  Events with equal
   /// `t` fire in insertion order.
-  EventId schedule(SimTime t, Callback cb) {
+  EventId schedule(SimTime t, const Event& ev) {
     assert(std::isfinite(t) && "event time must be finite");
     // Start the cold lines this insert will touch — the recycled slab
     // entry and its tombstone word — toward L1 now, so at large
@@ -68,23 +74,23 @@ class EventQueue {
       prefetch(&entries_[s]);
       prefetch(&dead_bits_[s >> 6]);
     }
-    const std::uint32_t slot = acquire_slot(std::move(cb));
+    const std::uint32_t slot = acquire_slot(ev);
     const std::uint64_t seq = entries_[slot].seq;
     push_node(HeapNode{time_key(t), seq, slot});
     return EventId{slot, seq};
   }
 
   /// Bulk insertion for neighbor fan-out: schedules `n` events produced
-  /// by `gen(i) -> std::pair<SimTime, Callback>` in index order.
+  /// by `gen(i) -> std::pair<SimTime, Event>` in index order.
   /// Equivalent to n calls to schedule() — same sequence numbers, same
   /// pop order; no handles are returned because fan-out deliveries are
   /// never cancelled individually.
   template <typename Gen>
   void schedule_batch(std::size_t n, Gen&& gen) {
     for (std::size_t i = 0; i < n; ++i) {
-      auto [t, cb] = gen(i);
+      const auto [t, ev] = gen(i);
       assert(std::isfinite(t) && "event time must be finite");
-      const std::uint32_t slot = acquire_slot(std::move(cb));
+      const std::uint32_t slot = acquire_slot(ev);
       push_node(HeapNode{time_key(t), entries_[slot].seq, slot});
     }
   }
@@ -96,7 +102,6 @@ class EventQueue {
     Entry& e = entries_[id.slot];
     if (is_dead(id.slot) || e.seq != id.seq) return false;
     mark_dead(id.slot);
-    e.cb = nullptr;  // release captured state promptly
     --live_;
     // Lazy deletion alone lets tombstones pile up until their timestamp
     // surfaces — a workload that cancels most of what it schedules would
@@ -119,7 +124,7 @@ class EventQueue {
   }
 
   /// Pops and returns the next live event.  Precondition: !empty().
-  std::pair<SimTime, Callback> pop() {
+  std::pair<SimTime, Event> pop() {
     drop_dead_top();
     assert(!heap_.empty() && "pop() on empty queue");
     const std::uint64_t key = heap_.front().time_key;
@@ -128,8 +133,8 @@ class EventQueue {
     // toward L1 so the fetch overlaps the sift-down's own misses.
     prefetch(&entries_[slot]);
     pop_heap_root();
-    Entry& e = entries_[slot];
-    std::pair<SimTime, Callback> result{time_from_key(key), std::move(e.cb)};
+    const std::pair<SimTime, Event> result{time_from_key(key),
+                                           entries_[slot].ev};
     mark_dead(slot);  // a stale handle must not cancel this fired event
     free_.push_back(slot);
     --live_;
@@ -139,17 +144,14 @@ class EventQueue {
   /// Number of live (non-cancelled) events.
   std::size_t size() const noexcept { return live_; }
 
-  /// Visits every live event as (time, seq, id) in unspecified order —
+  /// Visits every live event as (time, seq, event) in unspecified order —
   /// the checkpoint layer enumerates pending events through this and
-  /// re-sorts by (time, seq) itself.  Cancelled/fired slots are skipped;
-  /// callbacks are not exposed (they are reconstructed from a registry,
-  /// never serialized).
+  /// re-sorts by (time, seq) itself.  Cancelled/fired slots are skipped.
   template <typename Fn>
   void for_each_live(Fn&& fn) const {
     for (const HeapNode& node : heap_) {
       if (!is_dead(node.slot))
-        fn(time_from_key(node.time_key), node.seq,
-           EventId{node.slot, node.seq});
+        fn(time_from_key(node.time_key), node.seq, entries_[node.slot].ev);
     }
   }
 
@@ -157,16 +159,16 @@ class EventQueue {
   std::uint64_t total_scheduled() const noexcept { return next_seq_; }
 
  private:
-  /// One slab record: callback plus the generation that validates
-  /// handles.  Exactly one cache line (56-byte callback + 8), so every
-  /// schedule writes and every pop reads a single line.  The timestamp
-  /// is not stored: nodes carry it as the order key, and time_from_key
-  /// inverts that mapping exactly.
+  /// One slab record: the event plus the generation that validates
+  /// handles.  32 bytes, so an entry never straddles a cache line and
+  /// every schedule writes and every pop reads a single line.  The
+  /// timestamp is not stored: nodes carry it as the order key, and
+  /// time_from_key inverts that mapping exactly.
   struct Entry {
-    Callback cb;
+    Event ev;
     std::uint64_t seq = 0;
   };
-  static_assert(sizeof(Entry) <= 64, "slab entry must fit one cache line");
+  static_assert(sizeof(Entry) == 32, "slab entry must tile a cache line");
 
   /// Heap node carrying the complete ordering key; comparisons never
   /// dereference the slab.  Time is stored as its order-preserving
@@ -228,7 +230,7 @@ class EventQueue {
 #endif
   }
 
-  std::uint32_t acquire_slot(Callback cb) {
+  std::uint32_t acquire_slot(const Event& ev) {
     std::uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -241,7 +243,7 @@ class EventQueue {
     }
     Entry& e = entries_[slot];
     e.seq = next_seq_++;
-    e.cb = std::move(cb);
+    e.ev = ev;
     return slot;
   }
 

@@ -7,10 +7,7 @@ std::uint64_t Simulator::run_until(SimTime end_time) {
   stop_requested_ = false;
   while (!queue_.empty() && !stop_requested_) {
     if (queue_.next_time() > end_time) break;
-    auto [t, cb] = queue_.pop();
-    now_ = t;
-    cb();
-    ++executed_;
+    dispatch_next();
     ++count;
   }
   // Advance the clock to the horizon so back-to-back run_until calls see a
@@ -22,10 +19,7 @@ std::uint64_t Simulator::run_until(SimTime end_time) {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  auto [t, cb] = queue_.pop();
-  now_ = t;
-  cb();
-  ++executed_;
+  dispatch_next();
   return true;
 }
 

@@ -1,23 +1,28 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "des/event_queue.h"
 
 namespace dsf::des {
 
-/// Single-threaded discrete-event simulator: a clock plus an event queue.
+/// Single-threaded discrete-event simulator: a clock, an event queue and
+/// the one handler every popped event is given to.
 ///
-/// All model code runs inside event callbacks; the simulator guarantees
-/// that callbacks execute in non-decreasing time order and that `now()` is
-/// exact inside a callback.  Determinism follows from the deterministic
+/// All model code runs inside the handler; the simulator guarantees that
+/// events are handled in non-decreasing time order and that `now()` is
+/// exact inside the handler.  Determinism follows from the deterministic
 /// queue ordering and the splittable `Rng` streams — a fixed seed replays
 /// the exact same trajectory.
 class Simulator {
  public:
-  Simulator() = default;
+  using Handler = std::function<void(const Event&)>;
+
+  explicit Simulator(Handler handler) : handler_(std::move(handler)) {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -25,19 +30,19 @@ class Simulator {
   /// Current simulation time in seconds.
   SimTime now() const noexcept { return now_; }
 
-  /// Schedules `cb` after `delay` seconds.  Negative delays are clamped
+  /// Schedules `ev` after `delay` seconds.  Negative delays are clamped
   /// to "immediately": time never flows backwards.
-  EventId schedule_in(SimTime delay, EventQueue::Callback cb) {
-    return queue_.schedule(delay > 0 ? now_ + delay : now_, std::move(cb));
+  EventId schedule_in(SimTime delay, const Event& ev) {
+    return queue_.schedule(delay > 0 ? now_ + delay : now_, ev);
   }
 
-  /// Schedules `cb` at absolute time `t`; a `t` in the past is clamped to
+  /// Schedules `ev` at absolute time `t`; a `t` in the past is clamped to
   /// now() so the clock stays monotone.
-  EventId schedule_at(SimTime t, EventQueue::Callback cb) {
-    return queue_.schedule(t > now_ ? t : now_, std::move(cb));
+  EventId schedule_at(SimTime t, const Event& ev) {
+    return queue_.schedule(t > now_ ? t : now_, ev);
   }
 
-  /// Batched absolute-time variant: `gen(i)` returns the (time, callback)
+  /// Batched absolute-time variant: `gen(i)` returns the (time, event)
   /// pair for event `i`; past times are clamped to now() exactly as in
   /// schedule_at.
   template <typename Gen>
@@ -90,6 +95,15 @@ class Simulator {
   EventQueue& queue() noexcept { return queue_; }
 
  private:
+  /// Pops the next event, advances the clock to it and handles it.
+  void dispatch_next() {
+    const auto [t, ev] = queue_.pop();
+    now_ = t;
+    handler_(ev);
+    ++executed_;
+  }
+
+  Handler handler_;
   EventQueue queue_;
   SimTime now_ = 0.0;
   std::uint64_t executed_ = 0;

@@ -28,6 +28,7 @@ sim::EngineConfig DigLibSim::make_engine_config(const DigLibConfig& config) {
   ec.in_capacity = config.num_repositories;
   ec.sim_hours = config.sim_hours;
   ec.warmup_hours = config.warmup_hours;
+  ec.event_kinds = kLibQuery + 1 - kKeyedUserBase;
   return ec;
 }
 
@@ -149,8 +150,7 @@ void DigLibSim::issue_query(net::NodeId r) {
     if (outcome.satisfied())
       result_.first_result_delay_s.add(outcome.first_result_delay_s());
   }
-  schedule_keyed(interquery_.sample(rng()), kLibQuery, r, 0,
-                 [this, r] { issue_query(r); });
+  sim_.schedule_in(interquery_.sample(rng()), des::Event{kLibQuery, r, 0});
 }
 
 load::Served DigLibSim::serve_injected_query(net::NodeId r,
@@ -234,8 +234,7 @@ DigLibResult DigLibSim::run() {
   // not draw the initial delays.
   for (net::NodeId r = 0; r < config_.num_repositories; ++r) {
     if (!resumed())
-      schedule_keyed(interquery_.sample(rng()), kLibQuery, r, 0,
-                     [this, r] { issue_query(r); });
+      sim_.schedule_in(interquery_.sample(rng()), des::Event{kLibQuery, r, 0});
     if (config_.mode == ListMode::kAdaptive)
       every(config_.update_period_s,
             [this] { return rng().uniform(0.0, config_.update_period_s); },
@@ -262,8 +261,13 @@ void DigLibSim::save_domain(snap::Writer::Out& out) const {
 
 void DigLibSim::load_domain(snap::Reader::In& in) {
   for (Repository& repo : repos_) {
-    snap::get_stats_store(in, repo.stats);
+    snap::get_stats_store(in, repo.stats, repos_.size());
     repo.exploration_link = in.u32();
+    if (repo.exploration_link != net::kInvalidNode &&
+        repo.exploration_link >= repos_.size())
+      throw snap::SnapshotError("diglib: exploration link " +
+                                std::to_string(repo.exploration_link) +
+                                " out of range");
   }
   result_.queries = in.u64();
   result_.satisfied = in.u64();
@@ -273,16 +277,12 @@ void DigLibSim::load_domain(snap::Reader::In& in) {
   snap::get_summary(in, result_.messages_per_query);
 }
 
-void DigLibSim::restore_keyed_event(double t, std::uint32_t kind,
-                                    std::uint64_t a, std::uint64_t b) {
-  if (kind == kLibQuery) {
-    if (a >= repos_.size())
-      throw snap::SnapshotError("diglib: query event repository out of range");
-    const auto r = static_cast<net::NodeId>(a);
-    schedule_keyed_at(t, kLibQuery, a, 0, [this, r] { issue_query(r); });
+void DigLibSim::on_event(const des::Event& e) {
+  if (e.kind == kLibQuery) {
+    issue_query(static_cast<net::NodeId>(e.a));
     return;
   }
-  OverlayEngine::restore_keyed_event(t, kind, a, b);
+  OverlayEngine::on_event(e);
 }
 
 }  // namespace dsf::diglib

@@ -120,11 +120,12 @@ class DigLibSim : public sim::OverlayEngine {
   /// immutable and come from the constructor.
   void save_domain(snap::Writer::Out& out) const override;
   void load_domain(snap::Reader::In& in) override;
-  void restore_keyed_event(double t, std::uint32_t kind, std::uint64_t a,
-                           std::uint64_t b) override;
+
+  /// Runs a query event.
+  void on_event(const des::Event& e) override;
 
  private:
-  /// Keyed event kinds (snapshot pending-event records).
+  /// Event kinds.
   static constexpr std::uint32_t kLibQuery = kKeyedUserBase + 0;  ///< a = r
 
   struct Repository {

@@ -38,6 +38,7 @@ sim::EngineConfig Simulation::make_engine_config(const Config& config) {
   ec.in_capacity = config.max_neighbors;
   ec.sim_hours = config.sim_hours;
   ec.warmup_hours = config.warmup_hours;
+  ec.event_kinds = kGnuTrial + 1 - kKeyedUserBase;
   return ec;
 }
 
@@ -99,14 +100,14 @@ void Simulation::prime() {
   for (net::NodeId u = 0; u < hot_.size(); ++u) {
     UserHot& st = hot_[u];
     if (st.online) {
-      st.session_event = schedule_keyed(
-          session_.draw_online_duration(session_rng()), kGnuSession, u, 0,
-          [this, u] { log_off(u); });
+      st.session_event =
+          sim_.schedule_in(session_.draw_online_duration(session_rng()),
+                           des::Event{kGnuSession, u, 0});
       schedule_next_query(u);
     } else {
-      st.session_event = schedule_keyed(
-          session_.draw_offline_duration(session_rng()), kGnuSession, u, 0,
-          [this, u] { log_in(u); });
+      st.session_event =
+          sim_.schedule_in(session_.draw_offline_duration(session_rng()),
+                           des::Event{kGnuSession, u, 0});
     }
   }
 }
@@ -178,8 +179,8 @@ void Simulation::log_in(net::NodeId u) {
   fill_with_random_neighbors(u);
 
   st.session_event =
-      schedule_keyed(session_.draw_online_duration(session_rng()), kGnuSession,
-                     u, 0, [this, u] { log_off(u); });
+      sim_.schedule_in(session_.draw_online_duration(session_rng()),
+                       des::Event{kGnuSession, u, 0});
   schedule_next_query(u);
 }
 
@@ -214,15 +215,14 @@ void Simulation::log_off(net::NodeId u) {
   }
 
   st.session_event =
-      schedule_keyed(session_.draw_offline_duration(session_rng()),
-                     kGnuSession, u, 0, [this, u] { log_in(u); });
+      sim_.schedule_in(session_.draw_offline_duration(session_rng()),
+                       des::Event{kGnuSession, u, 0});
 }
 
 void Simulation::schedule_next_query(net::NodeId u) {
   UserHot& st = hot_[u];
-  st.query_event =
-      schedule_keyed(session_.draw_interquery_gap(session_rng()), kGnuQuery,
-                     u, 0, [this, u] { issue_query(u); });
+  st.query_event = sim_.schedule_in(session_.draw_interquery_gap(session_rng()),
+                                    des::Event{kGnuQuery, u, 0});
   st.has_query_event = true;
 }
 
@@ -397,9 +397,9 @@ bool Simulation::adversary_churn_kick(des::Rng& lane, double offline_mean_s,
   sim_.cancel(hot_[u].session_event);
   log_off(u);
   sim_.cancel(hot_[u].session_event);
-  hot_[u].session_event = schedule_keyed(
-      des::Pareto::from_mean(offline_mean_s, shape).sample(lane), kGnuSession,
-      u, 0, [this, u] { log_in(u); });
+  hot_[u].session_event = sim_.schedule_in(
+      des::Pareto::from_mean(offline_mean_s, shape).sample(lane),
+      des::Event{kGnuSession, u, 0});
   return true;
 }
 
@@ -467,8 +467,7 @@ bool Simulation::invite(net::NodeId u, net::NodeId v) {
   // period, v keeps u only if the statistics gathered meanwhile rank u
   // above at least one other neighbor.
   if (config_.invitation_policy == core::InvitationPolicy::kTrialPeriod)
-    schedule_keyed(config_.trial_period_s, kGnuTrial, u, v,
-                   [this, u, v] { evaluate_trial(u, v); });
+    sim_.schedule_in(config_.trial_period_s, des::Event{kGnuTrial, u, v});
   return true;
 }
 
@@ -615,7 +614,7 @@ void Simulation::load_domain(snap::Reader::In& in) {
     h.has_query_event = in.u8() != 0;
     h.reconfig_count = in.u32();
     h.online_pos = in.u32();
-    // Event handles are re-established by restore_keyed_event.
+    // Event handles are re-bound by on_event_restored.
     h.query_event = des::EventId{};
     h.session_event = des::EventId{};
   }
@@ -628,8 +627,25 @@ void Simulation::load_domain(snap::Reader::In& in) {
       throw snap::SnapshotError("gnutella: on-line roster entry out of range");
     online_nodes_.push_back(u);
   }
+  // The roster swap-pop indexes it by online_pos: each on-line user's
+  // position must name that user, and the roster holds no one else.
+  std::size_t online_users = 0;
+  for (net::NodeId u = 0; u < hot_.size(); ++u) {
+    if (!hot_[u].online) continue;
+    ++online_users;
+    const std::uint32_t pos = hot_[u].online_pos;
+    if (pos >= online_nodes_.size() || online_nodes_[pos] != u)
+      throw snap::SnapshotError("gnutella: online_pos " + std::to_string(pos) +
+                                " of user " + std::to_string(u) +
+                                " does not point at it in the on-line roster");
+  }
+  if (online_users != online_nodes_.size())
+    throw snap::SnapshotError("gnutella: on-line roster holds " +
+                              std::to_string(online_nodes_.size()) +
+                              " entries for " + std::to_string(online_users) +
+                              " on-line users");
   for (UserCold& c : cold_) {
-    snap::get_stats_store(in, c.stats);
+    snap::get_stats_store(in, c.stats, hot_.size());
     c.recent_queries.clear();
     const std::uint64_t nq = in.u64();
     if (nq > kRecentQueryWindow)
@@ -637,7 +653,11 @@ void Simulation::load_domain(snap::Reader::In& in) {
     c.recent_queries.reserve(static_cast<std::size_t>(nq));
     for (std::uint64_t i = 0; i < nq; ++i)
       c.recent_queries.push_back(static_cast<workload::SongId>(in.u64()));
-    c.recent_pos = static_cast<std::size_t>(in.u64());
+    const std::uint64_t pos = in.u64();
+    if (pos >= kRecentQueryWindow)
+      throw snap::SnapshotError("gnutella: recent_pos " + std::to_string(pos) +
+                                " outside the recent-query window");
+    c.recent_pos = static_cast<std::size_t>(pos);
   }
   const std::uint64_t spill_users = in.u64();
   for (std::uint64_t i = 0; i < spill_users; ++i) {
@@ -681,42 +701,32 @@ void Simulation::load_domain(snap::Reader::In& in) {
   }
 }
 
-void Simulation::restore_keyed_event(double t, std::uint32_t kind,
-                                     std::uint64_t a, std::uint64_t b) {
-  switch (kind) {
-    case kGnuSession: {
-      if (a >= hot_.size())
-        throw snap::SnapshotError("gnutella: session event user out of range");
-      const auto u = static_cast<net::NodeId>(a);
-      if (hot_[u].online) {
-        hot_[u].session_event = schedule_keyed_at(
-            t, kGnuSession, a, 0, [this, u] { log_off(u); });
-      } else {
-        hot_[u].session_event = schedule_keyed_at(
-            t, kGnuSession, a, 0, [this, u] { log_in(u); });
-      }
+void Simulation::on_event(const des::Event& e) {
+  const auto u = static_cast<net::NodeId>(e.a);
+  switch (e.kind) {
+    case kGnuSession:
+      if (hot_[u].online)
+        log_off(u);
+      else
+        log_in(u);
       return;
-    }
-    case kGnuQuery: {
-      if (a >= hot_.size())
-        throw snap::SnapshotError("gnutella: query event user out of range");
-      const auto u = static_cast<net::NodeId>(a);
-      hot_[u].query_event = schedule_keyed_at(
-          t, kGnuQuery, a, 0, [this, u] { issue_query(u); });
-      hot_[u].has_query_event = true;
+    case kGnuQuery:
+      issue_query(u);
       return;
-    }
-    case kGnuTrial: {
-      if (a >= hot_.size() || b >= hot_.size())
-        throw snap::SnapshotError("gnutella: trial event node out of range");
-      const auto u = static_cast<net::NodeId>(a);
-      const auto v = static_cast<net::NodeId>(b);
-      schedule_keyed_at(t, kGnuTrial, a, b,
-                        [this, u, v] { evaluate_trial(u, v); });
+    case kGnuTrial:
+      evaluate_trial(u, static_cast<net::NodeId>(e.b));
       return;
-    }
     default:
-      OverlayEngine::restore_keyed_event(t, kind, a, b);
+      OverlayEngine::on_event(e);
+  }
+}
+
+void Simulation::on_event_restored(const des::Event& e, des::EventId id) {
+  if (e.kind == kGnuSession) {
+    hot_[e.a].session_event = id;
+  } else if (e.kind == kGnuQuery) {
+    hot_[e.a].query_event = id;
+    hot_[e.a].has_query_event = true;
   }
 }
 

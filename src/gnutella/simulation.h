@@ -152,8 +152,11 @@ class Simulation : public sim::OverlayEngine {
   /// profiles, libraries and digests are reconstructed by the constructor.
   void save_domain(snap::Writer::Out& out) const override;
   void load_domain(snap::Reader::In& in) override;
-  void restore_keyed_event(double t, std::uint32_t kind, std::uint64_t a,
-                           std::uint64_t b) override;
+
+  /// Runs a session, query or trial event.
+  void on_event(const des::Event& e) override;
+  /// Re-binds the session and query handles cancel() needs on resume.
+  void on_event_restored(const des::Event& e, des::EventId id) override;
 
  private:
   // Per-user state is split SoA-style.  The hot record is what every
@@ -181,9 +184,9 @@ class Simulation : public sim::OverlayEngine {
   };
   static constexpr std::size_t kRecentQueryWindow = 32;
 
-  /// Keyed event kinds (snapshot pending-event records).  A session wake's
-  /// direction (log_in vs log_off) is not stored: it is re-derived from the
-  /// restored hot_[u].online flag, which is exact by construction.
+  /// Event kinds.  A session event's direction (log_in vs log_off) is not
+  /// stored: it flips hot_[u].online, which every path that changes the
+  /// flag keeps in step by cancelling or rescheduling the session event.
   static constexpr std::uint32_t kGnuSession = kKeyedUserBase + 0;  ///< a = u
   static constexpr std::uint32_t kGnuQuery = kKeyedUserBase + 1;    ///< a = u
   static constexpr std::uint32_t kGnuTrial =

@@ -51,6 +51,10 @@ struct PendingQuery {
 struct PeerQueue {
   std::deque<PendingQuery> waiting;
   bool busy = false;
+  /// The query in service while busy: its arrival time and hit verdict,
+  /// read when its service finishes.
+  double service_arrival_s = 0.0;
+  bool service_hit = false;
   std::size_t depth() const noexcept {
     return waiting.size() + (busy ? 1u : 0u);
   }

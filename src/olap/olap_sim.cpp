@@ -26,6 +26,7 @@ sim::EngineConfig OlapSim::make_engine_config(const OlapConfig& config) {
   ec.in_capacity = config.num_peers;
   ec.sim_hours = config.sim_hours;
   ec.warmup_hours = config.warmup_hours;
+  ec.event_kinds = kOlapQuery + 1 - kKeyedUserBase;
   return ec;
 }
 
@@ -145,8 +146,7 @@ void OlapSim::issue_query(net::NodeId p) {
   capture_query_arrival(p, base);
   if (reporting()) ++result_.queries;
   serve_chunks(p, base, reporting(), nullptr);
-  schedule_keyed(interquery_.sample(rng()), kOlapQuery, p, 0,
-                 [this, p] { issue_query(p); });
+  sim_.schedule_in(interquery_.sample(rng()), des::Event{kOlapQuery, p, 0});
 }
 
 load::Served OlapSim::serve_injected_query(net::NodeId p, std::uint64_t item) {
@@ -192,8 +192,7 @@ OlapResult OlapSim::run() {
   // not draw the initial delays.
   for (net::NodeId p = 0; p < config_.num_peers; ++p) {
     if (!resumed())
-      schedule_keyed(interquery_.sample(rng()), kOlapQuery, p, 0,
-                     [this, p] { issue_query(p); });
+      sim_.schedule_in(interquery_.sample(rng()), des::Event{kOlapQuery, p, 0});
     if (config_.dynamic)
       every(config_.update_period_s,
             [this] { return rng().uniform(0.0, config_.update_period_s); },
@@ -221,7 +220,7 @@ void OlapSim::save_domain(snap::Writer::Out& out) const {
 void OlapSim::load_domain(snap::Reader::In& in) {
   for (Peer& peer : peers_) {
     snap::get_lru(in, peer.cache);
-    snap::get_stats_store(in, peer.stats);
+    snap::get_stats_store(in, peer.stats, peers_.size());
   }
   result_.queries = in.u64();
   result_.chunks_requested = in.u64();
@@ -231,16 +230,12 @@ void OlapSim::load_domain(snap::Reader::In& in) {
   snap::get_summary(in, result_.response_time_s);
 }
 
-void OlapSim::restore_keyed_event(double t, std::uint32_t kind,
-                                  std::uint64_t a, std::uint64_t b) {
-  if (kind == kOlapQuery) {
-    if (a >= peers_.size())
-      throw snap::SnapshotError("olap: query event peer out of range");
-    const auto p = static_cast<net::NodeId>(a);
-    schedule_keyed_at(t, kOlapQuery, a, 0, [this, p] { issue_query(p); });
+void OlapSim::on_event(const des::Event& e) {
+  if (e.kind == kOlapQuery) {
+    issue_query(static_cast<net::NodeId>(e.a));
     return;
   }
-  OverlayEngine::restore_keyed_event(t, kind, a, b);
+  OverlayEngine::on_event(e);
 }
 
 }  // namespace dsf::olap

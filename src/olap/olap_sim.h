@@ -86,11 +86,12 @@ class OlapSim : public sim::OverlayEngine {
   /// accumulators.  Regions and the RNG replay come from the constructor.
   void save_domain(snap::Writer::Out& out) const override;
   void load_domain(snap::Reader::In& in) override;
-  void restore_keyed_event(double t, std::uint32_t kind, std::uint64_t a,
-                           std::uint64_t b) override;
+
+  /// Runs a query event.
+  void on_event(const des::Event& e) override;
 
  private:
-  /// Keyed event kinds (snapshot pending-event records).
+  /// Event kinds.
   static constexpr std::uint32_t kOlapQuery = kKeyedUserBase + 0;  ///< a = p
 
   struct Peer {

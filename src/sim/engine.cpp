@@ -86,6 +86,7 @@ OverlayEngine::OverlayEngine(EngineConfig cfg)
                cfg_.in_capacity),
       stamps_(cfg_.num_nodes),
       hit_stamps_(cfg_.num_nodes),
+      sim_([this](const des::Event& e) { run_event(e); }),
       fault_rng_(make_fault_lane(cfg_.seed)),
       dead_(cfg_.num_nodes, 0),
       load_rng_(des::hash_seed(cfg_.seed, kLoadStream)) {
@@ -101,7 +102,7 @@ namespace {
 // The three layers whose state the snapshot format does not carry.
 const char* kLoadSnapshotError =
     ": open-loop injection and snapshots are mutually exclusive (injected"
-    " arrivals and admission queues are not keyed for checkpoint replay)";
+    " arrivals and admission queues are not checkpointed)";
 const char* kAdversarySnapshotError =
     ": the adversary layer and snapshots are mutually exclusive (the"
     " adversary lane and abuse attribution are not checkpointed)";
@@ -121,8 +122,46 @@ void OverlayEngine::every(double period_s,
 void OverlayEngine::start_periodic(std::size_t idx, double delay_s) {
   // Same single insertion point as the old trailing-self-reschedule
   // recursion, so a run that never snapshots replays byte-identically.
-  schedule_keyed(delay_s, kKeyedPeriodic, idx, 0,
-                 [this, idx] { run_periodic_tick(idx); });
+  sim_.schedule_in(delay_s, des::Event{kKeyedPeriodic, idx, 0});
+}
+
+void OverlayEngine::run_event(const des::Event& e) {
+  switch (e.kind) {
+    case kKeyedPeriodic:
+      run_periodic_tick(static_cast<std::size_t>(e.a));
+      return;
+    case kKeyedCrashTick:
+      run_crash_tick();
+      return;
+    case kKeyedAbuse:
+      run_abuse_event();
+      return;
+    case kKeyedStormKick:
+      run_storm_kick();
+      return;
+    case kKeyedOutage:
+      run_regional_outage();
+      return;
+    case kKeyedArrival:
+      run_generated_arrival();
+      return;
+    case kKeyedTraceArrival:
+      run_trace_arrival(static_cast<std::size_t>(e.a));
+      return;
+    case kKeyedLoadFinish:
+      finish_load_service(static_cast<net::NodeId>(e.a));
+      return;
+    case kKeyedQueueSample:
+      sample_load_queues();
+      return;
+    default:
+      on_event(e);
+  }
+}
+
+void OverlayEngine::on_event(const des::Event& e) {
+  throw std::logic_error(cfg_.name + ": no handler for event kind " +
+                         std::to_string(e.kind));
 }
 
 void OverlayEngine::run_periodic_tick(std::size_t idx) {
@@ -144,7 +183,7 @@ std::uint64_t OverlayEngine::run_until_horizon() {
   replay_restored_events();
   // Segmented horizon: run to the next cut, act on it, continue.  After
   // run_until(T) every pending event is strictly later than T and no
-  // callback is mid-flight, so T is a clean cut and the segments together
+  // event is mid-flight, so T is a clean cut and the segments together
   // execute the exact events the unsegmented run would.  The cuts are the
   // snapshot save point and the heartbeat pulses (multiples of the period
   // after the start clock); neither schedules an event.
@@ -340,7 +379,7 @@ void OverlayEngine::schedule_crash_process() {
 
 void OverlayEngine::schedule_next_crash(double at_s) {
   if (at_s >= crash_model_.end_s || at_s > horizon_s()) return;
-  schedule_keyed_at(at_s, kKeyedCrashTick, 0, 0, [this] { run_crash_tick(); });
+  sim_.schedule_at(at_s, des::Event{kKeyedCrashTick, 0, 0});
 }
 
 void OverlayEngine::run_crash_tick() {
@@ -366,26 +405,6 @@ void OverlayEngine::run_crash_tick() {
 
 // --- snapshot/restore -----------------------------------------------------
 
-void OverlayEngine::note_keyed(std::uint64_t seq, std::uint32_t kind,
-                               std::uint64_t a, std::uint64_t b) {
-  keyed_notes_[seq] = KeyedNote{kind, a, b};
-  // Fired events never erase their notes eagerly; rebuild from the live
-  // queue once the table outgrows twice the pending population (amortized
-  // O(1) per schedule, bounded memory).
-  if (keyed_notes_.size() > 64 && keyed_notes_.size() > 2 * sim_.pending())
-    sweep_keyed_notes();
-}
-
-void OverlayEngine::sweep_keyed_notes() {
-  std::unordered_map<std::uint64_t, KeyedNote> live;
-  live.reserve(sim_.pending());
-  sim_.queue().for_each_live([&](double, std::uint64_t seq, des::EventId) {
-    auto it = keyed_notes_.find(seq);
-    if (it != keyed_notes_.end()) live.emplace(seq, it->second);
-  });
-  keyed_notes_ = std::move(live);
-}
-
 void OverlayEngine::reject_snapshot_conflicts() const {
   if (load_opts_.enabled)
     throw std::invalid_argument(cfg_.name + kLoadSnapshotError);
@@ -403,7 +422,6 @@ void OverlayEngine::request_snapshot_save(std::string path, double at_s) {
   save_path_ = std::move(path);
   save_at_s_ = at_s;
   save_requested_ = true;
-  snap_track_ = true;  // key every event scheduled from here on
 }
 
 void OverlayEngine::save_snapshot(const std::string& path) {
@@ -539,16 +557,23 @@ void OverlayEngine::read_overlay(snap::Reader::In& in) {
   // mutators bypass link maintenance so restored lists reproduce the saved
   // iteration order (and any deliberate dangling entries) exactly.
   for (net::NodeId u = 0; u < num_nodes(); ++u) overlay_.lists(u).clear();
+  const auto neighbor = [&] {
+    const net::NodeId v = in.u32();
+    if (v >= num_nodes())
+      throw snap::SnapshotError(cfg_.name + ": overlay neighbor id " +
+                                std::to_string(v) + " out of range");
+    return v;
+  };
   for (net::NodeId u = 0; u < num_nodes(); ++u) {
     const auto lists = overlay_.lists(u);
     const std::uint32_t n_out = in.u32();
     for (std::uint32_t i = 0; i < n_out; ++i)
-      if (!lists.add_out(in.u32()))
+      if (!lists.add_out(neighbor()))
         throw snap::SnapshotError(cfg_.name + ": overlay out-list restore "
                                               "failed (capacity mismatch?)");
     const std::uint32_t n_in = in.u32();
     for (std::uint32_t i = 0; i < n_in; ++i)
-      if (!lists.add_in(in.u32()))
+      if (!lists.add_in(neighbor()))
         throw snap::SnapshotError(cfg_.name + ": overlay in-list restore "
                                               "failed (capacity mismatch?)");
   }
@@ -558,20 +583,14 @@ void OverlayEngine::write_events(snap::Writer::Out& out) {
   struct Rec {
     double t;
     std::uint64_t seq;
-    std::uint32_t kind;
-    std::uint64_t a, b;
+    des::Event ev;
   };
   std::vector<Rec> recs;
   recs.reserve(sim_.pending());
-  sim_.queue().for_each_live([&](double t, std::uint64_t seq, des::EventId) {
-    auto it = keyed_notes_.find(seq);
-    if (it == keyed_notes_.end())
-      throw snap::SnapshotError(
-          cfg_.name +
-          ": a pending event was scheduled outside the keyed API and cannot "
-          "be checkpointed");
-    recs.push_back({t, seq, it->second.kind, it->second.a, it->second.b});
-  });
+  sim_.queue().for_each_live(
+      [&](double t, std::uint64_t seq, const des::Event& ev) {
+        recs.push_back({t, seq, ev});
+      });
   // (time, seq) is the queue's pop order; replay re-schedules in this
   // order with fresh ascending sequence numbers, preserving FIFO ties.
   std::sort(recs.begin(), recs.end(), [](const Rec& x, const Rec& y) {
@@ -580,9 +599,9 @@ void OverlayEngine::write_events(snap::Writer::Out& out) {
   out.u64(recs.size());
   for (const Rec& r : recs) {
     out.f64(r.t);
-    out.u32(r.kind);
-    out.u64(r.a);
-    out.u64(r.b);
+    out.u32(r.ev.kind);
+    out.u64(r.ev.a);
+    out.u64(r.ev.b);
   }
 }
 
@@ -591,10 +610,34 @@ void OverlayEngine::read_events(snap::Reader::In& in) {
   restored_events_.assign(in.count(8 + 4 + 8 + 8), PendingRecord{});
   for (PendingRecord& r : restored_events_) {
     r.t = in.f64();
-    r.kind = in.u32();
-    r.a = in.u64();
-    r.b = in.u64();
+    r.ev.kind = in.u32();
+    r.ev.a = in.u64();
+    r.ev.b = in.u64();
+    check_event_record(r);
   }
+}
+
+void OverlayEngine::check_event_record(const PendingRecord& r) const {
+  const des::Event& e = r.ev;
+  const auto reject = [&](const std::string& why) {
+    throw snap::SnapshotError(cfg_.name + ": pending event of kind " +
+                              std::to_string(e.kind) + " in snapshot " + why);
+  };
+  if (!std::isfinite(r.t) || r.t < sim_.now())
+    reject("has time " + std::to_string(r.t) +
+           " (not finite, or before the snapshot clock)");
+  if (e.kind == kKeyedPeriodic) {
+    if (e.a >= restored_periods_.size())
+      reject("names periodic " + std::to_string(e.a) + " of " +
+             std::to_string(restored_periods_.size()));
+    return;
+  }
+  if (e.kind == kKeyedCrashTick) return;
+  if (e.kind < kKeyedUserBase || e.kind - kKeyedUserBase >= cfg_.event_kinds)
+    reject("is an unknown event kind");
+  if (e.a >= num_nodes() || e.b >= num_nodes())
+    reject("names node " + std::to_string(std::max(e.a, e.b)) +
+           " out of range");
 }
 
 void OverlayEngine::replay_restored_events() {
@@ -613,29 +656,7 @@ void OverlayEngine::replay_restored_events() {
   std::vector<PendingRecord> records = std::move(restored_events_);
   restored_events_.clear();
   for (const PendingRecord& r : records)
-    restore_keyed_event(r.t, r.kind, r.a, r.b);
-}
-
-void OverlayEngine::restore_keyed_event(double t, std::uint32_t kind,
-                                        std::uint64_t a, std::uint64_t /*b*/) {
-  switch (kind) {
-    case kKeyedPeriodic: {
-      const std::size_t idx = static_cast<std::size_t>(a);
-      if (idx >= periodics_.size())
-        throw snap::SnapshotError(cfg_.name +
-                                  ": periodic index out of range in snapshot");
-      schedule_keyed_at(t, kKeyedPeriodic, a, 0,
-                        [this, idx] { run_periodic_tick(idx); });
-      return;
-    }
-    case kKeyedCrashTick:
-      schedule_keyed_at(t, kKeyedCrashTick, 0, 0,
-                        [this] { run_crash_tick(); });
-      return;
-    default:
-      throw snap::SnapshotError(cfg_.name + ": unknown keyed event kind " +
-                                std::to_string(kind) + " in snapshot");
-  }
+    on_event_restored(r.ev, sim_.schedule_at(r.t, r.ev));
 }
 
 void OverlayEngine::save_domain(snap::Writer::Out&) const {
@@ -712,7 +733,7 @@ void OverlayEngine::arm_adversary() {
   }
   if (p.outage_enabled() && p.outage_at_s <= horizon_s())
     sim_.schedule_at(std::max(p.outage_at_s, sim_.now()),
-                     [this] { run_regional_outage(); });
+                     des::Event{kKeyedOutage, 0, 0});
   if (p.storm_enabled())
     schedule_next_storm_kick(std::max(p.storm_start_s, sim_.now()));
 }
@@ -727,7 +748,7 @@ void OverlayEngine::schedule_next_abuse(double from_s) {
   const double at =
       from_s + des::Exponential(1.0 / rate).sample(adversary_rng_);
   if (at >= adversary_plan_.abuse_end_s || at > horizon_s()) return;
-  sim_.schedule_at(at, [this] { run_abuse_event(); });
+  sim_.schedule_at(at, des::Event{kKeyedAbuse, 0, 0});
 }
 
 void OverlayEngine::run_abuse_event() {
@@ -773,7 +794,7 @@ void OverlayEngine::schedule_next_storm_kick(double from_s) {
       from_s + des::Exponential(1.0 / adversary_plan_.storm_rate_per_s)
                    .sample(adversary_rng_);
   if (at >= adversary_plan_.storm_end_s || at > horizon_s()) return;
-  sim_.schedule_at(at, [this] { run_storm_kick(); });
+  sim_.schedule_at(at, des::Event{kKeyedStormKick, 0, 0});
 }
 
 void OverlayEngine::run_storm_kick() {
@@ -839,13 +860,12 @@ void OverlayEngine::set_open_loop(load::OpenLoopOptions opts) {
 
 void OverlayEngine::arm_open_loop() {
   load_queues_.assign(num_nodes(), load::PeerQueue{});
-  load_trace_idx_ = 0;
   load_live_depth_ = 0;
   if (load_opts_.queue_sample_period_s > 0.0)
     sim_.schedule_in(load_opts_.queue_sample_period_s,
-                     [this] { sample_load_queues(); });
+                     des::Event{kKeyedQueueSample, 0, 0});
   if (!load_opts_.trace.empty())
-    schedule_next_trace_arrival();
+    schedule_trace_arrival(0);
   else
     schedule_next_generated_arrival(0.0);
 }
@@ -861,32 +881,36 @@ void OverlayEngine::schedule_next_generated_arrival(double from_s) {
     if (t >= horizon_s()) return;
     if (load_rng_.uniform() * peak <= load_opts_.schedule.rate_at(t)) break;
   }
-  sim_.schedule_at(t, [this] {
-    // Crashed peers still attract offered load; their arrivals are
-    // refused at admission, not silently skipped.
-    const auto peer = static_cast<net::NodeId>(
-        load_rng_.uniform_int(static_cast<std::uint64_t>(num_nodes())));
-    const double now = sim_.now();
-    handle_load_arrival(peer, load::kAnyItem);
-    schedule_next_generated_arrival(now);
-  });
+  sim_.schedule_at(t, des::Event{kKeyedArrival, 0, 0});
 }
 
-void OverlayEngine::schedule_next_trace_arrival() {
-  while (load_trace_idx_ < load_opts_.trace.size()) {
-    const load::TraceArrival a = load_opts_.trace[load_trace_idx_++];
-    if (a.time_s >= horizon_s()) return;  // sorted: the rest is past the end
-    sim_.schedule_at(std::max(a.time_s, sim_.now()), [this, a] {
-      const net::NodeId peer =
-          a.peer == load::kAnyPeer
-              ? static_cast<net::NodeId>(load_rng_.uniform_int(
-                    static_cast<std::uint64_t>(num_nodes())))
-              : static_cast<net::NodeId>(a.peer);
-      handle_load_arrival(peer, a.item);
-      schedule_next_trace_arrival();
-    });
-    return;
-  }
+void OverlayEngine::run_generated_arrival() {
+  // Crashed peers still attract offered load; their arrivals are refused
+  // at admission, not silently skipped.
+  const auto peer = static_cast<net::NodeId>(
+      load_rng_.uniform_int(static_cast<std::uint64_t>(num_nodes())));
+  const double now = sim_.now();
+  handle_load_arrival(peer, load::kAnyItem);
+  schedule_next_generated_arrival(now);
+}
+
+void OverlayEngine::schedule_trace_arrival(std::size_t idx) {
+  if (idx >= load_opts_.trace.size()) return;
+  const double t = load_opts_.trace[idx].time_s;
+  if (t >= horizon_s()) return;  // sorted: the rest is past the end
+  sim_.schedule_at(std::max(t, sim_.now()),
+                   des::Event{kKeyedTraceArrival, idx, 0});
+}
+
+void OverlayEngine::run_trace_arrival(std::size_t idx) {
+  const load::TraceArrival& a = load_opts_.trace[idx];
+  const net::NodeId peer =
+      a.peer == load::kAnyPeer
+          ? static_cast<net::NodeId>(load_rng_.uniform_int(
+                static_cast<std::uint64_t>(num_nodes())))
+          : static_cast<net::NodeId>(a.peer);
+  handle_load_arrival(peer, a.item);
+  schedule_trace_arrival(idx + 1);
 }
 
 void OverlayEngine::handle_load_arrival(net::NodeId peer, std::uint64_t item) {
@@ -918,17 +942,17 @@ void OverlayEngine::start_load_service(net::NodeId peer) {
   q.waiting.pop_front();
   q.busy = true;
   const load::Served served = serve_injected_query(peer, job.item);
+  q.service_arrival_s = job.arrival_s;
+  q.service_hit = served.hit;
   const double latency_s = served.latency_s > 0.0 ? served.latency_s : 0.0;
-  sim_.schedule_in(latency_s,
-                   [this, peer, arrival = job.arrival_s, hit = served.hit] {
-                     finish_load_service(peer, arrival, hit);
-                   });
+  sim_.schedule_in(latency_s, des::Event{kKeyedLoadFinish, peer, 0});
 }
 
-void OverlayEngine::finish_load_service(net::NodeId peer, double arrival_s,
-                                        bool hit) {
+void OverlayEngine::finish_load_service(net::NodeId peer) {
   load::PeerQueue& q = load_queues_[peer];
   q.busy = false;
+  const double arrival_s = q.service_arrival_s;
+  const bool hit = q.service_hit;
   --load_live_depth_;
   ++load_stats_.completed;
   if (hit) ++load_stats_.hits;
@@ -959,7 +983,7 @@ void OverlayEngine::sample_load_queues() {
   load_stats_.queue_depth.add(static_cast<double>(load_live_depth_));
   const double period = load_opts_.queue_sample_period_s;
   if (sim_.now() + period <= horizon_s())
-    sim_.schedule_in(period, [this] { sample_load_queues(); });
+    sim_.schedule_in(period, des::Event{kKeyedQueueSample, 0, 0});
 }
 
 }  // namespace dsf::sim

@@ -23,7 +23,6 @@
 #include <functional>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -76,6 +75,10 @@ struct EngineConfig {
   double sim_hours = 0.0;
   double warmup_hours = 0.0;
   net::DelayModelParams delay_params{};
+  /// How many event kinds the scenario schedules, numbered from
+  /// OverlayEngine::kKeyedUserBase; a snapshot record of any other
+  /// scenario kind is rejected at load.
+  std::uint32_t event_kinds = 0;
 };
 
 /// The engine's RNG lanes.  Unused lanes (compact layout) stay at their
@@ -404,33 +407,22 @@ class OverlayEngine {
   /// silent-shortfall fix).  Returns events executed.
   std::uint64_t run_until_horizon();
 
-  /// --- snapshot-keyed scheduling ---------------------------------------
-  /// Closures cannot be serialized, so every event that may be pending at
-  /// a snapshot boundary is scheduled through a keyed variant: `kind`
-  /// (engine kinds below; scenario kinds start at kKeyedUserBase) plus two
-  /// integer payloads say how to rebuild the callback, and a seq-to-key
-  /// note table joins live queue entries with their keys at save time.
-  /// With no snapshot armed the keyed variants collapse to the plain
-  /// ones — same draws, same insertion order, zero tracking overhead.
+  /// --- event kinds -----------------------------------------------------
+  /// Every pending event is a des::Event record: a kind plus two integer
+  /// payloads, scheduled with sim_.schedule_in / sim_.schedule_at.  The
+  /// engine runs its own kinds (below kKeyedUserBase); every other kind
+  /// goes to the scenario's on_event.  A snapshot writes the records as
+  /// they stand, and a resumed run checks and schedules them again.
   static constexpr std::uint32_t kKeyedPeriodic = 1;   ///< a = periodic index
   static constexpr std::uint32_t kKeyedCrashTick = 2;  ///< crash-process tick
+  static constexpr std::uint32_t kKeyedAbuse = 3;       ///< abuse spray
+  static constexpr std::uint32_t kKeyedStormKick = 4;   ///< churn-storm kick
+  static constexpr std::uint32_t kKeyedOutage = 5;      ///< regional outage
+  static constexpr std::uint32_t kKeyedArrival = 6;     ///< generated arrival
+  static constexpr std::uint32_t kKeyedTraceArrival = 7;  ///< a = trace index
+  static constexpr std::uint32_t kKeyedLoadFinish = 8;  ///< a = serving peer
+  static constexpr std::uint32_t kKeyedQueueSample = 9;  ///< queue-depth sample
   static constexpr std::uint32_t kKeyedUserBase = 16;  ///< scenario kinds
-
-  des::EventId schedule_keyed(double delay_s, std::uint32_t kind,
-                              std::uint64_t a, std::uint64_t b,
-                              des::Callback cb) {
-    const des::EventId id = sim_.schedule_in(delay_s, std::move(cb));
-    if (snap_track_) note_keyed(id.seq, kind, a, b);
-    return id;
-  }
-  /// Absolute-time variant (crash process, restore replay).
-  des::EventId schedule_keyed_at(double at_s, std::uint32_t kind,
-                                 std::uint64_t a, std::uint64_t b,
-                                 des::Callback cb) {
-    const des::EventId id = sim_.schedule_at(at_s, std::move(cb));
-    if (snap_track_) note_keyed(id.seq, kind, a, b);
-    return id;
-  }
 
   /// --- fault layer ------------------------------------------------------
   /// Resets the invariant checker's TTL context for one search (or one
@@ -586,13 +578,16 @@ class OverlayEngine {
   virtual void save_domain(snap::Writer::Out& out) const;
   virtual void load_domain(snap::Reader::In& in);
 
-  /// Rebuilds the callback for one pending-event record from the snapshot
-  /// and schedules it at absolute time `t` (through schedule_keyed_at, so
-  /// a later save sees it again).  Scenario overrides handle their own
-  /// kinds (>= kKeyedUserBase) and defer engine kinds to this base
-  /// implementation; an unknown kind throws snap::SnapshotError.
-  virtual void restore_keyed_event(double t, std::uint32_t kind,
-                                   std::uint64_t a, std::uint64_t b);
+  /// --- scenario events ---------------------------------------------------
+  /// Runs one of the scenario's own events (kind >= kKeyedUserBase).  The
+  /// default fails closed: a scenario that schedules kinds handles them.
+  virtual void on_event(const des::Event& e);
+
+  /// Called for each pending event a resumed run schedules again, with its
+  /// new handle.  A scenario that keeps handles for cancel() re-binds them
+  /// here; the default keeps none.
+  virtual void on_event_restored(const des::Event& /*e*/,
+                                 des::EventId /*id*/) {}
 
   /// Reports one warning line through the sink (default: stderr).
   void warn(const std::string& message);
@@ -676,16 +671,9 @@ class OverlayEngine {
 
  private:
   /// --- snapshot plumbing ------------------------------------------------
-  struct KeyedNote {
-    std::uint32_t kind = 0;
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-  };
   struct PendingRecord {
     double t = 0.0;
-    std::uint32_t kind = 0;
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
+    des::Event ev;
   };
   struct Periodic {
     double period_s = 0.0;
@@ -696,16 +684,19 @@ class OverlayEngine {
   /// injection, the adversary layer or arrival capture is armed: their
   /// state is not checkpointed, so a snapshot cannot be saved or loaded.
   void reject_snapshot_conflicts() const;
-  void note_keyed(std::uint64_t seq, std::uint32_t kind, std::uint64_t a,
-                  std::uint64_t b);
-  /// Drops notes whose events already fired (amortized: rebuilds from the
-  /// live queue when the table outgrows twice the pending population).
-  void sweep_keyed_notes();
-  /// Schedules periodic `idx`'s next tick `delay_s` from now (keyed, so a
-  /// save sees it).
+  /// The simulator's handler: runs the engine's own kinds and hands every
+  /// other kind to on_event.
+  void run_event(const des::Event& e);
+  /// Schedules periodic `idx`'s next tick `delay_s` from now.
   void start_periodic(std::size_t idx, double delay_s);
   void run_periodic_tick(std::size_t idx);
   void run_crash_tick();
+  /// Checks one pending-event record read from a snapshot: a finite time
+  /// not before the restored clock, a kind the resumed run can schedule
+  /// (a periodic, the crash tick or one of the scenario's kinds), a
+  /// periodic index the saved table has and, for scenario kinds, node ids
+  /// below the population in both payloads.  Throws snap::SnapshotError.
+  void check_event_record(const PendingRecord& r) const;
   /// Re-schedules the snapshot's pending events after the resumed run has
   /// registered its periodics; validates the registration against the
   /// saved table first (count and periods must match).
@@ -789,10 +780,14 @@ class OverlayEngine {
   /// --- open-loop machinery ----------------------------------------------
   void arm_open_loop();
   void schedule_next_generated_arrival(double from_s);
-  void schedule_next_trace_arrival();
+  void run_generated_arrival();
+  /// Schedules trace entry `idx` (and nothing when the trace is done or
+  /// the entry lies past the horizon).
+  void schedule_trace_arrival(std::size_t idx);
+  void run_trace_arrival(std::size_t idx);
   void handle_load_arrival(net::NodeId peer, std::uint64_t item);
   void start_load_service(net::NodeId peer);
-  void finish_load_service(net::NodeId peer, double arrival_s, bool hit);
+  void finish_load_service(net::NodeId peer);
   void shed_load_queue(net::NodeId peer);
   void sample_load_queues();
 
@@ -821,7 +816,6 @@ class OverlayEngine {
   des::Rng load_rng_;
   load::LoadStats load_stats_;
   std::vector<load::PeerQueue> load_queues_;
-  std::size_t load_trace_idx_ = 0;
   std::uint64_t load_live_depth_ = 0;  ///< queued + in-service, all peers
 
   /// Adversary-layer state.  The decision lane is derived (never split)
@@ -859,16 +853,13 @@ class OverlayEngine {
   std::uint32_t current_span_ = 0;
   double heartbeat_period_s_ = 0.0;
 
-  /// Snapshot state.  All empty/false on runs that never arm a snapshot,
-  /// so the keyed scheduling variants reduce to the plain ones.
+  /// Snapshot state.  All empty/false on runs that never arm a snapshot.
   std::vector<Periodic> periodics_;
-  std::unordered_map<std::uint64_t, KeyedNote> keyed_notes_;
   std::vector<PendingRecord> restored_events_;
   std::vector<double> restored_periods_;
   std::string save_path_;
   double save_at_s_ = 0.0;
   bool save_requested_ = false;
-  bool snap_track_ = false;
   bool resumed_ = false;
   /// Whether the saved run carried an armed crash process.  A resumed run
   /// that arms one when this is false (warm-start fault forks) starts the

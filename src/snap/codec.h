@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -89,11 +90,18 @@ inline void put_stats_store(Writer::Out& out, const core::StatsStore& s) {
   }
 }
 
-inline void get_stats_store(Reader::In& in, core::StatsStore& s) {
+/// Every peer id must be below `num_nodes`, the population the store's
+/// owner indexes by it.
+inline void get_stats_store(Reader::In& in, core::StatsStore& s,
+                            std::size_t num_nodes) {
   s.clear();
   const std::uint64_t n = in.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     const net::NodeId peer = in.u32();
+    if (peer >= num_nodes)
+      throw SnapshotError("stats-store peer id " + std::to_string(peer) +
+                          " out of range (population " +
+                          std::to_string(num_nodes) + ")");
     s.add(peer, in.f64());
   }
 }

@@ -23,6 +23,7 @@ sim::EngineConfig WebCacheSim::make_engine_config(const WebCacheConfig& config) 
   ec.in_capacity = 0;  // overridden to N by the pure-asymmetric relation
   ec.sim_hours = config.sim_hours;
   ec.warmup_hours = config.warmup_hours;
+  ec.event_kinds = kWebRequest + 1 - kKeyedUserBase;
   return ec;
 }
 
@@ -144,8 +145,7 @@ void WebCacheSim::request(net::NodeId p) {
   capture_query_arrival(p, page);
   if (reporting()) ++result_.requests;
   serve_page(p, page, reporting(), nullptr);
-  schedule_keyed(interrequest_.sample(rng()), kWebRequest, p, 0,
-                 [this, p] { request(p); });
+  sim_.schedule_in(interrequest_.sample(rng()), des::Event{kWebRequest, p, 0});
 }
 
 load::Served WebCacheSim::serve_injected_query(net::NodeId p,
@@ -242,8 +242,8 @@ WebCacheResult WebCacheSim::run() {
     // Parents have no client population of their own; they serve (and are
     // warmed by) leaf misses only.
     if (!is_parent(p) && !resumed())
-      schedule_keyed(interrequest_.sample(rng()), kWebRequest, p, 0,
-                     [this, p] { request(p); });
+      sim_.schedule_in(interrequest_.sample(rng()),
+                       des::Event{kWebRequest, p, 0});
     // Parents only rebuild their digest; leaves explore, update and
     // rebuild when dynamic.
     if (!is_parent(p) && config_.dynamic) {
@@ -280,7 +280,7 @@ void WebCacheSim::save_domain(snap::Writer::Out& out) const {
 void WebCacheSim::load_domain(snap::Reader::In& in) {
   for (Proxy& proxy : proxies_) {
     snap::get_lru(in, proxy.cache);
-    snap::get_stats_store(in, proxy.stats);
+    snap::get_stats_store(in, proxy.stats, proxies_.size());
     snap::get_bloom(in, proxy.digest);
   }
   result_.requests = in.u64();
@@ -290,16 +290,12 @@ void WebCacheSim::load_domain(snap::Reader::In& in) {
   snap::get_summary(in, result_.latency_s);
 }
 
-void WebCacheSim::restore_keyed_event(double t, std::uint32_t kind,
-                                      std::uint64_t a, std::uint64_t b) {
-  if (kind == kWebRequest) {
-    if (a >= proxies_.size())
-      throw snap::SnapshotError("webcache: request event proxy out of range");
-    const auto p = static_cast<net::NodeId>(a);
-    schedule_keyed_at(t, kWebRequest, a, 0, [this, p] { request(p); });
+void WebCacheSim::on_event(const des::Event& e) {
+  if (e.kind == kWebRequest) {
+    request(static_cast<net::NodeId>(e.a));
     return;
   }
-  OverlayEngine::restore_keyed_event(t, kind, a, b);
+  OverlayEngine::on_event(e);
 }
 
 }  // namespace dsf::webcache

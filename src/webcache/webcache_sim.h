@@ -110,11 +110,12 @@ class WebCacheSim : public sim::OverlayEngine {
   /// digests (mutable — rebuilt periodically) plus the result accumulators.
   void save_domain(snap::Writer::Out& out) const override;
   void load_domain(snap::Reader::In& in) override;
-  void restore_keyed_event(double t, std::uint32_t kind, std::uint64_t a,
-                           std::uint64_t b) override;
+
+  /// Runs a client request event.
+  void on_event(const des::Event& e) override;
 
  private:
-  /// Keyed event kinds (snapshot pending-event records).
+  /// Event kinds.
   static constexpr std::uint32_t kWebRequest = kKeyedUserBase + 0;  ///< a = p
 
   struct Proxy {

@@ -63,9 +63,8 @@ class EventFloodEquivalence : public ::testing::Test {
         flood_search(from, params, neighbors, has, delay, stamps_a, scratch);
 
     VisitStamp stamps_b(adj_.size());
-    des::Simulator sim;
-    const auto event = event_flood_search(sim, from, params, neighbors, has,
-                                          delay, stamps_b);
+    const auto event =
+        event_flood_search(from, params, neighbors, has, delay, stamps_b);
 
     EXPECT_EQ(eager.query_messages, event.query_messages);
     EXPECT_EQ(eager.nodes_reached, event.nodes_reached);
@@ -135,24 +134,19 @@ TEST_F(EventFloodEquivalence, TimeoutFiltersBothSides) {
 }
 
 TEST(EventFlood, RunsAtSimulatorOffset) {
-  // The flood must be anchored at sim.now(), not zero.
-  des::Simulator sim;
-  sim.schedule_at(100.0, [] {});
-  sim.run();
-  ASSERT_DOUBLE_EQ(sim.now(), 100.0);
-
+  // A flood started at absolute time 100 schedules its hops there.
   std::vector<std::vector<net::NodeId>> adj{{1}, {0}};
   std::vector<bool> holder{false, true};
   VisitStamp stamps(2);
   SearchParams p;
   p.max_hops = 1;
   const auto out = event_flood_search(
-      sim, 0, p,
+      0, p,
       [&adj](net::NodeId n) -> const std::vector<net::NodeId>& {
         return adj[n];
       },
       [&holder](net::NodeId n) { return static_cast<bool>(holder[n]); },
-      [](net::NodeId, net::NodeId) { return 1.0; }, stamps);
+      [](net::NodeId, net::NodeId) { return 1.0; }, stamps, 100.0);
   ASSERT_TRUE(out.satisfied());
   // Relative timestamps, despite the absolute-time scheduling inside.
   EXPECT_DOUBLE_EQ(out.hits[0].arrival_s, 1.0);

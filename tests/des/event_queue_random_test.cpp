@@ -3,7 +3,7 @@
 // order must be exactly the strict total order (time, seq) — the oracle
 // is a std::set keyed the same way, and every interleaving of schedule /
 // batch-schedule / cancel / pop must agree with it event-for-event: same
-// timestamp bits, same callback, same size.  Populations run from a few
+// timestamp bits, same event record, same size.  Populations run from a few
 // events (partial child rows) to thousands (full-arity tournaments,
 // deep sift-downs), with inserts below the current minimum, exact ties,
 // far-future clusters and enough cancel pressure to trigger tombstone
@@ -32,8 +32,7 @@ class DifferentialHarness {
 
   void schedule_one(double t) {
     const std::uint64_t tag = next_tag_++;
-    std::uint64_t* fired = &fired_tag_;
-    const EventId id = q_.schedule(t, [fired, tag] { *fired = tag; });
+    const EventId id = q_.schedule(t, record(tag));
     ref_.emplace(t, tag);
     handles_.emplace(tag, std::pair<EventId, double>{id, t});
     cancellable_.push_back(tag);
@@ -46,11 +45,8 @@ class DifferentialHarness {
     for (std::size_t i = 0; i < n; ++i)
       times[i] = base_t + 0.25 * static_cast<double>(rng_() % 64);
     const std::uint64_t first_tag = next_tag_;
-    std::uint64_t* fired = &fired_tag_;
     q_.schedule_batch(n, [&](std::size_t i) {
-      const std::uint64_t tag = first_tag + i;
-      return std::pair<SimTime, EventQueue::Callback>(
-          times[i], [fired, tag] { *fired = tag; });
+      return std::pair<SimTime, Event>(times[i], record(first_tag + i));
     });
     for (std::size_t i = 0; i < n; ++i) ref_.emplace(times[i], first_tag + i);
     next_tag_ += n;
@@ -61,11 +57,11 @@ class DifferentialHarness {
     const auto expect = *ref_.begin();
     ASSERT_FALSE(q_.empty());
     EXPECT_EQ(q_.next_time(), expect.first);
-    auto [t, cb] = q_.pop();
+    const auto [t, ev] = q_.pop();
     EXPECT_EQ(t, expect.first);  // exact, not approximate
-    fired_tag_ = ~std::uint64_t{0};
-    cb();
-    EXPECT_EQ(fired_tag_, expect.second);
+    EXPECT_EQ(ev.a, expect.second);
+    EXPECT_EQ(ev.kind, record(expect.second).kind);
+    EXPECT_EQ(ev.b, record(expect.second).b);
     ref_.erase(ref_.begin());
     gone_.insert(expect.second);
     now_ = t;
@@ -154,6 +150,12 @@ class DifferentialHarness {
   }
 
  private:
+  /// The record scheduled under `tag`: every field derives from it, so a
+  /// popped event that mixes two slots' fields cannot pass.
+  static Event record(std::uint64_t tag) {
+    return Event{static_cast<std::uint32_t>(tag % 7) + 1, tag, ~tag};
+  }
+
   double draw_time() {
     const std::uint64_t r = rng_() % 100;
     if (r < 70) {
@@ -184,7 +186,6 @@ class DifferentialHarness {
   std::unordered_set<std::uint64_t> gone_;
   std::vector<std::uint64_t> cancellable_;
   std::uint64_t next_tag_ = 0;
-  std::uint64_t fired_tag_ = 0;
   double now_ = 0.0;
 };
 
@@ -239,16 +240,15 @@ TEST(EventQueueDifferential, ClusteredTimeJumps) {
 
 TEST(EventQueueDifferential, SnapshotRoundTripPreservesPopOrder) {
   // Mirrors how the checkpoint layer serializes the event section: live
-  // events are enumerated through for_each_live (unspecified order, dead
-  // slots skipped), sorted by (time, seq) and re-scheduled into a fresh
-  // queue with new ascending seqs.  Because the sort key IS the pop
+  // event records are enumerated through for_each_live (unspecified order,
+  // dead slots skipped), sorted by (time, seq) and re-scheduled into a
+  // fresh queue with new ascending seqs.  Because the sort key IS the pop
   // order, FIFO ties survive the re-numbering: the restored queue must
   // drain in exactly the oracle's order, bit-exact timestamps included.
   std::mt19937_64 rng(77);
   for (int round = 0; round < 4; ++round) {
     EventQueue q;
     std::set<std::pair<double, std::uint64_t>> oracle;  // (time, tag)
-    std::unordered_map<std::uint64_t, std::uint64_t> tag_by_seq;
     std::vector<std::pair<EventId, std::pair<double, std::uint64_t>>> live;
     std::uint64_t next_tag = 0;
     double now = 0.0;
@@ -265,8 +265,7 @@ TEST(EventQueueDifferential, SnapshotRoundTripPreservesPopOrder) {
       if (oracle.size() < 2500 || r < 55) {
         const double t = draw();
         const std::uint64_t tag = next_tag++;
-        const EventId id = q.schedule(t, [] {});
-        tag_by_seq.emplace(id.seq, tag);
+        const EventId id = q.schedule(t, Event{1, tag, 0});
         oracle.emplace(t, tag);
         live.push_back({id, {t, tag}});
       } else if (r < 70 && !live.empty()) {
@@ -274,19 +273,18 @@ TEST(EventQueueDifferential, SnapshotRoundTripPreservesPopOrder) {
         const std::size_t i = rng() % live.size();
         ASSERT_TRUE(q.cancel(live[i].first));
         oracle.erase(live[i].second);
-        tag_by_seq.erase(live[i].first.seq);
         live[i] = live.back();
         live.pop_back();
       } else if (!oracle.empty()) {
-        auto [t, cb] = q.pop();
+        const auto [t, ev] = q.pop();
         EXPECT_EQ(t, oracle.begin()->first);
         const std::uint64_t popped_tag = oracle.begin()->second;
+        EXPECT_EQ(ev.a, popped_tag);
         oracle.erase(oracle.begin());
         const auto it = std::find_if(
             live.begin(), live.end(),
             [&](const auto& e) { return e.second.second == popped_tag; });
         ASSERT_NE(it, live.end());
-        tag_by_seq.erase(it->first.seq);
         *it = live.back();
         live.pop_back();
         now = t;
@@ -294,17 +292,17 @@ TEST(EventQueueDifferential, SnapshotRoundTripPreservesPopOrder) {
     }
     ASSERT_FALSE(oracle.empty());
 
-    // --- Save: enumerate, join with the note table, sort by (time, seq).
+    // --- Save: enumerate the records, sort by (time, seq).
     struct Rec {
       double t;
       std::uint64_t seq;
-      std::uint64_t tag;
+      Event ev;
     };
     std::vector<Rec> recs;
-    q.for_each_live([&](double t, std::uint64_t seq, EventId) {
-      const auto it = tag_by_seq.find(seq);
-      ASSERT_NE(it, tag_by_seq.end()) << "dead event leaked into the walk";
-      recs.push_back({t, seq, it->second});
+    q.for_each_live([&](double t, std::uint64_t seq, const Event& ev) {
+      ASSERT_EQ(oracle.count({t, ev.a}), 1u)
+          << "dead event leaked into the walk";
+      recs.push_back({t, seq, ev});
     });
     ASSERT_EQ(recs.size(), oracle.size());
     std::sort(recs.begin(), recs.end(), [](const Rec& a, const Rec& b) {
@@ -313,18 +311,14 @@ TEST(EventQueueDifferential, SnapshotRoundTripPreservesPopOrder) {
 
     // --- Restore: replay into a fresh queue in sorted order.
     EventQueue fresh;
-    std::uint64_t fired = ~std::uint64_t{0};
-    for (const Rec& r : recs)
-      fresh.schedule(r.t, [&fired, tag = r.tag] { fired = tag; });
+    for (const Rec& r : recs) fresh.schedule(r.t, r.ev);
 
     // --- Drain: the restored queue agrees with the oracle event-for-event.
     for (const auto& [t, tag] : oracle) {
       ASSERT_FALSE(fresh.empty());
-      auto [pt, cb] = fresh.pop();
+      const auto [pt, ev] = fresh.pop();
       EXPECT_EQ(pt, t);
-      fired = ~std::uint64_t{0};
-      cb();
-      EXPECT_EQ(fired, tag);
+      EXPECT_EQ(ev.a, tag);
       if (::testing::Test::HasNonfatalFailure()) return;
     }
     EXPECT_TRUE(fresh.empty());
@@ -336,17 +330,15 @@ TEST(EventQueueDifferential, EqualTimestampFifoInLargeHeap) {
   // holds 400 others, must fire in exact insertion order: among ties the
   // sequence number alone decides.
   EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 400; ++i) q.schedule(0.5 * i, [] {});
-  for (int i = 0; i < 1000; ++i)
-    q.schedule(1.0, [&fired, i] { fired.push_back(i); });
+  std::vector<std::uint64_t> fired;
+  for (int i = 0; i < 400; ++i) q.schedule(0.5 * i, Event{1, 0, 0});
+  for (std::uint64_t i = 0; i < 1000; ++i) q.schedule(1.0, Event{2, i, 0});
   while (!q.empty()) {
-    auto [t, cb] = q.pop();
-    cb();
+    const auto [t, ev] = q.pop();
+    if (ev.kind == 2) fired.push_back(ev.a);
     if (t > 1.0) break;
   }
-  for (std::size_t i = 0; i < fired.size(); ++i)
-    EXPECT_EQ(fired[i], static_cast<int>(i));
+  for (std::size_t i = 0; i < fired.size(); ++i) EXPECT_EQ(fired[i], i);
   EXPECT_EQ(fired.size(), 1000u);
 }
 

@@ -7,6 +7,16 @@
 namespace dsf::des {
 namespace {
 
+/// An event whose `a` payload tags it, so a test can tell which one popped.
+Event tagged(std::uint64_t tag) { return Event{1, tag, 0}; }
+
+/// Pops every remaining event and returns their tags in pop order.
+std::vector<std::uint64_t> drain_tags(EventQueue& q) {
+  std::vector<std::uint64_t> tags;
+  while (!q.empty()) tags.push_back(q.pop().second.a);
+  return tags;
+}
+
 TEST(EventQueue, StartsEmpty) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
@@ -15,80 +25,75 @@ TEST(EventQueue, StartsEmpty) {
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
-  std::vector<int> fired;
-  q.schedule(3.0, [&] { fired.push_back(3); });
-  q.schedule(1.0, [&] { fired.push_back(1); });
-  q.schedule(2.0, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().second();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  q.schedule(3.0, tagged(3));
+  q.schedule(1.0, tagged(1));
+  q.schedule(2.0, tagged(2));
+  EXPECT_EQ(drain_tags(q), (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 TEST(EventQueue, EqualTimesFireFifo) {
   EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 10; ++i)
-    q.schedule(5.0, [&fired, i] { fired.push_back(i); });
-  while (!q.empty()) q.pop().second();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[i], i);
+  for (std::uint64_t i = 0; i < 10; ++i) q.schedule(5.0, tagged(i));
+  const std::vector<std::uint64_t> fired = drain_tags(q);
+  ASSERT_EQ(fired.size(), 10u);
+  for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(fired[i], i);
 }
 
 TEST(EventQueue, PopReturnsTimestamp) {
   EventQueue q;
-  q.schedule(4.25, [] {});
+  q.schedule(4.25, Event{7, 11, 13});
   EXPECT_DOUBLE_EQ(q.next_time(), 4.25);
-  auto [t, cb] = q.pop();
+  const auto [t, ev] = q.pop();
   EXPECT_DOUBLE_EQ(t, 4.25);
+  EXPECT_EQ(ev.kind, 7u);
+  EXPECT_EQ(ev.a, 11u);
+  EXPECT_EQ(ev.b, 13u);
 }
 
 TEST(EventQueue, CancelPreventsExecution) {
   EventQueue q;
-  bool ran = false;
-  const EventId id = q.schedule(1.0, [&] { ran = true; });
+  const EventId id = q.schedule(1.0, tagged(1));
   EXPECT_TRUE(q.cancel(id));
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(ran);
+  EXPECT_TRUE(drain_tags(q).empty());
 }
 
 TEST(EventQueue, CancelTwiceFails) {
   EventQueue q;
-  const EventId id = q.schedule(1.0, [] {});
+  const EventId id = q.schedule(1.0, tagged(1));
   EXPECT_TRUE(q.cancel(id));
   EXPECT_FALSE(q.cancel(id));
 }
 
 TEST(EventQueue, CancelAfterPopFails) {
   EventQueue q;
-  const EventId id = q.schedule(1.0, [] {});
+  const EventId id = q.schedule(1.0, tagged(1));
   q.pop();
   EXPECT_FALSE(q.cancel(id));
 }
 
 TEST(EventQueue, StaleHandleCannotCancelRecycledSlot) {
   EventQueue q;
-  const EventId old_id = q.schedule(1.0, [] {});
-  q.pop();  // slot freed
-  bool ran = false;
-  q.schedule(2.0, [&] { ran = true; });  // reuses the slot
-  EXPECT_FALSE(q.cancel(old_id));        // generation mismatch
-  q.pop().second();
-  EXPECT_TRUE(ran);
+  const EventId old_id = q.schedule(1.0, tagged(1));
+  q.pop();                         // slot freed
+  q.schedule(2.0, tagged(2));      // reuses the slot
+  EXPECT_FALSE(q.cancel(old_id));  // generation mismatch
+  EXPECT_EQ(drain_tags(q), (std::vector<std::uint64_t>{2}));
 }
 
 TEST(EventQueue, CancelMiddleKeepsOrder) {
   EventQueue q;
-  std::vector<int> fired;
-  q.schedule(1.0, [&] { fired.push_back(1); });
-  const EventId id = q.schedule(2.0, [&] { fired.push_back(2); });
-  q.schedule(3.0, [&] { fired.push_back(3); });
+  q.schedule(1.0, tagged(1));
+  const EventId id = q.schedule(2.0, tagged(2));
+  q.schedule(3.0, tagged(3));
   q.cancel(id);
-  while (!q.empty()) q.pop().second();
-  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+  EXPECT_EQ(drain_tags(q), (std::vector<std::uint64_t>{1, 3}));
 }
 
 TEST(EventQueue, SizeTracksLiveEvents) {
   EventQueue q;
-  const EventId a = q.schedule(1.0, [] {});
-  q.schedule(2.0, [] {});
+  const EventId a = q.schedule(1.0, tagged(1));
+  q.schedule(2.0, tagged(2));
   EXPECT_EQ(q.size(), 2u);
   q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
@@ -107,10 +112,10 @@ TEST(EventQueue, ManyEventsRandomOrder) {
     x ^= x << 17;
     times.push_back(static_cast<double>(x % 100000) / 100.0);
   }
-  for (double t : times) q.schedule(t, [] {});
+  for (double t : times) q.schedule(t, tagged(0));
   double prev = -1.0;
   while (!q.empty()) {
-    auto [t, cb] = q.pop();
+    const auto [t, ev] = q.pop();
     EXPECT_GE(t, prev);
     prev = t;
   }
@@ -119,7 +124,7 @@ TEST(EventQueue, ManyEventsRandomOrder) {
 TEST(EventQueue, SlotReuseKeepsTotalScheduledMonotone) {
   EventQueue q;
   for (int i = 0; i < 100; ++i) {
-    q.schedule(static_cast<double>(i), [] {});
+    q.schedule(static_cast<double>(i), tagged(0));
     q.pop();
   }
   EXPECT_EQ(q.total_scheduled(), 100u);

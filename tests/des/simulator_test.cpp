@@ -7,36 +7,54 @@
 namespace dsf::des {
 namespace {
 
+/// An event whose `a` payload tags it.
+Event tagged(std::uint64_t tag) { return Event{1, tag, 0}; }
+
+/// Ignores every event.
+void ignore(const Event&) {}
+
 TEST(Simulator, ClockStartsAtZero) {
-  Simulator sim;
+  Simulator sim(ignore);
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
 }
 
 TEST(Simulator, NowIsExactInsideCallback) {
-  Simulator sim;
   double seen = -1.0;
-  sim.schedule_in(2.5, [&] { seen = sim.now(); });
+  Simulator sim([&](const Event&) { seen = sim.now(); });
+  sim.schedule_in(2.5, tagged(0));
   sim.run();
   EXPECT_DOUBLE_EQ(seen, 2.5);
 }
 
+TEST(Simulator, HandlerReceivesTheScheduledRecord) {
+  std::vector<std::uint64_t> seen;
+  Simulator sim([&](const Event& e) {
+    EXPECT_EQ(e.kind, 9u);
+    EXPECT_EQ(e.b, e.a + 1);
+    seen.push_back(e.a);
+  });
+  sim.schedule_at(2.0, Event{9, 20, 21});
+  sim.schedule_at(1.0, Event{9, 10, 11});
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{10, 20}));
+}
+
 TEST(Simulator, ChainedEventsAccumulateTime) {
-  Simulator sim;
   std::vector<double> times;
-  std::function<void()> hop = [&] {
+  Simulator sim([&](const Event&) {
     times.push_back(sim.now());
-    if (times.size() < 4) sim.schedule_in(1.0, hop);
-  };
-  sim.schedule_in(1.0, hop);
+    if (times.size() < 4) sim.schedule_in(1.0, tagged(0));
+  });
+  sim.schedule_in(1.0, tagged(0));
   sim.run();
   EXPECT_EQ(times, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
 }
 
 TEST(Simulator, RunUntilStopsAtHorizon) {
-  Simulator sim;
   int fired = 0;
+  Simulator sim([&](const Event&) { ++fired; });
   for (int i = 1; i <= 10; ++i)
-    sim.schedule_at(static_cast<double>(i), [&] { ++fired; });
+    sim.schedule_at(static_cast<double>(i), tagged(0));
   sim.run_until(5.0);
   EXPECT_EQ(fired, 5);  // events at 1..5 inclusive
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
@@ -45,20 +63,20 @@ TEST(Simulator, RunUntilStopsAtHorizon) {
 }
 
 TEST(Simulator, RunUntilAdvancesClockWhenQueueDrains) {
-  Simulator sim;
-  sim.schedule_at(1.0, [] {});
+  Simulator sim(ignore);
+  sim.schedule_at(1.0, tagged(0));
   sim.run_until(100.0);
   EXPECT_DOUBLE_EQ(sim.now(), 100.0);
 }
 
 TEST(Simulator, StopRequestHaltsExecution) {
-  Simulator sim;
   int fired = 0;
-  sim.schedule_at(1.0, [&] {
+  Simulator sim([&](const Event& e) {
     ++fired;
-    sim.stop();
+    if (e.a == 1) sim.stop();
   });
-  sim.schedule_at(2.0, [&] { ++fired; });
+  sim.schedule_at(1.0, tagged(1));
+  sim.schedule_at(2.0, tagged(2));
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.pending(), 1u);
@@ -67,19 +85,19 @@ TEST(Simulator, StopRequestHaltsExecution) {
 }
 
 TEST(Simulator, CancelledEventsDoNotRun) {
-  Simulator sim;
   bool ran = false;
-  const EventId id = sim.schedule_in(1.0, [&] { ran = true; });
+  Simulator sim([&](const Event&) { ran = true; });
+  const EventId id = sim.schedule_in(1.0, tagged(0));
   EXPECT_TRUE(sim.cancel(id));
   sim.run();
   EXPECT_FALSE(ran);
 }
 
 TEST(Simulator, StepExecutesExactlyOne) {
-  Simulator sim;
   int fired = 0;
-  sim.schedule_at(1.0, [&] { ++fired; });
-  sim.schedule_at(2.0, [&] { ++fired; });
+  Simulator sim([&](const Event&) { ++fired; });
+  sim.schedule_at(1.0, tagged(0));
+  sim.schedule_at(2.0, tagged(0));
   EXPECT_TRUE(sim.step());
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.step());
@@ -88,30 +106,37 @@ TEST(Simulator, StepExecutesExactlyOne) {
 }
 
 TEST(Simulator, ExecutedCountsLifetime) {
-  Simulator sim;
-  for (int i = 0; i < 7; ++i) sim.schedule_at(i, [] {});
+  Simulator sim(ignore);
+  for (int i = 0; i < 7; ++i) sim.schedule_at(i, tagged(0));
   sim.run();
   EXPECT_EQ(sim.executed(), 7u);
 }
 
 TEST(Simulator, EventsScheduledFromCallbacksAtSameTimeRun) {
-  Simulator sim;
   int fired = 0;
-  sim.schedule_at(1.0, [&] {
-    sim.schedule_at(1.0, [&] { ++fired; });  // same timestamp
+  Simulator sim([&](const Event& e) {
+    if (e.a == 0)
+      sim.schedule_at(1.0, tagged(1));  // same timestamp
+    else
+      ++fired;
   });
+  sim.schedule_at(1.0, tagged(0));
   sim.run_until(1.0);
   EXPECT_EQ(fired, 1);
 }
 
 TEST(Simulator, PastSchedulingClampsToNow) {
-  Simulator sim;
   std::vector<double> times;
-  sim.schedule_at(10.0, [&] {
-    // Both of these target the past; they must fire "now", not rewind.
-    sim.schedule_at(3.0, [&] { times.push_back(sim.now()); });
-    sim.schedule_in(-5.0, [&] { times.push_back(sim.now()); });
+  Simulator sim([&](const Event& e) {
+    if (e.a == 0) {
+      // Both of these target the past; they must fire "now", not rewind.
+      sim.schedule_at(3.0, tagged(1));
+      sim.schedule_in(-5.0, tagged(1));
+    } else {
+      times.push_back(sim.now());
+    }
   });
+  sim.schedule_at(10.0, tagged(0));
   sim.run();
   ASSERT_EQ(times.size(), 2u);
   EXPECT_DOUBLE_EQ(times[0], 10.0);
@@ -119,20 +144,19 @@ TEST(Simulator, PastSchedulingClampsToNow) {
 }
 
 TEST(Simulator, ClockIsMonotoneThroughCallbacks) {
-  Simulator sim;
   double last = -1.0;
-  for (int i = 0; i < 50; ++i) {
-    sim.schedule_at(static_cast<double>(i % 7), [&] {
-      EXPECT_GE(sim.now(), last);
-      last = sim.now();
-    });
-  }
+  Simulator sim([&](const Event&) {
+    EXPECT_GE(sim.now(), last);
+    last = sim.now();
+  });
+  for (int i = 0; i < 50; ++i)
+    sim.schedule_at(static_cast<double>(i % 7), tagged(0));
   sim.run();
 }
 
 TEST(Simulator, ReturnsEventCountPerRun) {
-  Simulator sim;
-  for (int i = 1; i <= 4; ++i) sim.schedule_at(i, [] {});
+  Simulator sim(ignore);
+  for (int i = 1; i <= 4; ++i) sim.schedule_at(i, tagged(0));
   EXPECT_EQ(sim.run_until(2.0), 2u);
   EXPECT_EQ(sim.run_until(10.0), 2u);
 }

@@ -5,8 +5,12 @@
 // snap::SnapshotError.  Framing and CRC damage must also leave the
 // simulation untouched (the reader validates the whole file before any
 // state is applied, so the same object can still load a good file
-// afterwards).  The suite also runs under ASan/UBSan in CI: a malformed
-// length that slipped past validation would trip the sanitizers here.
+// afterwards).  Damage behind a recomputed CRC — a node id at or above the
+// population, a roster position that names someone else, an event record
+// no resumed run can schedule — must be rejected typed at load, before the
+// first event runs.  The suite also runs under ASan/UBSan in CI: a
+// malformed length or id that slipped past validation would trip the
+// sanitizers here.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -35,6 +39,12 @@ olap::OlapConfig tiny_olap() {
   c.sim_hours = 0.2;
   c.warmup_hours = 0.05;
   c.seed = 21;
+  return c;
+}
+
+gnutella::Config tiny_gnutella() {
+  gnutella::Config c = simtest::golden_gnutella_config();
+  c.sim_hours = 2.0;
   return c;
 }
 
@@ -67,6 +77,16 @@ std::uint64_t read_u64(const std::vector<unsigned char>& b, std::size_t at) {
   return v;
 }
 
+void put_u32(std::vector<unsigned char>& b, std::size_t at, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i)
+    b[at + i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
+void put_u64(std::vector<unsigned char>& b, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i)
+    b[at + i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
 /// One section frame as laid out on disk (u32 id, u64 length, u32 crc,
 /// payload).
 struct Frame {
@@ -92,6 +112,53 @@ std::vector<Frame> parse_frames(const std::vector<unsigned char>& bytes) {
   return frames;
 }
 
+/// Applies `edit(bytes, payload_offset)` to section `id` and recomputes the
+/// section's CRC, so only the reader's checks behind the CRC can catch the
+/// damage.
+template <typename Edit>
+std::vector<unsigned char> rewrite_section(std::vector<unsigned char> bytes,
+                                           snap::SectionId id, Edit&& edit) {
+  for (const Frame& f : parse_frames(bytes)) {
+    if (f.id != static_cast<std::uint32_t>(id)) continue;
+    edit(bytes, f.payload_offset);
+    put_u32(bytes, f.crc_offset,
+            snap::crc32(bytes.data() + f.payload_offset, f.payload_length));
+  }
+  return bytes;
+}
+
+/// Absolute offsets of the fields the gnutella domain checks guard, laid
+/// out as Simulation::save_domain writes them: per user u8 online, u8
+/// has_query, u32 reconfig_count, u32 online_pos; the roster; then per
+/// user a stats store (u64 n, n × {u32 peer, f64}), the recent queries
+/// (u64 n, n × u64) and u64 recent_pos.
+struct GnutellaDomainFields {
+  std::vector<std::size_t> online_pos;  ///< on-line users only
+  std::vector<std::size_t> stats_peer;  ///< every stats-store entry
+  std::vector<std::size_t> recent_pos;  ///< one per user
+};
+
+GnutellaDomainFields locate_gnutella_fields(
+    const std::vector<unsigned char>& b, std::size_t users) {
+  GnutellaDomainFields f;
+  std::size_t at = 0;
+  for (const Frame& frame : parse_frames(b))
+    if (frame.id == static_cast<std::uint32_t>(snap::SectionId::kDomain))
+      at = frame.payload_offset;
+  for (std::size_t u = 0; u < users; ++u, at += 10)
+    if (b[at] != 0) f.online_pos.push_back(at + 6);
+  at += 8 + 4 * static_cast<std::size_t>(read_u64(b, at));
+  for (std::size_t u = 0; u < users; ++u) {
+    const std::uint64_t n = read_u64(b, at);
+    at += 8;
+    for (std::uint64_t i = 0; i < n; ++i, at += 12) f.stats_peer.push_back(at);
+    at += 8 + 8 * static_cast<std::size_t>(read_u64(b, at));
+    f.recent_pos.push_back(at);
+    at += 8;
+  }
+  return f;
+}
+
 class CorruptSnapshotTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -105,14 +172,23 @@ class CorruptSnapshotTest : public ::testing::Test {
     oracle_fp_ = fingerprint(saver.run()).value();
     good_bytes_ = new std::vector<unsigned char>(slurp(*good_path_));
     ASSERT_GT(good_bytes_->size(), 12u);
+
+    const std::string gnu_path = *good_path_ + ".gnutella";
+    gnutella::Simulation gnu_saver(tiny_gnutella());
+    gnu_saver.request_snapshot_save(gnu_path, 3600.0);
+    gnu_saver.run();
+    gnutella_bytes_ = new std::vector<unsigned char>(slurp(gnu_path));
+    std::remove(gnu_path.c_str());
   }
 
   static void TearDownTestSuite() {
     std::remove(good_path_->c_str());
     delete good_path_;
     delete good_bytes_;
+    delete gnutella_bytes_;
     good_path_ = nullptr;
     good_bytes_ = nullptr;
+    gnutella_bytes_ = nullptr;
   }
 
   /// Writes `bytes` to a scratch file and expects load_snapshot to throw
@@ -133,13 +209,37 @@ class CorruptSnapshotTest : public ::testing::Test {
     std::remove(path.c_str());
   }
 
+  /// Expects a fresh `Sim` to reject `bytes` with a SnapshotError whose
+  /// message contains `field`.  Damage behind a valid CRC surfaces while
+  /// state is applied, so each attempt uses a fresh simulation.
+  template <typename Sim, typename Config>
+  static void expect_semantic_rejection(const Config& cfg,
+                                        const std::vector<unsigned char>& bytes,
+                                        const std::string& field) {
+    const std::string path = ::testing::TempDir() + "dsf_corrupt_field_" +
+                             std::to_string(::getpid()) + ".snap";
+    spit(path, bytes);
+    Sim sim(cfg);
+    try {
+      sim.load_snapshot(path);
+      ADD_FAILURE() << field << ": the damaged snapshot loaded";
+    } catch (const snap::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << "error does not name " << field << ": " << e.what();
+    }
+    EXPECT_FALSE(sim.resumed());
+    std::remove(path.c_str());
+  }
+
   static std::string* good_path_;
   static std::vector<unsigned char>* good_bytes_;
+  static std::vector<unsigned char>* gnutella_bytes_;
   static std::uint64_t oracle_fp_;
 };
 
 std::string* CorruptSnapshotTest::good_path_ = nullptr;
 std::vector<unsigned char>* CorruptSnapshotTest::good_bytes_ = nullptr;
+std::vector<unsigned char>* CorruptSnapshotTest::gnutella_bytes_ = nullptr;
 std::uint64_t CorruptSnapshotTest::oracle_fp_ = 0;
 
 TEST_F(CorruptSnapshotTest, WrongMagic) {
@@ -246,6 +346,109 @@ TEST_F(CorruptSnapshotTest, OversizedCountWithValidCrcIsRejectedTyped) {
     olap::OlapSim sim(tiny_olap());
     EXPECT_THROW(sim.load_snapshot(path), snap::SnapshotError);
     std::remove(path.c_str());
+  }
+}
+
+TEST_F(CorruptSnapshotTest, OverlayNeighborIdOutOfRange) {
+  // add_out/add_in check capacity and duplicates only; an id at or past
+  // the population would index every per-node array out of bounds.
+  const std::size_t peers = tiny_olap().num_peers;
+  for (const std::uint32_t id :
+       {static_cast<std::uint32_t>(peers), std::uint32_t{4'000'000'000}}) {
+    SCOPED_TRACE(id);
+    const auto bytes = rewrite_section(
+        *good_bytes_, snap::SectionId::kOverlay,
+        [&](std::vector<unsigned char>& b, std::size_t at) {
+          // Per node: u32 n_out, the out-list, u32 n_in, the in-list.
+          while (read_u32(b, at) == 0) {
+            at += 4;
+            at += 4 + 4 * static_cast<std::size_t>(read_u32(b, at));
+          }
+          put_u32(b, at + 4, id);  // the first out-neighbor
+        });
+    expect_semantic_rejection<olap::OlapSim>(tiny_olap(), bytes,
+                                             "overlay neighbor id");
+  }
+}
+
+TEST_F(CorruptSnapshotTest, StatsStorePeerIdOutOfRange) {
+  const std::size_t users = tiny_gnutella().num_users;
+  const auto fields = locate_gnutella_fields(*gnutella_bytes_, users);
+  ASSERT_FALSE(fields.stats_peer.empty());
+  const auto bytes = rewrite_section(
+      *gnutella_bytes_, snap::SectionId::kDomain,
+      [&](std::vector<unsigned char>& b, std::size_t) {
+        for (std::size_t at : fields.stats_peer) put_u32(b, at, 3'000'000'000u);
+      });
+  expect_semantic_rejection<gnutella::Simulation>(tiny_gnutella(), bytes,
+                                                  "stats-store peer id");
+}
+
+TEST_F(CorruptSnapshotTest, OnlinePosMustPointAtTheUser) {
+  // Far out of range, and in range but naming another user, which would
+  // otherwise resume silently onto a different trajectory.
+  const std::size_t users = tiny_gnutella().num_users;
+  const auto fields = locate_gnutella_fields(*gnutella_bytes_, users);
+  ASSERT_GT(fields.online_pos.size(), 1u);
+  for (const std::uint32_t pos :
+       {std::uint32_t{3'000'000'000}, static_cast<std::uint32_t>(users - 1),
+        std::uint32_t{0}}) {
+    SCOPED_TRACE(pos);
+    const auto bytes = rewrite_section(
+        *gnutella_bytes_, snap::SectionId::kDomain,
+        [&](std::vector<unsigned char>& b, std::size_t) {
+          for (std::size_t at : fields.online_pos) put_u32(b, at, pos);
+        });
+    expect_semantic_rejection<gnutella::Simulation>(tiny_gnutella(), bytes,
+                                                    "online_pos");
+  }
+}
+
+TEST_F(CorruptSnapshotTest, RecentPosOutsideTheWindow) {
+  const std::size_t users = tiny_gnutella().num_users;
+  const auto fields = locate_gnutella_fields(*gnutella_bytes_, users);
+  const auto bytes = rewrite_section(
+      *gnutella_bytes_, snap::SectionId::kDomain,
+      [&](std::vector<unsigned char>& b, std::size_t) {
+        put_u64(b, fields.recent_pos.front(), 32);  // the window is 32
+      });
+  expect_semantic_rejection<gnutella::Simulation>(tiny_gnutella(), bytes,
+                                                  "recent_pos");
+}
+
+TEST_F(CorruptSnapshotTest, EventRecordWithUnknownKind) {
+  // 99 is no kind at all; 3 is the engine's abuse spray, which a resumed
+  // run cannot schedule (the adversary layer and snapshots exclude each
+  // other).  A record: f64 time, u32 kind, u64 a, u64 b after the u64
+  // count.
+  for (const std::uint32_t kind : {99u, 3u}) {
+    SCOPED_TRACE(kind);
+    const auto bytes = rewrite_section(
+        *good_bytes_, snap::SectionId::kEvents,
+        [&](std::vector<unsigned char>& b, std::size_t at) {
+          ASSERT_GT(read_u64(b, at), 0u);
+          put_u32(b, at + 8 + 8, kind);
+        });
+    expect_semantic_rejection<olap::OlapSim>(tiny_olap(), bytes,
+                                             "unknown event kind");
+  }
+}
+
+TEST_F(CorruptSnapshotTest, EventRecordNodeIdOutOfRange) {
+  const std::uint64_t peers = tiny_olap().num_peers;
+  for (const std::size_t field : {std::size_t{12}, std::size_t{20}}) {  // a, b
+    for (const std::uint64_t id : {peers, std::uint64_t{1} << 63}) {
+      SCOPED_TRACE(std::to_string(field) + ":" + std::to_string(id));
+      const auto bytes = rewrite_section(
+          *good_bytes_, snap::SectionId::kEvents,
+          [&](std::vector<unsigned char>& b, std::size_t at) {
+            std::size_t rec = at + 8;
+            while (read_u32(b, rec + 8) == 1) rec += 28;  // skip periodics
+            put_u64(b, rec + field, id);
+          });
+      expect_semantic_rejection<olap::OlapSim>(tiny_olap(), bytes,
+                                               "out of range");
+    }
   }
 }
 

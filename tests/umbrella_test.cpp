@@ -9,7 +9,7 @@ namespace {
 
 TEST(Umbrella, EveryModuleUsableFromOneHeader) {
   dsf::des::Rng rng(1);
-  dsf::des::Simulator sim;
+  dsf::des::Simulator sim([](const dsf::des::Event&) {});
   dsf::net::MessageStats traffic;
   dsf::core::StatsStore stats;
   stats.add(1, 2.0);
