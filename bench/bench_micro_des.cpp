@@ -42,20 +42,8 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1024)->Arg(16384)->Arg(262144);
 
-/// Timeout churn: schedule a far-future event and cancel it immediately,
-/// the pattern of every satisfied query's reply timeout.  Cancelled nodes
-/// are never popped, so this also exercises the tombstone sweep.
-void BM_EventQueueCancel(benchmark::State& state) {
-  des::EventQueue q;
-  for (auto _ : state) {
-    const auto id = q.schedule(1.0, des::Event{1, 0, 0});
-    benchmark::DoNotOptimize(q.cancel(id));
-  }
-}
-BENCHMARK(BM_EventQueueCancel);
-
-/// Neighbor fan-out via one bulk insertion, then drain: the shape of
-/// core::event_flood's per-hop dispatch (Simulator::schedule_at_batch).
+/// Neighbor fan-out scheduled back to back, then drained: the shape of
+/// core::event_flood's per-hop dispatch.
 void BM_EventQueueScheduleBatch(benchmark::State& state) {
   const auto fanout = static_cast<std::size_t>(state.range(0));
   des::EventQueue q;
@@ -63,10 +51,8 @@ void BM_EventQueueScheduleBatch(benchmark::State& state) {
   std::uint64_t acc = 0;
   double now = 0.0;
   for (auto _ : state) {
-    q.schedule_batch(fanout, [&](std::size_t i) {
-      return std::pair<des::SimTime, des::Event>(now + rng.uniform(0.0, 100.0),
-                                                 des::Event{1, i, 0});
-    });
+    for (std::size_t i = 0; i < fanout; ++i)
+      q.schedule(now + rng.uniform(0.0, 100.0), des::Event{1, i, 0});
     for (std::size_t i = 0; i < fanout; ++i) {
       const auto [t, ev] = q.pop();
       acc += ev.a;

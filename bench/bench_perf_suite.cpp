@@ -89,27 +89,8 @@ Result run_queue_ops(std::size_t population, std::uint64_t ops) {
   return r;
 }
 
-/// Timeout churn: schedule far ahead, cancel immediately.
-Result run_queue_cancel(std::uint64_t ops) {
-  dsf::des::EventQueue q;
-  std::uint64_t acc = 0;
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    const auto id = q.schedule(1.0e6, dsf::des::Event{1, i, 0});
-    if (!q.cancel(id)) ++acc;
-  }
-  const double wall = seconds_since(t0);
-  Result r;
-  r.name = "queue_cancel";
-  r.items = ops;
-  r.wall_s = wall;
-  r.items_per_s = static_cast<double>(ops) / wall;
-  r.detail = "schedule+cancel per item";
-  if (acc != 0) r.detail += " (!)";  // every cancel must succeed
-  return r;
-}
-
-/// Bulk fan-out insertion then drain, the batched engine dispatch shape.
+/// Fan-out insertion then drain, the shape of event_flood's per-hop
+/// dispatch.
 Result run_queue_batch(std::size_t fanout, std::uint64_t rounds) {
   dsf::des::EventQueue q;
   dsf::des::Rng rng(11);
@@ -117,10 +98,8 @@ Result run_queue_batch(std::size_t fanout, std::uint64_t rounds) {
   double now = 0.0;
   const auto t0 = Clock::now();
   for (std::uint64_t round = 0; round < rounds; ++round) {
-    q.schedule_batch(fanout, [&](std::size_t i) {
-      return std::pair<dsf::des::SimTime, dsf::des::Event>(
-          now + rng.uniform(0.0, 100.0), dsf::des::Event{1, i, 0});
-    });
+    for (std::size_t i = 0; i < fanout; ++i)
+      q.schedule(now + rng.uniform(0.0, 100.0), dsf::des::Event{1, i, 0});
     for (std::size_t i = 0; i < fanout; ++i) {
       const auto [t, ev] = q.pop();
       acc += ev.a;
@@ -133,7 +112,7 @@ Result run_queue_batch(std::size_t fanout, std::uint64_t rounds) {
   r.items = rounds * fanout;
   r.wall_s = wall;
   r.items_per_s = static_cast<double>(r.items) / wall;
-  r.detail = "schedule_batch fan-out " + std::to_string(fanout) + " + drain";
+  r.detail = "fan-out " + std::to_string(fanout) + " + drain";
   if (acc == 0) r.detail += " (!)";  // keep the accumulator observable
   return r;
 }
@@ -267,7 +246,6 @@ int main(int argc, char** argv) {
       best_of(repeat, [&] { return run_queue_ops(16384, ops); }));
   results.push_back(best_of(
       repeat, [&] { return run_queue_ops(262144, quick ? 200'000 : 1'000'000); }));
-  results.push_back(best_of(repeat, [&] { return run_queue_cancel(ops); }));
   results.push_back(
       best_of(repeat, [&] { return run_queue_batch(16, ops / 16); }));
   results.push_back(

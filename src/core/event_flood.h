@@ -9,13 +9,11 @@
 // equivalence tests compare against, and a template for users who need
 // queries that interact mid-flight.
 //
-// The fan-out follows the batched DES dispatch contract (DESIGN.md §1.5):
-// one node's expansion counts and stamps every neighbor first, then issues
-// a single bulk insertion into the event queue.  The flood runs on its own
+// One node's expansion counts and stamps every neighbor first, then
+// schedules their deliveries in neighbor order.  The flood runs on its own
 // simulator whose handler is the flood's: each scheduled hop is an event
 // record whose payload indexes a per-flood vector of hop coordinates.
 
-#include <utility>
 #include <vector>
 
 #include "core/flood_search.h"
@@ -67,10 +65,8 @@ SearchOutcome event_flood_search(net::NodeId initiator,
         ++out.nodes_reached;
         hops.push_back({nbr, node, hop + 1, now_rel + delay(node, nbr)});
       }
-      sim.schedule_at_batch(hops.size() - first, [&](std::size_t i) {
-        return std::pair<des::SimTime, des::Event>(
-            start + hops[first + i].arrival, des::Event{0, first + i, 0});
-      });
+      for (std::size_t i = first; i < hops.size(); ++i)
+        sim.schedule_at(start + hops[i].arrival, des::Event{0, i, 0});
     }
 
     void arrive(des::Simulator& sim, const Hop& h) {

@@ -90,22 +90,6 @@ Pareto Pareto::from_mean(double mean, double shape) {
   return Pareto(mean * (shape - 1.0) / shape, shape);
 }
 
-LogNormal::LogNormal(double mu, double sigma) : mu_(mu), sigma_(sigma) {
-  if (!(sigma > 0.0))
-    throw std::invalid_argument("LogNormal: sigma must be > 0");
-}
-
-double LogNormal::mean() const noexcept {
-  return std::exp(mu_ + sigma_ * sigma_ / 2.0);
-}
-
-double LogNormal::sample(Rng& rng) const noexcept {
-  const double u1 = 1.0 - rng.uniform();
-  const double u2 = rng.uniform();
-  const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-  return std::exp(mu_ + sigma_ * z);
-}
-
 AliasTable::AliasTable(const std::vector<double>& weights) {
   const std::size_t n = weights.size();
   if (n == 0) throw std::invalid_argument("AliasTable: empty weights");

@@ -92,20 +92,6 @@ class Pareto {
   double shape_;
 };
 
-/// Log-normal distribution parameterized by the underlying normal's mu and
-/// sigma.  Offered for workload ablations (transfer sizes, think times).
-class LogNormal {
- public:
-  LogNormal(double mu, double sigma);
-
-  double mean() const noexcept;
-  double sample(Rng& rng) const noexcept;
-
- private:
-  double mu_;
-  double sigma_;
-};
-
 /// Weighted discrete distribution with O(1) sampling (Vose alias method).
 /// Used where the same categorical distribution is sampled millions of
 /// times (e.g. drawing songs from a category's popularity profile).

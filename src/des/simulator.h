@@ -30,32 +30,21 @@ class Simulator {
   /// Current simulation time in seconds.
   SimTime now() const noexcept { return now_; }
 
-  /// Schedules `ev` after `delay` seconds.  Negative delays are clamped
-  /// to "immediately": time never flows backwards.
-  EventId schedule_in(SimTime delay, const Event& ev) {
-    return queue_.schedule(delay > 0 ? now_ + delay : now_, ev);
+  /// Schedules `ev` after `delay` seconds and returns the time it is due.
+  /// Negative delays are clamped to "immediately": time never flows
+  /// backwards.  The returned time is the one now() reads when the event
+  /// runs, so a model can recognise its latest record by it.
+  SimTime schedule_in(SimTime delay, const Event& ev) {
+    return schedule_at(delay > 0 ? now_ + delay : now_, ev);
   }
 
-  /// Schedules `ev` at absolute time `t`; a `t` in the past is clamped to
-  /// now() so the clock stays monotone.
-  EventId schedule_at(SimTime t, const Event& ev) {
-    return queue_.schedule(t > now_ ? t : now_, ev);
+  /// Schedules `ev` at absolute time `t` and returns the time it is due:
+  /// a `t` in the past is clamped to now() so the clock stays monotone.
+  SimTime schedule_at(SimTime t, const Event& ev) {
+    const SimTime due = t > now_ ? t : now_;
+    queue_.schedule(due, ev);
+    return due;
   }
-
-  /// Batched absolute-time variant: `gen(i)` returns the (time, event)
-  /// pair for event `i`; past times are clamped to now() exactly as in
-  /// schedule_at.
-  template <typename Gen>
-  void schedule_at_batch(std::size_t n, Gen&& gen) {
-    queue_.schedule_batch(n, [&](std::size_t i) {
-      auto p = gen(i);
-      if (p.first < now_) p.first = now_;
-      return p;
-    });
-  }
-
-  /// Cancels a pending event; see EventQueue::cancel.
-  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs events until the queue drains or the clock passes `end_time`.
   /// Events scheduled exactly at `end_time` are executed.  Returns the
@@ -73,7 +62,7 @@ class Simulator {
   /// Requests that run_until return before popping the next event.
   void stop() noexcept { stop_requested_ = true; }
 
-  /// Number of pending (live) events.
+  /// Number of pending events.
   std::size_t pending() const noexcept { return queue_.size(); }
 
   /// Total events executed over the simulator's lifetime.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <string>
 
 #include "core/graph_stats.h"
 #include "core/unreachable.h"
@@ -100,12 +102,12 @@ void Simulation::prime() {
   for (net::NodeId u = 0; u < hot_.size(); ++u) {
     UserHot& st = hot_[u];
     if (st.online) {
-      st.session_event =
+      st.session_due_s =
           sim_.schedule_in(session_.draw_online_duration(session_rng()),
                            des::Event{kGnuSession, u, 0});
       schedule_next_query(u);
     } else {
-      st.session_event =
+      st.session_due_s =
           sim_.schedule_in(session_.draw_offline_duration(session_rng()),
                            des::Event{kGnuSession, u, 0});
     }
@@ -178,7 +180,7 @@ void Simulation::log_in(net::NodeId u) {
   // addresses; the neighborhood starts random in both schemes.
   fill_with_random_neighbors(u);
 
-  st.session_event =
+  st.session_due_s =
       sim_.schedule_in(session_.draw_online_duration(session_rng()),
                        des::Event{kGnuSession, u, 0});
   schedule_next_query(u);
@@ -188,10 +190,7 @@ void Simulation::log_off(net::NodeId u) {
   UserHot& st = hot_[u];
   assert(st.online);
   st.online = false;
-  if (st.has_query_event) {
-    sim_.cancel(st.query_event);
-    st.has_query_event = false;
-  }
+  st.query_due_s = -1.0;  // a log-off ends the user's queries
 
   // Swap-pop from the on-line roster.
   const std::uint32_t pos = st.online_pos;
@@ -214,20 +213,18 @@ void Simulation::log_off(net::NodeId u) {
     }
   }
 
-  st.session_event =
+  st.session_due_s =
       sim_.schedule_in(session_.draw_offline_duration(session_rng()),
                        des::Event{kGnuSession, u, 0});
 }
 
 void Simulation::schedule_next_query(net::NodeId u) {
-  UserHot& st = hot_[u];
-  st.query_event = sim_.schedule_in(session_.draw_interquery_gap(session_rng()),
-                                    des::Event{kGnuQuery, u, 0});
-  st.has_query_event = true;
+  hot_[u].query_due_s =
+      sim_.schedule_in(session_.draw_interquery_gap(session_rng()),
+                       des::Event{kGnuQuery, u, 0});
 }
 
 void Simulation::issue_query(net::NodeId u) {
-  hot_[u].has_query_event = false;
   UserCold& st = cold_[u];
 
   // By default users search for songs they do not already own (the
@@ -264,6 +261,7 @@ void Simulation::issue_query(net::NodeId u) {
   result_.messages.add(now, outcome.query_messages);
   if (reporting()) {
     ++result_.queries_issued;
+    result_.messages_reported += outcome.query_messages;
     result_.nodes_reached.add(outcome.nodes_reached);
     const bool favorite = catalog_.category_of(song) == st.profile.favorite;
     ++(favorite ? result_.queries_favorite : result_.queries_side);
@@ -274,6 +272,8 @@ void Simulation::issue_query(net::NodeId u) {
     result_.hits.add(now, 1);
     result_.results.add(now, outcome.hits.size());
     if (reporting()) {
+      ++result_.hits_reported;
+      result_.results_reported += outcome.hits.size();
       const double delay = outcome.first_result_delay_s();
       result_.first_result_delay_s.add(delay);
       result_.first_result_delay_hist.add(delay);
@@ -368,11 +368,8 @@ core::SearchOutcome Simulation::search_song(net::NodeId u,
 
 void Simulation::on_peer_crashed(net::NodeId u) {
   UserHot& st = hot_[u];
-  if (st.has_query_event) {
-    sim_.cancel(st.query_event);
-    st.has_query_event = false;
-  }
-  sim_.cancel(st.session_event);
+  st.query_due_s = -1.0;
+  st.session_due_s = -1.0;  // a crashed peer never comes back
   if (!st.online) return;
   st.online = false;
   // Swap-pop from the on-line roster so the bootstrap server stops
@@ -389,15 +386,13 @@ bool Simulation::adversary_churn_kick(des::Rng& lane, double offline_mean_s,
                                       double shape) {
   if (online_nodes_.empty()) return false;
   const net::NodeId u = online_nodes_[lane.uniform_int(online_nodes_.size())];
-  // Cancel the pending scheduled log-off, force the log-off now, then
-  // replace the session-model comeback log_off just scheduled with the
-  // storm's Pareto-tailed offline time.  (The session-lane draw inside
+  // Force the log-off now, which supersedes the pending scheduled log-off,
+  // then supersede the session-model comeback log_off just scheduled with
+  // the storm's Pareto-tailed offline time.  (The session-lane draw inside
   // log_off is consumed either way; the layer is enabled here, so the
   // zero-draws contract is not in play.)
-  sim_.cancel(hot_[u].session_event);
   log_off(u);
-  sim_.cancel(hot_[u].session_event);
-  hot_[u].session_event = sim_.schedule_in(
+  hot_[u].session_due_s = sim_.schedule_in(
       des::Pareto::from_mean(offline_mean_s, shape).sample(lane),
       des::Event{kGnuSession, u, 0});
   return true;
@@ -552,7 +547,8 @@ void Simulation::reconfigure(net::NodeId u) {
 void Simulation::save_domain(snap::Writer::Out& out) const {
   for (const UserHot& h : hot_) {
     out.u8(h.online ? 1 : 0);
-    out.u8(h.has_query_event ? 1 : 0);
+    out.f64(h.query_due_s);
+    out.f64(h.session_due_s);
     out.u32(h.reconfig_count);
     out.u32(h.online_pos);
   }
@@ -586,6 +582,9 @@ void Simulation::save_domain(snap::Writer::Out& out) const {
   snap::put_summary(out, result_.first_result_delay_s);
   snap::put_histogram(out, result_.first_result_delay_hist);
   out.u64(result_.queries_issued);
+  out.u64(result_.hits_reported);
+  out.u64(result_.messages_reported);
+  out.u64(result_.results_reported);
   out.u64(result_.local_hits);
   snap::put_summary(out, result_.nodes_reached);
   out.u64(result_.queries_favorite);
@@ -609,14 +608,21 @@ void Simulation::save_domain(snap::Writer::Out& out) const {
 }
 
 void Simulation::load_domain(snap::Reader::In& in) {
-  for (UserHot& h : hot_) {
+  const auto due_time = [&](net::NodeId u, const char* field) {
+    const double t = in.f64();
+    if (!std::isfinite(t))
+      throw snap::SnapshotError("gnutella: " + std::string(field) +
+                                " of user " + std::to_string(u) +
+                                " is not finite");
+    return t;
+  };
+  for (net::NodeId u = 0; u < hot_.size(); ++u) {
+    UserHot& h = hot_[u];
     h.online = in.u8() != 0;
-    h.has_query_event = in.u8() != 0;
+    h.query_due_s = due_time(u, "query_due_s");
+    h.session_due_s = due_time(u, "session_due_s");
     h.reconfig_count = in.u32();
     h.online_pos = in.u32();
-    // Event handles are re-bound by on_event_restored.
-    h.query_event = des::EventId{};
-    h.session_event = des::EventId{};
   }
   online_nodes_.clear();
   const std::size_t online_count = in.count(4);
@@ -674,6 +680,9 @@ void Simulation::load_domain(snap::Reader::In& in) {
   snap::get_summary(in, result_.first_result_delay_s);
   snap::get_histogram(in, result_.first_result_delay_hist);
   result_.queries_issued = in.u64();
+  result_.hits_reported = in.u64();
+  result_.messages_reported = in.u64();
+  result_.results_reported = in.u64();
   result_.local_hits = in.u64();
   snap::get_summary(in, result_.nodes_reached);
   result_.queries_favorite = in.u64();
@@ -705,12 +714,14 @@ void Simulation::on_event(const des::Event& e) {
   const auto u = static_cast<net::NodeId>(e.a);
   switch (e.kind) {
     case kGnuSession:
+      if (sim_.now() != hot_[u].session_due_s) return;  // superseded
       if (hot_[u].online)
         log_off(u);
       else
         log_in(u);
       return;
     case kGnuQuery:
+      if (sim_.now() != hot_[u].query_due_s) return;  // superseded
       issue_query(u);
       return;
     case kGnuTrial:
@@ -718,15 +729,6 @@ void Simulation::on_event(const des::Event& e) {
       return;
     default:
       OverlayEngine::on_event(e);
-  }
-}
-
-void Simulation::on_event_restored(const des::Event& e, des::EventId id) {
-  if (e.kind == kGnuSession) {
-    hot_[e.a].session_event = id;
-  } else if (e.kind == kGnuQuery) {
-    hot_[e.a].query_event = id;
-    hot_[e.a].has_query_event = true;
   }
 }
 

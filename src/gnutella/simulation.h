@@ -50,6 +50,9 @@ struct RunResult {
   net::MessageStats traffic;             ///< all message types incl. control
 
   std::uint64_t queries_issued = 0;   ///< network queries (post-warmup)
+  std::uint64_t hits_reported = 0;    ///< satisfied queries (post-warmup)
+  std::uint64_t messages_reported = 0; ///< query propagations (post-warmup)
+  std::uint64_t results_reported = 0; ///< individual results (post-warmup)
   std::uint64_t local_hits = 0;       ///< requests satisfied from own library
   metrics::Summary nodes_reached;     ///< distinct nodes per flood (post-warmup)
   std::uint64_t queries_favorite = 0; ///< queries in the user's favourite category
@@ -65,18 +68,14 @@ struct RunResult {
 
   std::vector<ProbeSample> probes;  ///< overlay-structure evolution
 
-  std::size_t warmup_bucket = 0;  ///< first reporting bucket (hour index)
-  std::size_t last_bucket = 0;    ///< last full bucket of the horizon
+  /// The hour buckets the figure tables print: from the first reporting
+  /// hour to the last full hour of the horizon.
+  std::size_t warmup_bucket = 0;
+  std::size_t last_bucket = 0;
 
-  std::uint64_t total_hits() const {
-    return hits.sum(warmup_bucket, last_bucket);
-  }
-  std::uint64_t total_messages() const {
-    return messages.sum(warmup_bucket, last_bucket);
-  }
-  std::uint64_t total_results() const {
-    return results.sum(warmup_bucket, last_bucket);
-  }
+  std::uint64_t total_hits() const { return hits_reported; }
+  std::uint64_t total_messages() const { return messages_reported; }
+  std::uint64_t total_results() const { return results_reported; }
 };
 
 /// The §4 case study: a population of music-sharing users over a symmetric
@@ -153,10 +152,9 @@ class Simulation : public sim::OverlayEngine {
   void save_domain(snap::Writer::Out& out) const override;
   void load_domain(snap::Reader::In& in) override;
 
-  /// Runs a session, query or trial event.
+  /// Runs a session, query or trial event.  A session or query record
+  /// runs only at its user's due time; a superseded one does nothing.
   void on_event(const des::Event& e) override;
-  /// Re-binds the session and query handles cancel() needs on resume.
-  void on_event_restored(const des::Event& e, des::EventId id) override;
 
  private:
   // Per-user state is split SoA-style.  The hot record is what every
@@ -166,13 +164,17 @@ class Simulation : public sim::OverlayEngine {
   // shared workload::LibraryPool arena (one allocation for the whole
   // population instead of one vector per user).
   struct UserHot {
-    des::EventId query_event{};
-    des::EventId session_event{};
+    /// Times the user's latest query and session records are due, or -1
+    /// when none is expected.  Rescheduling, log-off, a crash or a storm
+    /// kick overwrites the time, which supersedes the pending record: it
+    /// still pops, but on_event skips it.
+    des::SimTime query_due_s = -1.0;
+    des::SimTime session_due_s = -1.0;
     std::uint32_t reconfig_count = 0;
     std::uint32_t online_pos = 0;  ///< index in online_nodes_ when online
     bool online = false;
-    bool has_query_event = false;
   };
+  static_assert(sizeof(UserHot) == 32, "hot per-user record is 32 bytes");
   /// Cold per-user state: read on queries and invitations, not per event.
   struct UserCold {
     workload::UserProfile profile;
@@ -186,7 +188,7 @@ class Simulation : public sim::OverlayEngine {
 
   /// Event kinds.  A session event's direction (log_in vs log_off) is not
   /// stored: it flips hot_[u].online, which every path that changes the
-  /// flag keeps in step by cancelling or rescheduling the session event.
+  /// flag keeps in step by superseding or rescheduling the session event.
   static constexpr std::uint32_t kGnuSession = kKeyedUserBase + 0;  ///< a = u
   static constexpr std::uint32_t kGnuQuery = kKeyedUserBase + 1;    ///< a = u
   static constexpr std::uint32_t kGnuTrial =

@@ -16,13 +16,4 @@ ConfidenceInterval confidence_interval(const std::vector<double>& sample,
   return ci;
 }
 
-std::vector<double> replicate(std::size_t replicas, std::uint64_t base_seed,
-                              const std::function<double(std::uint64_t)>& run) {
-  std::vector<double> out;
-  out.reserve(replicas);
-  for (std::size_t r = 0; r < replicas; ++r)
-    out.push_back(run(base_seed + 1000003ULL * (r + 1)));
-  return out;
-}
-
 }  // namespace dsf::metrics

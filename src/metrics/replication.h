@@ -1,8 +1,7 @@
 #pragma once
 
 #include <cmath>
-#include <cstdint>
-#include <functional>
+#include <cstddef>
 #include <vector>
 
 #include "metrics/time_series.h"
@@ -34,12 +33,5 @@ struct ConfidenceInterval {
 /// interval as indicative rather than exact).
 ConfidenceInterval confidence_interval(const std::vector<double>& sample,
                                        double z = 1.96);
-
-/// Runs `run(seed)` for `replicas` distinct seeds derived from
-/// `base_seed` and returns the per-replica measurements.  Deliberately
-/// sequential: callers that want parallel replication compose this with
-/// des::parallel_map themselves.
-std::vector<double> replicate(std::size_t replicas, std::uint64_t base_seed,
-                              const std::function<double(std::uint64_t)>& run);
 
 }  // namespace dsf::metrics

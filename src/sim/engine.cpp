@@ -488,8 +488,6 @@ void OverlayEngine::write_engine_core(snap::Writer::Out& out) {
   for (int t = 0; t < net::kNumMessageTypes; ++t)
     out.u64(ledger_.stats().total(static_cast<net::MessageType>(t)));
   for (int t = 0; t < net::kNumMessageTypes; ++t)
-    out.u64(ledger_.bytes(static_cast<net::MessageType>(t)));
-  for (int t = 0; t < net::kNumMessageTypes; ++t)
     out.u64(ledger_.delivered(static_cast<net::MessageType>(t)));
   for (int t = 0; t < net::kNumMessageTypes; ++t)
     out.u64(ledger_.dropped(static_cast<net::MessageType>(t)));
@@ -524,13 +522,11 @@ void OverlayEngine::read_engine_core(snap::Reader::In& in) {
   net::MessageStats stats;
   for (int t = 0; t < net::kNumMessageTypes; ++t)
     stats.count(static_cast<net::MessageType>(t), in.u64());
-  std::array<std::uint64_t, net::kNumMessageTypes> bytes{};
   std::array<std::uint64_t, net::kNumMessageTypes> delivered{};
   std::array<std::uint64_t, net::kNumMessageTypes> dropped{};
-  for (std::uint64_t& v : bytes) v = in.u64();
   for (std::uint64_t& v : delivered) v = in.u64();
   for (std::uint64_t& v : dropped) v = in.u64();
-  ledger_.restore(stats, bytes, delivered, dropped);
+  ledger_.restore(stats, delivered, dropped);
   next_span_ = in.u32();
   restored_periods_.assign(in.count(8), 0.0);
   for (double& period : restored_periods_) period = in.f64();
@@ -587,7 +583,7 @@ void OverlayEngine::write_events(snap::Writer::Out& out) {
   };
   std::vector<Rec> recs;
   recs.reserve(sim_.pending());
-  sim_.queue().for_each_live(
+  sim_.queue().for_each_pending(
       [&](double t, std::uint64_t seq, const des::Event& ev) {
         recs.push_back({t, seq, ev});
       });
@@ -655,8 +651,7 @@ void OverlayEngine::replay_restored_events() {
                                 "'s period differs from the snapshot's");
   std::vector<PendingRecord> records = std::move(restored_events_);
   restored_events_.clear();
-  for (const PendingRecord& r : records)
-    on_event_restored(r.ev, sim_.schedule_at(r.t, r.ev));
+  for (const PendingRecord& r : records) sim_.schedule_at(r.t, r.ev);
 }
 
 void OverlayEngine::save_domain(snap::Writer::Out&) const {

@@ -100,17 +100,14 @@ RngLanes make_lanes(des::Rng& master, RngLayout layout);
 /// scenario report bandwidth, not just message counts).
 std::uint64_t default_message_bytes(net::MessageType t);
 
-/// Per-type message counts *and* bytes.  Wraps net::MessageStats so ported
-/// scenarios keep publishing the same `traffic` object they always did.
+/// Per-type message counts, with bytes derived from them at the default
+/// wire size of each type.  Wraps net::MessageStats so ported scenarios
+/// keep publishing the same `traffic` object they always did.
 class MessageLedger {
  public:
-  /// Counts `n` sent messages of type `t`; `bytes_each` of 0 means "use
-  /// the default wire size for this type".
-  void count(net::MessageType t, std::uint64_t n = 1,
-             std::uint64_t bytes_each = 0) noexcept {
+  /// Counts `n` sent messages of type `t`.
+  void count(net::MessageType t, std::uint64_t n = 1) noexcept {
     stats_.count(t, n);
-    bytes_[static_cast<int>(t)] +=
-        n * (bytes_each ? bytes_each : default_message_bytes(t));
   }
 
   /// Fate accounting, filled in by the fault layer: of the counted sends,
@@ -143,31 +140,30 @@ class MessageLedger {
     return sum;
   }
 
+  /// Bytes sent as type `t`: its count times default_message_bytes(t).
   std::uint64_t bytes(net::MessageType t) const noexcept {
-    return bytes_[static_cast<int>(t)];
+    return stats_.total(t) * default_message_bytes(t);
   }
 
   std::uint64_t total_bytes() const noexcept {
     std::uint64_t sum = 0;
-    for (auto b : bytes_) sum += b;
+    for (int t = 0; t < net::kNumMessageTypes; ++t)
+      sum += bytes(static_cast<net::MessageType>(t));
     return sum;
   }
 
   /// Checkpoint restore: replaces every counter with the saved totals.
   void restore(
       const net::MessageStats& stats,
-      const std::array<std::uint64_t, net::kNumMessageTypes>& bytes,
       const std::array<std::uint64_t, net::kNumMessageTypes>& delivered,
       const std::array<std::uint64_t, net::kNumMessageTypes>& dropped) noexcept {
     stats_ = stats;
-    bytes_ = bytes;
     delivered_ = delivered;
     dropped_ = dropped;
   }
 
  private:
   net::MessageStats stats_;
-  std::array<std::uint64_t, net::kNumMessageTypes> bytes_{};
   std::array<std::uint64_t, net::kNumMessageTypes> delivered_{};
   std::array<std::uint64_t, net::kNumMessageTypes> dropped_{};
 };
@@ -255,7 +251,7 @@ class OverlayEngine {
   std::uint64_t crashes() const noexcept { return crash_count_; }
 
   /// Kills `u` abruptly, mid-whatever-it-was-doing.  The scenario's
-  /// on_peer_crashed hook cancels the victim's own pending activity, but
+  /// on_peer_crashed hook stops the victim's own pending activity, but
   /// nobody updates neighbor tables on its behalf: ex-neighbors keep
   /// dangling entries, exactly as after a real ungraceful disconnect.
   void crash_node(net::NodeId u);
@@ -541,7 +537,7 @@ class OverlayEngine {
                                             std::uint64_t item);
 
   /// Called exactly once per crash_node(), before any further event runs.
-  /// Scenarios cancel the victim's own pending activity (its queries, its
+  /// Scenarios stop the victim's own pending activity (its queries, its
   /// session timer) here — and must NOT touch the overlay: dangling
   /// neighbor entries are the point of an ungraceful crash.
   virtual void on_peer_crashed(net::NodeId /*u*/) {}
@@ -582,12 +578,6 @@ class OverlayEngine {
   /// Runs one of the scenario's own events (kind >= kKeyedUserBase).  The
   /// default fails closed: a scenario that schedules kinds handles them.
   virtual void on_event(const des::Event& e);
-
-  /// Called for each pending event a resumed run schedules again, with its
-  /// new handle.  A scenario that keeps handles for cancel() re-binds them
-  /// here; the default keeps none.
-  virtual void on_event_restored(const des::Event& /*e*/,
-                                 des::EventId /*id*/) {}
 
   /// Reports one warning line through the sink (default: stderr).
   void warn(const std::string& message);

@@ -93,7 +93,7 @@ class FaultPlan {
 /// Abrupt peer failures: crashes arrive as a Poisson process at
 /// `rate_per_hour` across the whole population, inside [start_s, end_s),
 /// up to `max_crashes` victims.  A crashed peer stops cold — its pending
-/// activity is cancelled, but nobody updates neighbor tables on its
+/// activity never runs, but nobody updates neighbor tables on its
 /// behalf, so ex-neighbors keep dangling entries until they discover the
 /// failure themselves (their sends to it are dropped on arrival).
 struct CrashModel {

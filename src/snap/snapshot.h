@@ -46,7 +46,7 @@ class SnapshotError : public std::runtime_error {
 inline constexpr std::uint64_t kMagic = 0x0050414E53465344ULL;
 /// Bumped whenever a section's layout changes; the reader accepts only
 /// this version.
-inline constexpr std::uint32_t kVersion = 2;
+inline constexpr std::uint32_t kVersion = 3;
 
 enum class SectionId : std::uint32_t {
   kIdentity = 1,    ///< scenario name, population, seed

@@ -1,13 +1,13 @@
 // Randomized differential test of EventQueue against an ordered-set
-// oracle.  The queue is a 4-ary heap with lazy tombstones whose pop
-// order must be exactly the strict total order (time, seq) — the oracle
-// is a std::set keyed the same way, and every interleaving of schedule /
-// batch-schedule / cancel / pop must agree with it event-for-event: same
-// timestamp bits, same event record, same size.  Populations run from a few
-// events (partial child rows) to thousands (full-arity tournaments,
-// deep sift-downs), with inserts below the current minimum, exact ties,
-// far-future clusters and enough cancel pressure to trigger tombstone
-// compaction.
+// oracle.  The queue is a 4-ary heap whose pop order must be exactly the
+// strict total order (time, seq) — the oracle is a std::set keyed the
+// same way, and every interleaving of schedule / fan-out / pop must agree
+// with it event-for-event: same timestamp bits, same event record, same
+// size.  Populations run from a few events (partial child rows) to
+// thousands (full-arity tournaments, deep sift-downs), with inserts below
+// the current minimum, exact ties, far-future clusters, recycled slots
+// and re-armed timers whose superseded records stay queued until they
+// pop.
 
 #include "des/event_queue.h"
 
@@ -18,8 +18,6 @@
 #include <random>
 #include <set>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -32,24 +30,15 @@ class DifferentialHarness {
 
   void schedule_one(double t) {
     const std::uint64_t tag = next_tag_++;
-    const EventId id = q_.schedule(t, record(tag));
+    q_.schedule(t, record(tag));
     ref_.emplace(t, tag);
-    handles_.emplace(tag, std::pair<EventId, double>{id, t});
-    cancellable_.push_back(tag);
   }
 
-  void schedule_batch(std::size_t n, double base_t) {
-    // Batch fan-outs return no handles, so these tags are never
-    // cancelled — mirroring how the engine uses the API.
-    std::vector<double> times(n);
+  /// A neighbor fan-out, as core::event_flood schedules one: `n`
+  /// deliveries on a coarse grid after `base_t`, back to back.
+  void schedule_fanout(std::size_t n, double base_t) {
     for (std::size_t i = 0; i < n; ++i)
-      times[i] = base_t + 0.25 * static_cast<double>(rng_() % 64);
-    const std::uint64_t first_tag = next_tag_;
-    q_.schedule_batch(n, [&](std::size_t i) {
-      return std::pair<SimTime, Event>(times[i], record(first_tag + i));
-    });
-    for (std::size_t i = 0; i < n; ++i) ref_.emplace(times[i], first_tag + i);
-    next_tag_ += n;
+      schedule_one(base_t + 0.25 * static_cast<double>(rng_() % 64));
   }
 
   void pop_one() {
@@ -63,24 +52,7 @@ class DifferentialHarness {
     EXPECT_EQ(ev.kind, record(expect.second).kind);
     EXPECT_EQ(ev.b, record(expect.second).b);
     ref_.erase(ref_.begin());
-    gone_.insert(expect.second);
     now_ = t;
-  }
-
-  void cancel_random() {
-    for (int attempt = 0; attempt < 8 && !cancellable_.empty(); ++attempt) {
-      const std::size_t i = rng_() % cancellable_.size();
-      const std::uint64_t tag = cancellable_[i];
-      cancellable_[i] = cancellable_.back();
-      cancellable_.pop_back();
-      if (gone_.count(tag) != 0) continue;  // already popped; try another
-      const auto [id, t] = handles_.at(tag);
-      EXPECT_TRUE(q_.cancel(id));
-      EXPECT_FALSE(q_.cancel(id));  // second cancel must fail
-      ref_.erase(ref_.find({t, tag}));
-      gone_.insert(tag);
-      return;
-    }
   }
 
   void drain_all() {
@@ -106,9 +78,7 @@ class DifferentialHarness {
       if (ref_.empty() || (grow && r < 55)) {
         schedule_one(draw_time());
       } else if (r < 5) {
-        schedule_batch(2 + rng_() % 15, now_ + 1.0);
-      } else if (r < 20 && !cancellable_.empty()) {
-        cancel_random();
+        schedule_fanout(2 + rng_() % 15, now_ + 1.0);
       } else if (r < 60) {
         pop_one();
       } else {
@@ -122,21 +92,20 @@ class DifferentialHarness {
   }
 
   // The simulators' mix of time scales in one queue: a standing set of
-  // minute- to hour-scale timers (sessions, query timeouts) under dense
-  // second-scale message traffic.  A quarter of the ops cancel an event
-  // and arm a fresh timer, as a satisfied query cancels its timeout and
-  // the next query arms one; each cancelled timer leaves a tombstone deep
-  // in the heap, so this phase also drives tombstone compaction.
+  // minute- to hour-scale timers (sessions, query timers) under dense
+  // second-scale message traffic.  A quarter of the ops re-arm a timer,
+  // as a log-off supersedes a user's pending query timer and the next
+  // log-in arms a fresh one: the superseded record is not removed, it
+  // stays deep in the heap until its time surfaces and it pops.
   void run_timer_phase(int ops, std::size_t timers) {
     for (std::size_t i = 0; i < timers; ++i) schedule_one(draw_timer());
     const std::size_t target = timers + 64;
     for (int op = 0; op < ops; ++op) {
       const std::uint64_t r = rng_() % 100;
       if (r < 25) {
-        cancel_random();
         schedule_one(draw_timer());
       } else if (r < 30) {
-        schedule_batch(2 + rng_() % 15, now_ + 0.05);
+        schedule_fanout(2 + rng_() % 15, now_ + 0.05);
       } else if (r < 70 && ref_.size() < target) {
         schedule_one(now_ + static_cast<double>(rng_() % 2000) * 1e-3);
       } else if (!ref_.empty()) {
@@ -182,9 +151,6 @@ class DifferentialHarness {
   std::mt19937_64 rng_;
   EventQueue q_;
   std::set<std::pair<double, std::uint64_t>> ref_;
-  std::unordered_map<std::uint64_t, std::pair<EventId, double>> handles_;
-  std::unordered_set<std::uint64_t> gone_;
-  std::vector<std::uint64_t> cancellable_;
   std::uint64_t next_tag_ = 0;
   double now_ = 0.0;
 };
@@ -217,8 +183,8 @@ TEST(EventQueueDifferential, HourTimersUnderSecondScaleTraffic) {
 }
 
 TEST(EventQueueDifferential, GrowDrainCycles) {
-  // Repeated collapse to empty and regrowth: every slot is recycled with
-  // stale handles outstanding, and the heap restarts from one node.
+  // Repeated collapse to empty and regrowth: every slot is recycled, and
+  // the heap restarts from one node.
   DifferentialHarness h(31);
   for (int cycle = 0; cycle < 6; ++cycle) {
     h.run_phase(4000, 1500);
@@ -233,23 +199,22 @@ TEST(EventQueueDifferential, ClusteredTimeJumps) {
   DifferentialHarness h(41);
   for (int cluster = 0; cluster < 5; ++cluster) {
     h.run_phase(3000, 800);
-    h.schedule_batch(64, 1.0e6 * static_cast<double>(cluster + 1));
+    h.schedule_fanout(64, 1.0e6 * static_cast<double>(cluster + 1));
     h.drain_all();
   }
 }
 
 TEST(EventQueueDifferential, SnapshotRoundTripPreservesPopOrder) {
-  // Mirrors how the checkpoint layer serializes the event section: live
-  // event records are enumerated through for_each_live (unspecified order,
-  // dead slots skipped), sorted by (time, seq) and re-scheduled into a
-  // fresh queue with new ascending seqs.  Because the sort key IS the pop
+  // Mirrors how the checkpoint layer serializes the event section: pending
+  // event records are enumerated through for_each_pending (unspecified
+  // order, popped slots skipped), sorted by (time, seq) and re-scheduled
+  // into a fresh queue with new ascending seqs.  Because the sort key IS the pop
   // order, FIFO ties survive the re-numbering: the restored queue must
   // drain in exactly the oracle's order, bit-exact timestamps included.
   std::mt19937_64 rng(77);
   for (int round = 0; round < 4; ++round) {
     EventQueue q;
     std::set<std::pair<double, std::uint64_t>> oracle;  // (time, tag)
-    std::vector<std::pair<EventId, std::pair<double, std::uint64_t>>> live;
     std::uint64_t next_tag = 0;
     double now = 0.0;
 
@@ -265,28 +230,15 @@ TEST(EventQueueDifferential, SnapshotRoundTripPreservesPopOrder) {
       if (oracle.size() < 2500 || r < 55) {
         const double t = draw();
         const std::uint64_t tag = next_tag++;
-        const EventId id = q.schedule(t, Event{1, tag, 0});
+        q.schedule(t, Event{1, tag, 0});
         oracle.emplace(t, tag);
-        live.push_back({id, {t, tag}});
-      } else if (r < 70 && !live.empty()) {
-        // Cancelled events must be invisible to for_each_live.
-        const std::size_t i = rng() % live.size();
-        ASSERT_TRUE(q.cancel(live[i].first));
-        oracle.erase(live[i].second);
-        live[i] = live.back();
-        live.pop_back();
-      } else if (!oracle.empty()) {
+      } else {
+        // Popped records must be invisible to for_each_pending, also once
+        // their slots are recycled.
         const auto [t, ev] = q.pop();
         EXPECT_EQ(t, oracle.begin()->first);
-        const std::uint64_t popped_tag = oracle.begin()->second;
-        EXPECT_EQ(ev.a, popped_tag);
+        EXPECT_EQ(ev.a, oracle.begin()->second);
         oracle.erase(oracle.begin());
-        const auto it = std::find_if(
-            live.begin(), live.end(),
-            [&](const auto& e) { return e.second.second == popped_tag; });
-        ASSERT_NE(it, live.end());
-        *it = live.back();
-        live.pop_back();
         now = t;
       }
     }
@@ -299,9 +251,9 @@ TEST(EventQueueDifferential, SnapshotRoundTripPreservesPopOrder) {
       Event ev;
     };
     std::vector<Rec> recs;
-    q.for_each_live([&](double t, std::uint64_t seq, const Event& ev) {
+    q.for_each_pending([&](double t, std::uint64_t seq, const Event& ev) {
       ASSERT_EQ(oracle.count({t, ev.a}), 1u)
-          << "dead event leaked into the walk";
+          << "popped event leaked into the walk";
       recs.push_back({t, seq, ev});
     });
     ASSERT_EQ(recs.size(), oracle.size());

@@ -50,54 +50,16 @@ TEST(EventQueue, PopReturnsTimestamp) {
   EXPECT_EQ(ev.b, 13u);
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  const EventId id = q.schedule(1.0, tagged(1));
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(drain_tags(q).empty());
-}
-
-TEST(EventQueue, CancelTwiceFails) {
-  EventQueue q;
-  const EventId id = q.schedule(1.0, tagged(1));
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));
-}
-
-TEST(EventQueue, CancelAfterPopFails) {
-  EventQueue q;
-  const EventId id = q.schedule(1.0, tagged(1));
-  q.pop();
-  EXPECT_FALSE(q.cancel(id));
-}
-
-TEST(EventQueue, StaleHandleCannotCancelRecycledSlot) {
-  EventQueue q;
-  const EventId old_id = q.schedule(1.0, tagged(1));
-  q.pop();                         // slot freed
-  q.schedule(2.0, tagged(2));      // reuses the slot
-  EXPECT_FALSE(q.cancel(old_id));  // generation mismatch
-  EXPECT_EQ(drain_tags(q), (std::vector<std::uint64_t>{2}));
-}
-
-TEST(EventQueue, CancelMiddleKeepsOrder) {
-  EventQueue q;
-  q.schedule(1.0, tagged(1));
-  const EventId id = q.schedule(2.0, tagged(2));
-  q.schedule(3.0, tagged(3));
-  q.cancel(id);
-  EXPECT_EQ(drain_tags(q), (std::vector<std::uint64_t>{1, 3}));
-}
-
 TEST(EventQueue, SizeTracksLiveEvents) {
   EventQueue q;
-  const EventId a = q.schedule(1.0, tagged(1));
+  q.schedule(1.0, tagged(1));
   q.schedule(2.0, tagged(2));
   EXPECT_EQ(q.size(), 2u);
-  q.cancel(a);
-  EXPECT_EQ(q.size(), 1u);
   q.pop();
+  EXPECT_EQ(q.size(), 1u);
+  q.schedule(0.5, tagged(3));  // reuses the popped record's slot
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(drain_tags(q), (std::vector<std::uint64_t>{3, 2}));
   EXPECT_EQ(q.size(), 0u);
 }
 

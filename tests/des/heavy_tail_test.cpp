@@ -67,34 +67,5 @@ TEST(Pareto, SurvivalMatchesClosedForm) {
   EXPECT_NEAR(static_cast<double>(over2) / n, 0.25, 0.005);
 }
 
-TEST(LogNormal, RejectsBadSigma) {
-  EXPECT_THROW(LogNormal(0.0, 0.0), std::invalid_argument);
-}
-
-TEST(LogNormal, SamplesArePositive) {
-  Rng rng(5);
-  LogNormal d(0.0, 1.0);
-  for (int i = 0; i < 10000; ++i) EXPECT_GT(d.sample(rng), 0.0);
-}
-
-TEST(LogNormal, EmpiricalMeanMatchesFormula) {
-  Rng rng(6);
-  LogNormal d(1.0, 0.5);
-  double sum = 0.0;
-  const int n = 400000;
-  for (int i = 0; i < n; ++i) sum += d.sample(rng);
-  EXPECT_NEAR(sum / n, d.mean(), 0.02 * d.mean());
-}
-
-TEST(LogNormal, MedianIsExpMu) {
-  Rng rng(7);
-  LogNormal d(2.0, 0.8);
-  int below = 0;
-  const int n = 100000;
-  const double median = std::exp(2.0);
-  for (int i = 0; i < n; ++i) below += d.sample(rng) < median;
-  EXPECT_NEAR(static_cast<double>(below) / n, 0.5, 0.01);
-}
-
 }  // namespace
 }  // namespace dsf::des

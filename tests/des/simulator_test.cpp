@@ -84,15 +84,6 @@ TEST(Simulator, StopRequestHaltsExecution) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(Simulator, CancelledEventsDoNotRun) {
-  bool ran = false;
-  Simulator sim([&](const Event&) { ran = true; });
-  const EventId id = sim.schedule_in(1.0, tagged(0));
-  EXPECT_TRUE(sim.cancel(id));
-  sim.run();
-  EXPECT_FALSE(ran);
-}
-
 TEST(Simulator, StepExecutesExactlyOne) {
   int fired = 0;
   Simulator sim([&](const Event&) { ++fired; });
@@ -123,6 +114,24 @@ TEST(Simulator, EventsScheduledFromCallbacksAtSameTimeRun) {
   sim.schedule_at(1.0, tagged(0));
   sim.run_until(1.0);
   EXPECT_EQ(fired, 1);
+}
+
+TEST(Simulator, ScheduleReturnsTheTimeNowReadsWhenTheEventRuns) {
+  std::vector<double> due;
+  std::vector<double> ran;
+  Simulator sim([&](const Event& e) {
+    ran.push_back(sim.now());
+    if (e.a == 0) {
+      due.push_back(sim.schedule_in(0.1, tagged(1)));
+      due.push_back(sim.schedule_in(-1.0, tagged(1)));  // clamped to now
+      due.push_back(sim.schedule_at(2.0, tagged(1)));   // in the past
+    }
+  });
+  due.push_back(sim.schedule_at(2.7, tagged(0)));
+  sim.run();
+  EXPECT_EQ(due, (std::vector<double>{2.7, 2.7 + 0.1, 2.7, 2.7}));
+  // Popped in (time, seq) order: the three scheduled at 2.7, then 2.8.
+  EXPECT_EQ(ran, (std::vector<double>{due[0], due[2], due[3], due[1]}));
 }
 
 TEST(Simulator, PastSchedulingClampsToNow) {

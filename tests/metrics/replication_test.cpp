@@ -49,25 +49,5 @@ TEST(ConfidenceInterval, CoverageOnGaussianData) {
   EXPECT_NEAR(static_cast<double>(covered) / trials, 0.95, 0.04);
 }
 
-TEST(Replicate, DistinctSeedsPerReplica) {
-  std::vector<std::uint64_t> seeds;
-  replicate(5, 42, [&seeds](std::uint64_t s) {
-    seeds.push_back(s);
-    return 0.0;
-  });
-  ASSERT_EQ(seeds.size(), 5u);
-  for (std::size_t i = 0; i < seeds.size(); ++i)
-    for (std::size_t j = i + 1; j < seeds.size(); ++j)
-      EXPECT_NE(seeds[i], seeds[j]);
-}
-
-TEST(Replicate, CollectsMeasurementsInOrder) {
-  const auto out =
-      replicate(3, 0, [](std::uint64_t seed) { return static_cast<double>(seed); });
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_LT(out[0], out[1]);
-  EXPECT_LT(out[1], out[2]);
-}
-
 }  // namespace
 }  // namespace dsf::metrics

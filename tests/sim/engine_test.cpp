@@ -110,14 +110,16 @@ TEST(MessageLedger, CountsMessagesAndDefaultBytes) {
   MessageLedger ledger;
   ledger.count(net::MessageType::kQuery);
   ledger.count(net::MessageType::kQuery, 2);
-  ledger.count(net::MessageType::kPong, 1, 100);  // explicit byte override
+  ledger.count(net::MessageType::kPong);
 
   EXPECT_EQ(ledger.stats().total(net::MessageType::kQuery), 3u);
   EXPECT_EQ(ledger.bytes(net::MessageType::kQuery),
             3 * default_message_bytes(net::MessageType::kQuery));
-  EXPECT_EQ(ledger.bytes(net::MessageType::kPong), 100u);
+  EXPECT_EQ(ledger.bytes(net::MessageType::kPong),
+            default_message_bytes(net::MessageType::kPong));
   EXPECT_EQ(ledger.total_bytes(),
-            3 * default_message_bytes(net::MessageType::kQuery) + 100u);
+            3 * default_message_bytes(net::MessageType::kQuery) +
+                default_message_bytes(net::MessageType::kPong));
   EXPECT_EQ(ledger.stats().total(), 4u);
 }
 

@@ -6,19 +6,21 @@
 // simulation untouched (the reader validates the whole file before any
 // state is applied, so the same object can still load a good file
 // afterwards).  Damage behind a recomputed CRC — a node id at or above the
-// population, a roster position that names someone else, an event record
-// no resumed run can schedule — must be rejected typed at load, before the
-// first event runs.  The suite also runs under ASan/UBSan in CI: a
+// population, a roster position that names someone else, a due time that
+// is not finite, an event record no resumed run can schedule — must be
+// rejected typed at load, before the first event runs.  The suite also runs under ASan/UBSan in CI: a
 // malformed length or id that slipped past validation would trip the
 // sanitizers here.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -128,11 +130,13 @@ std::vector<unsigned char> rewrite_section(std::vector<unsigned char> bytes,
 }
 
 /// Absolute offsets of the fields the gnutella domain checks guard, laid
-/// out as Simulation::save_domain writes them: per user u8 online, u8
-/// has_query, u32 reconfig_count, u32 online_pos; the roster; then per
-/// user a stats store (u64 n, n × {u32 peer, f64}), the recent queries
-/// (u64 n, n × u64) and u64 recent_pos.
+/// out as Simulation::save_domain writes them: per user u8 online, f64
+/// query_due_s, f64 session_due_s, u32 reconfig_count, u32 online_pos;
+/// the roster; then per user a stats store (u64 n, n × {u32 peer, f64}),
+/// the recent queries (u64 n, n × u64) and u64 recent_pos.
 struct GnutellaDomainFields {
+  std::vector<std::size_t> query_due;    ///< one per user
+  std::vector<std::size_t> session_due;  ///< one per user
   std::vector<std::size_t> online_pos;  ///< on-line users only
   std::vector<std::size_t> stats_peer;  ///< every stats-store entry
   std::vector<std::size_t> recent_pos;  ///< one per user
@@ -145,8 +149,11 @@ GnutellaDomainFields locate_gnutella_fields(
   for (const Frame& frame : parse_frames(b))
     if (frame.id == static_cast<std::uint32_t>(snap::SectionId::kDomain))
       at = frame.payload_offset;
-  for (std::size_t u = 0; u < users; ++u, at += 10)
-    if (b[at] != 0) f.online_pos.push_back(at + 6);
+  for (std::size_t u = 0; u < users; ++u, at += 25) {
+    f.query_due.push_back(at + 1);
+    f.session_due.push_back(at + 9);
+    if (b[at] != 0) f.online_pos.push_back(at + 21);
+  }
   at += 8 + 4 * static_cast<std::size_t>(read_u64(b, at));
   for (std::size_t u = 0; u < users; ++u) {
     const std::uint64_t n = read_u64(b, at);
@@ -401,6 +408,31 @@ TEST_F(CorruptSnapshotTest, OnlinePosMustPointAtTheUser) {
         });
     expect_semantic_rejection<gnutella::Simulation>(tiny_gnutella(), bytes,
                                                     "online_pos");
+  }
+}
+
+TEST_F(CorruptSnapshotTest, DueTimeMustBeFinite) {
+  // A NaN or infinite due time matches no record, so the user's sessions
+  // or queries would stop without a word.
+  const std::size_t users = tiny_gnutella().num_users;
+  const auto fields = locate_gnutella_fields(*gnutella_bytes_, users);
+  const struct {
+    const std::vector<std::size_t>& offsets;
+    const char* name;
+  } due_fields[] = {{fields.query_due, "query_due_s"},
+                    {fields.session_due, "session_due_s"}};
+  for (const auto& field : due_fields) {
+    for (const double t : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+      SCOPED_TRACE(std::string(field.name) + " = " + std::to_string(t));
+      const auto bytes = rewrite_section(
+          *gnutella_bytes_, snap::SectionId::kDomain,
+          [&](std::vector<unsigned char>& b, std::size_t) {
+            put_u64(b, field.offsets.back(), std::bit_cast<std::uint64_t>(t));
+          });
+      expect_semantic_rejection<gnutella::Simulation>(tiny_gnutella(), bytes,
+                                                      field.name);
+    }
   }
 }
 
