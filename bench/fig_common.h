@@ -11,6 +11,7 @@
 // omits it; see DESIGN.md) — the comparisons static-vs-dynamic and the
 // trends across hops/thresholds are the reproduction targets.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -46,14 +47,32 @@ inline gnutella::Config paper_config(int max_hops) {
   return c;
 }
 
-/// The hour ticks the paper's Figures 1–2 label (12, 27, ..., 87), scaled
-/// into the configured horizon.
-inline std::vector<std::size_t> figure_hours(const gnutella::Config& c) {
-  std::vector<std::size_t> hours;
+/// The hours the figure tables and CSV cover, as the half-open range
+/// [first, end) = [floor(warmup_hours), floor(sim_hours)): from the first
+/// reporting hour to the last full hour of the horizon.  Empty when the
+/// horizon ends within the warm-up's hour.
+struct HourRange {
+  std::size_t first = 0;
+  std::size_t end = 0;
+  bool empty() const noexcept { return first >= end; }
+};
+
+inline HourRange figure_hour_range(const gnutella::Config& c) {
   const auto first = static_cast<std::size_t>(c.warmup_hours);
-  const auto last = static_cast<std::size_t>(c.sim_hours) - 1;
-  const std::size_t step = std::max<std::size_t>(1, (last - first) / 5);
-  for (std::size_t h = first; h <= last; h += step) hours.push_back(h);
+  const auto end = static_cast<std::size_t>(c.sim_hours);
+  return {first, std::max(first, end)};
+}
+
+/// The hour ticks the paper's Figures 1–2 label (12, 27, ..., 87), scaled
+/// into the figure hours.
+inline std::vector<std::size_t> figure_hours(const gnutella::Config& c) {
+  const HourRange range = figure_hour_range(c);
+  std::vector<std::size_t> hours;
+  if (range.empty()) return hours;
+  const std::size_t step =
+      std::max<std::size_t>(1, (range.end - 1 - range.first) / 5);
+  for (std::size_t h = range.first; h < range.end; h += step)
+    hours.push_back(h);
   return hours;
 }
 
@@ -80,8 +99,12 @@ inline void print_hourly_figure(const std::string& name,
                   metrics::fmt_count(dyn.messages.bucket(h))});
   msgs.print(std::cout);
 
-  std::printf("\ntotals over hours %zu..%zu:\n", sta.warmup_bucket,
-              sta.last_bucket);
+  const HourRange range = figure_hour_range(config);
+  if (range.empty())
+    std::printf("\ntotals (no full hour after the warm-up):\n");
+  else
+    std::printf("\ntotals over hours %zu..%zu:\n", range.first,
+                range.end - 1);
   std::printf("  hits:     static %s, dynamic %s (%+.1f%%)\n",
               metrics::fmt_count(sta.total_hits()).c_str(),
               metrics::fmt_count(dyn.total_hits()).c_str(),
@@ -98,7 +121,7 @@ inline void print_hourly_figure(const std::string& name,
   const std::string csv_path = name + "_series.csv";
   metrics::CsvWriter csv(csv_path, {"hour", "hits_static", "hits_dynamic",
                                     "msgs_static", "msgs_dynamic"});
-  for (std::size_t h = sta.warmup_bucket; h <= sta.last_bucket; ++h)
+  for (std::size_t h = range.first; h < range.end; ++h)
     csv.add_row({std::to_string(h), std::to_string(sta.hits.bucket(h)),
                  std::to_string(dyn.hits.bucket(h)),
                  std::to_string(sta.messages.bucket(h)),

@@ -68,15 +68,4 @@ ExploreOutcome explore(net::NodeId initiator, const ExploreParams& params,
   return out;
 }
 
-/// Events that may trigger exploration or neighbor update (§3.3/§3.4).
-/// Scenarios combine these as appropriate: the Gnutella case study uses
-/// kRequestThreshold (the reconfiguration counter) and kNeighborLoss;
-/// web caching adds kPeriodic tuned to content-change frequency.
-enum class TriggerKind : std::uint8_t {
-  kPeriodic,          ///< fixed simulated-time period
-  kRequestThreshold,  ///< every T issued requests (the paper's T)
-  kNeighborLoss,      ///< a neighbor logged off / abandoned us
-  kBetterCandidate,   ///< stats show a non-neighbor beating a neighbor
-};
-
 }  // namespace dsf::core

@@ -28,7 +28,9 @@ sim::EngineConfig DigLibSim::make_engine_config(const DigLibConfig& config) {
   ec.in_capacity = config.num_repositories;
   ec.sim_hours = config.sim_hours;
   ec.warmup_hours = config.warmup_hours;
-  ec.event_kinds = kLibQuery + 1 - kKeyedUserBase;
+  ec.event_kinds = kLibUpdate + 1 - kKeyedUserBase;
+  ec.schedule_values = {{"mode", static_cast<double>(config.mode)},
+                        {"update_period_s", config.update_period_s}};
   return ec;
 }
 
@@ -230,15 +232,16 @@ void DigLibSim::update_neighbors(net::NodeId r) {
 }
 
 DigLibResult DigLibSim::run() {
-  // A resumed run takes its pending query events from the snapshot and must
-  // not draw the initial delays.
-  for (net::NodeId r = 0; r < config_.num_repositories; ++r) {
-    if (!resumed())
+  // A resumed run takes its pending events from the snapshot and must not
+  // draw the initial delays.  Updates start at a uniform phase within
+  // their period.
+  if (!resumed()) {
+    for (net::NodeId r = 0; r < config_.num_repositories; ++r) {
       sim_.schedule_in(interquery_.sample(rng()), des::Event{kLibQuery, r, 0});
-    if (config_.mode == ListMode::kAdaptive)
-      every(config_.update_period_s,
-            [this] { return rng().uniform(0.0, config_.update_period_s); },
-            [this, r] { update_neighbors(r); });
+      if (config_.mode == ListMode::kAdaptive)
+        sim_.schedule_in(rng().uniform(0.0, config_.update_period_s),
+                         des::Event{kLibUpdate, r, 0});
+    }
   }
   run_until_horizon();
   result_.traffic = traffic();
@@ -278,11 +281,18 @@ void DigLibSim::load_domain(snap::Reader::In& in) {
 }
 
 void DigLibSim::on_event(const des::Event& e) {
-  if (e.kind == kLibQuery) {
-    issue_query(static_cast<net::NodeId>(e.a));
-    return;
+  const auto r = static_cast<net::NodeId>(e.a);
+  switch (e.kind) {
+    case kLibQuery:
+      issue_query(r);
+      return;
+    case kLibUpdate:
+      update_neighbors(r);
+      sim_.schedule_in(config_.update_period_s, e);
+      return;
+    default:
+      OverlayEngine::on_event(e);
   }
-  OverlayEngine::on_event(e);
 }
 
 }  // namespace dsf::diglib

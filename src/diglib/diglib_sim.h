@@ -121,12 +121,14 @@ class DigLibSim : public sim::OverlayEngine {
   void save_domain(snap::Writer::Out& out) const override;
   void load_domain(snap::Reader::In& in) override;
 
-  /// Runs a query event.
+  /// Runs a query, or one recurring neighbor update and schedules the
+  /// next one a period later.
   void on_event(const des::Event& e) override;
 
  private:
-  /// Event kinds.
-  static constexpr std::uint32_t kLibQuery = kKeyedUserBase + 0;  ///< a = r
+  /// Event kinds; a = r.
+  static constexpr std::uint32_t kLibQuery = kKeyedUserBase + 0;
+  static constexpr std::uint32_t kLibUpdate = kKeyedUserBase + 1;
 
   struct Repository {
     std::vector<DocId> holdings;  ///< sorted for binary search

@@ -40,7 +40,8 @@ sim::EngineConfig Simulation::make_engine_config(const Config& config) {
   ec.in_capacity = config.max_neighbors;
   ec.sim_hours = config.sim_hours;
   ec.warmup_hours = config.warmup_hours;
-  ec.event_kinds = kGnuTrial + 1 - kKeyedUserBase;
+  ec.event_kinds = kGnuProbe + 1 - kKeyedUserBase;
+  ec.schedule_values = {{"probe_period_s", config.probe_period_s}};
   return ec;
 }
 
@@ -131,13 +132,12 @@ void Simulation::probe_overlay() {
 RunResult Simulation::run() {
   // A resumed run skips priming: hot/cold state, roster and pending events
   // come from the snapshot.
-  if (!resumed()) prime();
-  if (config_.probe_period_s > 0.0)
-    every(config_.probe_period_s, [this] { return config_.probe_period_s; },
-          [this] { probe_overlay(); });
+  if (!resumed()) {
+    prime();
+    if (config_.probe_period_s > 0.0)
+      sim_.schedule_in(config_.probe_period_s, des::Event{kGnuProbe, 0, 0});
+  }
   result_.events_executed = run_until_horizon();
-  result_.warmup_bucket = static_cast<std::size_t>(config_.warmup_hours);
-  result_.last_bucket = static_cast<std::size_t>(config_.sim_hours) - 1;
   result_.traffic = traffic();
   return result_;
 }
@@ -573,9 +573,9 @@ void Simulation::save_domain(snap::Writer::Out& out) const {
     out.u64(songs.size());
     for (workload::SongId s : songs) out.u64(s);
   }
-  // Result accumulators.  events_executed, warmup_bucket, last_bucket and
-  // traffic are assigned at the end of run() (from engine state that the
-  // core section restores), so they are not part of the domain image.
+  // Result accumulators.  events_executed and traffic are assigned at the
+  // end of run() (from engine state that the core section restores), so
+  // they are not part of the domain image.
   snap::put_time_series(out, result_.hits);
   snap::put_time_series(out, result_.messages);
   snap::put_time_series(out, result_.results);
@@ -726,6 +726,10 @@ void Simulation::on_event(const des::Event& e) {
       return;
     case kGnuTrial:
       evaluate_trial(u, static_cast<net::NodeId>(e.b));
+      return;
+    case kGnuProbe:
+      probe_overlay();
+      sim_.schedule_in(config_.probe_period_s, e);
       return;
     default:
       OverlayEngine::on_event(e);

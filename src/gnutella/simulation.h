@@ -68,11 +68,6 @@ struct RunResult {
 
   std::vector<ProbeSample> probes;  ///< overlay-structure evolution
 
-  /// The hour buckets the figure tables print: from the first reporting
-  /// hour to the last full hour of the horizon.
-  std::size_t warmup_bucket = 0;
-  std::size_t last_bucket = 0;
-
   std::uint64_t total_hits() const { return hits_reported; }
   std::uint64_t total_messages() const { return messages_reported; }
   std::uint64_t total_results() const { return results_reported; }
@@ -152,8 +147,9 @@ class Simulation : public sim::OverlayEngine {
   void save_domain(snap::Writer::Out& out) const override;
   void load_domain(snap::Reader::In& in) override;
 
-  /// Runs a session, query or trial event.  A session or query record
-  /// runs only at its user's due time; a superseded one does nothing.
+  /// Runs a session, query, trial or probe event.  A session or query
+  /// record runs only at its user's due time; a superseded one does
+  /// nothing.  A probe schedules the next one a period later.
   void on_event(const des::Event& e) override;
 
  private:
@@ -193,6 +189,7 @@ class Simulation : public sim::OverlayEngine {
   static constexpr std::uint32_t kGnuQuery = kKeyedUserBase + 1;    ///< a = u
   static constexpr std::uint32_t kGnuTrial =
       kKeyedUserBase + 2;  ///< a = inviter, b = invitee
+  static constexpr std::uint32_t kGnuProbe = kKeyedUserBase + 3;  ///< no payload
 
   /// Validates the config and builds the engine parameterization.
   static sim::EngineConfig make_engine_config(const Config& config);

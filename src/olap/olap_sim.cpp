@@ -26,7 +26,9 @@ sim::EngineConfig OlapSim::make_engine_config(const OlapConfig& config) {
   ec.in_capacity = config.num_peers;
   ec.sim_hours = config.sim_hours;
   ec.warmup_hours = config.warmup_hours;
-  ec.event_kinds = kOlapQuery + 1 - kKeyedUserBase;
+  ec.event_kinds = kOlapUpdate + 1 - kKeyedUserBase;
+  ec.schedule_values = {{"dynamic", config.dynamic ? 1.0 : 0.0},
+                        {"update_period_s", config.update_period_s}};
   return ec;
 }
 
@@ -83,12 +85,9 @@ double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
     search_transmit().begin(config_.max_hops);
     stamps_.begin_search();
     stamps_.mark(p);
-    struct Frontier {
-      net::NodeId node;
-      net::NodeId sender;
-      int hop;
-    };
-    std::vector<Frontier> queue{{p, net::kInvalidNode, 0}};
+    auto& queue = scratch_.queue;
+    queue.clear();
+    queue.push_back({p, net::kInvalidNode, 0, 0.0});
     net::NodeId holder = net::kInvalidNode;
     int holder_hop = 0;
     for (std::size_t head = 0; head < queue.size(); ++head) {
@@ -110,7 +109,7 @@ double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
           holder = q;
           holder_hop = hop;
         }
-        if (hop < config_.max_hops) queue.push_back({q, cur.node, hop});
+        if (hop < config_.max_hops) queue.push_back({q, cur.node, hop, 0.0});
       }
     }
 
@@ -188,15 +187,16 @@ void OlapSim::update_neighbors(net::NodeId p) {
 }
 
 OlapResult OlapSim::run() {
-  // A resumed run takes its pending query events from the snapshot and must
-  // not draw the initial delays.
-  for (net::NodeId p = 0; p < config_.num_peers; ++p) {
-    if (!resumed())
+  // A resumed run takes its pending events from the snapshot and must not
+  // draw the initial delays.  Updates start at a uniform phase within
+  // their period.
+  if (!resumed()) {
+    for (net::NodeId p = 0; p < config_.num_peers; ++p) {
       sim_.schedule_in(interquery_.sample(rng()), des::Event{kOlapQuery, p, 0});
-    if (config_.dynamic)
-      every(config_.update_period_s,
-            [this] { return rng().uniform(0.0, config_.update_period_s); },
-            [this, p] { update_neighbors(p); });
+      if (config_.dynamic)
+        sim_.schedule_in(rng().uniform(0.0, config_.update_period_s),
+                         des::Event{kOlapUpdate, p, 0});
+    }
   }
   run_until_horizon();
   result_.traffic = traffic();
@@ -231,11 +231,18 @@ void OlapSim::load_domain(snap::Reader::In& in) {
 }
 
 void OlapSim::on_event(const des::Event& e) {
-  if (e.kind == kOlapQuery) {
-    issue_query(static_cast<net::NodeId>(e.a));
-    return;
+  const auto p = static_cast<net::NodeId>(e.a);
+  switch (e.kind) {
+    case kOlapQuery:
+      issue_query(p);
+      return;
+    case kOlapUpdate:
+      update_neighbors(p);
+      sim_.schedule_in(config_.update_period_s, e);
+      return;
+    default:
+      OverlayEngine::on_event(e);
   }
-  OverlayEngine::on_event(e);
 }
 
 }  // namespace dsf::olap

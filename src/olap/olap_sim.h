@@ -87,12 +87,14 @@ class OlapSim : public sim::OverlayEngine {
   void save_domain(snap::Writer::Out& out) const override;
   void load_domain(snap::Reader::In& in) override;
 
-  /// Runs a query event.
+  /// Runs a query, or one recurring neighbor update and schedules the
+  /// next one a period later.
   void on_event(const des::Event& e) override;
 
  private:
-  /// Event kinds.
-  static constexpr std::uint32_t kOlapQuery = kKeyedUserBase + 0;  ///< a = p
+  /// Event kinds; a = p.
+  static constexpr std::uint32_t kOlapQuery = kKeyedUserBase + 0;
+  static constexpr std::uint32_t kOlapUpdate = kKeyedUserBase + 1;
 
   struct Peer {
     webcache::LruCache<ChunkId> cache;

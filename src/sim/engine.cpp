@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -112,24 +113,8 @@ const char* kCaptureSnapshotError =
     " incomplete)";
 }  // namespace
 
-void OverlayEngine::every(double period_s,
-                          const std::function<double()>& first_delay,
-                          std::function<void()> body) {
-  periodics_.push_back(Periodic{period_s, std::move(body)});
-  if (!resumed_) start_periodic(periodics_.size() - 1, first_delay());
-}
-
-void OverlayEngine::start_periodic(std::size_t idx, double delay_s) {
-  // Same single insertion point as the old trailing-self-reschedule
-  // recursion, so a run that never snapshots replays byte-identically.
-  sim_.schedule_in(delay_s, des::Event{kKeyedPeriodic, idx, 0});
-}
-
 void OverlayEngine::run_event(const des::Event& e) {
   switch (e.kind) {
-    case kKeyedPeriodic:
-      run_periodic_tick(static_cast<std::size_t>(e.a));
-      return;
     case kKeyedCrashTick:
       run_crash_tick();
       return;
@@ -164,23 +149,17 @@ void OverlayEngine::on_event(const des::Event& e) {
                          std::to_string(e.kind));
 }
 
-void OverlayEngine::run_periodic_tick(std::size_t idx) {
-  periodics_[idx].body();
-  start_periodic(idx, periodics_[idx].period_s);
-}
-
 std::uint64_t OverlayEngine::run_until_horizon() {
   if (!resumed_ || (crash_model_.enabled() && !saved_crash_armed_)) {
     // Fresh runs start the crash process as configured.  A resumed run
-    // normally inherits the saved run's crash tick through event replay —
-    // but a warm-start fork arming a crash model the saved run did not
-    // have gets no tick from the file, so start the process here, from
-    // the restored clock (the fault lane was untouched by the saved run).
+    // normally inherits the saved run's crash tick from the file — but a
+    // warm-start fork arming a crash model the saved run did not have
+    // gets no tick from it, so start the process here, from the restored
+    // clock (the fault lane was untouched by the saved run).
     schedule_crash_process();
   }
   arm_adversary();  // zero draws, zero events when the plan is disabled
   if (load_opts_.enabled) arm_open_loop();
-  replay_restored_events();
   // Segmented horizon: run to the next cut, act on it, continue.  After
   // run_until(T) every pending event is strictly later than T and no
   // event is mid-flight, so T is a clean cut and the segments together
@@ -430,6 +409,8 @@ void OverlayEngine::save_snapshot(const std::string& path) {
   id.str(cfg_.name);
   id.u64(num_nodes());
   id.u64(cfg_.seed);
+  id.u64(cfg_.schedule_values.size());
+  for (const ScheduleValue& v : cfg_.schedule_values) id.f64(v.value);
   write_engine_core(w.section(snap::SectionId::kEngineCore));
   write_overlay(w.section(snap::SectionId::kOverlay));
   write_events(w.section(snap::SectionId::kEvents));
@@ -455,6 +436,7 @@ void OverlayEngine::load_snapshot(const std::string& path) {
         "); this run is '" + cfg_.name + "' (" +
         std::to_string(num_nodes()) + " nodes, seed " +
         std::to_string(cfg_.seed) + ")");
+  check_schedule_values(id);
   // Resolve every section before applying any state, so a structurally
   // incomplete file cannot leave a half-restored simulation behind.
   auto core = r.section(snap::SectionId::kEngineCore);
@@ -466,6 +448,28 @@ void OverlayEngine::load_snapshot(const std::string& path) {
   read_events(events);
   load_domain(domain);
   resumed_ = true;
+}
+
+namespace {
+/// The shortest decimal that reads back as `v` ("600", "0.5", "nan").
+std::string shortest(double v) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
+}
+}  // namespace
+
+void OverlayEngine::check_schedule_values(snap::Reader::In& in) const {
+  if (in.count(8) != cfg_.schedule_values.size())
+    throw snap::SnapshotError(cfg_.name + ": schedule value count differs "
+                              "from this run's");
+  for (const ScheduleValue& v : cfg_.schedule_values) {
+    const double saved = in.f64();
+    if (saved != v.value)
+      throw snap::SnapshotError(
+          cfg_.name + ": " + v.name + " is " + shortest(v.value) +
+          " in this run but " + shortest(saved) +
+          " in the snapshot; resume with the same scenario flags");
+  }
 }
 
 void OverlayEngine::write_engine_core(snap::Writer::Out& out) {
@@ -492,15 +496,14 @@ void OverlayEngine::write_engine_core(snap::Writer::Out& out) {
   for (int t = 0; t < net::kNumMessageTypes; ++t)
     out.u64(ledger_.dropped(static_cast<net::MessageType>(t)));
   out.u32(next_span_);
-  // Period per registered periodic: the resumed run re-registers the
-  // bodies and replay validates its table against this one.
-  out.u64(periodics_.size());
-  for (const Periodic& p : periodics_) out.f64(p.period_s);
   out.u8(crash_model_.enabled() ? 1 : 0);
 }
 
 void OverlayEngine::read_engine_core(snap::Reader::In& in) {
   const double now = in.f64();
+  if (!std::isfinite(now) || now < 0.0)
+    throw snap::SnapshotError(cfg_.name + ": clock " + shortest(now) +
+                              " is not a finite time >= 0");
   const std::uint64_t executed = in.u64();
   const auto get_rng = [&in](des::Rng& r) {
     std::array<std::uint64_t, 4> s;
@@ -528,8 +531,6 @@ void OverlayEngine::read_engine_core(snap::Reader::In& in) {
   for (std::uint64_t& v : dropped) v = in.u64();
   ledger_.restore(stats, delivered, dropped);
   next_span_ = in.u32();
-  restored_periods_.assign(in.count(8), 0.0);
-  for (double& period : restored_periods_) period = in.f64();
   saved_crash_armed_ = in.u8() != 0;
   sim_.restore_clock(now, executed);
 }
@@ -587,8 +588,8 @@ void OverlayEngine::write_events(snap::Writer::Out& out) {
       [&](double t, std::uint64_t seq, const des::Event& ev) {
         recs.push_back({t, seq, ev});
       });
-  // (time, seq) is the queue's pop order; replay re-schedules in this
-  // order with fresh ascending sequence numbers, preserving FIFO ties.
+  // (time, seq) is the queue's pop order; a load schedules the records in
+  // this order with fresh ascending sequence numbers, preserving FIFO ties.
   std::sort(recs.begin(), recs.end(), [](const Rec& x, const Rec& y) {
     return x.t != y.t ? x.t < y.t : x.seq < y.seq;
   });
@@ -602,56 +603,33 @@ void OverlayEngine::write_events(snap::Writer::Out& out) {
 }
 
 void OverlayEngine::read_events(snap::Reader::In& in) {
-  // One record: f64 time, u32 kind, u64 a, u64 b.
-  restored_events_.assign(in.count(8 + 4 + 8 + 8), PendingRecord{});
-  for (PendingRecord& r : restored_events_) {
-    r.t = in.f64();
-    r.ev.kind = in.u32();
-    r.ev.a = in.u64();
-    r.ev.b = in.u64();
-    check_event_record(r);
+  // One record: f64 time, u32 kind, u64 a, u64 b, in (time, seq) order.
+  const std::size_t n = in.count(8 + 4 + 8 + 8);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = in.f64();
+    des::Event e;
+    e.kind = in.u32();
+    e.a = in.u64();
+    e.b = in.u64();
+    check_event_record(t, e);
+    sim_.schedule_at(t, e);
   }
 }
 
-void OverlayEngine::check_event_record(const PendingRecord& r) const {
-  const des::Event& e = r.ev;
+void OverlayEngine::check_event_record(double t, const des::Event& e) const {
   const auto reject = [&](const std::string& why) {
     throw snap::SnapshotError(cfg_.name + ": pending event of kind " +
                               std::to_string(e.kind) + " in snapshot " + why);
   };
-  if (!std::isfinite(r.t) || r.t < sim_.now())
-    reject("has time " + std::to_string(r.t) +
+  if (!std::isfinite(t) || t < sim_.now())
+    reject("has time " + std::to_string(t) +
            " (not finite, or before the snapshot clock)");
-  if (e.kind == kKeyedPeriodic) {
-    if (e.a >= restored_periods_.size())
-      reject("names periodic " + std::to_string(e.a) + " of " +
-             std::to_string(restored_periods_.size()));
-    return;
-  }
   if (e.kind == kKeyedCrashTick) return;
   if (e.kind < kKeyedUserBase || e.kind - kKeyedUserBase >= cfg_.event_kinds)
     reject("is an unknown event kind");
   if (e.a >= num_nodes() || e.b >= num_nodes())
     reject("names node " + std::to_string(std::max(e.a, e.b)) +
            " out of range");
-}
-
-void OverlayEngine::replay_restored_events() {
-  if (!resumed_) return;
-  if (restored_periods_.size() != periodics_.size())
-    throw snap::SnapshotError(
-        cfg_.name + ": this run registered " +
-        std::to_string(periodics_.size()) + " periodic(s) but the snapshot " +
-        "recorded " + std::to_string(restored_periods_.size()) +
-        "; resume with the same scenario flags");
-  for (std::size_t i = 0; i < periodics_.size(); ++i)
-    if (restored_periods_[i] != periodics_[i].period_s)
-      throw snap::SnapshotError(cfg_.name + ": periodic " +
-                                std::to_string(i) +
-                                "'s period differs from the snapshot's");
-  std::vector<PendingRecord> records = std::move(restored_events_);
-  restored_events_.clear();
-  for (const PendingRecord& r : records) sim_.schedule_at(r.t, r.ev);
 }
 
 void OverlayEngine::save_domain(snap::Writer::Out&) const {

@@ -2,10 +2,10 @@
 
 // The shared overlay-engine layer: everything the four scenario simulators
 // used to re-implement — RNG lane splitting, the delay model, the overlay
-// relation table, message accounting, bootstrap helpers, periodic
-// scheduling and horizon control — owned by one base class.  A scenario
-// subclasses OverlayEngine, keeps only its domain state (catalogs, caches,
-// holdings) and its event handlers, and inherits the rest.  A search
+// relation table, message accounting, bootstrap helpers and horizon
+// control — owned by one base class.  A scenario subclasses OverlayEngine,
+// keeps only its domain state (catalogs, caches, holdings) and its event
+// kinds (recurring work included), and inherits the rest.  A search
 // through the scheme plug-in is one search() call; every other exchange
 // (a hand-expanded probe, exploration, invitation, eviction) sends each
 // copy through one send() call.  Both resolve every copy synchronously
@@ -14,9 +14,9 @@
 // Determinism contract: the engine constructs its members in exactly the
 // order the hand-rolled simulators did (master RNG → lane splits → delay
 // model → overlay), so a fixed seed replays the exact pre-refactor
-// trajectory.  Helpers that could perturb the event or RNG stream
-// (every, fill_random_neighbors, draw_initial_online) are documented with
-// the equivalence argument they rely on.
+// trajectory.  Helpers that could perturb the RNG stream
+// (fill_random_neighbors, draw_initial_online) are documented with the
+// equivalence argument they rely on.
 
 #include <array>
 #include <cstdint>
@@ -60,6 +60,12 @@ enum class RngLayout : std::uint8_t {
   kFourLane,
 };
 
+/// One config value a scenario's recurring schedule depends on, by name.
+struct ScheduleValue {
+  std::string name;
+  double value = 0.0;
+};
+
 /// Everything the engine needs to stand up the shared scaffolding.  Built
 /// by each scenario's `engine_config(const Config&)`, which also runs the
 /// shared validation (sim/validate.h) *before* any member is constructed —
@@ -79,6 +85,10 @@ struct EngineConfig {
   /// OverlayEngine::kKeyedUserBase; a snapshot record of any other
   /// scenario kind is rejected at load.
   std::uint32_t event_kinds = 0;
+  /// The config values that decide which recurring records the scenario
+  /// keeps pending and at what period.  A snapshot stores the values with
+  /// its identity, and a resume whose values differ is rejected by name.
+  std::vector<ScheduleValue> schedule_values;
 };
 
 /// The engine's RNG lanes.  Unused lanes (compact layout) stay at their
@@ -128,11 +138,6 @@ class MessageLedger {
   }
   std::uint64_t dropped(net::MessageType t) const noexcept {
     return dropped_[static_cast<int>(t)];
-  }
-  std::uint64_t total_delivered() const noexcept {
-    std::uint64_t sum = 0;
-    for (auto d : delivered_) sum += d;
-    return sum;
   }
   std::uint64_t total_dropped() const noexcept {
     std::uint64_t sum = 0;
@@ -266,13 +271,14 @@ class OverlayEngine {
   void request_snapshot_save(std::string path, double at_s);
 
   /// Restores a snapshot written by request_snapshot_save into this
-  /// freshly constructed simulation.  The scenario name, population and
-  /// seed must match the snapshot's identity section — everything the
-  /// constructor derives from the config (catalogs, profiles, holdings,
-  /// delay classes) is reconstructed, and the snapshot supplies only the
-  /// mutable state on top.  The whole file is validated (magic, version,
-  /// framing, per-section CRCs) before any state is touched: a corrupt
-  /// file throws snap::SnapshotError and leaves the simulation unmodified.
+  /// freshly constructed simulation.  The scenario name, population, seed
+  /// and schedule values must match the snapshot's identity section —
+  /// everything the constructor derives from the config (catalogs,
+  /// profiles, holdings, delay classes) is reconstructed, and the snapshot
+  /// supplies only the mutable state on top.  The whole file is validated
+  /// (magic, version, framing, per-section CRCs) and the identity checked
+  /// before any state is touched: such a file throws snap::SnapshotError
+  /// and leaves the simulation unmodified.
   void load_snapshot(const std::string& path);
 
   /// Writes the current state to `path` immediately.  Normally invoked by
@@ -282,7 +288,7 @@ class OverlayEngine {
 
   /// True when this simulation was restored from a snapshot.  Scenarios
   /// branch on this in run() to skip the initial scheduling draws; the
-  /// engine replays the snapshot's pending events.
+  /// snapshot's pending events are already scheduled.
   bool resumed() const noexcept { return resumed_; }
 
   /// --- open-loop load injection (off by default: zero draws, zero
@@ -407,9 +413,10 @@ class OverlayEngine {
   /// Every pending event is a des::Event record: a kind plus two integer
   /// payloads, scheduled with sim_.schedule_in / sim_.schedule_at.  The
   /// engine runs its own kinds (below kKeyedUserBase); every other kind
-  /// goes to the scenario's on_event.  A snapshot writes the records as
-  /// they stand, and a resumed run checks and schedules them again.
-  static constexpr std::uint32_t kKeyedPeriodic = 1;   ///< a = periodic index
+  /// goes to the scenario's on_event.  A recurring kind's handler does its
+  /// work, then schedules the same record one period later.  A snapshot
+  /// writes the records as they stand, and a load checks and schedules
+  /// them again.
   static constexpr std::uint32_t kKeyedCrashTick = 2;  ///< crash-process tick
   static constexpr std::uint32_t kKeyedAbuse = 3;       ///< abuse spray
   static constexpr std::uint32_t kKeyedStormKick = 4;   ///< churn-storm kick
@@ -582,19 +589,6 @@ class OverlayEngine {
   /// Reports one warning line through the sink (default: stderr).
   void warn(const std::string& message);
 
-  /// --- periodic scheduling --------------------------------------------
-  /// Runs `body` every `period_s` seconds, fresh and resumed runs alike.
-  /// The body is appended to an index-stable table, so a resumed run that
-  /// makes the same calls in the same order gets the indices its snapshot
-  /// recorded.  On a fresh run only, `first_delay()` is called (it may
-  /// draw) and the first tick is scheduled after it; a resumed run draws
-  /// nothing and takes its pending ticks from the snapshot.  Each tick
-  /// runs the body, then schedules the next one — the trailing
-  /// self-reschedule order the scenarios always used, so insertion-order
-  /// tie-breaking in the queue is unchanged.
-  void every(double period_s, const std::function<double()>& first_delay,
-             std::function<void()> body);
-
   /// --- bootstrap -------------------------------------------------------
   /// The shared attempt budget of the random bootstrap: four probes per
   /// outgoing slot, the constant all scenarios used.
@@ -661,15 +655,6 @@ class OverlayEngine {
 
  private:
   /// --- snapshot plumbing ------------------------------------------------
-  struct PendingRecord {
-    double t = 0.0;
-    des::Event ev;
-  };
-  struct Periodic {
-    double period_s = 0.0;
-    std::function<void()> body;
-  };
-
   /// Throws std::invalid_argument naming the armed layer when open-loop
   /// injection, the adversary layer or arrival capture is armed: their
   /// state is not checkpointed, so a snapshot cannot be saved or loaded.
@@ -677,20 +662,16 @@ class OverlayEngine {
   /// The simulator's handler: runs the engine's own kinds and hands every
   /// other kind to on_event.
   void run_event(const des::Event& e);
-  /// Schedules periodic `idx`'s next tick `delay_s` from now.
-  void start_periodic(std::size_t idx, double delay_s);
-  void run_periodic_tick(std::size_t idx);
   void run_crash_tick();
   /// Checks one pending-event record read from a snapshot: a finite time
   /// not before the restored clock, a kind the resumed run can schedule
-  /// (a periodic, the crash tick or one of the scenario's kinds), a
-  /// periodic index the saved table has and, for scenario kinds, node ids
-  /// below the population in both payloads.  Throws snap::SnapshotError.
-  void check_event_record(const PendingRecord& r) const;
-  /// Re-schedules the snapshot's pending events after the resumed run has
-  /// registered its periodics; validates the registration against the
-  /// saved table first (count and periods must match).
-  void replay_restored_events();
+  /// (the crash tick or one of the scenario's kinds) and, for scenario
+  /// kinds, node ids below the population in both payloads.  Throws
+  /// snap::SnapshotError.
+  void check_event_record(double t, const des::Event& e) const;
+  /// Throws snap::SnapshotError naming the first schedule value in the
+  /// identity section that differs from this run's.
+  void check_schedule_values(snap::Reader::In& in) const;
   void write_engine_core(snap::Writer::Out& out);
   void write_overlay(snap::Writer::Out& out);
   void write_events(snap::Writer::Out& out);
@@ -844,9 +825,6 @@ class OverlayEngine {
   double heartbeat_period_s_ = 0.0;
 
   /// Snapshot state.  All empty/false on runs that never arm a snapshot.
-  std::vector<Periodic> periodics_;
-  std::vector<PendingRecord> restored_events_;
-  std::vector<double> restored_periods_;
   std::string save_path_;
   double save_at_s_ = 0.0;
   bool save_requested_ = false;

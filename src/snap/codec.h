@@ -11,6 +11,7 @@
 //    because the resume-equals-straight-through contract is byte-level.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -91,7 +92,8 @@ inline void put_stats_store(Writer::Out& out, const core::StatsStore& s) {
 }
 
 /// Every peer id must be below `num_nodes`, the population the store's
-/// owner indexes by it.
+/// owner indexes by it, and every benefit finite: a NaN or infinite one
+/// would rank above or below every real one in each later update.
 inline void get_stats_store(Reader::In& in, core::StatsStore& s,
                             std::size_t num_nodes) {
   s.clear();
@@ -102,7 +104,11 @@ inline void get_stats_store(Reader::In& in, core::StatsStore& s,
       throw SnapshotError("stats-store peer id " + std::to_string(peer) +
                           " out of range (population " +
                           std::to_string(num_nodes) + ")");
-    s.add(peer, in.f64());
+    const double benefit = in.f64();
+    if (!std::isfinite(benefit))
+      throw SnapshotError("stats-store benefit of peer " +
+                          std::to_string(peer) + " is not finite");
+    s.add(peer, benefit);
   }
 }
 

@@ -46,10 +46,10 @@ class SnapshotError : public std::runtime_error {
 inline constexpr std::uint64_t kMagic = 0x0050414E53465344ULL;
 /// Bumped whenever a section's layout changes; the reader accepts only
 /// this version.
-inline constexpr std::uint32_t kVersion = 3;
+inline constexpr std::uint32_t kVersion = 4;
 
 enum class SectionId : std::uint32_t {
-  kIdentity = 1,    ///< scenario name, population, seed
+  kIdentity = 1,    ///< scenario name, population, seed, schedule values
   kEngineCore = 2,  ///< clock, RNG lanes, ledger, fault state
   kOverlay = 3,     ///< compact neighbor table (raw per-node lists)
   kEvents = 4,      ///< pending events as (time, kind, payload) records

@@ -23,7 +23,13 @@ sim::EngineConfig WebCacheSim::make_engine_config(const WebCacheConfig& config) 
   ec.in_capacity = 0;  // overridden to N by the pure-asymmetric relation
   ec.sim_hours = config.sim_hours;
   ec.warmup_hours = config.warmup_hours;
-  ec.event_kinds = kWebRequest + 1 - kKeyedUserBase;
+  ec.event_kinds = kWebDigest + 1 - kKeyedUserBase;
+  ec.schedule_values = {
+      {"dynamic", config.dynamic ? 1.0 : 0.0},
+      {"num_parents", static_cast<double>(config.num_parents)},
+      {"explore_period_s", config.explore_period_s},
+      {"update_period_s", config.update_period_s},
+      {"digest_rebuild_period_s", config.digest_rebuild_period_s}};
   return ec;
 }
 
@@ -232,31 +238,30 @@ void WebCacheSim::rebuild_digest(net::NodeId p) {
 }
 
 WebCacheResult WebCacheSim::run() {
-  // A resumed run takes its pending request events from the snapshot and
-  // must not draw the initial delays.  Each periodic starts at a uniform
-  // phase within its period.
-  const auto phase = [this](double period_s) {
-    return [this, period_s] { return rng().uniform(0.0, period_s); };
+  // A resumed run takes its pending events from the snapshot and must not
+  // draw the initial delays.  Each recurring kind starts at a uniform phase
+  // within its period.
+  const auto start = [this](std::uint32_t kind, net::NodeId p,
+                            double period_s) {
+    sim_.schedule_in(rng().uniform(0.0, period_s), des::Event{kind, p, 0});
   };
-  for (net::NodeId p = 0; p < config_.num_proxies; ++p) {
-    // Parents have no client population of their own; they serve (and are
-    // warmed by) leaf misses only.
-    if (!is_parent(p) && !resumed())
-      sim_.schedule_in(interrequest_.sample(rng()),
-                       des::Event{kWebRequest, p, 0});
-    // Parents only rebuild their digest; leaves explore, update and
-    // rebuild when dynamic.
-    if (!is_parent(p) && config_.dynamic) {
-      every(config_.explore_period_s, phase(config_.explore_period_s),
-            [this, p] { explore_from(p); });
-      every(config_.update_period_s, phase(config_.update_period_s),
-            [this, p] { update_neighbors(p); });
+  if (!resumed()) {
+    for (net::NodeId p = 0; p < config_.num_proxies; ++p) {
+      // Parents have no client population of their own; they serve (and
+      // are warmed by) leaf misses only.
+      if (!is_parent(p))
+        sim_.schedule_in(interrequest_.sample(rng()),
+                         des::Event{kWebRequest, p, 0});
+      // Parents only rebuild their digest; leaves explore, update and
+      // rebuild when dynamic.
+      if (!is_parent(p) && config_.dynamic) {
+        start(kWebExplore, p, config_.explore_period_s);
+        start(kWebUpdate, p, config_.update_period_s);
+      }
+      if ((is_parent(p) || config_.dynamic) &&
+          config_.digest_rebuild_period_s > 0.0)
+        start(kWebDigest, p, config_.digest_rebuild_period_s);
     }
-    if ((is_parent(p) || config_.dynamic) &&
-        config_.digest_rebuild_period_s > 0.0)
-      every(config_.digest_rebuild_period_s,
-            phase(config_.digest_rebuild_period_s),
-            [this, p] { rebuild_digest(p); });
   }
   run_until_horizon();
   result_.traffic = traffic();
@@ -291,11 +296,26 @@ void WebCacheSim::load_domain(snap::Reader::In& in) {
 }
 
 void WebCacheSim::on_event(const des::Event& e) {
-  if (e.kind == kWebRequest) {
-    request(static_cast<net::NodeId>(e.a));
-    return;
+  const auto p = static_cast<net::NodeId>(e.a);
+  switch (e.kind) {
+    case kWebRequest:
+      request(p);
+      return;
+    case kWebExplore:
+      explore_from(p);
+      sim_.schedule_in(config_.explore_period_s, e);
+      return;
+    case kWebUpdate:
+      update_neighbors(p);
+      sim_.schedule_in(config_.update_period_s, e);
+      return;
+    case kWebDigest:
+      rebuild_digest(p);
+      sim_.schedule_in(config_.digest_rebuild_period_s, e);
+      return;
+    default:
+      OverlayEngine::on_event(e);
   }
-  OverlayEngine::on_event(e);
 }
 
 }  // namespace dsf::webcache

@@ -111,12 +111,16 @@ class WebCacheSim : public sim::OverlayEngine {
   void save_domain(snap::Writer::Out& out) const override;
   void load_domain(snap::Reader::In& in) override;
 
-  /// Runs a client request event.
+  /// Runs a client request, or one recurring exploration, neighbor update
+  /// or digest rebuild and schedules its next one a period later.
   void on_event(const des::Event& e) override;
 
  private:
-  /// Event kinds.
-  static constexpr std::uint32_t kWebRequest = kKeyedUserBase + 0;  ///< a = p
+  /// Event kinds; a = p.
+  static constexpr std::uint32_t kWebRequest = kKeyedUserBase + 0;
+  static constexpr std::uint32_t kWebExplore = kKeyedUserBase + 1;
+  static constexpr std::uint32_t kWebUpdate = kKeyedUserBase + 2;
+  static constexpr std::uint32_t kWebDigest = kKeyedUserBase + 3;
 
   struct Proxy {
     LruCache<PageId> cache;

@@ -9,11 +9,6 @@ Library::Library(std::vector<SongId> songs) : songs_(std::move(songs)) {
   songs_.erase(std::unique(songs_.begin(), songs_.end()), songs_.end());
 }
 
-void Library::add(SongId s) {
-  const auto it = std::lower_bound(songs_.begin(), songs_.end(), s);
-  if (it == songs_.end() || *it != s) songs_.insert(it, s);
-}
-
 LibraryGenerator::LibraryGenerator(const Catalog& catalog,
                                    const Params& params)
     : catalog_(&catalog), params_(params),

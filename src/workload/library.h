@@ -28,9 +28,6 @@ class Library {
   bool empty() const noexcept { return songs_.empty(); }
   const std::vector<SongId>& songs() const noexcept { return songs_; }
 
-  /// Adds a song (e.g. after a successful download); keeps order.
-  void add(SongId s);
-
  private:
   std::vector<SongId> songs_;
 };

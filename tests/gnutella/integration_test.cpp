@@ -58,9 +58,12 @@ TEST_F(GnutellaIntegration, DynamicImprovesOverTime) {
   // The hit rate of the dynamic scheme should be higher in the second half
   // of the run than in the first (learning), while static stays flat-ish.
   const auto r = run_dynamic();
-  const std::size_t mid = (r.warmup_bucket + r.last_bucket) / 2;
-  const auto first_half = r.hits.sum(r.warmup_bucket, mid);
-  const auto second_half = r.hits.sum(mid + 1, r.last_bucket);
+  const Config c = medium_config();
+  const auto first = static_cast<std::size_t>(c.warmup_hours);
+  const auto last = static_cast<std::size_t>(c.sim_hours) - 1;
+  const std::size_t mid = (first + last) / 2;
+  const auto first_half = r.hits.sum(first, mid);
+  const auto second_half = r.hits.sum(mid + 1, last);
   // Allow noise: second half must reach at least 95% of the first.
   EXPECT_GT(static_cast<double>(second_half),
             0.95 * static_cast<double>(first_half));

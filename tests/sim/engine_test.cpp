@@ -28,7 +28,6 @@ class TestEngine : public OverlayEngine {
 
   using OverlayEngine::default_bootstrap_attempts;
   using OverlayEngine::engine_config;
-  using OverlayEngine::every;
   using OverlayEngine::fill_random_neighbors;
   using OverlayEngine::horizon_s;
   using OverlayEngine::query_rng;
@@ -185,26 +184,6 @@ TEST(OverlayEngine, SendAccountsTracesAndDelivers) {
   EXPECT_EQ(dup_trace[2].b, 2u);
   EXPECT_EQ(dup_trace[3].b, 2u);
   EXPECT_EQ(dup_trace[2].ttl, -1);  // not a query: no hop budget
-}
-
-TEST(OverlayEngine, ScheduleEveryFiresAtFirstDelayThenEveryPeriod) {
-  TestEngine e(small_config());
-  std::vector<double> fire_times;
-  int first_delay_calls = 0;
-  e.every(
-      2.0,
-      [&] {
-        ++first_delay_calls;
-        return 1.0;
-      },
-      [&] { fire_times.push_back(e.simulator().now()); });
-  EXPECT_EQ(first_delay_calls, 1);
-  e.simulator().run_until(6.0);
-  EXPECT_EQ(first_delay_calls, 1) << "later ticks use the period";
-  ASSERT_EQ(fire_times.size(), 3u);
-  EXPECT_DOUBLE_EQ(fire_times[0], 1.0);
-  EXPECT_DOUBLE_EQ(fire_times[1], 3.0);
-  EXPECT_DOUBLE_EQ(fire_times[2], 5.0);
 }
 
 TEST(OverlayEngine, FillRandomNeighborsReachesTargetDegree) {

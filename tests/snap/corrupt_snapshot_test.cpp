@@ -6,11 +6,13 @@
 // simulation untouched (the reader validates the whole file before any
 // state is applied, so the same object can still load a good file
 // afterwards).  Damage behind a recomputed CRC — a node id at or above the
-// population, a roster position that names someone else, a due time that
-// is not finite, an event record no resumed run can schedule — must be
-// rejected typed at load, before the first event runs.  The suite also runs under ASan/UBSan in CI: a
-// malformed length or id that slipped past validation would trip the
-// sanitizers here.
+// population, a roster position that names someone else, a clock, due
+// time or benefit that is not finite, an event record no resumed run can
+// schedule — must be rejected typed at load, before the first event runs.
+// So must an intact file whose recurring schedule another config made:
+// it is rejected by the value's name before any state is applied.  The
+// suite also runs under ASan/UBSan in CI: a malformed length or id that
+// slipped past validation would trip the sanitizers here.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -47,6 +49,13 @@ olap::OlapConfig tiny_olap() {
 gnutella::Config tiny_gnutella() {
   gnutella::Config c = simtest::golden_gnutella_config();
   c.sim_hours = 2.0;
+  return c;
+}
+
+webcache::WebCacheConfig tiny_webcache() {
+  webcache::WebCacheConfig c = simtest::golden_webcache_config();
+  c.sim_hours = 0.5;
+  c.warmup_hours = 0.1;
   return c;
 }
 
@@ -235,6 +244,38 @@ class CorruptSnapshotTest : public ::testing::Test {
           << "error does not name " << field << ": " << e.what();
     }
     EXPECT_FALSE(sim.resumed());
+    std::remove(path.c_str());
+  }
+
+  /// Saves a run of `saved` at `at_s`, then expects a fresh simulation of
+  /// `resumed` to reject the file with a SnapshotError naming `field`
+  /// before it applies any state: the rejecting simulation then runs
+  /// exactly as a fresh one does.
+  template <typename Sim, typename Config>
+  static void expect_schedule_value_rejected(const Config& saved,
+                                             const Config& resumed,
+                                             double at_s,
+                                             const std::string& field) {
+    SCOPED_TRACE(field);
+    const std::string path = ::testing::TempDir() + "dsf_schedule_" +
+                             std::to_string(::getpid()) + ".snap";
+    {
+      Sim saver(saved);
+      saver.request_snapshot_save(path, at_s);
+      saver.run();
+    }
+    Sim sim(resumed);
+    try {
+      sim.load_snapshot(path);
+      ADD_FAILURE() << "a snapshot of another " << field << " loaded";
+    } catch (const snap::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(field + " is "), std::string::npos)
+          << "error does not name " << field << ": " << e.what();
+    }
+    EXPECT_FALSE(sim.resumed());
+    Sim fresh(resumed);
+    EXPECT_EQ(fingerprint(fresh.run()).value(), fingerprint(sim.run()).value())
+        << "the rejected load applied state";
     std::remove(path.c_str());
   }
 
@@ -436,6 +477,98 @@ TEST_F(CorruptSnapshotTest, DueTimeMustBeFinite) {
   }
 }
 
+TEST_F(CorruptSnapshotTest, ClockMustBeFinite) {
+  // The clock opens the engine-core section.  A NaN clock passes every
+  // "not before the clock" record check and would hand the queue NaN
+  // times; a negative one is no time a run can be saved at.
+  for (const double t : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), -1.0}) {
+    SCOPED_TRACE(t);
+    const auto bytes = rewrite_section(
+        *good_bytes_, snap::SectionId::kEngineCore,
+        [&](std::vector<unsigned char>& b, std::size_t at) {
+          put_u64(b, at, std::bit_cast<std::uint64_t>(t));
+        });
+    expect_semantic_rejection<olap::OlapSim>(tiny_olap(), bytes, "clock");
+  }
+}
+
+TEST_F(CorruptSnapshotTest, StatsBenefitMustBeFinite) {
+  // A NaN or infinite benefit ranks outside every real one, so the
+  // resumed updates would keep or drop that neighbor without a word.
+  const std::size_t users = tiny_gnutella().num_users;
+  const auto fields = locate_gnutella_fields(*gnutella_bytes_, users);
+  ASSERT_FALSE(fields.stats_peer.empty());
+  for (const double benefit : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(benefit);
+    const auto bytes = rewrite_section(
+        *gnutella_bytes_, snap::SectionId::kDomain,
+        [&](std::vector<unsigned char>& b, std::size_t) {
+          // An entry: u32 peer, then the f64 benefit.
+          put_u64(b, fields.stats_peer.front() + 4,
+                  std::bit_cast<std::uint64_t>(benefit));
+        });
+    expect_semantic_rejection<gnutella::Simulation>(tiny_gnutella(), bytes,
+                                                    "stats-store benefit");
+  }
+}
+
+TEST_F(CorruptSnapshotTest, WebcacheDynamicMustMatch) {
+  // A dynamic run keeps exploration and update records pending that a
+  // static run has no use for, and a static run keeps none.
+  webcache::WebCacheConfig dynamic = tiny_webcache();
+  webcache::WebCacheConfig fixed = tiny_webcache();
+  fixed.dynamic = false;
+  expect_schedule_value_rejected<webcache::WebCacheSim>(dynamic, fixed, 900.0,
+                                                        "dynamic");
+  expect_schedule_value_rejected<webcache::WebCacheSim>(fixed, dynamic, 900.0,
+                                                        "dynamic");
+}
+
+TEST_F(CorruptSnapshotTest, WebcacheNumParentsMustMatch) {
+  // Parents keep only the digest rebuild pending; leaves keep all three.
+  webcache::WebCacheConfig hierarchy = tiny_webcache();
+  hierarchy.num_parents = 4;
+  expect_schedule_value_rejected<webcache::WebCacheSim>(
+      tiny_webcache(), hierarchy, 900.0, "num_parents");
+}
+
+TEST_F(CorruptSnapshotTest, OlapDynamicMustMatch) {
+  olap::OlapConfig fixed = tiny_olap();
+  fixed.dynamic = false;
+  expect_schedule_value_rejected<olap::OlapSim>(tiny_olap(), fixed, 300.0,
+                                                "dynamic");
+}
+
+TEST_F(CorruptSnapshotTest, OlapUpdatePeriodMustMatch) {
+  olap::OlapConfig slower = tiny_olap();
+  slower.update_period_s = 2.0 * tiny_olap().update_period_s;
+  expect_schedule_value_rejected<olap::OlapSim>(tiny_olap(), slower, 300.0,
+                                                "update_period_s");
+}
+
+TEST_F(CorruptSnapshotTest, DiglibModeMustMatch) {
+  // Only the adaptive federation keeps update records pending.
+  diglib::DigLibConfig fixed = simtest::golden_diglib_config();
+  fixed.mode = diglib::ListMode::kStatic;
+  expect_schedule_value_rejected<diglib::DigLibSim>(
+      simtest::golden_diglib_config(), fixed, 900.0, "mode");
+}
+
+TEST_F(CorruptSnapshotTest, GnutellaProbePeriodMustMatch) {
+  gnutella::Config probed = simtest::golden_gnutella_config();
+  probed.num_users = 120;
+  probed.sim_hours = 1.0;
+  probed.warmup_hours = 0.5;
+  probed.probe_period_s = 600.0;
+  gnutella::Config faster = probed;
+  faster.probe_period_s = 300.0;
+  expect_schedule_value_rejected<gnutella::Simulation>(probed, faster, 1800.0,
+                                                       "probe_period_s");
+}
+
 TEST_F(CorruptSnapshotTest, RecentPosOutsideTheWindow) {
   const std::size_t users = tiny_gnutella().num_users;
   const auto fields = locate_gnutella_fields(*gnutella_bytes_, users);
@@ -449,11 +582,12 @@ TEST_F(CorruptSnapshotTest, RecentPosOutsideTheWindow) {
 }
 
 TEST_F(CorruptSnapshotTest, EventRecordWithUnknownKind) {
-  // 99 is no kind at all; 3 is the engine's abuse spray, which a resumed
+  // 99 is no kind at all; 1 was the engine's periodic tick, which no run
+  // schedules any more; 3 is the engine's abuse spray, which a resumed
   // run cannot schedule (the adversary layer and snapshots exclude each
   // other).  A record: f64 time, u32 kind, u64 a, u64 b after the u64
   // count.
-  for (const std::uint32_t kind : {99u, 3u}) {
+  for (const std::uint32_t kind : {99u, 1u, 3u}) {
     SCOPED_TRACE(kind);
     const auto bytes = rewrite_section(
         *good_bytes_, snap::SectionId::kEvents,
@@ -474,9 +608,7 @@ TEST_F(CorruptSnapshotTest, EventRecordNodeIdOutOfRange) {
       const auto bytes = rewrite_section(
           *good_bytes_, snap::SectionId::kEvents,
           [&](std::vector<unsigned char>& b, std::size_t at) {
-            std::size_t rec = at + 8;
-            while (read_u32(b, rec + 8) == 1) rec += 28;  // skip periodics
-            put_u64(b, rec + field, id);
+            put_u64(b, at + 8 + field, id);  // the first record
           });
       expect_semantic_rejection<olap::OlapSim>(tiny_olap(), bytes,
                                                "out of range");

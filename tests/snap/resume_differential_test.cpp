@@ -6,12 +6,12 @@
 // run's trajectory.  Saving at the same T twice must produce identical
 // file bytes (the format sorts every unordered container at write time).
 //
-// Variants cover every keyed-event kind and domain container: gnutella's
-// trial-period invitations and probe periodics, the summary-gated policy
+// Variants cover every event kind and domain container: gnutella's
+// trial-period invitations and recurring probes, the summary-gated policy
 // with growing libraries (recent-query rings + spill lists), the crash
 // process (dead set + pending crash tick), webcache's Squid hierarchy
-// (parent-only digest periodics) and the LRU/Bloom/StatsStore codecs in
-// olap/webcache/diglib.
+// (parents keep only digest rebuilds pending) and the LRU/Bloom/StatsStore
+// codecs in olap/webcache/diglib.
 
 #include <gtest/gtest.h>
 
@@ -38,8 +38,8 @@ std::vector<char> slurp(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
-/// Straight-through vs save-run vs resumed-run fingerprints, plus
-/// save-twice byte identity.  `arm` configures each simulation identically
+/// Straight-through vs save-run vs resumed-run fingerprints and executed
+/// event counts, plus save-twice byte identity.  `arm` configures each simulation identically
 /// (fault plans, crash models) before anything runs.
 template <typename Sim, typename Config, typename Arm>
 void expect_resume_equals_straight(const Config& cfg, double save_at_s,
@@ -48,10 +48,12 @@ void expect_resume_equals_straight(const Config& cfg, double save_at_s,
   const std::string path2 = path + ".again";
 
   std::uint64_t straight_fp = 0;
+  std::uint64_t straight_events = 0;
   {
     Sim straight(cfg);
     arm(straight);
     straight_fp = fingerprint(straight.run()).value();
+    straight_events = straight.simulator().executed();
   }
   {
     Sim saver(cfg);
@@ -67,6 +69,8 @@ void expect_resume_equals_straight(const Config& cfg, double save_at_s,
     EXPECT_TRUE(resumer.resumed());
     EXPECT_EQ(straight_fp, fingerprint(resumer.run()).value())
         << tag << ": resumed trajectory diverged";
+    EXPECT_EQ(straight_events, resumer.simulator().executed())
+        << tag << ": the resumed run executed another number of events";
   }
   {
     Sim saver(cfg);
@@ -109,8 +113,8 @@ TEST(ResumeDifferential, Gnutella) {
 }
 
 TEST(ResumeDifferential, GnutellaTrialPeriodAndProbes) {
-  // Exercises the trial keyed events (pending cross-user evaluations at T)
-  // and the probe periodic / ProbeSample restore.
+  // Exercises the trial events (pending cross-user evaluations at T) and
+  // the recurring probe / ProbeSample restore.
   gnutella::Config c = small_gnutella();
   c.invitation_policy = core::InvitationPolicy::kTrialPeriod;
   c.probe_period_s = 600.0;
@@ -149,8 +153,8 @@ TEST(ResumeDifferential, Webcache) {
 }
 
 TEST(ResumeDifferential, WebcacheHierarchy) {
-  // Squid-hierarchy mode: parents register only the digest periodic, so
-  // the per-node periodic registration order differs from the flat mesh.
+  // Squid-hierarchy mode: parents keep only the digest rebuild pending,
+  // so the recurring records differ from the flat mesh's.
   webcache::WebCacheConfig c = simtest::golden_webcache_config();
   c.num_parents = 4;
   expect_resume_equals_straight<webcache::WebCacheSim>(c, 1800.0,

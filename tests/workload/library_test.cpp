@@ -23,14 +23,6 @@ TEST(Library, ConstructorDeduplicatesAndSorts) {
   EXPECT_EQ(lib.songs(), (std::vector<SongId>{2, 4, 9}));
 }
 
-TEST(Library, AddKeepsOrderAndUniqueness) {
-  Library lib({10, 20});
-  lib.add(15);
-  lib.add(15);
-  lib.add(5);
-  EXPECT_EQ(lib.songs(), (std::vector<SongId>{5, 10, 15, 20}));
-}
-
 TEST(Library, EmptyLibrary) {
   Library lib;
   EXPECT_TRUE(lib.empty());
