@@ -1,8 +1,5 @@
 #include "diglib/diglib_sim.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 #include "core/update.h"
 #include "snap/codec.h"
 
@@ -37,6 +34,8 @@ sim::EngineConfig DigLibSim::make_engine_config(const DigLibConfig& config) {
 DigLibSim::DigLibSim(const DigLibConfig& config)
     : sim::OverlayEngine(make_engine_config(config)),
       config_(config),
+      holding_words_((std::size_t{config.num_docs} + 63) / 64),
+      holdings_(config.num_repositories * holding_words_, 0),
       copy_count_(config.num_docs, 0),
       doc_zipf_(config.num_docs / config.num_topics, config.zipf_theta),
       interquery_(config.mean_interquery_s) {
@@ -49,14 +48,17 @@ DigLibSim::DigLibSim(const DigLibConfig& config)
   for (net::NodeId r = 0; r < config.num_repositories; ++r) {
     Repository& repo = repos_[r];
     repo.topic = r % config.num_topics;
-    std::unordered_set<DocId> seen;
-    seen.reserve(config.holdings * 2);
+    std::uint64_t* bits = &holdings_[r * holding_words_];
+    std::uint32_t held = 0;
     int attempts = static_cast<int>(config.holdings) * 50;
-    while (seen.size() < config.holdings && attempts-- > 0)
-      seen.insert(draw_doc(repo.topic));
-    repo.holdings.assign(seen.begin(), seen.end());
-    std::sort(repo.holdings.begin(), repo.holdings.end());
-    for (DocId d : repo.holdings) ++copy_count_[d];
+    while (held < config.holdings && attempts-- > 0) {
+      const DocId d = draw_doc(repo.topic);
+      const std::uint64_t bit = std::uint64_t{1} << (d % 64);
+      if (bits[d / 64] & bit) continue;  // a repeat draw
+      bits[d / 64] |= bit;
+      ++held;
+      ++copy_count_[d];
+    }
   }
 
   // Initial lists.
@@ -87,8 +89,7 @@ DocId DigLibSim::draw_doc(std::uint32_t home_topic, des::Rng& r) {
 }
 
 bool DigLibSim::holds(net::NodeId r, DocId doc) const {
-  const auto& h = repos_[r].holdings;
-  return std::binary_search(h.begin(), h.end(), doc);
+  return (holdings_[r * holding_words_ + doc / 64] >> (doc % 64)) & 1;
 }
 
 core::SearchOutcome DigLibSim::search_doc(net::NodeId from, DocId doc) {

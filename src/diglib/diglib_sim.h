@@ -131,7 +131,6 @@ class DigLibSim : public sim::OverlayEngine {
   static constexpr std::uint32_t kLibUpdate = kKeyedUserBase + 1;
 
   struct Repository {
-    std::vector<DocId> holdings;  ///< sorted for binary search
     core::StatsStore stats;
     std::uint32_t topic = 0;
     /// The rotating exploration link (Algo 2): without churn, purely
@@ -158,6 +157,10 @@ class DigLibSim : public sim::OverlayEngine {
 
   DigLibConfig config_;
   std::vector<Repository> repos_;
+  std::size_t holding_words_;  ///< 64-bit words per holdings bitmap
+  /// Holdings: one bitmap of num_docs bits per repository, all in one
+  /// allocation (repository r's words start at r * holding_words_).
+  std::vector<std::uint64_t> holdings_;
   std::vector<std::uint32_t> copy_count_;  ///< per-document replica count
   des::Zipf doc_zipf_;
   des::Exponential interquery_;

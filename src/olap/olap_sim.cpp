@@ -219,7 +219,7 @@ void OlapSim::save_domain(snap::Writer::Out& out) const {
 
 void OlapSim::load_domain(snap::Reader::In& in) {
   for (Peer& peer : peers_) {
-    snap::get_lru(in, peer.cache);
+    snap::get_lru(in, peer.cache, config_.num_chunks);
     snap::get_stats_store(in, peer.stats, peers_.size());
   }
   result_.queries = in.u64();

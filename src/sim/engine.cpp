@@ -362,7 +362,11 @@ void OverlayEngine::schedule_next_crash(double at_s) {
 }
 
 void OverlayEngine::run_crash_tick() {
-  if (crash_count_ >= crash_model_.max_crashes) return;
+  // A tick restored from a crash-armed save does nothing in a run resumed
+  // without a crash model: the resumed run's fault flags rule, as they do
+  // when a fork arms a model the save lacked.
+  if (!crash_model_.enabled() || crash_count_ >= crash_model_.max_crashes)
+    return;
   // Victim: uniform over still-alive nodes, by rejection sampling from
   // the fault lane (bounded so a mostly-dead population terminates).
   net::NodeId victim = net::kInvalidNode;

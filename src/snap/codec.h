@@ -115,18 +115,36 @@ inline void get_stats_store(Reader::In& in, core::StatsStore& s,
 /// LRU cache content in recency order (MRU first, matching order()).
 template <typename Cache>
 void put_lru(Writer::Out& out, const Cache& c) {
-  out.u64(c.order().size());
+  out.u64(c.size());
   for (const auto& key : c.order()) out.u64(key);
 }
 
-/// Restore by inserting LRU-to-MRU into a fresh same-capacity cache: the
-/// saved population never exceeds capacity, so no insert evicts, and the
-/// final recency order equals the saved one.
+/// Restore by inserting LRU-to-MRU into a fresh same-capacity cache, so
+/// the final recency order equals the saved one.  The saved population
+/// fits the capacity (more would evict during the restore) and holds
+/// distinct keys below `num_items`, the scenario's item count (a key the
+/// cache's id type cannot hold would be truncated to another item).
 template <typename Cache>
-void get_lru(Reader::In& in, Cache& c) {
-  std::vector<std::uint64_t> keys(in.count(8));
-  for (std::uint64_t& k : keys) k = in.u64();
-  for (std::size_t i = keys.size(); i-- > 0;) c.insert(keys[i]);
+void get_lru(Reader::In& in, Cache& c, std::uint64_t num_items) {
+  const std::size_t n = in.count(8);
+  if (n > c.capacity())
+    throw SnapshotError("cache size " + std::to_string(n) +
+                        " exceeds its capacity " +
+                        std::to_string(c.capacity()));
+  std::vector<std::uint64_t> keys(n);
+  for (std::uint64_t& k : keys) {
+    k = in.u64();
+    if (k >= num_items)
+      throw SnapshotError("cache key " + std::to_string(k) +
+                          " out of range (" + std::to_string(num_items) +
+                          " items)");
+  }
+  for (std::size_t i = keys.size(); i-- > 0;) {
+    if (c.contains(keys[i]))
+      throw SnapshotError("cache key " + std::to_string(keys[i]) +
+                          " appears twice");
+    c.insert(keys[i]);
+  }
 }
 
 inline void put_bloom(Writer::Out& out, const net::BloomFilter& f) {

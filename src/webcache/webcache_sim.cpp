@@ -284,7 +284,7 @@ void WebCacheSim::save_domain(snap::Writer::Out& out) const {
 
 void WebCacheSim::load_domain(snap::Reader::In& in) {
   for (Proxy& proxy : proxies_) {
-    snap::get_lru(in, proxy.cache);
+    snap::get_lru(in, proxy.cache, config_.num_pages);
     snap::get_stats_store(in, proxy.stats, proxies_.size());
     snap::get_bloom(in, proxy.digest);
   }

@@ -8,7 +8,8 @@
 // afterwards).  Damage behind a recomputed CRC — a node id at or above the
 // population, a roster position that names someone else, a clock, due
 // time or benefit that is not finite, an event record no resumed run can
-// schedule — must be rejected typed at load, before the first event runs.
+// schedule, a cache key out of range or repeated, a cache fuller than its
+// capacity — must be rejected typed at load, before the first event runs.
 // So must an intact file whose recurring schedule another config made:
 // it is rejected by the value's name before any state is applied.  The
 // suite also runs under ASan/UBSan in CI: a malformed length or id that
@@ -135,6 +136,42 @@ std::vector<unsigned char> rewrite_section(std::vector<unsigned char> bytes,
     put_u32(bytes, f.crc_offset,
             snap::crc32(bytes.data() + f.payload_offset, f.payload_length));
   }
+  return bytes;
+}
+
+/// Replaces the first LRU cache of a webcache or olap domain section
+/// (proxy or peer 0's: u64 n, then n u64 keys in MRU-first order) with
+/// `edit(keys)`, then rewrites the section's length and CRC, so a cache of
+/// another size still frames correctly.
+template <typename Edit>
+std::vector<unsigned char> rewrite_first_cache(
+    const std::vector<unsigned char>& bytes, Edit&& edit) {
+  for (const Frame& f : parse_frames(bytes)) {
+    if (f.id != static_cast<std::uint32_t>(snap::SectionId::kDomain)) continue;
+    const auto n = static_cast<std::size_t>(read_u64(bytes, f.payload_offset));
+    std::vector<std::uint64_t> keys(n);
+    for (std::size_t i = 0; i < n; ++i)
+      keys[i] = read_u64(bytes, f.payload_offset + 8 + 8 * i);
+    edit(keys);
+    std::vector<unsigned char> cache(8 + 8 * keys.size());
+    put_u64(cache, 0, keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      put_u64(cache, 8 + 8 * i, keys[i]);
+    std::vector<unsigned char> out(bytes.begin(),
+                                   bytes.begin() + static_cast<std::ptrdiff_t>(
+                                                       f.payload_offset));
+    out.insert(out.end(), cache.begin(), cache.end());
+    out.insert(out.end(),
+               bytes.begin() +
+                   static_cast<std::ptrdiff_t>(f.payload_offset + 8 + 8 * n),
+               bytes.end());
+    const std::size_t length = f.payload_length - 8 * n + 8 * keys.size();
+    put_u64(out, f.crc_offset - 8, length);
+    put_u32(out, f.crc_offset,
+            snap::crc32(out.data() + f.payload_offset, length));
+    return out;
+  }
+  ADD_FAILURE() << "no domain section";
   return bytes;
 }
 
@@ -614,6 +651,67 @@ TEST_F(CorruptSnapshotTest, EventRecordNodeIdOutOfRange) {
                                                "out of range");
     }
   }
+}
+
+TEST_F(CorruptSnapshotTest, CacheKeyBeyondTheIdTypeIsRejected) {
+  // 2^32 plus a cached chunk would be truncated back to that chunk by the
+  // 32-bit chunk id and load as if intact.
+  const auto bytes =
+      rewrite_first_cache(*good_bytes_, [](std::vector<std::uint64_t>& keys) {
+        ASSERT_FALSE(keys.empty());
+        keys.front() += std::uint64_t{1} << 32;
+      });
+  expect_semantic_rejection<olap::OlapSim>(tiny_olap(), bytes, "cache key");
+}
+
+TEST_F(CorruptSnapshotTest, CacheKeyOutOfRange) {
+  // A chunk or page id at or past the scenario's item count names an item
+  // no query can ask for.
+  const auto olap_bytes = rewrite_first_cache(
+      *good_bytes_, [](std::vector<std::uint64_t>& keys) {
+        ASSERT_FALSE(keys.empty());
+        keys.front() = tiny_olap().num_chunks + 5;
+      });
+  expect_semantic_rejection<olap::OlapSim>(tiny_olap(), olap_bytes,
+                                           "cache key");
+
+  const std::string path = ::testing::TempDir() + "dsf_cache_key_" +
+                           std::to_string(::getpid()) + ".snap";
+  {
+    webcache::WebCacheSim saver(tiny_webcache());
+    saver.request_snapshot_save(path, 900.0);
+    saver.run();
+  }
+  const auto web_bytes =
+      rewrite_first_cache(slurp(path), [](std::vector<std::uint64_t>& keys) {
+        ASSERT_FALSE(keys.empty());
+        keys.front() = tiny_webcache().num_pages;
+      });
+  std::remove(path.c_str());
+  expect_semantic_rejection<webcache::WebCacheSim>(tiny_webcache(), web_bytes,
+                                                   "cache key");
+}
+
+TEST_F(CorruptSnapshotTest, CacheKeyRepeated) {
+  // A repeated key would restore as one entry, so the cache would hold
+  // fewer chunks than the saved run's and evict later.
+  const auto bytes =
+      rewrite_first_cache(*good_bytes_, [](std::vector<std::uint64_t>& keys) {
+        ASSERT_GE(keys.size(), 2u);
+        keys[1] = keys[0];
+      });
+  expect_semantic_rejection<olap::OlapSim>(tiny_olap(), bytes, "cache key");
+}
+
+TEST_F(CorruptSnapshotTest, CacheSizeAboveCapacity) {
+  // capacity + 1 distinct in-range chunks: restoring them would evict one
+  // without a word.
+  const auto bytes =
+      rewrite_first_cache(*good_bytes_, [](std::vector<std::uint64_t>& keys) {
+        keys.resize(tiny_olap().cache_capacity + 1);
+        for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i;
+      });
+  expect_semantic_rejection<olap::OlapSim>(tiny_olap(), bytes, "cache size");
 }
 
 TEST_F(CorruptSnapshotTest, ScenarioMismatch) {

@@ -9,7 +9,8 @@
 // Variants cover every event kind and domain container: gnutella's
 // trial-period invitations and recurring probes, the summary-gated policy
 // with growing libraries (recent-query rings + spill lists), the crash
-// process (dead set + pending crash tick), webcache's Squid hierarchy
+// process (dead set + pending crash tick, and the tick a run resumed
+// without the crash model must not run), webcache's Squid hierarchy
 // (parents keep only digest rebuilds pending) and the LRU/Bloom/StatsStore
 // codecs in olap/webcache/diglib.
 
@@ -186,6 +187,35 @@ TEST(ResumeDifferential, CrashModelArmedOnlyOnResumeStillFires) {
   fork.run();
   EXPECT_GT(fork.crashes(), 0u)
       << "crash model armed on a resumed run never fired";
+  std::remove(path.c_str());
+}
+
+TEST(ResumeDifferential, CrashModelDisarmedOnResumeNeverFires) {
+  // The mirror of the fork above: a save made with a crash model holds a
+  // pending crash tick, and a run resumed without one must not run it.
+  // The resumed run's fault flags rule in both directions.
+  const gnutella::Config cfg = small_gnutella();
+  const std::string path = ::testing::TempDir() + "dsf_disarm.snap";
+  std::uint64_t saver_crashes = 0;
+  {
+    gnutella::Simulation saver(cfg);
+    sim::CrashModel crashes;
+    crashes.rate_per_hour = 6.0;
+    saver.set_crash_model(crashes);
+    saver.request_snapshot_save(path, 1800.0);
+    saver.run();
+    saver_crashes = saver.crashes();
+  }
+  gnutella::Simulation resumed(cfg);
+  resumed.load_snapshot(path);
+  const std::uint64_t at_load = resumed.crashes();
+  ASSERT_GT(saver_crashes, at_load)
+      << "the saving run crashed no peer after the save, so the file holds "
+         "no pending crash tick";
+  resumed.run();
+  EXPECT_EQ(resumed.crashes(), at_load)
+      << "a crash tick restored from the save fired in a run resumed "
+         "without a crash model";
   std::remove(path.c_str());
 }
 
