@@ -82,7 +82,7 @@ SweepPoint run_point(const gnutella::Config& config,
                      obs::RingSink* ring = nullptr) {
   sim::InvariantChecker checker;
   gnutella::Simulation sim(config);
-  if (plan.enabled()) sim.set_adversary(plan);
+  if (plan.abusers_enabled()) sim.set_adversary(plan);
   sim.attach_checker(&checker);
   if (ring) sim.set_trace_sink(ring);
   const auto r = sim.run();

@@ -3,25 +3,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "net/bandwidth.h"
-
 namespace dsf::cli {
-
-namespace {
-
-/// The CLI spellings of the three bandwidth classes, indexable by class.
-constexpr const char* kClassNames[net::kNumBandwidthClasses] = {"56k", "cable",
-                                                                "lan"};
-
-int parse_outage_class(const std::string& s) {
-  if (s.empty()) return -1;
-  for (int i = 0; i < net::kNumBandwidthClasses; ++i)
-    if (s == kClassNames[i]) return i;
-  throw std::invalid_argument(
-      "--adversary-outage-class: expected 56k, cable or lan, got '" + s + "'");
-}
-
-}  // namespace
 
 void register_adversary_flags(FlagRegistry& reg) {
   reg.group("adversary layer (all off by default)");
@@ -34,36 +16,9 @@ void register_adversary_flags(FlagRegistry& reg) {
       .add_double("adversary-abuse-end",
                   std::numeric_limits<double>::infinity(),
                   "... until this sim time (default: forever)")
-      .add_double("adversary-free-riders", 0.0,
-                  "fraction of non-abusers that serve no content")
-      .add_string("adversary-outage-class", "",
-                  "regional outage: crash this delay class (56k|cable|lan)")
-      .add_double("adversary-outage-at", -1.0,
-                  "outage time in sim-seconds (-1: off)")
-      .add_double("adversary-outage-fraction", 1.0,
-                  "fraction of the class that goes down")
-      .add_double("adversary-storm-rate", 0.0, "churn-storm kicks per second")
-      .add_double("adversary-storm-start", 0.0,
-                  "storm active from this sim time")
-      .add_double("adversary-storm-end",
-                  std::numeric_limits<double>::infinity(),
-                  "... until this sim time (default: forever)")
-      .add_double("adversary-storm-shape", 1.5,
-                  "Pareto shape of storm offline tails (> 1)")
-      .add_double("adversary-storm-offline-s", 600.0,
-                  "mean storm offline time, seconds")
       .add_bool("adversary-check", false,
                 "audit abuse attribution + abuser overlay; exit 4 on "
-                "violation")
-      .add_string("capture-trace", "",
-                  "write closed-loop query arrivals (time_s peer item), "
-                  "replayable with --open-loop --load-trace");
-  for (int i = 0; i < net::kNumBandwidthClasses; ++i) {
-    reg.add_int(std::string("adversary-degree-") + kClassNames[i], 0,
-                "degree bound for the class (0: scenario default)")
-        .add_double(std::string("adversary-weight-") + kClassNames[i], 1.0,
-                    "benefit weight for answers from the class");
-  }
+                "violation");
 }
 
 AdversaryOptions adversary_options_from(const FlagRegistry& reg) {
@@ -74,48 +29,15 @@ AdversaryOptions adversary_options_from(const FlagRegistry& reg) {
   p.abuse_rate_per_s = reg.get_double("adversary-abuse-rate");
   p.abuse_start_s = reg.get_double("adversary-abuse-start");
   p.abuse_end_s = reg.get_double("adversary-abuse-end");
-  // Half-set abuse knobs would be a silent no-op (abusers_enabled() needs
-  // both a fraction and a rate) — reject them like the outage pair below.
-  if (p.abuser_fraction > 0.0 && p.abuse_rate_per_s <= 0.0)
-    throw std::invalid_argument(
-        "--adversary-abusers needs --adversary-abuse-rate");
-  if (p.abuser_fraction <= 0.0 && reg.was_set("adversary-abuse-rate"))
-    throw std::invalid_argument(
-        "--adversary-abuse-rate needs --adversary-abusers");
-
-  p.free_rider_fraction = reg.get_double("adversary-free-riders");
-
-  p.outage_class = parse_outage_class(reg.get_string("adversary-outage-class"));
-  p.outage_at_s = reg.get_double("adversary-outage-at");
-  p.outage_fraction = reg.get_double("adversary-outage-fraction");
-  if (p.outage_class >= 0 && p.outage_at_s < 0.0)
-    throw std::invalid_argument(
-        "--adversary-outage-class needs --adversary-outage-at");
-  if (p.outage_class < 0 && reg.was_set("adversary-outage-at"))
-    throw std::invalid_argument(
-        "--adversary-outage-at needs --adversary-outage-class");
-
-  p.storm_rate_per_s = reg.get_double("adversary-storm-rate");
-  p.storm_start_s = reg.get_double("adversary-storm-start");
-  p.storm_end_s = reg.get_double("adversary-storm-end");
-  p.storm_pareto_shape = reg.get_double("adversary-storm-shape");
-  p.storm_offline_mean_s = reg.get_double("adversary-storm-offline-s");
-
-  for (int i = 0; i < net::kNumBandwidthClasses; ++i) {
-    const std::int64_t bound =
-        reg.get_int(std::string("adversary-degree-") + kClassNames[i]);
-    if (bound < 0)
-      throw std::invalid_argument("--adversary-degree-" +
-                                  std::string(kClassNames[i]) +
-                                  ": must be >= 0");
-    p.degree_bound[i] = static_cast<std::uint32_t>(bound);
-    p.benefit_weight[i] =
-        reg.get_double(std::string("adversary-weight-") + kClassNames[i]);
-  }
-
   p.validate();
+  // Half-set abuse knobs would be a silent no-op: abusers_enabled() needs
+  // both a fraction and a rate, and the window shapes only a spray.
+  reg.require(p.abuser_fraction <= 0.0 || p.abuse_rate_per_s > 0.0,
+              "--adversary-abuse-rate", {"adversary-abusers"});
+  reg.require(p.abuser_fraction > 0.0, "--adversary-abusers",
+              {"adversary-abuse-rate", "adversary-abuse-start",
+               "adversary-abuse-end"});
 
-  opts.capture_path = reg.get_string("capture-trace");
   opts.check = reg.get_bool("adversary-check");
   return opts;
 }

@@ -82,6 +82,7 @@ FaultOptions fault_options_from(const FlagRegistry& reg) {
   window(reg, "fault-window-start", "fault-window-end", base.window_start_s,
          base.window_end_s);
 
+  bool delays = false;  // some message type has a delay probability
   for (int i = 0; i < net::kNumMessageTypes; ++i) {
     const auto t = static_cast<net::MessageType>(i);
     const std::string name(net::to_string(t));
@@ -104,6 +105,7 @@ FaultOptions fault_options_from(const FlagRegistry& reg) {
     // Every rule is set, trivial ones included; set_rule keeps a trivial
     // rule out of the active mask, so it never draws.
     opts.plan.set_rule(t, r);
+    delays = delays || r.delay_prob > 0.0;
   }
 
   opts.crashes.rate_per_hour = reg.get_double("fault-crash-rate");
@@ -117,6 +119,17 @@ FaultOptions fault_options_from(const FlagRegistry& reg) {
   if (crash_max >= 0) opts.crashes.max_crashes = crash_max;
   window(reg, "fault-crash-start", "fault-crash-end", opts.crashes.start_s,
          opts.crashes.end_s);
+
+  // Every value is in range; a modifier of a fault that is off would run
+  // as if it were absent.
+  reg.require(delays, "--fault-delay or a --fault-delay-<type> override",
+              {"fault-delay-s"});
+  reg.require(!opts.plan.empty(),
+              "a fault probability (--fault-drop, --fault-dup, --fault-delay "
+              "or a per-type override)",
+              {"fault-window-start", "fault-window-end"});
+  reg.require(opts.crashes.rate_per_hour > 0.0, "--fault-crash-rate",
+              {"fault-crash-max", "fault-crash-start", "fault-crash-end"});
 
   opts.check = reg.get_bool("fault-check");
   return opts;

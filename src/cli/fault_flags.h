@@ -46,7 +46,11 @@ void register_fault_flags(FlagRegistry& reg);
 /// Builds the options from a parsed registry; a bad value (a probability
 /// outside [0, 1], a drop + dup + delay sum above 1, a negative delay or
 /// crash rate, an inverted window, --fault-crash-max below -1) throws a
-/// FlagError naming the flag and the value.
+/// FlagError naming the flag and the value.  Once every value is in
+/// range, a modifier of a fault that is off (--fault-delay-s without a
+/// delay probability, --fault-window-* without any probability,
+/// --fault-crash-max/start/end without --fault-crash-rate) throws a
+/// FlagError naming what it needs.
 FaultOptions fault_options_from(const FlagRegistry& reg);
 
 }  // namespace dsf::cli

@@ -201,6 +201,14 @@ bool FlagRegistry::was_set(const std::string& name) const {
   return find(name).set;
 }
 
+void FlagRegistry::require(bool present, const std::string& needed,
+                           std::initializer_list<const char*> modifiers) const {
+  if (present) return;
+  for (const char* name : modifiers)
+    if (was_set(name))
+      throw FlagError("--" + std::string(name) + " needs " + needed);
+}
+
 std::string FlagRegistry::help() const {
   std::string out = "usage: " + program_ + "\n";
   if (!summary_.empty()) out += summary_ + "\n";

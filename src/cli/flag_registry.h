@@ -12,6 +12,7 @@
 // positional arguments and `--key=value` handling in one place.
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -79,6 +80,13 @@ class FlagRegistry {
   /// wins over generic" logic distinguish an explicit value from a
   /// default.
   bool was_set(const std::string& name) const;
+
+  /// Throws a FlagError naming the first of `modifiers` that was given
+  /// while `present` is false: a modifier of a flag or setting that is off
+  /// would run exactly as if it were absent.  The message names the
+  /// modifier and `needed` ("--trace-buffer needs --trace ring").
+  void require(bool present, const std::string& needed,
+               std::initializer_list<const char*> modifiers) const;
 
   /// The underlying tokenizer (for positional arguments).  Valid after
   /// parse().

@@ -103,16 +103,12 @@ core::SearchOutcome DigLibSim::search_doc(net::NodeId from, DocId doc) {
       config_.search_strategy, params, config_.top_k,
       /*directed_fanout=*/config_.num_neighbors, from, doc,
       repos_[from].stats,
-      [this, doc](net::NodeId n) {
-        // Free-riders (adversary layer) answer nothing; always false when
-        // off.
-        return !is_free_rider(n) && holds(n, doc);
-      },
+      [this, doc](net::NodeId n) { return holds(n, doc); },
       // kTopK ranks holders by a deterministic per-(repository, document)
       // relevance in (0, 1] — the retrieval score a ranked federation
-      // would compute locally.  Non-holders and free-riders score 0.
+      // would compute locally.  Non-holders score 0.
       [this, doc](net::NodeId n) {
-        if (is_free_rider(n) || !holds(n, doc)) return 0.0;
+        if (!holds(n, doc)) return 0.0;
         const std::uint64_t bits = des::hash_seed(
             des::hash_seed(config_.seed, 0x2b5eced5u) ^ n, doc);
         return (static_cast<double>(bits >> 11) + 1.0) * 0x1.0p-53;
@@ -127,8 +123,7 @@ core::SearchOutcome DigLibSim::search_doc(net::NodeId from, DocId doc) {
       // one of many holders of a ubiquitous document.
       info.items = 1.0 / static_cast<double>(outcome.hits.size());
       info.latency_s = hit.reply_at_s;
-      repos_[from].stats.add(
-          hit.node, benefit_.benefit(info) * adversary_benefit_weight(hit.node));
+      repos_[from].stats.add(hit.node, benefit_.benefit(info));
     }
   }
   return outcome;
@@ -137,7 +132,6 @@ core::SearchOutcome DigLibSim::search_doc(net::NodeId from, DocId doc) {
 void DigLibSim::issue_query(net::NodeId r) {
   if (node_dead(r)) return;  // a crashed repository stops querying for good
   const DocId doc = draw_doc(repos_[r].topic);
-  capture_query_arrival(r, doc);
   const auto outcome = search_doc(r, doc);
   if (reporting()) {
     ++result_.queries;
@@ -185,10 +179,7 @@ void DigLibSim::update_neighbors(net::NodeId r) {
 
   // Then one learned exchange per update (the lesson of the Gnutella case
   // study; see bench_ablation_exchange), over the non-exploration slots.
-  // Capacity-aware peers (adversary layer) reserve the exploration slot out
-  // of their *bounded* degree.
-  const std::size_t learned_cap =
-      adversary_degree_bound(r, config_.num_neighbors) - 1;
+  const std::size_t learned_cap = config_.num_neighbors - 1;
   const auto plan = core::plan_update(
       repo.stats, overlay_.out_neighbors(r), learned_cap,
       [r](net::NodeId n) { return n != r; });

@@ -7,7 +7,6 @@
 
 #include "core/graph_stats.h"
 #include "core/unreachable.h"
-#include "des/distributions.h"
 #include "snap/codec.h"
 #include "workload/user_profile.h"
 
@@ -145,8 +144,6 @@ RunResult Simulation::run() {
 void Simulation::fill_with_random_neighbors(net::NodeId u,
                                              std::size_t target) {
   if (online_nodes_.size() < 2) return;
-  target = std::min<std::size_t>(
-      target, adversary_degree_bound(u, config_.max_neighbors));
   // A bounded number of random probes; when the population is nearly
   // saturated some probes fail, exactly as a real bootstrap would.
   fill_random_neighbors(
@@ -254,7 +251,6 @@ void Simulation::issue_query(net::NodeId u) {
     }
   }
 
-  capture_query_arrival(u, song);
   const core::SearchOutcome outcome = search_song(u, song);
 
   const des::SimTime now = sim_.now();
@@ -326,8 +322,7 @@ void Simulation::feed_statistics(net::NodeId u,
         delay_.node_class(hit.node))];
     info.latency_s = hit.reply_at_s;
     info.total_results = total;
-    st.stats.add(hit.node,
-                 benefit_of(info) * adversary_benefit_weight(hit.node));
+    st.stats.add(hit.node, benefit_of(info));
   }
   if (config_.reconfig_threshold > 0 &&
       ++hot_[u].reconfig_count >= config_.reconfig_threshold) {
@@ -340,9 +335,9 @@ double Simulation::ranked_score(net::NodeId n,
                                 workload::SongId song) const noexcept {
   // Holders get a deterministic relevance in (0, 1] keyed on
   // (seed, holder, song) — e.g. replica quality or bitrate.  Non-holders
-  // (and free-riders) score 0 and can never contribute, which keeps the
-  // ranked scheme's hit/miss verdict identical to the flood's.
-  if (is_free_rider(n) || !libraries_.contains(n, song)) return 0.0;
+  // score 0 and can never contribute, which keeps the ranked scheme's
+  // hit/miss verdict identical to the flood's.
+  if (!libraries_.contains(n, song)) return 0.0;
   const std::uint64_t bits =
       des::hash_seed(des::hash_seed(config_.seed, 0x7a5cede5u) ^ n, song);
   return (static_cast<double>(bits >> 11) + 1.0) * 0x1.0p-53;
@@ -357,11 +352,7 @@ core::SearchOutcome Simulation::search_song(net::NodeId u,
   return search(
       config_.search_strategy, params, config_.top_k, config_.directed_fanout,
       u, song, cold_[u].stats,
-      [this, song](net::NodeId n) {
-        // Free-riders (adversary layer) answer nothing; with the layer off
-        // the role test is a single always-false branch.
-        return !is_free_rider(n) && libraries_.contains(n, song);
-      },
+      [this, song](net::NodeId n) { return libraries_.contains(n, song); },
       // kTopK's score doubles as the one-hop digest bound.
       [this, song](net::NodeId n) { return ranked_score(n, song); });
 }
@@ -382,22 +373,6 @@ void Simulation::on_peer_crashed(net::NodeId u) {
   online_nodes_.pop_back();
 }
 
-bool Simulation::adversary_churn_kick(des::Rng& lane, double offline_mean_s,
-                                      double shape) {
-  if (online_nodes_.empty()) return false;
-  const net::NodeId u = online_nodes_[lane.uniform_int(online_nodes_.size())];
-  // Force the log-off now, which supersedes the pending scheduled log-off,
-  // then supersede the session-model comeback log_off just scheduled with
-  // the storm's Pareto-tailed offline time.  (The session-lane draw inside
-  // log_off is consumed either way; the layer is enabled here, so the
-  // zero-draws contract is not in play.)
-  log_off(u);
-  hot_[u].session_due_s = sim_.schedule_in(
-      des::Pareto::from_mean(offline_mean_s, shape).sample(lane),
-      des::Event{kGnuSession, u, 0});
-  return true;
-}
-
 bool Simulation::invite(net::NodeId u, net::NodeId v) {
   UserHot& target = hot_[v];
   // A lost invitation (or a crashed target) elicits no reply at all.
@@ -416,8 +391,7 @@ bool Simulation::invite(net::NodeId u, net::NodeId v) {
     const auto& in_list = overlay_.lists(v).in();
     if (std::find(in_list.begin(), in_list.end(), u) != in_list.end()) {
       decision.accept = false;
-    } else if (in_list.size() <
-               adversary_degree_bound(v, config_.max_neighbors)) {
+    } else if (in_list.size() < config_.max_neighbors) {
       decision.accept = true;
     } else {
       net::NodeId worst = net::kInvalidNode;
@@ -435,22 +409,14 @@ bool Simulation::invite(net::NodeId u, net::NodeId v) {
       }
     }
   } else {
-    decision = core::decide_invitation(
-        cold_[v].stats, u, overlay_.lists(v).in(),
-        adversary_degree_bound(v, config_.max_neighbors),
-        config_.invitation_policy);
+    decision = core::decide_invitation(cold_[v].stats, u,
+                                       overlay_.lists(v).in(),
+                                       config_.max_neighbors,
+                                       config_.invitation_policy);
   }
   if (!decision.accept) return false;
 
   if (decision.evict != net::kInvalidNode) evict(v, decision.evict);
-  // The eviction's synchronous refill (Process Eviction) may have filled
-  // either end back to its capacity bound meanwhile; with the adversary
-  // layer off the bound is infinite here and link() below enforces the
-  // table capacity exactly as before.
-  constexpr auto kNoBound = std::numeric_limits<std::size_t>::max();
-  if (overlay_.lists(u).out().size() >= adversary_degree_bound(u, kNoBound) ||
-      overlay_.lists(v).out().size() >= adversary_degree_bound(v, kNoBound))
-    return false;
   if (!overlay_.link(u, v)) return false;  // u saturated meanwhile
   on_link_formed(u, v);
   ++result_.invitations_accepted;
@@ -514,8 +480,7 @@ void Simulation::reconfigure(net::NodeId u) {
   ++result_.reconfigurations;
   UserCold& st = cold_[u];
   const auto plan = core::plan_update(
-      st.stats, overlay_.out_neighbors(u),
-      adversary_degree_bound(u, config_.max_neighbors),
+      st.stats, overlay_.out_neighbors(u), config_.max_neighbors,
       [this, u](net::NodeId n) { return n != u && hot_[n].online; });
 
   // §4.3: at most `max_exchanges_per_reconfig` neighbors are exchanged per
@@ -525,12 +490,7 @@ void Simulation::reconfigure(net::NodeId u) {
   std::uint32_t exchanges = 0;
   for (net::NodeId v : plan.additions) {
     if (exchanges >= config_.max_exchanges_per_reconfig) break;
-    // "Full" means the table is saturated OR the peer's capacity bound is
-    // reached (the bound equals the table capacity when the adversary
-    // layer is off, so this is the plain out_full() check then).
-    if (overlay_.lists(u).out_full() ||
-        overlay_.out_neighbors(u).size() >=
-            adversary_degree_bound(u, config_.max_neighbors)) {
+    if (overlay_.lists(u).out_full()) {
       const net::NodeId worst =
           core::least_beneficial(st.stats, overlay_.out_neighbors(u));
       if (worst == net::kInvalidNode) break;

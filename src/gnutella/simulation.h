@@ -135,12 +135,6 @@ class Simulation : public sim::OverlayEngine {
   load::Served serve_injected_query(net::NodeId u,
                                     std::uint64_t item) override;
 
-  /// Churn-storm kick (adversary layer): forces a uniformly chosen on-line
-  /// user off immediately and holds it off for a Pareto-tailed time drawn
-  /// from the adversary lane (heavy-tailed sessions, the storm pathology).
-  bool adversary_churn_kick(des::Rng& lane, double offline_mean_s,
-                            double shape) override;
-
   /// Snapshot hooks: per-user hot/cold mutable state, the on-line roster,
   /// library growth spills and the result accumulators.  Catalog,
   /// profiles, libraries and digests are reconstructed by the constructor.
@@ -161,9 +155,9 @@ class Simulation : public sim::OverlayEngine {
   // population instead of one vector per user).
   struct UserHot {
     /// Times the user's latest query and session records are due, or -1
-    /// when none is expected.  Rescheduling, log-off, a crash or a storm
-    /// kick overwrites the time, which supersedes the pending record: it
-    /// still pops, but on_event skips it.
+    /// when none is expected.  Rescheduling, log-off or a crash overwrites
+    /// the time, which supersedes the pending record: it still pops, but
+    /// on_event skips it.
     des::SimTime query_due_s = -1.0;
     des::SimTime session_due_s = -1.0;
     std::uint32_t reconfig_count = 0;

@@ -100,10 +100,7 @@ double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
         if (!tq.deliver) continue;  // lost: q stays reachable via others
         if (!stamps_.mark(q)) continue;
         const int hop = cur.hop + 1;
-        // Free-riders (adversary layer) never serve from their cache; the
-        // role test is a single always-false branch when the layer is off.
-        const bool has_chunk =
-            !is_free_rider(q) && peers_[q].cache.contains(chunk);
+        const bool has_chunk = peers_[q].cache.contains(chunk);
         if (has_chunk && holder == net::kInvalidNode &&
             send(net::MessageType::kQueryReply, q, p, -1).deliver) {
           holder = q;
@@ -125,8 +122,7 @@ double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
         core::ResultInfo info;
         info.responder = holder;
         info.processing_time_saved_s = config_.warehouse_s_per_chunk - cost;
-        peer.stats.add(holder,
-                       benefit_.benefit(info) * adversary_benefit_weight(holder));
+        peer.stats.add(holder, benefit_.benefit(info));
       }
     } else {
       obs_search_end(span, p, 0, -1, -1.0);
@@ -142,7 +138,6 @@ double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
 void OlapSim::issue_query(net::NodeId p) {
   if (node_dead(p)) return;  // a crashed peer stops querying for good
   const ChunkId base = draw_query_base(p, rng());
-  capture_query_arrival(p, base);
   if (reporting()) ++result_.queries;
   serve_chunks(p, base, reporting(), nullptr);
   sim_.schedule_in(interquery_.sample(rng()), des::Event{kOlapQuery, p, 0});
@@ -171,8 +166,7 @@ load::Served OlapSim::serve_injected_query(net::NodeId p, std::uint64_t item) {
 void OlapSim::update_neighbors(net::NodeId p) {
   if (node_dead(p)) return;  // crashed: no more reorganizations
   const auto plan = core::plan_update(
-      peers_[p].stats, overlay_.out_neighbors(p),
-      adversary_degree_bound(p, config_.num_neighbors),
+      peers_[p].stats, overlay_.out_neighbors(p), config_.num_neighbors,
       [p](net::NodeId n) { return n != p; });
   // Notifications only: each link or unlink stands whatever the
   // message's fate.

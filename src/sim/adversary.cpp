@@ -44,38 +44,6 @@ void AdversaryPlan::validate() const {
   if (abusers_enabled() && abuser_fraction >= 1.0)
     throw std::invalid_argument(
         "adversary: abuser fraction must leave at least one good peer");
-
-  check_fraction(free_rider_fraction, "free-rider fraction");
-
-  if (outage_class < -1 || outage_class >= net::kNumBandwidthClasses)
-    throw std::invalid_argument(
-        "adversary: outage class must be -1 (off) or a bandwidth class in "
-        "[0, " +
-        std::to_string(net::kNumBandwidthClasses) + "), got " +
-        std::to_string(outage_class));
-  if (outage_at_s >= 0.0 && !std::isfinite(outage_at_s))
-    throw std::invalid_argument("adversary: outage time must be finite");
-  check_fraction(outage_fraction, "outage fraction");
-
-  check_rate(storm_rate_per_s, "storm rate");
-  check_window(storm_start_s, storm_end_s, "storm");
-  if (storm_enabled()) {
-    if (!(storm_pareto_shape > 1.0) || !std::isfinite(storm_pareto_shape))
-      throw std::invalid_argument(
-          "adversary: storm Pareto shape must be finite and > 1 (finite "
-          "mean), got " +
-          std::to_string(storm_pareto_shape));
-    if (!(storm_offline_mean_s > 0.0) || !std::isfinite(storm_offline_mean_s))
-      throw std::invalid_argument(
-          "adversary: storm mean offline time must be finite and > 0, got " +
-          std::to_string(storm_offline_mean_s));
-  }
-
-  for (double w : benefit_weight)
-    if (!(w >= 0.0) || !std::isfinite(w))
-      throw std::invalid_argument(
-          "adversary: benefit weights must be finite and >= 0, got " +
-          std::to_string(w));
 }
 
 des::Rng make_adversary_lane(std::uint64_t seed) {

@@ -1,26 +1,13 @@
 #pragma once
 
-// Deterministic adversarial & heterogeneous behavior layer for the overlay
-// engine (ROADMAP item 5).
+// Query-flood abusers for the overlay engine, layered on top of the
+// memoryless fault layer (src/sim/fault.h).
 //
-// An AdversaryPlan describes four structured adversities layered on top of
-// the memoryless fault layer (src/sim/fault.h):
-//
-//   * query-flood abusers — a designated fraction of peers spray TTL-max
-//     searches at a configurable rate inside a window (the OPNET flooding
-//     regime where flood-family schemes collapse);
-//   * free-riders — peers that answer nothing (empty libraries) but issue
-//     their full query load, the classic Gnutella pathology;
-//   * correlated regional outage — the whole of one delay/bandwidth class
-//     (56K / cable / LAN) crashes at a configured instant, leaving
-//     dangling neighbor entries exactly like CrashModel victims;
-//   * churn storms — an extra Poisson process of forced log-offs whose
-//     comeback times have Pareto tails (heavy-tailed offline sessions).
-//
-// Plus heterogeneous peer *capacity*: per-class degree bounds (a 56K modem
-// cannot usefully maintain as many neighbors as a LAN peer) and per-class
-// benefit weighting (answers from well-provisioned peers may be valued
-// differently by the dynamic reconfiguration policy).
+// An AdversaryPlan designates a fraction of peers as abusers that spray
+// TTL-max searches at a configurable rate inside a window: the OPNET
+// flooding regime where flood-family schemes collapse.  Every sprayed
+// search, its flood and its replies are attributed to the abuse ledger,
+// which InvariantChecker::check_abuse certifies against the trace stream.
 //
 // Determinism contract: identical to FaultPlan's.  Every adversary decision
 // draws from a dedicated RNG lane derived via des::hash_seed from the
@@ -29,20 +16,16 @@
 // a baseline run with the layer merely attached replays byte-identically;
 // tests/sim/adversary_golden_test.cpp pins this for all four simulators.
 
-#include <array>
 #include <cstdint>
 #include <limits>
 
 #include "des/rng.h"
-#include "net/bandwidth.h"
 
 namespace dsf::sim {
 
-/// Everything the adversary layer can be asked to do.  All knobs default to
-/// "off"; validate() rejects inconsistent settings before any state is
-/// touched.
+/// What the adversary layer is asked to do.  All knobs default to "off";
+/// validate() rejects inconsistent settings before any state is touched.
 struct AdversaryPlan {
-  // --- query-flood abusers ----------------------------------------------
   /// Fraction of peers designated as abusers (rounded to the nearest whole
   /// peer, at least one when the fraction is positive).
   double abuser_fraction = 0.0;
@@ -55,79 +38,23 @@ struct AdversaryPlan {
   double abuse_start_s = 0.0;
   double abuse_end_s = std::numeric_limits<double>::infinity();
 
-  // --- free-riders -------------------------------------------------------
-  /// Fraction of non-abuser peers that serve no content (drawn i.i.d.
-  /// Bernoulli per peer at arm time, on the adversary lane).
-  double free_rider_fraction = 0.0;
-
-  // --- correlated regional outage ----------------------------------------
-  /// Which BandwidthClass to kill (0 = 56K, 1 = cable, 2 = LAN); -1 = off.
-  int outage_class = -1;
-  /// When the outage strikes (seconds); negative = off.
-  double outage_at_s = -1.0;
-  /// Fraction of the class that crashes (1.0 = the entire class; a partial
-  /// outage draws one Bernoulli per class member).
-  double outage_fraction = 1.0;
-
-  // --- churn storm -------------------------------------------------------
-  /// Rate of forced log-off kicks (events per second across the whole
-  /// population) inside [storm_start_s, storm_end_s); 0 = off.
-  double storm_rate_per_s = 0.0;
-  double storm_start_s = 0.0;
-  double storm_end_s = std::numeric_limits<double>::infinity();
-  /// Pareto shape of the forced offline time (must exceed 1 so the mean is
-  /// finite); 1.5 gives the classic heavy session tail.
-  double storm_pareto_shape = 1.5;
-  /// Mean forced offline time in seconds (Pareto scale is derived so the
-  /// mean matches).
-  double storm_offline_mean_s = 600.0;
-
-  // --- heterogeneous capacity -------------------------------------------
-  /// Per-class neighbor-degree bound (index = BandwidthClass).  0 = unset:
-  /// the scenario's own configured degree applies.  A positive bound caps
-  /// how many neighbors that class fills toward / retains at update time.
-  std::array<std::uint32_t, net::kNumBandwidthClasses> degree_bound{};
-  /// Per-class multiplier on the benefit credited for an answer delivered
-  /// by a peer of that class.  1.0 = neutral (the default for all).
-  std::array<double, net::kNumBandwidthClasses> benefit_weight{1.0, 1.0, 1.0};
-
+  /// True when abusers spray.  The engine checks this before arming so a
+  /// default plan costs one branch and zero draws.
   bool abusers_enabled() const noexcept {
     return abuser_fraction > 0.0 && abuse_rate_per_s > 0.0;
   }
-  bool free_riders_enabled() const noexcept { return free_rider_fraction > 0.0; }
-  bool outage_enabled() const noexcept {
-    return outage_class >= 0 && outage_at_s >= 0.0 && outage_fraction > 0.0;
-  }
-  bool storm_enabled() const noexcept { return storm_rate_per_s > 0.0; }
-  bool capacity_enabled() const noexcept {
-    for (auto b : degree_bound)
-      if (b != 0) return true;
-    for (auto w : benefit_weight)
-      if (w != 1.0) return true;
-    return false;
-  }
 
-  /// True if any adversity or capacity knob is set.  The engine checks this
-  /// before arming so a default plan costs one branch and zero draws.
-  bool enabled() const noexcept {
-    return abusers_enabled() || free_riders_enabled() || outage_enabled() ||
-           storm_enabled() || capacity_enabled();
-  }
-
-  /// Throws std::invalid_argument when any knob is out of range (fractions
-  /// outside [0, 1], inverted windows, non-finite rates, Pareto shape <= 1,
-  /// negative weights, outage class out of range, ...).
+  /// Throws std::invalid_argument when any knob is out of range (a
+  /// fraction outside [0, 1] or leaving no good peer, a negative or
+  /// non-finite rate, an inverted window).
   void validate() const;
 };
 
 /// What the adversary layer did during one run.
 struct AdversaryStats {
   std::uint64_t abusers = 0;        ///< peers designated as abusers
-  std::uint64_t free_riders = 0;    ///< peers designated as free-riders
   std::uint64_t abuse_queries = 0;  ///< sprayed TTL-max searches served
   std::uint64_t abuse_hits = 0;     ///< sprayed searches that found a result
-  std::uint64_t outage_victims = 0; ///< peers crashed by the regional outage
-  std::uint64_t storm_kicks = 0;    ///< forced log-offs delivered
 };
 
 /// Builds the adversary RNG lane for a scenario seed.  Derived with

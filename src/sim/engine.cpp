@@ -100,17 +100,13 @@ OverlayEngine::OverlayEngine(EngineConfig cfg)
 }
 
 namespace {
-// The three layers whose state the snapshot format does not carry.
+// The two layers whose state the snapshot format does not carry.
 const char* kLoadSnapshotError =
     ": open-loop injection and snapshots are mutually exclusive (injected"
     " arrivals and admission queues are not checkpointed)";
 const char* kAdversarySnapshotError =
     ": the adversary layer and snapshots are mutually exclusive (the"
     " adversary lane and abuse attribution are not checkpointed)";
-const char* kCaptureSnapshotError =
-    ": --capture-trace and snapshots are mutually exclusive (captured"
-    " arrivals are not checkpointed, so a resumed capture would be"
-    " incomplete)";
 }  // namespace
 
 void OverlayEngine::run_event(const des::Event& e) {
@@ -120,12 +116,6 @@ void OverlayEngine::run_event(const des::Event& e) {
       return;
     case kKeyedAbuse:
       run_abuse_event();
-      return;
-    case kKeyedStormKick:
-      run_storm_kick();
-      return;
-    case kKeyedOutage:
-      run_regional_outage();
       return;
     case kKeyedArrival:
       run_generated_arrival();
@@ -193,7 +183,6 @@ std::uint64_t OverlayEngine::run_until_horizon() {
     for (const load::PeerQueue& q : load_queues_) pending += q.depth();
     load_stats_.pending = pending;
   }
-  if (capture_armed_) write_capture_file();
   if (bootstrap_underfills_ > 0 && !underfill_reported_) {
     underfill_reported_ = true;
     warn(cfg_.name + ": " + std::to_string(bootstrap_underfills_) +
@@ -391,10 +380,8 @@ void OverlayEngine::run_crash_tick() {
 void OverlayEngine::reject_snapshot_conflicts() const {
   if (load_opts_.enabled)
     throw std::invalid_argument(cfg_.name + kLoadSnapshotError);
-  if (adversary_plan_.enabled())
+  if (adversary_plan_.abusers_enabled())
     throw std::invalid_argument(cfg_.name + kAdversarySnapshotError);
-  if (capture_armed_)
-    throw std::invalid_argument(cfg_.name + kCaptureSnapshotError);
 }
 
 void OverlayEngine::request_snapshot_save(std::string path, double at_s) {
@@ -558,26 +545,37 @@ void OverlayEngine::read_overlay(snap::Reader::In& in) {
   // mutators bypass link maintenance so restored lists reproduce the saved
   // iteration order (and any deliberate dangling entries) exactly.
   for (net::NodeId u = 0; u < num_nodes(); ++u) overlay_.lists(u).clear();
-  const auto neighbor = [&] {
+  const auto neighbor = [&](net::NodeId u) {
     const net::NodeId v = in.u32();
     if (v >= num_nodes())
       throw snap::SnapshotError(cfg_.name + ": overlay neighbor id " +
                                 std::to_string(v) + " out of range");
+    if (v == u)
+      throw snap::SnapshotError(cfg_.name + ": overlay self-loop at node " +
+                                std::to_string(u));
     return v;
   };
   for (net::NodeId u = 0; u < num_nodes(); ++u) {
     const auto lists = overlay_.lists(u);
     const std::uint32_t n_out = in.u32();
     for (std::uint32_t i = 0; i < n_out; ++i)
-      if (!lists.add_out(neighbor()))
+      if (!lists.add_out(neighbor(u)))
         throw snap::SnapshotError(cfg_.name + ": overlay out-list restore "
                                               "failed (capacity mismatch?)");
     const std::uint32_t n_in = in.u32();
     for (std::uint32_t i = 0; i < n_in; ++i)
-      if (!lists.add_in(neighbor()))
+      if (!lists.add_in(neighbor(u)))
         throw snap::SnapshotError(cfg_.name + ": overlay in-list restore "
                                               "failed (capacity mismatch?)");
   }
+  // §3.1: every outgoing entry is listed back by its target, and a
+  // symmetric node's two lists agree.  link, unlink and isolate keep both
+  // ends (a crash leaves them alone), so every saved overlay passes.
+  if (!overlay_.consistent())
+    throw snap::SnapshotError(cfg_.name +
+                              ": overlay lists do not mirror each other (an "
+                              "outgoing entry its target does not list "
+                              "back)");
 }
 
 void OverlayEngine::write_events(snap::Writer::Out& out) {
@@ -646,11 +644,11 @@ void OverlayEngine::load_domain(snap::Reader::In&) {
                             ": scenario does not implement snapshots");
 }
 
-// --- adversarial & heterogeneous scenario layer ---------------------------
+// --- query-flood abusers --------------------------------------------------
 
 void OverlayEngine::set_adversary(AdversaryPlan plan) {
   plan.validate();
-  if (plan.enabled()) {
+  if (plan.abusers_enabled()) {
     if (save_requested_ || resumed_)
       throw std::invalid_argument(cfg_.name + kAdversarySnapshotError);
     if (sim_.now() > 0.0)
@@ -661,58 +659,21 @@ void OverlayEngine::set_adversary(AdversaryPlan plan) {
     adversary_rng_ = make_adversary_lane(cfg_.seed);
   }
   adversary_plan_ = plan;
-  adversary_capacity_ = plan.capacity_enabled();
-}
-
-void OverlayEngine::set_capture_trace(std::string path) {
-  if (path.empty())
-    throw std::invalid_argument(cfg_.name +
-                                ": --capture-trace path must be non-empty");
-  if (save_requested_ || resumed_)
-    throw std::invalid_argument(cfg_.name + kCaptureSnapshotError);
-  capture_path_ = std::move(path);
-  capture_armed_ = true;
 }
 
 void OverlayEngine::arm_adversary() {
-  if (!adversary_plan_.enabled()) return;
   const AdversaryPlan& p = adversary_plan_;
-  // Roles are drawn in a fixed order (abusers, then free-riders) so each
-  // adversity's draws are a deterministic function of the plan knobs.
-  if (p.abusers_enabled() || p.free_riders_enabled())
-    roles_.assign(num_nodes(), 0);
-  if (p.abusers_enabled()) {
-    std::size_t k = static_cast<std::size_t>(std::llround(
-        p.abuser_fraction * static_cast<double>(num_nodes())));
-    if (k == 0) k = 1;
-    if (k >= num_nodes()) k = num_nodes() - 1;
-    const std::vector<std::size_t> picks =
-        des::sample_without_replacement(num_nodes(), k, adversary_rng_);
-    abusers_.reserve(k);
-    for (std::size_t idx : picks) {
-      roles_[idx] |= kRoleAbuser;
-      abusers_.push_back(static_cast<net::NodeId>(idx));
-    }
-    std::sort(abusers_.begin(), abusers_.end());
-    adversary_stats_.abusers = abusers_.size();
-    schedule_next_abuse(std::max(p.abuse_start_s, sim_.now()));
-  }
-  if (p.free_riders_enabled()) {
-    // One Bernoulli per non-abuser, in node order.  Abusers keep their
-    // own (full) libraries: their pathology is traffic, not stinginess.
-    for (net::NodeId u = 0; u < num_nodes(); ++u) {
-      if ((roles_[u] & kRoleAbuser) != 0) continue;
-      if (adversary_rng_.bernoulli(p.free_rider_fraction)) {
-        roles_[u] |= kRoleFreeRider;
-        ++adversary_stats_.free_riders;
-      }
-    }
-  }
-  if (p.outage_enabled() && p.outage_at_s <= horizon_s())
-    sim_.schedule_at(std::max(p.outage_at_s, sim_.now()),
-                     des::Event{kKeyedOutage, 0, 0});
-  if (p.storm_enabled())
-    schedule_next_storm_kick(std::max(p.storm_start_s, sim_.now()));
+  if (!p.abusers_enabled()) return;
+  std::size_t k = static_cast<std::size_t>(
+      std::llround(p.abuser_fraction * static_cast<double>(num_nodes())));
+  if (k == 0) k = 1;
+  if (k >= num_nodes()) k = num_nodes() - 1;
+  const std::vector<std::size_t> picks =
+      des::sample_without_replacement(num_nodes(), k, adversary_rng_);
+  abusers_.assign(picks.begin(), picks.end());
+  std::sort(abusers_.begin(), abusers_.end());
+  adversary_stats_.abusers = abusers_.size();
+  schedule_next_abuse(std::max(p.abuse_start_s, sim_.now()));
 }
 
 void OverlayEngine::schedule_next_abuse(double from_s) {
@@ -748,57 +709,6 @@ void OverlayEngine::run_abuse_event() {
     inject_lane_ = prev;
   }
   schedule_next_abuse(now);
-}
-
-void OverlayEngine::run_regional_outage() {
-  const AdversaryPlan& p = adversary_plan_;
-  const auto cls = static_cast<net::BandwidthClass>(p.outage_class);
-  // Node order; a partial outage draws one Bernoulli per live class
-  // member.  crash_node leaves dangling neighbor entries, exactly like a
-  // CrashModel victim.
-  for (net::NodeId u = 0; u < num_nodes(); ++u) {
-    if (delay_.node_class(u) != cls || node_dead(u)) continue;
-    if (p.outage_fraction < 1.0 &&
-        !adversary_rng_.bernoulli(p.outage_fraction))
-      continue;
-    crash_node(u);
-    ++adversary_stats_.outage_victims;
-  }
-}
-
-void OverlayEngine::schedule_next_storm_kick(double from_s) {
-  const double at =
-      from_s + des::Exponential(1.0 / adversary_plan_.storm_rate_per_s)
-                   .sample(adversary_rng_);
-  if (at >= adversary_plan_.storm_end_s || at > horizon_s()) return;
-  sim_.schedule_at(at, des::Event{kKeyedStormKick, 0, 0});
-}
-
-void OverlayEngine::run_storm_kick() {
-  const double now = sim_.now();
-  if (adversary_churn_kick(adversary_rng_,
-                           adversary_plan_.storm_offline_mean_s,
-                           adversary_plan_.storm_pareto_shape))
-    ++adversary_stats_.storm_kicks;
-  schedule_next_storm_kick(now);
-}
-
-void OverlayEngine::write_capture_file() {
-  std::FILE* f = std::fopen(capture_path_.c_str(), "w");
-  if (!f)
-    throw std::runtime_error(cfg_.name + ": cannot open capture file '" +
-                             capture_path_ + "' for writing");
-  std::fprintf(f,
-               "# %s closed-loop query arrivals (time_s peer item); replay "
-               "with --open-loop --load-trace\n",
-               cfg_.name.c_str());
-  for (const CapturedArrival& a : captured_)
-    std::fprintf(f, "%.9f %llu %llu\n", a.t,
-                 static_cast<unsigned long long>(a.peer),
-                 static_cast<unsigned long long>(a.item));
-  if (std::fclose(f) != 0)
-    throw std::runtime_error(cfg_.name + ": failed writing capture file '" +
-                             capture_path_ + "'");
 }
 
 // --- open-loop load layer -------------------------------------------------

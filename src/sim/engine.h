@@ -18,10 +18,10 @@
 // (fill_random_neighbors, draw_initial_online) are documented with the
 // equivalence argument they rely on.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -308,20 +308,17 @@ class OverlayEngine {
   /// the layer is off).  `pending` is filled in at end of run.
   const load::LoadStats& load_stats() const noexcept { return load_stats_; }
 
-  /// --- adversarial & heterogeneous scenario layer (off by default: zero
-  /// draws, zero events — baseline runs stay byte-identical with the layer
-  /// compiled in; tests/sim/adversary_golden_test.cpp pins this) ----------
-  /// Arms the adversary layer: abuser/free-rider roles are drawn on the
-  /// dedicated adversary lane when the run starts, the abuse spray /
-  /// regional outage / churn storm processes are scheduled, and the
-  /// capacity knobs (per-class degree bounds, benefit weights) take
-  /// effect.  Must be called before run; mutually exclusive with
-  /// snapshots (std::invalid_argument; the adversary lane is not
-  /// serialized).
+  /// --- query-flood abusers (off by default: zero draws, zero events —
+  /// baseline runs stay byte-identical with the layer compiled in;
+  /// tests/sim/adversary_golden_test.cpp pins this) ------------------------
+  /// Arms the adversary layer: the abusers are drawn on the dedicated
+  /// adversary lane when the run starts and their spray is scheduled.
+  /// Must be called before run; mutually exclusive with snapshots
+  /// (std::invalid_argument; the adversary lane is not serialized).
   void set_adversary(AdversaryPlan plan);
 
-  /// What the layer did (role counts, sprayed queries, outage victims,
-  /// storm kicks).  All zero when the layer is off.
+  /// What the layer did (abusers, sprayed queries and their hits).  All
+  /// zero when the layer is off.
   const AdversaryStats& adversary_stats() const noexcept {
     return adversary_stats_;
   }
@@ -330,49 +327,13 @@ class OverlayEngine {
   /// subset of ledger(); InvariantChecker::check_abuse certifies the
   /// attribution.
   const MessageLedger& abuse_ledger() const noexcept { return abuse_ledger_; }
-  /// The designated abusers (empty until the run starts, and when off).
+  /// The designated abusers in ascending order (empty until the run
+  /// starts, and when off).
   const std::vector<net::NodeId>& abusers() const noexcept {
     return abusers_;
   }
   bool is_abuser(net::NodeId u) const noexcept {
-    return u < roles_.size() && (roles_[u] & kRoleAbuser) != 0;
-  }
-  /// True when `u` serves no content (but still issues its query load).
-  bool is_free_rider(net::NodeId u) const noexcept {
-    return u < roles_.size() && (roles_[u] & kRoleFreeRider) != 0;
-  }
-  /// Capacity-aware degree target for `u`: the per-class bound when the
-  /// plan sets one for `u`'s bandwidth class, `fallback` (the scenario's
-  /// configured degree) otherwise.  Applies to run-time fills and
-  /// neighbor updates; the construction-time bootstrap predates
-  /// set_adversary and keeps the configured degree.
-  std::size_t adversary_degree_bound(net::NodeId u,
-                                     std::size_t fallback) const noexcept {
-    if (!adversary_capacity_) return fallback;
-    const auto b =
-        adversary_plan_
-            .degree_bound[static_cast<int>(delay_.node_class(u))];
-    if (b == 0) return fallback;
-    return b < fallback ? b : fallback;
-  }
-  /// Per-class multiplier on the benefit credited for an answer delivered
-  /// by `u`; exactly 1.0 when the layer is off (callers may skip the
-  /// multiply entirely — the guard keeps the off path float-identical).
-  double adversary_benefit_weight(net::NodeId u) const noexcept {
-    if (!adversary_capacity_) return 1.0;
-    return adversary_plan_
-        .benefit_weight[static_cast<int>(delay_.node_class(u))];
-  }
-
-  /// --- closed-loop arrival capture (off by default) ----------------------
-  /// Records every closed-loop query arrival (time, issuing peer, item)
-  /// and writes them to `path` at end of run in the open-loop trace
-  /// grammar (`time_s peer item` per line), so a captured run can be
-  /// replayed through `--open-loop --load-trace`.
-  void set_capture_trace(std::string path);
-  /// Closed-loop arrivals captured so far (empty when capture is off).
-  std::uint64_t captured_arrivals() const noexcept {
-    return captured_.size();
+    return std::binary_search(abusers_.begin(), abusers_.end(), u);
   }
 
  protected:
@@ -419,8 +380,6 @@ class OverlayEngine {
   /// them again.
   static constexpr std::uint32_t kKeyedCrashTick = 2;  ///< crash-process tick
   static constexpr std::uint32_t kKeyedAbuse = 3;       ///< abuse spray
-  static constexpr std::uint32_t kKeyedStormKick = 4;   ///< churn-storm kick
-  static constexpr std::uint32_t kKeyedOutage = 5;      ///< regional outage
   static constexpr std::uint32_t kKeyedArrival = 6;     ///< generated arrival
   static constexpr std::uint32_t kKeyedTraceArrival = 7;  ///< a = trace index
   static constexpr std::uint32_t kKeyedLoadFinish = 8;  ///< a = serving peer
@@ -549,28 +508,6 @@ class OverlayEngine {
   /// neighbor entries are the point of an ungraceful crash.
   virtual void on_peer_crashed(net::NodeId /*u*/) {}
 
-  /// --- churn-storm hook -------------------------------------------------
-  /// Delivers one forced log-off: the scenario picks a currently on-line
-  /// peer (uniformly, drawing only from `lane`), logs it off immediately,
-  /// and reschedules its comeback after a Pareto-tailed offline time of
-  /// mean `offline_mean_s` and shape `shape` sampled from `lane`.  Returns
-  /// true when a peer was actually kicked (false when nobody is on-line,
-  /// or the scenario has no session model — the default).  Must draw
-  /// exclusively from `lane`, never from the session/master streams.
-  virtual bool adversary_churn_kick(des::Rng& /*lane*/,
-                                    double /*offline_mean_s*/,
-                                    double /*shape*/) {
-    return false;
-  }
-
-  /// --- closed-loop capture hook ----------------------------------------
-  /// Scenarios call this at their closed-loop query-issue site (one call
-  /// per issued search, before the search runs).  One predicted branch
-  /// when capture is off.
-  void capture_query_arrival(net::NodeId peer, std::uint64_t item) {
-    if (capture_armed_) captured_.push_back({sim_.now(), peer, item});
-  }
-
   /// --- scenario snapshot hooks -----------------------------------------
   /// Serialize/restore the scenario's own mutable state (caches, stats,
   /// partial results).  Immutable construction-time state (catalogs,
@@ -613,16 +550,6 @@ class OverlayEngine {
            attempts-- > 0) {
       const net::NodeId v = pick();
       if (v == u || lists.has_out(v)) continue;
-      // Capacity-aware refusal: under a symmetric relation the link grows
-      // v's list too, so a candidate at its class degree bound declines
-      // the probe (consuming the attempt, like any failed link).  Inert
-      // when the adversary layer is off — link()'s own table-full check
-      // is then the only limit.
-      if (adversary_capacity_ &&
-          overlay_.lists(v).out().size() >=
-              adversary_degree_bound(
-                  v, std::numeric_limits<std::size_t>::max()))
-        continue;
       if (overlay_.link(u, v)) on_link(v);  // fails harmlessly if v is full
     }
     if (lists.out().size() < target && !lists.out_full())
@@ -656,8 +583,8 @@ class OverlayEngine {
  private:
   /// --- snapshot plumbing ------------------------------------------------
   /// Throws std::invalid_argument naming the armed layer when open-loop
-  /// injection, the adversary layer or arrival capture is armed: their
-  /// state is not checkpointed, so a snapshot cannot be saved or loaded.
+  /// injection or the adversary layer is armed: their state is not
+  /// checkpointed, so a snapshot cannot be saved or loaded.
   void reject_snapshot_conflicts() const;
   /// The simulator's handler: runs the engine's own kinds and hands every
   /// other kind to on_event.
@@ -737,16 +664,12 @@ class OverlayEngine {
     bool prev_ = false;
   };
 
-  /// Draws the abuser/free-rider roles and schedules the abuse spray, the
-  /// regional outage and the churn storm.  Called once at the top of the
-  /// horizon loop; zero draws and zero events when the plan is disabled.
+  /// Draws the abusers and schedules their spray.  Called once at the top
+  /// of the horizon loop; zero draws and zero events when the plan is
+  /// disabled.
   void arm_adversary();
   void schedule_next_abuse(double from_s);
   void run_abuse_event();
-  void run_regional_outage();
-  void schedule_next_storm_kick(double from_s);
-  void run_storm_kick();
-  void write_capture_file();
 
   /// --- open-loop machinery ----------------------------------------------
   void arm_open_loop();
@@ -792,30 +715,16 @@ class OverlayEngine {
   /// Adversary-layer state.  The decision lane is derived (never split)
   /// from the scenario seed in set_adversary; with the plan disabled
   /// nothing here draws or schedules, which is the byte-identity half of
-  /// the contract.  roles_ stays empty until arm_adversary runs.
-  static constexpr std::uint8_t kRoleAbuser = 1;
-  static constexpr std::uint8_t kRoleFreeRider = 2;
+  /// the contract.  abusers_ stays empty until arm_adversary runs.
   AdversaryPlan adversary_plan_;
   AdversaryStats adversary_stats_;
   MessageLedger abuse_ledger_;
   des::Rng adversary_rng_;
-  std::vector<std::uint8_t> roles_;
-  std::vector<net::NodeId> abusers_;
+  std::vector<net::NodeId> abusers_;  ///< sorted ascending
   bool abuse_ambient_ = false;
-  bool adversary_capacity_ = false;  ///< capacity knobs engaged
   /// Where serve_injected_query's kAnyItem draws come from: the load lane
   /// normally, the adversary lane while serving a sprayed abuse query.
   des::Rng* inject_lane_ = &load_rng_;
-
-  /// Closed-loop capture state (off: one dead branch per issued query).
-  struct CapturedArrival {
-    double t = 0.0;
-    net::NodeId peer = net::kInvalidNode;
-    std::uint64_t item = 0;
-  };
-  std::string capture_path_;
-  bool capture_armed_ = false;
-  std::vector<CapturedArrival> captured_;
 
   /// Flight-recorder state.  `obs_` is non-null only while a sink is
   /// attached; span ids are issued 1-based so 0 means "no span".

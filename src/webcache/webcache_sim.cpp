@@ -104,10 +104,7 @@ double WebCacheSim::serve_page(net::NodeId p, PageId page, bool record,
     if (!send(net::MessageType::kQuery, p, q, 1).deliver) continue;
     // Reply lost: the probe goes unanswered.
     if (!send(net::MessageType::kQueryReply, q, p, -1).deliver) continue;
-    // Free-riders (adversary layer) never serve from their cache; the role
-    // test is a single always-false branch when the layer is off.
-    if (holder == net::kInvalidNode && !is_free_rider(q) &&
-        proxies_[q].cache.contains(page))
+    if (holder == net::kInvalidNode && proxies_[q].cache.contains(page))
       holder = q;
   }
   if (holder != net::kInvalidNode) {
@@ -119,8 +116,7 @@ double WebCacheSim::serve_page(net::NodeId p, PageId page, bool record,
       info.responder = holder;
       info.items = 1.0;
       info.latency_s = latency;
-      proxy.stats.add(holder,
-                      benefit_.benefit(info) * adversary_benefit_weight(holder));
+      proxy.stats.add(holder, benefit_.benefit(info));
     }
   } else if (config_.num_parents > 0 && !overlay_.out_neighbors(p).empty() &&
              !node_dead(overlay_.out_neighbors(p).front())) {
@@ -148,7 +144,6 @@ double WebCacheSim::serve_page(net::NodeId p, PageId page, bool record,
 void WebCacheSim::request(net::NodeId p) {
   if (node_dead(p)) return;  // a crashed proxy stops serving its clients
   const PageId page = draw_page(p);
-  capture_query_arrival(p, page);
   if (reporting()) ++result_.requests;
   serve_page(p, page, reporting(), nullptr);
   sim_.schedule_in(interrequest_.sample(rng()), des::Event{kWebRequest, p, 0});
@@ -202,7 +197,7 @@ void WebCacheSim::explore_from(net::NodeId p) {
       info.responder = q;
       info.items = overlap;
       info.latency_s = 2.0 * delay_.mean_delay_s(p, q);
-      proxy.stats.add(q, benefit_.benefit(info) * adversary_benefit_weight(q));
+      proxy.stats.add(q, benefit_.benefit(info));
     }
   }
 }
@@ -213,8 +208,7 @@ void WebCacheSim::update_neighbors(net::NodeId p) {
   // no agreement needed, the incoming side accepts everyone.  Hierarchy
   // mode restricts eligibility to the top-level proxies.
   const auto plan = core::plan_update(
-      proxies_[p].stats, overlay_.out_neighbors(p),
-      adversary_degree_bound(p, config_.num_neighbors),
+      proxies_[p].stats, overlay_.out_neighbors(p), config_.num_neighbors,
       [this, p](net::NodeId n) {
         return n != p && (config_.num_parents == 0 || is_parent(n));
       });

@@ -1,6 +1,7 @@
 // The --fault-* group's value checks: every out-of-range value is a
 // FlagError (usage exit 2 in dsf_sim) whose message names the flag as
-// typed and its value, not the sim::FaultRule field behind it.
+// typed and its value, not the sim::FaultRule field behind it.  A modifier
+// of a fault that is off is a FlagError naming what it needs.
 #include "cli/fault_flags.h"
 
 #include <gtest/gtest.h>
@@ -65,6 +66,38 @@ TEST(FaultFlags, DelayWindowAndCrashErrorsNameTheFlagAndValue) {
   EXPECT_EQ(error_of({"--fault-crash-start", "-5"}),
             "--fault-crash-start/--fault-crash-end: need 0 <= start < end, "
             "got -5 and inf");
+}
+
+TEST(FaultFlags, ModifiersNeedTheFaultTheyModify) {
+  const std::string delay =
+      " needs --fault-delay or a --fault-delay-<type> override";
+  EXPECT_EQ(error_of({"--fault-delay-s", "3"}), "--fault-delay-s" + delay);
+  EXPECT_EQ(error_of({"--fault-drop", "0.1", "--fault-delay-s", "3"}),
+            "--fault-delay-s" + delay);
+  const std::string probability =
+      " needs a fault probability (--fault-drop, --fault-dup, --fault-delay "
+      "or a per-type override)";
+  EXPECT_EQ(error_of({"--fault-window-start", "100"}),
+            "--fault-window-start" + probability);
+  EXPECT_EQ(error_of({"--fault-window-end", "100"}),
+            "--fault-window-end" + probability);
+  for (const char* flag :
+       {"--fault-crash-max", "--fault-crash-start", "--fault-crash-end"}) {
+    EXPECT_EQ(error_of({flag, "3"}),
+              std::string(flag) + " needs --fault-crash-rate");
+    EXPECT_EQ(error_of({"--fault-crash-rate", "0", flag, "3"}),
+              std::string(flag) + " needs --fault-crash-rate");
+  }
+  // The modifier's fault may come from a per-type override alone.
+  EXPECT_EQ(error_of({"--fault-delay-s", "3", "--fault-delay-query", "0.1"}),
+            "");
+  EXPECT_EQ(error_of({"--fault-window-start", "100", "--fault-drop-ping",
+                      "0.2"}),
+            "");
+  EXPECT_EQ(error_of({"--fault-crash-rate", "2", "--fault-crash-max", "3",
+                      "--fault-crash-start", "60", "--fault-crash-end",
+                      "600"}),
+            "");
 }
 
 TEST(FaultFlags, InRangeValuesAreAccepted) {

@@ -1,11 +1,9 @@
-// Golden pins for the two gnutella paths that supersede a user's pending
-// session and query records: a crash (the victim's records must never
-// run, so it stays off-line for good) and a churn-storm kick (the pending
-// log-off and the session model's comeback give way to the storm's
-// Pareto comeback).  A superseded record still pops; if it ran, a crashed
-// user would log back in and a kicked user would come back early, and
-// both fingerprints would move.  The values were captured before the
-// queue lost cancellation, when these records were cancelled instead.
+// Golden pin for the gnutella path that supersedes a user's pending
+// session and query records on a crash: the victim's records must never
+// run, so it stays off-line for good.  A superseded record still pops; if
+// it ran, a crashed user would log back in and the fingerprint would
+// move.  The value was captured before the queue lost cancellation, when
+// these records were cancelled instead.
 //
 // Also: the three post-warm-up totals count exactly the reporting window
 // when the horizon or the warm-up is not a whole hour.
@@ -21,7 +19,6 @@ namespace {
 using simtest::fingerprint;
 
 constexpr std::uint64_t kCrashModelGolden = 0xe0fb31a1cff4d980ULL;
-constexpr std::uint64_t kChurnStormGolden = 0x05884158d90eb4feULL;
 
 /// The golden gnutella configuration cut to two whole hours, so the
 /// totals read the same hour buckets as the hourly series.
@@ -40,16 +37,6 @@ TEST(GnutellaChurnGolden, CrashModelAtFourPerHour) {
   const auto r = sim.run();
   EXPECT_GT(sim.crashes(), 0u);
   EXPECT_EQ(fingerprint(r).value(), kCrashModelGolden);
-}
-
-TEST(GnutellaChurnGolden, ChurnStormAtOneKickPerTwentySeconds) {
-  sim::AdversaryPlan plan;
-  plan.storm_rate_per_s = 0.05;
-  gnutella::Simulation sim(two_hour_config());
-  sim.set_adversary(plan);
-  const auto r = sim.run();
-  EXPECT_GT(sim.adversary_stats().storm_kicks, 0u);
-  EXPECT_EQ(fingerprint(r).value(), kChurnStormGolden);
 }
 
 /// Runs the golden population with the given horizon and warm-up and

@@ -260,10 +260,10 @@ TEST(OverlayEngine, TooDenseConfigReportsUnderfillFromRealRun) {
 }
 
 TEST(OverlayEngine, SnapshotExclusionsNameBothLayers) {
-  // Open-loop injection, the adversary layer and arrival capture keep
-  // state the snapshot format does not carry.  Each is rejected against a
-  // snapshot in every order — armed before a save or a load, or armed
-  // after either — with an error naming both layers.
+  // Open-loop injection and the adversary layer keep state the snapshot
+  // format does not carry.  Each is rejected against a snapshot in every
+  // order — armed before a save or a load, or armed after either — with
+  // an error naming both layers.
   diglib::DigLibConfig c;
   c.num_repositories = 8;
   c.num_docs = 200;
@@ -290,8 +290,6 @@ TEST(OverlayEngine, SnapshotExclusionsNameBothLayers) {
   const std::vector<std::pair<std::string, Arm>> layers{
       {"open-loop", [&](diglib::DigLibSim& s) { s.set_open_loop(open_loop); }},
       {"adversary", [&](diglib::DigLibSim& s) { s.set_adversary(adversary); }},
-      {"capture-trace",
-       [&](diglib::DigLibSim& s) { s.set_capture_trace(path + ".cap"); }},
   };
   const auto expect_conflict = [](const std::string& layer,
                                   const std::string& order,

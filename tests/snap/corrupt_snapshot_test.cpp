@@ -6,7 +6,8 @@
 // simulation untouched (the reader validates the whole file before any
 // state is applied, so the same object can still load a good file
 // afterwards).  Damage behind a recomputed CRC — a node id at or above the
-// population, a roster position that names someone else, a clock, due
+// population, an overlay self-loop or an outgoing entry its target does
+// not list back, a roster position that names someone else, a clock, due
 // time or benefit that is not finite, an event record no resumed run can
 // schedule, a cache key out of range or repeated, a cache fuller than its
 // capacity — must be rejected typed at load, before the first event runs.
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -173,6 +175,28 @@ std::vector<unsigned char> rewrite_first_cache(
   }
   ADD_FAILURE() << "no domain section";
   return bytes;
+}
+
+/// Rewrites the first outgoing entry of the first node that has one to
+/// `pick(u, out)`, where u is that node and `out` its outgoing list, and
+/// recomputes the overlay section's CRC.
+template <typename Pick>
+std::vector<unsigned char> rewrite_first_out_entry(
+    const std::vector<unsigned char>& bytes, Pick&& pick) {
+  return rewrite_section(
+      bytes, snap::SectionId::kOverlay,
+      [&](std::vector<unsigned char>& b, std::size_t at) {
+        // Per node: u32 n_out, the out-list, u32 n_in, the in-list.
+        std::uint32_t u = 0;
+        for (; read_u32(b, at) == 0; ++u) {
+          at += 4;
+          at += 4 + 4 * static_cast<std::size_t>(read_u32(b, at));
+        }
+        std::vector<std::uint32_t> out(read_u32(b, at));
+        for (std::size_t i = 0; i < out.size(); ++i)
+          out[i] = read_u32(b, at + 4 + 4 * i);
+        put_u32(b, at + 4, pick(u, out));
+      });
 }
 
 /// Absolute offsets of the fields the gnutella domain checks guard, laid
@@ -454,6 +478,34 @@ TEST_F(CorruptSnapshotTest, OverlayNeighborIdOutOfRange) {
     expect_semantic_rejection<olap::OlapSim>(tiny_olap(), bytes,
                                              "overlay neighbor id");
   }
+}
+
+TEST_F(CorruptSnapshotTest, OverlaySelfLoopIsRejected) {
+  // No link() forms v -> v; a restored self-loop would make the node its
+  // own neighbor in every search and update.
+  const auto self = [](std::uint32_t u, const std::vector<std::uint32_t>&) {
+    return u;
+  };
+  expect_semantic_rejection<olap::OlapSim>(
+      tiny_olap(), rewrite_first_out_entry(*good_bytes_, self), "self-loop");
+  expect_semantic_rejection<gnutella::Simulation>(
+      tiny_gnutella(), rewrite_first_out_entry(*gnutella_bytes_, self),
+      "self-loop");
+}
+
+TEST_F(CorruptSnapshotTest, OverlayEntryWithoutItsMirrorIsRejected) {
+  // An outgoing entry u -> v whose target does not list u back (§3.1):
+  // the first id that is neither u nor one of u's neighbors.
+  const auto bytes = rewrite_first_out_entry(
+      *good_bytes_,
+      [](std::uint32_t u, const std::vector<std::uint32_t>& out) {
+        std::uint32_t v = 0;
+        while (v == u || std::find(out.begin(), out.end(), v) != out.end())
+          ++v;
+        return v;
+      });
+  expect_semantic_rejection<olap::OlapSim>(tiny_olap(), bytes,
+                                           "do not mirror");
 }
 
 TEST_F(CorruptSnapshotTest, StatsStorePeerIdOutOfRange) {

@@ -139,8 +139,8 @@ TEST(DistributionsStat, ZipfPassesChiSquare) {
 }
 
 TEST(DistributionsStat, ParetoSessionTailPassesChiSquare) {
-  // The adversary layer's churn-storm parameterization (offline mean
-  // 600 s, shape 1.5 — the heavy session tail): chi-square over 100
+  // SessionModel's heavy-tailed sessions (DurationKind::kPareto, shape
+  // 1.5 — the heavy session tail), here at mean 600 s: chi-square over 100
   // equal-probability bins, so the statistic weighs the far tail as
   // heavily as the body.  Catches a clipped or re-scaled tail that the
   // KS statistic (dominated by the body) can miss.

@@ -39,7 +39,7 @@
 //                            ring; never changes the run)
 //
 // Every scenario also accepts the snapshot group (mutually exclusive with
-// the open-loop and adversary groups and --capture-trace):
+// the open-loop and adversary groups):
 //
 //   --save-snapshot PATH@T   run to sim-second T, write a checkpoint of the
 //                            full simulation state to PATH, continue to the
@@ -62,28 +62,20 @@
 //                            ("time_s peer item" per line) instead of the
 //                            generator
 //
-// and the adversary group (mutually exclusive with snapshots; see
-// cli/adversary_flags.h for the full knob list):
+// and the adversary group (mutually exclusive with snapshots):
 //
 //   --adversary-abusers F --adversary-abuse-rate R
 //                            query-flood abusers spraying TTL-max searches
-//   --adversary-free-riders F
-//                            peers that serve nothing but query fully
-//   --adversary-outage-class C --adversary-outage-at S
-//                            correlated regional outage of a delay class
-//   --adversary-storm-rate R churn storms with Pareto session tails
-//                            (gnutella only: the other scenarios model
-//                            no sessions, so the five --adversary-storm-*
-//                            flags are usage errors there)
-//   --adversary-degree-<class> N / --adversary-weight-<class> W
-//                            heterogeneous per-class capacity
+//   --adversary-abuse-start S / --adversary-abuse-end S
+//                            confine the spray to a window
 //   --adversary-check        audit abuse attribution; exit 4 on violation
-//   --capture-trace PATH     write the closed-loop query arrivals in the
-//                            "time_s peer item" grammar for later
-//                            --open-loop --load-trace replay
 //
-// Exit codes: 0 success; 1 a runtime failure (an unreadable load trace,
-// an unwritable capture file); 2 a command-line error — an unknown
+// A modifier flag without the flag it modifies (--trace-buffer without
+// --trace ring, --fault-crash-max without --fault-crash-rate, ...) is a
+// usage error, not a run that ignores it.
+//
+// Exit codes: 0 success; 1 a runtime failure (an unreadable load trace);
+// 2 a command-line error — an unknown
 // option (rejected with a nearest-match suggestion), a value that does
 // not parse as, overflows or falls outside its declared type or range, or
 // flags and layers that cannot run together; 3 the trace export could
@@ -208,8 +200,7 @@ cli::FlagRegistry make_registry() {
 
 /// The scenario flags each scenario reads.  --peers, --hours, --warmup and
 /// --seed are common to all four and left out; every flag listed here
-/// belongs only to the scenarios whose row names it.  The churn storm
-/// kicks peers out of their sessions, which only gnutella models.
+/// belongs only to the scenarios whose row names it.
 struct ScenarioFlags {
   const char* scenario;
   std::vector<std::string> reads;
@@ -217,9 +208,7 @@ struct ScenarioFlags {
 const ScenarioFlags kScenarioFlags[] = {
     {"gnutella",
      {"users", "hops", "threshold", "dynamic", "library-growth",
-      "exclude-owned", "search-scheme", "top-k", "adversary-storm-rate",
-      "adversary-storm-start", "adversary-storm-end", "adversary-storm-shape",
-      "adversary-storm-offline-s"}},
+      "exclude-owned", "search-scheme", "top-k"}},
     {"webcache", {"proxies", "dynamic"}},
     {"olap", {"dynamic"}},
     {"diglib", {"repos", "mode", "search-scheme", "top-k"}},
@@ -358,8 +347,8 @@ struct FaultContext {
   }
 };
 
-/// Parses the --adversary-* group (plus --capture-trace) once, arms a
-/// scenario engine before run(), and audits abuse attribution after when
+/// Parses the --adversary-* group once, arms a scenario engine before
+/// run(), and audits abuse attribution after when
 /// --adversary-check was requested.  The checker instance is shared with
 /// FaultContext so --fault-check and --adversary-check compose into one
 /// audit over the same trace stream.
@@ -370,9 +359,7 @@ struct AdversaryContext {
       : opts(cli::adversary_options_from(reg)) {}
 
   void arm(sim::OverlayEngine& engine, FaultContext& fault) {
-    if (opts.plan.enabled()) engine.set_adversary(opts.plan);
-    if (!opts.capture_path.empty())
-      engine.set_capture_trace(opts.capture_path);
+    if (opts.plan.abusers_enabled()) engine.set_adversary(opts.plan);
     // FaultContext::arm attaches the checker itself when --fault-check is
     // set; only the adversary-only case needs the attachment here.
     if (opts.check && !fault.opts.check)
@@ -394,13 +381,9 @@ struct AdversaryContext {
     const sim::AdversaryStats& s = engine.adversary_stats();
     std::fprintf(stderr,
                  "adversary-check: ok (%llu abusers, %llu abuse queries, "
-                 "%llu free-riders, %llu outage victims, %llu storm kicks, "
                  "0 violations)\n",
                  static_cast<unsigned long long>(s.abusers),
-                 static_cast<unsigned long long>(s.abuse_queries),
-                 static_cast<unsigned long long>(s.free_riders),
-                 static_cast<unsigned long long>(s.outage_victims),
-                 static_cast<unsigned long long>(s.storm_kicks));
+                 static_cast<unsigned long long>(s.abuse_queries));
     return 0;
   }
 };
@@ -425,13 +408,10 @@ struct TraceContext {
     if (!(heartbeat_s >= 0.0 && std::isfinite(heartbeat_s)))
       throw std::invalid_argument(
           "--heartbeat: must be a finite period >= 0 sim-seconds");
+    reg.require(mode == "ring", "--trace ring",
+                {"trace-buffer", "trace-out", "trace-spans", "heartbeat"});
     if (mode == "ring")
       ring = std::make_unique<obs::RingSink>(static_cast<std::size_t>(cap));
-    if ((spans || !out_path.empty()) && !ring)
-      throw std::invalid_argument(
-          "--trace-out/--trace-spans need --trace ring");
-    if (heartbeat_s > 0.0 && !ring)
-      throw std::invalid_argument("--heartbeat needs --trace ring");
   }
 
   void arm(sim::OverlayEngine& engine) {
