@@ -132,6 +132,17 @@ struct SearchScratch {
   std::vector<double> floor_scores;  ///< ranked scheme: k best arrived scores
 };
 
+/// Advances `delay`'s lane past one draw whose value nothing reads:
+/// through the binding's skip() when it has one, else by drawing and
+/// dropping the value.
+template <typename DelayFn>
+void skip_delay(DelayFn& delay, net::NodeId from, net::NodeId to) {
+  if constexpr (requires { delay.skip(from, to); })
+    delay.skip(from, to);
+  else
+    (void)delay(from, to);
+}
+
 /// Generic BFS query flood over an overlay (Algo 1 with the Gnutella
 /// forwarding rule: forward to every outgoing neighbor except the sender;
 /// duplicate deliveries are transmitted — and therefore counted — but
@@ -144,8 +155,16 @@ struct SearchScratch {
 /// at completion (see DESIGN.md §1.4).
 ///
 /// `neighbors(n)`  -> const std::vector<net::NodeId>& : outgoing list of n
-/// `has_content(n)`-> bool : does n hold the requested item
+/// `has_content(n)`-> bool : does n hold the requested item.  It must be a
+///    pure lookup that draws nothing: the flood asks it before the
+///    delivery's delay draw.
 /// `delay(a, b)`   -> double : one-way delay seconds for this transmission
+/// `delay.skip(a, b)` (optional) : advances the delay lane exactly as
+///    delay(a, b) would.  A first delivery at the last hop to a node
+///    without the item forwards nothing and replies nothing, so nothing
+///    reads its arrival time; the flood skips that draw when the binding
+///    can (net::DelayLane), and otherwise calls delay(a, b) and drops the
+///    value.  Either way the lane ends where the eager draw leaves it.
 /// `transmit(type, from, to, ttl)` -> TransmitResult : transport verdict
 ///    for one copy (ReliableTransmit, or the engine's fault layer); `ttl`
 ///    is the remaining hop budget carried by a query, -1 for replies.
@@ -183,15 +202,20 @@ SearchOutcome flood_search(net::NodeId initiator, const SearchParams& params,
       // the node may still be reached through another path.
       if (!tq.deliver) continue;
       if (!stamps.mark(nbr)) continue;  // duplicate: receiver discards
-      // Delay is sampled only for first deliveries: duplicates are counted
-      // above but need no timestamp, which halves RNG work in the flood.
-      const double arrival =
-          cur.arrival_s + delay(cur.node, nbr) + tq.extra_delay_s;
       ++out.nodes_reached;
-
       const int hop = cur.hop + 1;
       bool forward = hop < params.max_hops;
-      if (has_content(nbr)) {
+      const bool holds = has_content(nbr);
+      // Delay is sampled only for first deliveries: duplicates are counted
+      // above but need no timestamp, which halves RNG work in the flood.
+      // A last-hop non-holder's arrival is never read either.
+      if (!holds && !forward) {
+        skip_delay(delay, cur.node, nbr);
+        continue;
+      }
+      const double arrival =
+          cur.arrival_s + delay(cur.node, nbr) + tq.extra_delay_s;
+      if (holds) {
         const double reply_at = arrival + delay(nbr, initiator);
         if (reply_at <= params.timeout_s) {
           ++out.reply_messages;

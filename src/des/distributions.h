@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <numbers>
 #include <vector>
 
 #include "des/rng.h"
@@ -27,6 +29,9 @@ class Exponential {
 /// [10 ms, 2μ] as documented in DESIGN.md).
 class TruncatedGaussian {
  public:
+  /// Throws std::invalid_argument unless the mean is finite, σ is finite
+  /// and positive, and lo < hi: with a NaN mean or an infinite σ no
+  /// candidate ever lands in the window and sample() would never return.
   TruncatedGaussian(double mean, double stddev, double lo, double hi);
 
   double mean() const noexcept { return mean_; }
@@ -34,13 +39,57 @@ class TruncatedGaussian {
   double lo() const noexcept { return lo_; }
   double hi() const noexcept { return hi_; }
 
-  double sample(Rng& rng) const noexcept;
+  double sample(Rng& rng) const noexcept {
+    // Box–Muller with rejection.  The truncation windows used in this
+    // project cover several standard deviations around the mean, so
+    // rejection is rare and the expected cost is ~1 normal draw per sample.
+    for (;;) {
+      const double u1 = 1.0 - rng.uniform();  // (0, 1]
+      const double u2 = rng.uniform();
+      double x = 0.0;
+      if (accept(u1, u2, x)) return x;
+    }
+  }
+
+  /// Advances `rng` exactly as sample() would, for a draw whose value
+  /// nothing reads.  A pair with u1 above sure_accept_u1_ has a radius
+  /// below the window's half-width, so sample() would accept its first
+  /// candidate; only the other pairs pay for log, sqrt and cos.
+  void skip(Rng& rng) const noexcept {
+    for (;;) {
+      const double u1 = 1.0 - rng.uniform();
+      const double u2 = rng.uniform();
+      if (u1 > sure_accept_u1_) return;
+      double x = 0.0;
+      if (accept(u1, u2, x)) return;
+    }
+  }
 
  private:
+  /// Box–Muller on one uniform pair: sets `x` to the first of its two
+  /// candidates that lands in the window (the sine only when the cosine's
+  /// misses) and says whether one did.
+  bool accept(double u1, double u2, double& x) const noexcept {
+    const double r = std::sqrt(-2.0 * std::log(u1));
+    const double theta = 2.0 * std::numbers::pi * u2;
+    x = mean_ + stddev_ * (r * std::cos(theta));
+    if (x >= lo_ && x <= hi_) return true;
+    x = mean_ + stddev_ * (r * sine(theta));
+    return x >= lo_ && x <= hi_;
+  }
+  /// std::sin, out of line so that the compiler cannot fuse it with the
+  /// cosine above into one sincos that computes the sine for every pair.
+  static double sine(double theta) noexcept;
+
   double mean_;
   double stddev_;
   double lo_;
   double hi_;
+  /// exp(−z²/2) for z the distance from the mean to the nearer bound in
+  /// σ units, less a margin far above the rounding of the Box–Muller
+  /// arithmetic; 1.0 (never exceeded) when the window does not hold the
+  /// mean strictly inside.
+  double sure_accept_u1_;
 };
 
 /// Zipf distribution over ranks 1..n with exponent theta:

@@ -2,14 +2,6 @@
 
 namespace dsf::des {
 
-namespace {
-
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -22,7 +14,7 @@ std::uint64_t hash_seed(std::uint64_t seed, std::uint64_t stream) noexcept {
   std::uint64_t a = splitmix64(s);
   s ^= stream * 0xda942042e4dd58b5ULL;
   std::uint64_t b = splitmix64(s);
-  return a ^ rotl(b, 23);
+  return a ^ detail::rotl(b, 23);
 }
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -30,49 +22,8 @@ Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& word : s_) word = splitmix64(s);
 }
 
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t Rng::uniform_int(std::uint64_t n) noexcept {
-  // Lemire's nearly-divisionless method.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * n;
-  std::uint64_t l = static_cast<std::uint64_t>(m);
-  if (l < n) {
-    const std::uint64_t threshold = -n % n;
-    while (l < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * n;
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform_int(span));
-}
-
 Rng Rng::split() noexcept {
-  std::uint64_t s = next() ^ rotl(next(), 31);
+  std::uint64_t s = next() ^ detail::rotl(next(), 31);
   Rng child(0);
   for (auto& word : child.s_) word = splitmix64(s);
   return child;

@@ -6,6 +6,12 @@
 
 namespace dsf::des {
 
+namespace detail {
+constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+  return (x << k) | (x >> (64 - k));
+}
+}  // namespace detail
+
 /// Deterministic, splittable pseudo-random number generator.
 ///
 /// The generator is xoshiro256** seeded through SplitMix64, which gives
@@ -23,7 +29,17 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
 
   /// Next raw 64-bit value.
-  std::uint64_t next() noexcept;
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = detail::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = detail::rotl(s_[3], 45);
+    return result;
+  }
 
   /// UniformRandomBitGenerator interface so `Rng` plugs into <random>.
   std::uint64_t operator()() noexcept { return next(); }
@@ -33,17 +49,38 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).  Uses the top 53 bits.
-  double uniform() noexcept;
+  double uniform() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) noexcept;
+  double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Uniform integer in [0, n).  `n` must be > 0.  Uses Lemire rejection to
   /// avoid modulo bias.
-  std::uint64_t uniform_int(std::uint64_t n) noexcept;
+  std::uint64_t uniform_int(std::uint64_t n) noexcept {
+    // Lemire's nearly-divisionless method.
+    std::uint64_t x = next();
+    __uint128_t m = static_cast<__uint128_t>(x) * n;
+    std::uint64_t l = static_cast<std::uint64_t>(m);
+    if (l < n) {
+      const std::uint64_t threshold = -n % n;
+      while (l < threshold) {
+        x = next();
+        m = static_cast<__uint128_t>(x) * n;
+        l = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
+    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+    return lo + static_cast<std::int64_t>(uniform_int(span));
+  }
 
   /// Bernoulli trial with success probability `p`.
   bool bernoulli(double p) noexcept { return uniform() < p; }

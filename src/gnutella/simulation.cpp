@@ -63,7 +63,7 @@ Simulation::Simulation(const Config& config)
   for (auto& c : cold_) {
     c.profile = profiles.generate(profile_rng);
     // Generation order and RNG draws are identical to the per-user Library
-    // path; the pool only changes where the sorted songs end up living.
+    // path; the pool only changes where the songs end up living.
     libraries_.append(library_gen_.generate(c.profile, profile_rng));
   }
 

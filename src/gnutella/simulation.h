@@ -93,13 +93,6 @@ class Simulation : public sim::OverlayEngine {
   const Config& config() const noexcept { return config_; }
   const workload::Catalog& catalog() const noexcept { return catalog_; }
   bool online(net::NodeId u) const { return hot_.at(u).online; }
-  /// The user's construction-time library, sorted ascending.  Songs
-  /// downloaded afterwards (library_growth) live in the pool's spill lists
-  /// and are visible through owns(), not here — mirroring the
-  /// digests-stay-as-built rule.
-  std::span<const workload::SongId> library(net::NodeId u) const {
-    return libraries_.base(u);
-  }
   /// Ownership including downloaded songs.
   bool owns(net::NodeId u, workload::SongId s) const {
     return libraries_.contains(u, s);

@@ -36,13 +36,6 @@ DelayModel::DelayModel(std::vector<BandwidthClass> classes,
     throw std::invalid_argument("DelayModel: empty class assignment");
 }
 
-double DelayModel::sample_delay_s(NodeId from, NodeId to,
-                                  des::Rng& rng) const {
-  const BandwidthClass governing =
-      slower_of(node_class(from), node_class(to));
-  return dists_[static_cast<int>(governing)].sample(rng);
-}
-
 double DelayModel::mean_delay_s(NodeId from, NodeId to) const {
   return mean_one_way_delay_s(slower_of(node_class(from), node_class(to)));
 }

@@ -46,16 +46,46 @@ class DelayModel {
   }
 
   /// Samples the one-way delay (seconds) from `from` to `to`.  Symmetric in
-  /// distribution: governed by the slower endpoint.
-  double sample_delay_s(NodeId from, NodeId to, des::Rng& rng) const;
+  /// distribution: governed by the slower endpoint.  Both ids must be
+  /// below size(): this is the flood's per-delivery draw, so the class
+  /// reads are unchecked.
+  double sample_delay_s(NodeId from, NodeId to, des::Rng& rng) const {
+    return governing(from, to).sample(rng);
+  }
+
+  /// Advances `rng` exactly as sample_delay_s(from, to, rng) would, for a
+  /// delivery whose arrival time nothing reads.
+  void skip_delay(NodeId from, NodeId to, des::Rng& rng) const {
+    governing(from, to).skip(rng);
+  }
 
   /// Mean one-way delay (seconds) of the (from, to) pair.
   double mean_delay_s(NodeId from, NodeId to) const;
 
  private:
+  const des::TruncatedGaussian& governing(NodeId from,
+                                          NodeId to) const noexcept {
+    return dists_[static_cast<int>(slower_of(classes_[from], classes_[to]))];
+  }
+
   std::vector<BandwidthClass> classes_;
   // One truncated Gaussian per governing class, indexed by BandwidthClass.
   std::vector<des::TruncatedGaussian> dists_;
+};
+
+/// A DelayModel bound to the lane it draws from: the `delay` a search
+/// calls once per timed transmission.  skip() is the flood's call for a
+/// delivery whose arrival time nothing reads (core/flood_search.h).
+struct DelayLane {
+  const DelayModel* model;
+  des::Rng* lane;
+
+  double operator()(NodeId from, NodeId to) const {
+    return model->sample_delay_s(from, to, *lane);
+  }
+  void skip(NodeId from, NodeId to) const {
+    model->skip_delay(from, to, *lane);
+  }
 };
 
 }  // namespace dsf::net

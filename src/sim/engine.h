@@ -460,7 +460,7 @@ class OverlayEngine {
         },
         has_content,
         rank,
-        [this](net::NodeId a, net::NodeId b) { return sample_delay_s(a, b); },
+        net::DelayLane{&delay_, &lanes_.delay},
         search_transmit(),
         &stats,
         &stamps_,

@@ -60,7 +60,9 @@ inline SearchStrategyKind parse_search_strategy(const std::string& s) {
 ///   `has_content(n)` -> bool : does n hold the requested item
 ///   `rank(n)`        -> double : n's best local score for this query
 ///                       (> 0 iff n can contribute a ranked result)
-///   `delay(a, b)`    -> double : one-way delay seconds per transmission
+///   `delay(a, b)`    -> double : one-way delay seconds per transmission;
+///                       the engine binds net::DelayLane, whose skip(a, b)
+///                       lets the flood skip draws it never reads
 ///   `transmit(...)`  -> TransmitResult : transport verdict per copy
 ///
 /// `stats` feeds directed-BFT subset selection and `hit_stamps` the local

@@ -1,49 +1,54 @@
 #include "workload/library_pool.h"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace dsf::workload {
-
-namespace {
-
-/// Membership in a sorted, duplicate-free run.  Each step halves the
-/// window with a conditional move instead of a branch, so a lookup costs
-/// log2(n) dependent loads and no mispredictions; the window always keeps
-/// the last element not above `s`.
-bool sorted_contains(std::span<const SongId> run, SongId s) noexcept {
-  if (run.empty()) return false;
-  const SongId* first = run.data();
-  std::size_t n = run.size();
-  while (n > 1) {
-    const std::size_t half = n / 2;
-    first = first[half] <= s ? first + half : first;
-    n -= half;
-  }
-  return *first == s;
-}
-
-}  // namespace
 
 void LibraryPool::reserve(std::size_t num_users, std::size_t expected_songs) {
   start_.reserve(num_users + 1);
   filters_.reserve(num_users);
+  ends_.reserve(num_users);
   songs_.reserve(expected_songs);
   if (start_.empty()) start_.push_back(0);
 }
 
 void LibraryPool::append(const Library& lib) {
+  const std::vector<SongId>& songs = lib.songs();
+  if (songs.size() > std::numeric_limits<std::uint16_t>::max())
+    throw std::length_error(
+        "LibraryPool: a library of " + std::to_string(songs.size()) +
+        " songs exceeds the 65535 its uint16_t group ends can index");
   if (start_.empty()) start_.push_back(0);
-  songs_.insert(songs_.end(), lib.songs().begin(), lib.songs().end());
+
+  // One counting pass: group sizes, then cumulative ends.  The songs
+  // arrive ascending, so placing them in order at their group's cursor
+  // keeps every group ascending without a sort.
+  Filter filter{};
+  GroupEnds ends{};
+  for (SongId s : songs) {
+    mark(filter, s);
+    ++ends[filter_word(s)];
+  }
+  for (std::uint32_t w = 1; w < kFilterWords; ++w) ends[w] += ends[w - 1];
+
+  const std::size_t slice = songs_.size();
+  songs_.resize(slice + songs.size());
+  GroupEnds cursor{};
+  std::copy(ends.begin(), ends.end() - 1, cursor.begin() + 1);
+  for (SongId s : songs) songs_[slice + cursor[filter_word(s)]++] = s;
+
   start_.push_back(songs_.size());
-  Filter& f = filters_.emplace_back();
-  for (SongId s : lib.songs()) mark(f, s);
+  filters_.push_back(filter);
+  ends_.push_back(ends);
 }
 
-bool LibraryPool::search(std::uint32_t u, SongId s) const noexcept {
-  if (sorted_contains(base(u), s)) return true;
-  if (spill_.empty()) return false;
+bool LibraryPool::spill_has(std::uint32_t u, SongId s) const noexcept {
   const auto it = spill_.find(u);
-  return it != spill_.end() && sorted_contains(it->second, s);
+  return it != spill_.end() &&
+         std::binary_search(it->second.begin(), it->second.end(), s);
 }
 
 std::size_t LibraryPool::size(std::uint32_t u) const {
@@ -56,7 +61,7 @@ std::size_t LibraryPool::size(std::uint32_t u) const {
 }
 
 void LibraryPool::add(std::uint32_t u, SongId s) {
-  if (sorted_contains(base(u), s)) return;
+  if (base_has(u, s)) return;
   auto& spill = spill_[u];
   const auto it = std::lower_bound(spill.begin(), spill.end(), s);
   if (it == spill.end() || *it != s) spill.insert(it, s);
@@ -66,7 +71,8 @@ void LibraryPool::add(std::uint32_t u, SongId s) {
 std::size_t LibraryPool::memory_bytes() const noexcept {
   std::size_t bytes = songs_.capacity() * sizeof(SongId) +
                       start_.capacity() * sizeof(std::uint64_t) +
-                      filters_.capacity() * sizeof(Filter);
+                      filters_.capacity() * sizeof(Filter) +
+                      ends_.capacity() * sizeof(GroupEnds);
   for (const auto& [u, spill] : spill_) {
     (void)u;
     bytes += sizeof(spill) + spill.capacity() * sizeof(SongId) +

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -43,6 +44,17 @@ TEST(Exponential, MemorylessTailFraction) {
 TEST(TruncatedGaussian, RejectsBadParams) {
   EXPECT_THROW(TruncatedGaussian(0, 0, -1, 1), std::invalid_argument);
   EXPECT_THROW(TruncatedGaussian(0, 1, 2, 1), std::invalid_argument);
+  // No candidate from a NaN mean or an infinite sigma ever lands in the
+  // window, so sample() would never return.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(TruncatedGaussian(nan, 1, -1, 1), std::invalid_argument);
+  EXPECT_THROW(TruncatedGaussian(0, inf, -1, 1), std::invalid_argument);
+  EXPECT_THROW(TruncatedGaussian(inf, 1, -inf, inf), std::invalid_argument);
+  EXPECT_THROW(TruncatedGaussian(0, nan, -1, 1), std::invalid_argument);
+  // An unbounded window is a plain Gaussian.
+  Rng rng(3);
+  EXPECT_TRUE(std::isfinite(TruncatedGaussian(0, 1, -inf, inf).sample(rng)));
 }
 
 TEST(TruncatedGaussian, RespectsBounds) {

@@ -1,13 +1,15 @@
 // LibraryPool against a std::set oracle.  The pool answers `contains`
-// through a per-user 1024-bit prefilter and a branchless binary search of
-// the sorted slice, then the growth spill list; the oracle is one
-// std::set per user.  Seeded populations cover empty, one-song and
-// 400-song slices; every owned song is probed, and so is a set of absent
-// songs chosen to share a prefilter bit with an owned one (the probes that
-// get past the filter and must be refused by the search).  Growth through
-// add() includes songs already in the base, and a pool rebuilt by
-// replaying the spill lists through add() — the snapshot restore path —
-// must answer exactly like the original.
+// through a per-user 1024-bit prefilter and a scan of the song's
+// prefilter-word group in the slice, then the growth spill list; the
+// oracle is one std::set per user.  Seeded populations cover empty,
+// one-song and 400-song slices; every owned song is probed, and so is a
+// set of absent songs chosen to share a prefilter bit with an owned one
+// (the probes that get past the filter and must be refused by the
+// search).  Growth through add() includes songs already in the base, and a
+// pool rebuilt by replaying the spill lists through add() — the snapshot
+// restore path — must answer exactly like the original.  base(u) is
+// grouped by prefilter word, so it is compared as a set, and the layout
+// test checks the grouping itself.
 
 #include "workload/library_pool.h"
 
@@ -17,6 +19,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "des/rng.h"
@@ -82,11 +85,11 @@ class PoolHarness {
     for (std::uint32_t u = 0; u < users(); ++u) {
       const std::set<SongId>& owned = oracle_[u];
       ASSERT_EQ(pool.size(u), owned.size()) << "user " << u;
-      // The base slice never changes after construction.
-      ASSERT_TRUE(std::equal(pool.base(u).begin(), pool.base(u).end(),
-                             libraries_[u].songs().begin(),
-                             libraries_[u].songs().end()))
-          << "user " << u;
+      // The base slice holds the library's songs, as a set: its order is
+      // by prefilter word.  It never changes after construction.
+      std::vector<SongId> base(pool.base(u).begin(), pool.base(u).end());
+      std::sort(base.begin(), base.end());
+      ASSERT_EQ(base, libraries_[u].songs()) << "user " << u;
       for (SongId s : owned) {
         ASSERT_TRUE(pool.contains(u, s)) << "user " << u << " song " << s;
         const SongId twin = filter_twin(s, owned);
@@ -164,6 +167,74 @@ TEST(LibraryPoolDifferential, ReplayedSpillsAnswerLikeTheOriginal) {
         ASSERT_EQ(copy.contains(u, s), h.pool().contains(u, s))
             << "user " << u << " song " << s;
   }
+}
+
+/// Each song of base(u) sits in its prefilter word's group, ascending
+/// within the group; the ends are cumulative and the last is the slice
+/// size.
+void expect_grouped(const LibraryPool& pool, std::uint32_t u,
+                    const std::vector<SongId>& songs) {
+  const auto base = pool.base(u);
+  const LibraryPool::GroupEnds& ends = pool.group_ends(u);
+  ASSERT_EQ(base.size(), songs.size()) << "user " << u;
+  ASSERT_EQ(ends.back(), base.size()) << "user " << u;
+  std::size_t begin = 0;
+  for (std::uint32_t w = 0; w < LibraryPool::kFilterWords; ++w) {
+    ASSERT_LE(begin, ends[w]) << "user " << u << " word " << w;
+    for (std::size_t i = begin; i < ends[w]; ++i) {
+      ASSERT_EQ(LibraryPool::filter_word(base[i]), w)
+          << "user " << u << " position " << i;
+      if (i > begin) {
+        ASSERT_LT(base[i - 1], base[i]) << "user " << u;
+      }
+    }
+    begin = ends[w];
+  }
+  std::vector<SongId> sorted(base.begin(), base.end());
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, songs) << "user " << u;
+}
+
+TEST(LibraryPoolLayout, SongsSitInTheirWordsGroup) {
+  // Empty, one-song and small slices, the default size, and a 400-song
+  // slice: the library generator's ceiling.
+  des::Rng rng(0x6E0F);
+  LibraryPool pool;
+  std::vector<std::vector<SongId>> libraries;
+  for (std::size_t n : {0, 1, 2, 16, 200, 400, 400, 37}) {
+    std::set<SongId> drawn;
+    while (drawn.size() < n)
+      drawn.insert(static_cast<SongId>(rng.uniform_int(kSongs)));
+    libraries.emplace_back(drawn.begin(), drawn.end());
+    pool.append(Library(libraries.back()));
+  }
+  for (std::uint32_t u = 0; u < libraries.size(); ++u) {
+    expect_grouped(pool, u, libraries[u]);
+    for (SongId s : libraries[u]) EXPECT_TRUE(pool.contains(u, s));
+  }
+  // Growth goes to the spill and leaves the base groups as they were.
+  for (std::uint32_t u = 0; u < libraries.size(); ++u)
+    for (int k = 0; k < 30; ++k)
+      pool.add(u, static_cast<SongId>(rng.uniform_int(kSongs)));
+  for (std::uint32_t u = 0; u < libraries.size(); ++u)
+    expect_grouped(pool, u, libraries[u]);
+}
+
+TEST(LibraryPoolLayout, AppendRejectsALibraryPastTheGroupEnds) {
+  std::vector<SongId> songs(65'535);
+  for (std::size_t i = 0; i < songs.size(); ++i)
+    songs[i] = static_cast<SongId>(3 * i);
+  LibraryPool pool;
+  pool.append(Library(songs));  // the largest that uint16_t ends index
+  expect_grouped(pool, 0, songs);
+  songs.push_back(3 * 65'535);
+  EXPECT_THROW(pool.append(Library(songs)), std::length_error);
+  // The rejected library left nothing behind.
+  EXPECT_EQ(pool.num_users(), 1u);
+  pool.append(Library({5}));
+  EXPECT_EQ(pool.num_users(), 2u);
+  EXPECT_TRUE(pool.contains(1, 5));
+  EXPECT_FALSE(pool.contains(1, 3 * 65'535));
 }
 
 TEST(LibraryPool, AddOfABaseSongIsANoOp) {
